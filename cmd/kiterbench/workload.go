@@ -20,9 +20,9 @@ import (
 // and an itoa instead of a graph build + JSON encode on the hot path.
 const sentinelDur = 86400077
 
-// bucketTasks maps workload size buckets onto ring lengths aligned with the
-// engine's race-category task-count boundaries (tiny ≤4, small ≤16,
-// medium ≤64, large >64), so a mixed run exercises every portfolio tier.
+// bucketTasks maps workload size buckets onto ring lengths at the
+// task-count boundaries tiny ≤4, small ≤16, medium ≤64 and large >64, so
+// a mixed run spans small to large graphs.
 var bucketTasks = map[string]int{
 	"tiny":   4,
 	"small":  16,

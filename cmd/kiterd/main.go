@@ -4,7 +4,7 @@
 //
 //	POST /analyze   analyze a graph (body: a graph in the repository's
 //	                JSON format, or an envelope {"graph": …, "analyses":
-//	                ["throughput", …], "method": "race", "capacities":
+//	                ["throughput", …], "method": "auto", "capacities":
 //	                false}); the response carries the analysis result plus
 //	                a cache/latency stats snapshot
 //	POST /sweep     expand a parametric sweep spec ({"base": graph,
@@ -15,7 +15,8 @@
 //	                front); disconnecting cancels the remaining scenarios
 //	GET  /healthz   liveness probe; /healthz?ready=1 is the readiness
 //	                probe (503 until the engine and cache are serving)
-//	GET  /stats     engine telemetry (cache hit rate, latency, race wins)
+//	GET  /stats     engine telemetry (cache hit rate, latency, answers per
+//	                method)
 //	                plus the binary's build/version block
 //	GET  /metrics   Prometheus text exposition: request/solve latency
 //	                histograms, cache and cluster counters, build info
@@ -97,7 +98,7 @@
 //
 // Usage:
 //
-//	kiterd [-addr :8080] [-workers N] [-cache N] [-method race]
+//	kiterd [-addr :8080] [-workers N] [-cache N] [-method auto]
 //	       [-cache-dir dir] [-cache-disk-bytes N] [-capacities]
 //	       [-peers host:port,…] [-self host:port] [-forward-timeout 0]
 //	       [-cache-fleet] [-claim-lease 30s]
@@ -147,7 +148,7 @@ func run() error {
 		cacheDiskBytes = flag.Int64("cache-disk-bytes", 256<<20, "disk cache byte quota for -cache-dir; over it the oldest segments are compacted away in the background")
 		statsOut       = flag.String("stats-out", "", "write the final engine stats snapshot as JSON to this file on exit (all modes, including HTTP after a drain)")
 		maxPending     = flag.Int("max-pending", 0, "max in-flight jobs before shedding load (0 = 16×(workers+1))")
-		method         = flag.String("method", "race", "throughput method: race | kiter | periodic | expansion | symbolic")
+		method         = flag.String("method", "auto", "throughput method: auto (K-Iter, then symbolic execution, then 1-periodic, each when the previous fails) | kiter | periodic | expansion | symbolic; race is an old name for auto")
 		analyses       = flag.String("analyses", "throughput", "comma-separated analyses: throughput,schedule,sizing,symbolic")
 		capacities     = flag.Bool("capacities", false, "apply declared buffer capacities before analysis")
 		timeout        = flag.Duration("timeout", 60*time.Second, "per-request analysis timeout")
@@ -298,7 +299,7 @@ func run() error {
 	// would otherwise generate a whole batch suite only to fail every
 	// graph, or 400 every HTTP request).
 	if !engine.ValidMethod(tmpl.Method) {
-		return fmt.Errorf("unknown -method %q (want race, kiter, periodic, expansion or symbolic)", *method)
+		return fmt.Errorf("unknown -method %q (want auto, kiter, periodic, expansion or symbolic)", *method)
 	}
 	for _, a := range tmpl.Analyses {
 		if !engine.ValidAnalysis(a) {

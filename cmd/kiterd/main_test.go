@@ -18,7 +18,7 @@ import (
 
 func testTemplate() requestTemplate {
 	return requestTemplate{
-		Method:   engine.MethodRace,
+		Method:   engine.MethodAuto,
 		Analyses: []engine.AnalysisKind{engine.AnalysisThroughput},
 		Timeout:  time.Minute,
 	}
@@ -65,7 +65,7 @@ func TestAnalyzeBareGraph(t *testing.T) {
 // TestAnalyzeMinimalReplyShape pins the default /analyze reply to the
 // minimal shape: a compact single-line body whose only key is "result" —
 // no stats snapshot (opt-in via ?stats=1), no indentation. The stats
-// snapshot grows with cluster/tier/race-category counters, so shipping it
+// snapshot grows with cluster/tier counters, so shipping it
 // per request was pure hot-path bloat.
 func TestAnalyzeMinimalReplyShape(t *testing.T) {
 	srv := newTestServer(t)

@@ -50,8 +50,6 @@ func registerEngineCollector(reg *telemetry.Registry, e *engine.Engine) {
 		counter("kiter_engine_cancelled_total", "Abandoned evaluations.", s.Cancelled)
 		counter("kiter_engine_rejected_total", "Submissions shed under overload.", s.Rejected)
 		counter("kiter_panics_total", "Solver panics recovered into job errors (also counted under errors).", s.Panics)
-		counter("kiter_race_extra_slots_total", "Evaluation slots borrowed for extra race contestants.", s.RaceExtraSlots)
-		counter("kiter_race_starved_total", "Races that found fewer free slots than contestants.", s.RaceStarved)
 		counter("kiter_engine_claims_granted_total", "Cross-process claims granted to this replica (it went on to evaluate).", s.ClaimsGranted)
 		counter("kiter_engine_claims_served_total", "Submissions answered with a peer's claimed result (also counted under remote results).", s.ClaimsServed)
 
@@ -59,18 +57,9 @@ func registerEngineCollector(reg *telemetry.Registry, e *engine.Engine) {
 		gauge("kiter_engine_pending", "Jobs submitted but not yet finished.", float64(s.Pending))
 		gauge("kiter_engine_cache_entries", "Memoized results currently stored (summed over tiers).", float64(s.CacheEntries))
 
-		x.Family("kiter_race_wins_total", "counter", "Portfolio-race victories per contestant method.")
-		for _, m := range []string{"kiter", "periodic", "symbolic"} {
+		x.Family("kiter_race_wins_total", "counter", "Default-method throughput answers per fallback-chain step.")
+		for _, m := range []string{"kiter", "symbolic", "periodic"} {
 			x.Sample("kiter_race_wins_total", float64(s.RaceWins[m]), "method", m)
-		}
-		if len(s.RaceWinsByCategory) > 0 {
-			x.Family("kiter_race_category_wins_total", "counter",
-				"Portfolio-race victories by graph-size category and method.")
-			for _, cat := range []string{"tiny", "small", "medium", "large"} {
-				for m, v := range s.RaceWinsByCategory[cat] {
-					x.Sample("kiter_race_category_wins_total", float64(v), "category", cat, "method", m)
-				}
-			}
 		}
 
 		if len(s.CacheTiers) > 0 {

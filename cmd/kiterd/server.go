@@ -309,7 +309,7 @@ type analyzeEnvelope struct {
 
 // analyzeResponse is the /analyze reply: the analysis result, and nothing
 // else by default — a full engine.Stats snapshot costs a per-request
-// allocation walk over every cluster/tier/race-category counter and bloats
+// allocation walk over every cluster/tier counter and bloats
 // each response with telemetry that grows with the fleet, so it is opt-in
 // via ?stats=1 (GET /stats remains the zero-argument way to read it). With
 // ?trace=1 the reply also carries the request's span tree and its

@@ -189,12 +189,12 @@ func TestAnalyzeTrace(t *testing.T) {
 	}
 	var sawSolve bool
 	for _, c := range throughput.Children {
-		if strings.HasPrefix(c.Name, "race") || strings.HasPrefix(c.Name, "solve.") {
+		if strings.HasPrefix(c.Name, "solve.") {
 			sawSolve = true
 		}
 	}
 	if !sawSolve {
-		t.Fatalf("analysis.throughput has no race/solve child: %+v", throughput.Children)
+		t.Fatalf("analysis.throughput has no solve child: %+v", throughput.Children)
 	}
 
 	// An untraced request stays clean: no requestId, no tree.

@@ -8,30 +8,6 @@ import (
 	"kiter/internal/gen"
 )
 
-func TestTighterBound(t *testing.T) {
-	res := func(thr string, f float64) *ThroughputResult {
-		return &ThroughputResult{Throughput: thr, Float: f}
-	}
-	cases := []struct {
-		name string
-		a, b *ThroughputResult
-		want bool
-	}{
-		{"higher throughput is tighter", res("2/3", 0.667), res("1/2", 0.5), true},
-		{"lower throughput is not", res("1/2", 0.5), res("2/3", 0.667), false},
-		{"equal bounds keep the incumbent", res("1/2", 0.5), res("1/2", 0.5), false},
-		{"exact compare beats float rounding", res("100000001/300000000", 1/3.0), res("1/3", 1/3.0), true},
-		{"absent throughput is a zero bound", res("", 0), res("1/9", 0.111), false},
-		{"any bound beats a zero bound", res("1/9", 0.111), res("", 0), true},
-		{"unparseable falls back to floats", res("bogus", 0.8), res("1/2", 0.5), true},
-	}
-	for _, c := range cases {
-		if got := tighterBound(c.a, c.b); got != c.want {
-			t.Errorf("%s: tighterBound = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 // TestLatencyCountsSuccessOnly pins the accounting fix: cancelled and
 // failed evaluations must not contribute latency samples, so a flood of
 // fast-aborting jobs cannot drag MeanLatencyMS down.

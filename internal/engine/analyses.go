@@ -16,7 +16,7 @@ import (
 // analysisOrder fixes the execution order regardless of how the request
 // listed the analyses, so that later sections reuse earlier heavyweight
 // work instead of recomputing it: the symbolic section feeds the
-// throughput analysis (an exact symbolic answer decides a race outright),
+// throughput analysis (an exact symbolic answer settles the default method),
 // and the throughput section's certified periodicity vector feeds both the
 // schedule and the sizing analyses.
 var analysisOrder = []AnalysisKind{AnalysisSymbolic, AnalysisThroughput, AnalysisSchedule, AnalysisSizing}
@@ -76,9 +76,9 @@ func sectionErr(ctx context.Context, err error) (string, error) {
 
 // throughputFromSymbolic reuses an already-computed symbolic section as
 // the throughput answer where that is sound: an exact symbolic result (or
-// a certified deadlock) settles both a race and an explicit symbolic
-// request; a failed exploration settles only the explicit request. The
-// second return reports whether the section was conclusive.
+// a certified deadlock) settles both the default method and an explicit
+// symbolic request; a failed exploration settles only the explicit request.
+// The second return reports whether the section was conclusive.
 func throughputFromSymbolic(m Method, res *Result) (*ThroughputResult, bool) {
 	sym := res.Symbolic
 	if sym == nil {
@@ -102,37 +102,29 @@ func throughputFromSymbolic(m Method, res *Result) (*ThroughputResult, bool) {
 }
 
 func (e *Engine) analyzeThroughput(ctx context.Context, req *Request, res *Result) error {
-	if req.Method == MethodRace || req.Method == MethodSymbolic {
+	if req.Method == MethodAuto || req.Method == MethodSymbolic {
 		if tr, done := throughputFromSymbolic(req.Method, res); done {
 			res.Throughput = tr
 			return nil
 		}
 	}
-	if req.Method == MethodRace {
-		// skip the symbolic contestant when its section already failed —
-		// re-running it would hit the same budget the same way.
-		tr, err := e.raceThroughput(ctx, req.Graph, res.Symbolic != nil)
-		if err != nil {
-			msg, abort := sectionErr(ctx, err)
-			if abort != nil {
-				return abort
-			}
-			res.Throughput = &ThroughputResult{Method: req.Method, Error: msg}
-			return nil
-		}
-		res.Throughput = tr
-		return nil
+	var tr *ThroughputResult
+	var err error
+	if req.Method == MethodAuto {
+		// A symbolic section present here has failed (a conclusive one
+		// returned above), so the chain skips its symbolic step.
+		tr, err = e.autoThroughput(ctx, req.Graph, res.Symbolic != nil)
+	} else {
+		tr, err = e.runMethod(ctx, req.Graph, req.Method)
 	}
-	out := e.runMethod(ctx, req.Graph, req.Method)
-	if out.err != nil {
-		msg, abort := sectionErr(ctx, out.err)
+	if err != nil {
+		msg, abort := sectionErr(ctx, err)
 		if abort != nil {
 			return abort
 		}
-		res.Throughput = &ThroughputResult{Method: req.Method, Error: msg}
-		return nil
+		tr = &ThroughputResult{Method: req.Method, Error: msg}
 	}
-	res.Throughput = out.res
+	res.Throughput = tr
 	return nil
 }
 

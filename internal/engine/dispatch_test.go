@@ -48,7 +48,7 @@ func TestDispatcherHandlesJob(t *testing.T) {
 	if job.Fingerprint != gen.Figure2().FingerprintHex() {
 		t.Fatalf("dispatch job fingerprint = %s", job.Fingerprint)
 	}
-	if job.Method != MethodRace || len(job.Analyses) != 1 || job.Analyses[0] != AnalysisThroughput {
+	if job.Method != MethodAuto || len(job.Analyses) != 1 || job.Analyses[0] != AnalysisThroughput {
 		t.Fatalf("dispatch job not normalized: %+v", job)
 	}
 

@@ -17,16 +17,9 @@ import (
 
 // Config tunes an Engine.
 type Config struct {
-	// Workers is the evaluation pool size (default: GOMAXPROCS) and the
-	// hard concurrency budget: the pool is slot-weighted, so a MethodRace
-	// job charges every concurrently running contestant against Workers.
-	// A race holds its worker's slot and borrows up to width-1 extra slots
-	// from the idle pool without blocking; contestants beyond the borrowed
-	// width share the held slots (degrading toward a sequential portfolio
-	// under full load) instead of oversubscribing memory. Peak concurrent
-	// analyses therefore never exceed Workers; Stats.RaceExtraSlots and
-	// Stats.RaceStarved report how often racing borrowed and how often it
-	// had to narrow.
+	// Workers is the evaluation pool size (default: GOMAXPROCS). Each
+	// worker runs one job at a time, every analysis of it included, so at
+	// most Workers analyses run at once.
 	Workers int
 	// QueueDepth is the buffered job queue length (default: 2·Workers).
 	QueueDepth int
@@ -99,12 +92,6 @@ type Engine struct {
 	flight *flightGroup
 	stats  counters
 
-	// slots is the evaluation-slot semaphore backing the slot-weighted
-	// pool: it holds Workers tokens, a worker takes one for the duration of
-	// each job, and a race borrows extras (borrowSlots) for its concurrent
-	// contestants, so total concurrent analyses never exceed Workers.
-	slots chan struct{}
-
 	pending atomic.Int64
 	closed  chan struct{}
 	// shutdownCtx mirrors closed as a context, so dispatches blocked on
@@ -130,15 +117,15 @@ type Engine struct {
 // cannot express.
 type instruments struct {
 	// queueWait is submit→dequeue: the time a leader job spent in the
-	// queue plus waiting for an evaluation slot.
+	// queue before a worker took it.
 	queueWait *telemetry.Histogram
 	// evaluation is dequeue→done for successful evaluations — the solve
 	// wall time MeanLatencyMS averages, as a full distribution.
 	evaluation *telemetry.Histogram
 	// cacheLookup times CacheBackend.Get (a disk-tier hit pays a decode).
 	cacheLookup *telemetry.Histogram
-	// solve is per-method solver wall time, labeled by contestant; under
-	// racing every contestant that runs to completion observes.
+	// solve is per-method solver wall time, labeled by method; under the
+	// default method every chain step that runs observes.
 	solve *telemetry.HistogramVec
 	// kiterRounds is K-Iter's Algorithm 1 round count per solve;
 	// howardIters the total Howard policy-improvement rounds per solve.
@@ -207,13 +194,9 @@ func New(cfg Config) *Engine {
 		cache:  cache,
 		flight: newFlightGroup(),
 		closed: make(chan struct{}),
-		slots:  make(chan struct{}, cfg.Workers),
 	}
 	e.shutdownCtx, e.shutdown = context.WithCancel(context.Background())
 	e.met = newInstruments(cfg.Metrics)
-	for i := 0; i < cfg.Workers; i++ {
-		e.slots <- struct{}{}
-	}
 	e.evalFn = e.evaluate
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -270,8 +253,8 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		}
 	}
 	method := req.Method
-	if method == "" {
-		method = MethodRace
+	if method == "" || method == MethodRace {
+		method = MethodAuto
 	}
 	if !knownMethods[method] {
 		return nil, fmt.Errorf("engine: unknown method %q", method)
@@ -436,45 +419,16 @@ func (e *Engine) worker() {
 	for {
 		select {
 		case j := <-e.jobs:
-			// Take an evaluation slot for the job's duration. The wait is
-			// bounded: slots are only held by running analyses (including
-			// race-borrowed extras), all of which complete and release.
-			<-e.slots
 			if !j.enqueuedAt.IsZero() {
-				// Queue wait covers both the channel and the slot wait —
-				// the full submit→dequeue gap a loaded pool adds.
+				// The full submit→dequeue gap a loaded pool adds.
 				wait := time.Since(j.enqueuedAt)
 				e.met.queueWait.Observe(wait.Seconds())
 				telemetry.FromContext(j.evalCtx()).Record("queue.wait", j.enqueuedAt, wait)
 			}
 			e.runJob(j)
-			e.slots <- struct{}{}
 		case <-e.closed:
 			return
 		}
-	}
-}
-
-// borrowSlots takes up to n evaluation slots without blocking and returns
-// how many it got — the race fan-out budget. The caller must hand every
-// borrowed slot back with returnSlots once the extra work has fully exited.
-func (e *Engine) borrowSlots(n int) int {
-	got := 0
-	for got < n {
-		select {
-		case <-e.slots:
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-// returnSlots releases n borrowed evaluation slots.
-func (e *Engine) returnSlots(n int) {
-	for i := 0; i < n; i++ {
-		e.slots <- struct{}{}
 	}
 }
 

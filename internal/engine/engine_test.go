@@ -29,6 +29,9 @@ func figure2Result(t *testing.T) string {
 	return res.Period.String()
 }
 
+// TestSubmitThroughputRace: the default method answers with K-Iter's
+// certified optimum, and "race", its former name, is the same method: it
+// shares the default's cache entry.
 func TestSubmitThroughputRace(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2})
 	res, err := e.Submit(context.Background(), &Request{Graph: gen.Figure2()})
@@ -38,14 +41,21 @@ func TestSubmitThroughputRace(t *testing.T) {
 	if res.Throughput == nil || res.Throughput.Error != "" {
 		t.Fatalf("no throughput section: %+v", res)
 	}
-	if !res.Throughput.Optimal {
-		t.Fatal("race result not certified optimal")
+	if !res.Throughput.Optimal || res.Throughput.Method != MethodKIter {
+		t.Fatalf("default method result = %+v, want K-Iter's certified optimum", res.Throughput)
 	}
 	if want := figure2Result(t); res.Throughput.Period != want {
 		t.Fatalf("period = %s, want %s", res.Throughput.Period, want)
 	}
 	if res.CacheHit || res.Deduped {
 		t.Fatalf("first submission flagged cacheHit=%v deduped=%v", res.CacheHit, res.Deduped)
+	}
+	again, err := e.Submit(context.Background(), &Request{Graph: gen.Figure2(), Method: MethodRace})
+	if err != nil {
+		t.Fatalf("Submit race: %v", err)
+	}
+	if !again.CacheHit {
+		t.Fatal("method race missed the default method's cache entry")
 	}
 }
 
@@ -200,13 +210,14 @@ func TestAbandonedJobCancelled(t *testing.T) {
 	}
 }
 
-// TestRaceCancellation: cancelling the submission context aborts a
-// portfolio race mid-analysis — the analyses' inner-loop cancellation
-// hooks return promptly instead of running to their budgets.
+// TestRaceCancellation: cancelling the submission context aborts a job
+// under the default method (submitted by its former name, race)
+// mid-analysis — the solvers' inner-loop cancellation hooks return
+// promptly instead of running to their budgets.
 func TestRaceCancellation(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 4})
-	// A large-transient graph: heavy enough that no contestant finishes
-	// instantly, so the cancel lands mid-race.
+	// A large-transient graph: heavy enough that K-Iter does not finish
+	// instantly, so the cancel lands mid-analysis.
 	g := gen.LgTransient(1, 42).Graphs[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -219,11 +230,11 @@ func TestRaceCancellation(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) && err != nil {
-			// The race may legitimately have won before the cancel.
+			// The job may legitimately have finished before the cancel.
 			t.Fatalf("Submit returned unexpected error %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled race did not return within 10s")
+		t.Fatal("cancelled job did not return within 10s")
 	}
 }
 
@@ -266,8 +277,8 @@ func TestSubmitMultipleAnalyses(t *testing.T) {
 }
 
 // TestSymbolicReusedForThroughput: when one job requests both the
-// symbolic analysis and a raced throughput, the exact symbolic answer is
-// reused as the race verdict instead of executing the exploration twice.
+// symbolic analysis and the default throughput method, the exact symbolic
+// answer is reused as the throughput instead of running the chain.
 func TestSymbolicReusedForThroughput(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2})
 	res, err := e.Submit(context.Background(), &Request{
@@ -434,8 +445,8 @@ func TestOverloadFailsWaiters(t *testing.T) {
 }
 
 // TestPeriodicDeadlockDefinitive: a certified deadlock found by the
-// 1-periodic contestant settles a single-method request (and a race) just
-// like one found by K-Iter.
+// 1-periodic method settles a single-method request (and a chain step)
+// just like one found by K-Iter.
 func TestPeriodicDeadlockDefinitive(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 2})
 	res, err := e.Submit(context.Background(), &Request{Graph: gen.DeadlockedRing(), Method: MethodPeriodic})

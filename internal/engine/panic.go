@@ -15,7 +15,7 @@ import (
 // process) keeps serving. The stack is captured at the recovery site.
 type PanicError struct {
 	// Where names the recovery site ("evaluate" for the worker-level
-	// recover, "solve.<method>" for a race contestant).
+	// recover, "solve.<method>" for a step of the default method's chain).
 	Where string
 	// Value is the recovered panic value.
 	Value any
@@ -55,14 +55,13 @@ func (e *Engine) safeEval(ctx context.Context, req *Request) (res *Result, err e
 	return e.evalFn(ctx, req)
 }
 
-// safeRunMethod is runMethod under panic isolation, for race contestants:
-// recover must run on the panicking goroutine itself, so each contestant
-// wraps its solve here and a panicking method becomes one failed outcome
-// while the other contestants race on.
-func (e *Engine) safeRunMethod(ctx context.Context, g *csdf.Graph, m Method) (out raceOutcome) {
+// safeRunMethod is runMethod under panic isolation, for the steps of the
+// default method's chain: a panicking step becomes one failed step and the
+// chain falls through to the next.
+func (e *Engine) safeRunMethod(ctx context.Context, g *csdf.Graph, m Method) (tr *ThroughputResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			out = raceOutcome{method: m, err: e.recoveredPanic(ctx, "solve."+string(m), v)}
+			tr, err = nil, e.recoveredPanic(ctx, "solve."+string(m), v)
 		}
 	}()
 	return e.runMethod(ctx, g, m)

@@ -42,50 +42,30 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestRaceContestantPanicLosesRace: an injected panic in one race
-// contestant is recovered on that contestant's goroutine; the others race
-// on and the job still returns the certified-optimal result.
-func TestRaceContestantPanicLosesRace(t *testing.T) {
-	// The healthy contestants are held back 50ms so the symbolic one is
-	// guaranteed to be scheduled — and panic — before the race settles;
-	// without the delay a loaded machine can settle the race before the
-	// symbolic goroutine even starts, and it exits unrun.
-	set, err := faultinject.Parse(
-		"solver.symbolic:panic,solver.kiter:latency:50ms,solver.periodic:latency:50ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Activate(set)
-	defer faultinject.Activate(nil)
-
-	// 3 workers so the race's gate admits every contestant: the symbolic
-	// one must actually run (and panic) rather than be cancelled unstarted.
-	e := newTestEngine(t, Config{Workers: 3})
+// TestChainStepPanicFallsThrough: an injected panic in the K-Iter step of
+// the default method is recovered and counted, and the next step answers
+// with the certified-optimal result.
+func TestChainStepPanicFallsThrough(t *testing.T) {
+	arm(t, "solver.kiter:panic")
+	e := newTestEngine(t, Config{Workers: 1})
 	want := figure2Result(t)
 	res, err := e.Submit(context.Background(), &Request{Graph: gen.Figure2()})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if res.Throughput == nil || !res.Throughput.Optimal || res.Throughput.Period != want {
-		t.Fatalf("race with panicking contestant: %+v", res.Throughput)
+	tr := res.Throughput
+	if tr == nil || tr.Method != MethodSymbolic || !tr.Optimal || tr.Period != want {
+		t.Fatalf("chain with panicking K-Iter step: %+v", tr)
 	}
-	// Losing contestants finish asynchronously after the winner settles the
-	// race, so the panic counter may lag the Submit return by a beat.
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Stats().Panics == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("contestant panic not counted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if faultinject.Fired("solver.symbolic") == 0 {
-		t.Fatal("failpoint never fired")
+	if s := e.Stats(); s.Panics != 1 || s.Errors != 0 {
+		t.Fatalf("panics = %d, errors = %d, want 1/0", s.Panics, s.Errors)
 	}
 }
 
-// TestAllContestantsPanicFailsJobOnly: when every contestant panics, the
-// throughput section carries the recovered-panic error (deterministic,
-// like any analysis failure) and the engine (and process) survive.
+// TestAllContestantsPanicFailsJobOnly: when every step of the default
+// method's chain panics, the throughput section carries K-Iter's
+// recovered-panic error (deterministic, like any analysis failure) and the
+// engine (and process) survive.
 func TestAllContestantsPanicFailsJobOnly(t *testing.T) {
 	set, err := faultinject.Parse("solver.kiter:panic,solver.periodic:panic,solver.symbolic:panic")
 	if err != nil {
@@ -99,11 +79,11 @@ func TestAllContestantsPanicFailsJobOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if res.Throughput == nil || !strings.Contains(res.Throughput.Error, "recovered panic") {
-		t.Fatalf("throughput section = %+v, want recovered-panic error", res.Throughput)
+	if res.Throughput == nil || !strings.Contains(res.Throughput.Error, "recovered panic in solve.kiter") {
+		t.Fatalf("throughput section = %+v, want K-Iter's recovered-panic error", res.Throughput)
 	}
 	if s := e.Stats(); s.Panics != 3 {
-		t.Fatalf("panics = %d, want 3 (one per contestant)", s.Panics)
+		t.Fatalf("panics = %d, want 3 (one per chain step)", s.Panics)
 	}
 	faultinject.Activate(nil)
 	res, err = e.Submit(context.Background(), &Request{Graph: gen.Figure2()})

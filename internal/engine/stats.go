@@ -2,34 +2,6 @@ package engine
 
 import "sync/atomic"
 
-// raceBuckets are the graph-size categories race winners are recorded
-// under, by task count. The portfolio's sweet spot shifts with size —
-// symbolic execution tends to win small graphs, K-Iter large ones — and
-// these per-category counters are the data a learned dispatch policy
-// (skip contestants that never win in a category) will be trained on.
-var raceBuckets = [...]struct {
-	name string
-	max  int // inclusive upper bound on task count
-}{
-	{"tiny", 4},
-	{"small", 16},
-	{"medium", 64},
-	{"large", int(^uint(0) >> 1)},
-}
-
-// raceBucket maps a task count onto its raceBuckets index.
-func raceBucket(tasks int) int {
-	for i, b := range raceBuckets {
-		if tasks <= b.max {
-			return i
-		}
-	}
-	return len(raceBuckets) - 1
-}
-
-// raceMethods indexes the race contestants in winsByCat.
-var raceMethods = [...]Method{MethodKIter, MethodPeriodic, MethodSymbolic}
-
 // counters holds the engine's hot-path telemetry. Everything is atomic:
 // the serving path never takes a lock to account.
 type counters struct {
@@ -48,32 +20,9 @@ type counters struct {
 	latencyNanos  atomic.Int64
 	latencyCount  atomic.Uint64
 
-	winsKIter    atomic.Uint64
-	winsPeriodic atomic.Uint64
-	winsSymbolic atomic.Uint64
-	// winsByCat refines the race-win counters by graph-size bucket:
-	// [raceBucket][raceMethods index].
-	winsByCat [len(raceBuckets)][len(raceMethods)]atomic.Uint64
-
-	raceBorrowed atomic.Uint64
-	raceStarved  atomic.Uint64
-}
-
-// raceWin records a portfolio-race victory for m on a graph of the given
-// task count.
-func (c *counters) raceWin(m Method, tasks int) {
-	bucket := raceBucket(tasks)
-	switch m {
-	case MethodKIter:
-		c.winsKIter.Add(1)
-		c.winsByCat[bucket][0].Add(1)
-	case MethodPeriodic:
-		c.winsPeriodic.Add(1)
-		c.winsByCat[bucket][1].Add(1)
-	case MethodSymbolic:
-		c.winsSymbolic.Add(1)
-		c.winsByCat[bucket][2].Add(1)
-	}
+	// answers counts the default method's answers per chain step, indexed
+	// like chainSteps.
+	answers [len(chainSteps)]atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the engine's telemetry.
@@ -101,9 +50,10 @@ type Stats struct {
 	Cancelled uint64 `json:"cancelled"`
 	Rejected  uint64 `json:"rejected"`
 	// Panics counts solver panics recovered by the isolation layer (worker
-	// evaluations and race contestants); each one failed a job with a
-	// PanicError instead of crashing the process. Panicking evaluations
-	// also count under Errors.
+	// evaluations and steps of the default method's chain). A panicking
+	// evaluation failed its job with a PanicError instead of crashing the
+	// process and also counts under Errors; a panicking chain step only
+	// hands the job to the next step.
 	Panics uint64 `json:"panics"`
 	// HitRate is CacheHits / (CacheHits + CacheMisses), in [0, 1].
 	HitRate float64 `json:"hitRate"`
@@ -129,18 +79,16 @@ type Stats struct {
 	Workers    int `json:"workers"`
 	Pending    int `json:"pending"`
 	MaxPending int `json:"maxPending"`
-	// RaceWins counts portfolio-race victories per contestant;
-	// RaceWinsByCategory refines them by graph-size bucket (task count:
-	// tiny ≤ 4, small ≤ 16, medium ≤ 64, large beyond), keyed
-	// bucket → method. Only buckets with at least one win appear.
-	RaceWins           map[string]uint64            `json:"raceWins"`
-	RaceWinsByCategory map[string]map[string]uint64 `json:"raceWinsByCategory,omitempty"`
-	// RaceExtraSlots counts the evaluation slots races borrowed for extra
-	// concurrent contestants; RaceStarved the races that found fewer free
-	// slots than contestants and narrowed their fan-out (see
-	// Config.Workers for the slot-weighted accounting).
-	RaceExtraSlots uint64 `json:"raceExtraSlots"`
-	RaceStarved    uint64 `json:"raceStarved"`
+	// RaceWins counts the default method's throughput answers by the
+	// chain step that produced them: kiter, symbolic or periodic. The name
+	// dates from when the three methods raced each other.
+	RaceWins map[string]uint64 `json:"raceWins"`
+	// RaceStarved is always zero: the chain runs its steps one after
+	// another on the job's own worker and never waits for spare workers.
+	//
+	// Deprecated: kept so that code written against the racing engine
+	// still compiles; it will be removed.
+	RaceStarved uint64 `json:"raceStarved,omitempty"`
 	// Cluster carries per-peer forward/serve/failover telemetry when the
 	// engine dispatches through a cluster (nil on a standalone replica).
 	Cluster []PeerStats `json:"cluster,omitempty"`
@@ -168,47 +116,26 @@ func sub(a, b uint64) uint64 {
 // of the same engine.
 func (s Stats) Delta(prev Stats) Stats {
 	d := Stats{
-		Submitted:      sub(s.Submitted, prev.Submitted),
-		CacheHits:      sub(s.CacheHits, prev.CacheHits),
-		CacheMisses:    sub(s.CacheMisses, prev.CacheMisses),
-		Deduped:        sub(s.Deduped, prev.Deduped),
-		Evaluations:    sub(s.Evaluations, prev.Evaluations),
-		RemoteResults:  sub(s.RemoteResults, prev.RemoteResults),
-		ClaimsGranted:  sub(s.ClaimsGranted, prev.ClaimsGranted),
-		ClaimsServed:   sub(s.ClaimsServed, prev.ClaimsServed),
-		Errors:         sub(s.Errors, prev.Errors),
-		Cancelled:      sub(s.Cancelled, prev.Cancelled),
-		Rejected:       sub(s.Rejected, prev.Rejected),
-		Panics:         sub(s.Panics, prev.Panics),
-		RaceExtraSlots: sub(s.RaceExtraSlots, prev.RaceExtraSlots),
-		RaceStarved:    sub(s.RaceStarved, prev.RaceStarved),
-		CacheEntries:   s.CacheEntries,
-		Workers:        s.Workers,
-		Pending:        s.Pending,
-		MaxPending:     s.MaxPending,
-		RaceWins:       make(map[string]uint64, len(s.RaceWins)),
+		Submitted:     sub(s.Submitted, prev.Submitted),
+		CacheHits:     sub(s.CacheHits, prev.CacheHits),
+		CacheMisses:   sub(s.CacheMisses, prev.CacheMisses),
+		Deduped:       sub(s.Deduped, prev.Deduped),
+		Evaluations:   sub(s.Evaluations, prev.Evaluations),
+		RemoteResults: sub(s.RemoteResults, prev.RemoteResults),
+		ClaimsGranted: sub(s.ClaimsGranted, prev.ClaimsGranted),
+		ClaimsServed:  sub(s.ClaimsServed, prev.ClaimsServed),
+		Errors:        sub(s.Errors, prev.Errors),
+		Cancelled:     sub(s.Cancelled, prev.Cancelled),
+		Rejected:      sub(s.Rejected, prev.Rejected),
+		Panics:        sub(s.Panics, prev.Panics),
+		CacheEntries:  s.CacheEntries,
+		Workers:       s.Workers,
+		Pending:       s.Pending,
+		MaxPending:    s.MaxPending,
+		RaceWins:      make(map[string]uint64, len(s.RaceWins)),
 	}
 	for k, v := range s.RaceWins {
 		d.RaceWins[k] = sub(v, prev.RaceWins[k])
-	}
-	// Category wins subtract per bucket/method; a bucket absent from prev
-	// deltas from zero, and buckets that did not move are dropped.
-	for bucket, wins := range s.RaceWinsByCategory {
-		var db map[string]uint64
-		for m, v := range wins {
-			if dv := sub(v, prev.RaceWinsByCategory[bucket][m]); dv > 0 {
-				if db == nil {
-					db = make(map[string]uint64)
-				}
-				db[m] = dv
-			}
-		}
-		if db != nil {
-			if d.RaceWinsByCategory == nil {
-				d.RaceWinsByCategory = make(map[string]map[string]uint64)
-			}
-			d.RaceWinsByCategory[bucket] = db
-		}
 	}
 	// Per-peer counters subtract like the top-level ones (peers matched by
 	// address, absent-from-prev deltas from zero); Healthy is a gauge and
@@ -272,46 +199,26 @@ func (e *Engine) Stats() Stats {
 		entries = e.cache.Len()
 	}
 	s := Stats{
-		Submitted:      e.stats.submitted.Load(),
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		Deduped:        e.stats.deduped.Load(),
-		Evaluations:    e.stats.evaluations.Load(),
-		RemoteResults:  e.stats.remote.Load(),
-		ClaimsGranted:  e.stats.claimsGranted.Load(),
-		ClaimsServed:   e.stats.claimsServed.Load(),
-		Errors:         e.stats.errors.Load(),
-		Cancelled:      e.stats.cancelled.Load(),
-		Rejected:       e.stats.rejected.Load(),
-		Panics:         e.stats.panics.Load(),
-		RaceExtraSlots: e.stats.raceBorrowed.Load(),
-		RaceStarved:    e.stats.raceStarved.Load(),
-		CacheEntries:   entries,
-		Workers:        e.cfg.Workers,
-		Pending:        int(e.pending.Load()),
-		MaxPending:     max(e.cfg.MaxPending, 0),
-		RaceWins: map[string]uint64{
-			string(MethodKIter):    e.stats.winsKIter.Load(),
-			string(MethodPeriodic): e.stats.winsPeriodic.Load(),
-			string(MethodSymbolic): e.stats.winsSymbolic.Load(),
-		},
+		Submitted:     e.stats.submitted.Load(),
+		CacheHits:     hits,
+		CacheMisses:   misses,
+		Deduped:       e.stats.deduped.Load(),
+		Evaluations:   e.stats.evaluations.Load(),
+		RemoteResults: e.stats.remote.Load(),
+		ClaimsGranted: e.stats.claimsGranted.Load(),
+		ClaimsServed:  e.stats.claimsServed.Load(),
+		Errors:        e.stats.errors.Load(),
+		Cancelled:     e.stats.cancelled.Load(),
+		Rejected:      e.stats.rejected.Load(),
+		Panics:        e.stats.panics.Load(),
+		CacheEntries:  entries,
+		Workers:       e.cfg.Workers,
+		Pending:       int(e.pending.Load()),
+		MaxPending:    max(e.cfg.MaxPending, 0),
+		RaceWins:      make(map[string]uint64, len(chainSteps)),
 	}
-	for bi := range raceBuckets {
-		var bucket map[string]uint64
-		for mi, m := range raceMethods {
-			if v := e.stats.winsByCat[bi][mi].Load(); v > 0 {
-				if bucket == nil {
-					bucket = make(map[string]uint64)
-				}
-				bucket[string(m)] = v
-			}
-		}
-		if bucket != nil {
-			if s.RaceWinsByCategory == nil {
-				s.RaceWinsByCategory = make(map[string]map[string]uint64)
-			}
-			s.RaceWinsByCategory[raceBuckets[bi].name] = bucket
-		}
+	for i, m := range chainSteps {
+		s.RaceWins[string(m)] = e.stats.answers[i].Load()
 	}
 	if hits+misses > 0 {
 		s.HitRate = float64(hits) / float64(hits+misses)

@@ -2,9 +2,9 @@
 // CSDF graph plus a set of requested analyses), runs them on a bounded
 // worker pool, deduplicates identical in-flight submissions, memoizes
 // completed results in a sharded LRU cache keyed by the graph's structural
-// fingerprint, and — for throughput — supports portfolio racing: K-Iter,
-// the 1-periodic method and symbolic execution start concurrently and the
-// first certified-optimal result wins while the rest are cancelled.
+// fingerprint, and — for throughput — runs a fixed fallback chain by
+// default: K-Iter, then symbolic execution when K-Iter fails, then the
+// 1-periodic method when both fail.
 //
 // The engine is the serving layer behind cmd/kiterd (HTTP and batch) and
 // the architectural seam for future scaling work: sharded cache backends,
@@ -23,7 +23,7 @@ type AnalysisKind string
 
 const (
 	// AnalysisThroughput evaluates the maximum throughput (method
-	// selectable, default portfolio racing).
+	// selectable, default MethodAuto).
 	AnalysisThroughput AnalysisKind = "throughput"
 	// AnalysisSchedule materializes an optimal K-periodic schedule.
 	AnalysisSchedule AnalysisKind = "schedule"
@@ -45,8 +45,13 @@ var knownAnalyses = map[AnalysisKind]bool{
 type Method string
 
 const (
-	// MethodRace races K-Iter, the 1-periodic method and symbolic
-	// execution; the first certified-optimal result wins (default).
+	// MethodAuto is the default: K-Iter, falling back to symbolic
+	// execution when K-Iter fails (typically by exceeding its expansion
+	// budget), and to the 1-periodic method — whose answer may be a bound
+	// only — when symbolic execution fails too.
+	MethodAuto Method = "auto"
+	// MethodRace is the former name of the default method, from when the
+	// three methods raced; Submit treats it as MethodAuto.
 	MethodRace Method = "race"
 	// MethodKIter runs Algorithm 1 alone.
 	MethodKIter Method = "kiter"
@@ -61,6 +66,7 @@ const (
 
 // knownMethods lists every valid method.
 var knownMethods = map[Method]bool{
+	MethodAuto:      true,
 	MethodRace:      true,
 	MethodKIter:     true,
 	MethodPeriodic:  true,
@@ -81,7 +87,7 @@ type Request struct {
 	Graph *csdf.Graph
 	// Analyses lists the requested analyses (default: throughput only).
 	Analyses []AnalysisKind
-	// Method selects the throughput strategy (default: race). It only
+	// Method selects the throughput strategy (default: auto). It only
 	// affects the throughput analysis.
 	Method Method
 	// ApplyCapacities rewrites declared buffer capacities into reverse
@@ -109,8 +115,8 @@ type ThroughputResult struct {
 	Throughput string  `json:"throughput,omitempty"`
 	Float      float64 `json:"throughputFloat,omitempty"`
 	Optimal    bool    `json:"optimal"`
-	// Method is the strategy that produced the result — under racing,
-	// the winning contestant.
+	// Method is the strategy that produced the result — under the default
+	// method, the chain step that answered.
 	Method Method `json:"method"`
 	// K is the certified periodicity vector (K-Iter only).
 	K []int64 `json:"k,omitempty"`

@@ -37,8 +37,8 @@ import (
 
 // Well-known injection points wired into the serving path. Points are
 // plain strings — subsystems may fire dynamic names too (the engine fires
-// "solver.<method>" per race contestant) — these constants just name the
-// seams the ISSUE-level chaos scenarios target.
+// "solver.<method>" per step of the default method's chain) — these
+// constants just name the seams the chaos scenarios target.
 const (
 	// PointSolverEntry fires at the top of every job evaluation, inside the
 	// worker's panic isolation: a panic here becomes a job error, never a

@@ -30,7 +30,7 @@ func TestPropertySweepMatchesDirectSubmit(t *testing.T) {
 			if err != nil {
 				t.Skipf("seed %d: no base graph: %v", seed, err)
 			}
-			spec.Method = "kiter" // deterministic contestant, exact results
+			spec.Method = "kiter" // exact results from one method
 			// Round-trip through the wire form, as /sweep would.
 			data, err := json.Marshal(spec)
 			if err != nil {

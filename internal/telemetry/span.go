@@ -8,7 +8,7 @@ import (
 
 // Span is one node of a per-job trace tree: a named phase with a start
 // time, a duration once ended, key/value attributes, events and child
-// spans. Spans are safe for concurrent use (race contestants attach
+// spans. Spans are safe for concurrent use (a sweep's scenarios attach
 // children to the same parent from separate goroutines) and safe on a nil
 // receiver, so instrumentation points run unconditionally and cost a nil
 // check when tracing is off.
@@ -213,7 +213,7 @@ type SpanEvent struct {
 }
 
 // Snapshot renders the span tree rooted at s. Unended spans (a cancelled
-// contestant still winding down) report the duration so far.
+// job still winding down) report the duration so far.
 func (s *Span) Snapshot() *SpanNode {
 	if s == nil {
 		return nil
