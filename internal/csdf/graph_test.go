@@ -1,6 +1,7 @@
 package csdf
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,61 @@ func TestRepetitionLargeNoOverflow(t *testing.T) {
 	}
 }
 
+// TestRepetitionOverflowKeepsBigForm: a two-step ×2⁴⁰ chain has
+// q = [1, 2⁴⁰, 2⁸⁰]. The int64 form must still report
+// ErrRepetitionOverflow and the big form must carry the exact values.
+func TestRepetitionOverflowKeepsBigForm(t *testing.T) {
+	g := NewGraph("overflow")
+	a := g.AddSDFTask("a", 1)
+	b := g.AddSDFTask("b", 1)
+	c := g.AddSDFTask("c", 1)
+	g.AddSDFBuffer("ab", a, b, 1<<40, 1, 0)
+	g.AddSDFBuffer("bc", b, c, 1<<40, 1, 0)
+	if _, err := g.RepetitionVector(); err != ErrRepetitionOverflow {
+		t.Fatalf("RepetitionVector err = %v, want ErrRepetitionOverflow", err)
+	}
+	qb, err := g.RepetitionVectorBig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, shift := range []uint{0, 40, 80} {
+		if want := new(big.Int).Lsh(big.NewInt(1), shift); qb[i].Cmp(want) != 0 {
+			t.Errorf("q[%d] = %s, want 2^%d", i, qb[i], shift)
+		}
+	}
+	if !g.Consistent() {
+		t.Error("an overflowing but consistent graph reports inconsistent")
+	}
+}
+
+// TestRepetitionIntermediateOverflow: q = [3, 2⁶², 6] fits in int64, but
+// the rate products along the way do not — 2⁶²·6 tokens cross buffer bc
+// per iteration, and the unreduced product of a→b's and b→c's rate
+// ratios is 2⁶²·6 / (3·2⁶²). Both forms must return the exact vector.
+func TestRepetitionIntermediateOverflow(t *testing.T) {
+	g := NewGraph("intermediate")
+	a := g.AddSDFTask("a", 1)
+	b := g.AddSDFTask("b", 1)
+	c := g.AddSDFTask("c", 1)
+	g.AddSDFBuffer("ab", a, b, 1<<62, 3, 0)
+	g.AddSDFBuffer("bc", b, c, 6, 1<<62, 0)
+	g.AddSDFBuffer("ca", c, a, 1, 2, 0)
+	want := []int64{3, 1 << 62, 6}
+	q, err := g.RepetitionVector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb, err := g.RepetitionVectorBig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if q[i] != want[i] || !qb[i].IsInt64() || qb[i].Int64() != want[i] {
+			t.Fatalf("q = %v, big %v, want %v", q, qb, want)
+		}
+	}
+}
+
 func TestSumRepetition(t *testing.T) {
 	g := figure2()
 	s, err := g.SumRepetition()
@@ -341,6 +397,21 @@ func TestWithCapacities(t *testing.T) {
 	// Invariant: forward + reverse markings sum to the capacity.
 	if out.Buffer(0).Initial+rev.Initial != 7 {
 		t.Error("marking sum ≠ capacity")
+	}
+}
+
+func TestScaleDurations(t *testing.T) {
+	g := figure2()
+	s := g.ScaleDurations(113)
+	for i, task := range g.Tasks() {
+		for p, d := range task.Durations {
+			if got := s.Task(TaskID(i)).Durations[p]; got != 113*d {
+				t.Errorf("task %d phase %d: duration %d, want %d", i, p+1, got, 113*d)
+			}
+		}
+	}
+	if g.Task(0).Durations[0] == s.Task(0).Durations[0] {
+		t.Error("ScaleDurations modified or aliased the original graph")
 	}
 }
 

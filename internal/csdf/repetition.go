@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+
+	"kiter/internal/rat"
 )
 
 // ErrInconsistent is returned when no repetition vector exists, i.e. the
@@ -14,118 +16,109 @@ var ErrInconsistent = errors.New("csdf: graph is not consistent (no repetition v
 // repetition vector does not fit in int64 components.
 var ErrRepetitionOverflow = errors.New("csdf: repetition vector exceeds int64")
 
-// RepetitionVectorBig computes the smallest positive integer repetition
-// vector q such that qt·ib = qt′·ob for every buffer b = (t, t′)
-// (Section 2.2). Each weakly-connected component is normalized
-// independently to its smallest integer solution. The computation is exact
-// (math/big), immune to the integer overflow the paper reports fixing in
-// SDF3's implementation.
-func (g *Graph) RepetitionVectorBig() ([]*big.Int, error) {
+// repetition computes the smallest positive integer repetition vector q
+// such that qt·ib = qt′·ob for every buffer b = (t, t′) (Section 2.2),
+// each weakly-connected component normalized independently to its
+// smallest integer solution. It is exact on rat.Rat: the arithmetic stays
+// in int64 while the magnitudes allow and is promoted to math/big only
+// when they do not, so the paper's overflow in SDF3's implementation
+// cannot happen here and the common case allocates no big integers.
+func (g *Graph) repetition() ([]rat.Rat, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(g.tasks)
-	// Fractional solution per component via BFS over the undirected
-	// buffer adjacency: fixing f(root)=1, each buffer b=(t,t′) forces
-	// f(t′) = f(t)·ib/ob.
-	frac := make([]*big.Rat, n)
-	adj := make([][]int, n) // buffer indices incident to each task
+	// Undirected buffer incidence as one flat index: the buffers touching
+	// task t are inc[start[t]:start[t+1]].
+	start := make([]int32, n+1)
 	for i := range g.buffers {
 		b := &g.buffers[i]
-		adj[b.Src] = append(adj[b.Src], i)
+		start[b.Src+1]++
 		if b.Dst != b.Src {
-			adj[b.Dst] = append(adj[b.Dst], i)
+			start[b.Dst+1]++
 		}
 	}
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
+	for t := 0; t < n; t++ {
+		start[t+1] += start[t]
 	}
-	var compRoots []TaskID
-	queue := make([]TaskID, 0, n)
+	inc := make([]int32, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	for i := range g.buffers {
+		b := &g.buffers[i]
+		inc[fill[b.Src]] = int32(i)
+		fill[b.Src]++
+		if b.Dst != b.Src {
+			inc[fill[b.Dst]] = int32(i)
+			fill[b.Dst]++
+		}
+	}
+
+	// Fractional solution per component by BFS: fixing f(root) = 1, each
+	// buffer b = (t, t′) forces f(t′) = f(t)·ib/ob. Every buffer is met
+	// from both endpoints, so the BFS also checks every balance equation.
+	// Fractions are positive; zero marks an unvisited task.
+	q := make([]rat.Rat, n)
+	queue := make([]int32, 0, n)
 	for root := 0; root < n; root++ {
-		if comp[root] >= 0 {
+		if !q[root].IsZero() {
 			continue
 		}
-		c := len(compRoots)
-		compRoots = append(compRoots, TaskID(root))
-		comp[root] = c
-		frac[root] = big.NewRat(1, 1)
-		queue = append(queue[:0], TaskID(root))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, bi := range adj[u] {
+		first := len(queue)
+		q[root] = rat.FromInt(1)
+		queue = append(queue, int32(root))
+		for head := first; head < len(queue); head++ {
+			u := TaskID(queue[head])
+			for _, bi := range inc[start[u]:start[u+1]] {
 				b := &g.buffers[bi]
 				ib, ob := b.TotalIn(), b.TotalOut()
-				// Self-loop: requires ib == ob, no propagation.
 				if b.Src == b.Dst {
 					if ib != ob {
 						return nil, fmt.Errorf("%w: self-loop buffer %d has ib=%d ≠ ob=%d", ErrInconsistent, bi, ib, ob)
 					}
 					continue
 				}
-				var from, to TaskID
-				var ratio *big.Rat
-				if b.Src == u {
-					from, to = b.Src, b.Dst
-					ratio = big.NewRat(ib, ob) // f(dst) = f(src)·ib/ob
-				} else {
-					from, to = b.Dst, b.Src
-					ratio = big.NewRat(ob, ib)
+				to, ratio := b.Dst, rat.NewRat(ib, ob)
+				if b.Src != u {
+					to, ratio = b.Src, rat.NewRat(ob, ib)
 				}
-				want := new(big.Rat).Mul(frac[from], ratio)
-				if frac[to] == nil {
-					frac[to] = want
-					comp[to] = c
-					queue = append(queue, to)
-				} else if frac[to].Cmp(want) != 0 {
+				want := q[u].Mul(ratio)
+				if q[to].IsZero() {
+					q[to] = want
+					queue = append(queue, int32(to))
+				} else if q[to].Cmp(want) != 0 {
 					return nil, fmt.Errorf("%w: cycle through buffer %d imbalanced", ErrInconsistent, bi)
 				}
 			}
 		}
-	}
-	// Re-check every buffer (BFS tree covers all, but self-loops and
-	// parallel buffers deserve an explicit pass).
-	for i := range g.buffers {
-		b := &g.buffers[i]
-		lhs := new(big.Rat).Mul(frac[b.Src], big.NewRat(b.TotalIn(), 1))
-		rhs := new(big.Rat).Mul(frac[b.Dst], big.NewRat(b.TotalOut(), 1))
-		if lhs.Cmp(rhs) != 0 {
-			return nil, fmt.Errorf("%w: buffer %d imbalanced", ErrInconsistent, i)
+		// Scale the component to the smallest positive integer vector:
+		// divide by the rational gcd of its fractions.
+		comp := queue[first:]
+		var gcd rat.Rat
+		for _, t := range comp {
+			gcd = rat.GcdRat(gcd, q[t])
 		}
-	}
-	// Scale each component to the smallest positive integer vector:
-	// multiply by lcm of denominators, then divide by gcd of numerators.
-	q := make([]*big.Int, n)
-	for c := range compRoots {
-		lcmDen := big.NewInt(1)
-		for t := 0; t < n; t++ {
-			if comp[t] != c {
-				continue
-			}
-			d := frac[t].Denom()
-			gcd := new(big.Int).GCD(nil, nil, lcmDen, d)
-			lcmDen.Div(lcmDen, gcd).Mul(lcmDen, d)
-		}
-		gcdNum := new(big.Int)
-		for t := 0; t < n; t++ {
-			if comp[t] != c {
-				continue
-			}
-			v := new(big.Rat).Mul(frac[t], new(big.Rat).SetInt(lcmDen))
-			q[t] = new(big.Int).Set(v.Num()) // v is integral now
-			gcdNum.GCD(nil, nil, gcdNum, q[t])
-		}
-		if gcdNum.Sign() > 0 && gcdNum.Cmp(big.NewInt(1)) != 0 {
-			for t := 0; t < n; t++ {
-				if comp[t] == c {
-					q[t].Div(q[t], gcdNum)
-				}
-			}
+		for _, t := range comp {
+			q[t] = q[t].Div(gcd)
 		}
 	}
 	return q, nil
+}
+
+// RepetitionVectorBig computes the smallest positive integer repetition
+// vector q such that qt·ib = qt′·ob for every buffer b = (t, t′)
+// (Section 2.2) with arbitrary-precision components. Each
+// weakly-connected component is normalized independently to its smallest
+// integer solution.
+func (g *Graph) RepetitionVectorBig() ([]*big.Int, error) {
+	q, err := g.repetition()
+	if err != nil {
+		return nil, err
+	}
+	qb := make([]*big.Int, len(q))
+	for i, v := range q {
+		qb[i] = v.Num() // v is integral
+	}
+	return qb, nil
 }
 
 // RepetitionVector computes the smallest repetition vector as int64
@@ -133,36 +126,37 @@ func (g *Graph) RepetitionVectorBig() ([]*big.Int, error) {
 // fit. Most callers should use this; RepetitionVectorBig is the exact
 // fallback.
 func (g *Graph) RepetitionVector() ([]int64, error) {
-	qb, err := g.RepetitionVectorBig()
+	q, err := g.repetition()
 	if err != nil {
 		return nil, err
 	}
-	q := make([]int64, len(qb))
-	for i, v := range qb {
-		if !v.IsInt64() {
+	out := make([]int64, len(q))
+	for i, v := range q {
+		x, ok := v.Int64()
+		if !ok {
 			return nil, ErrRepetitionOverflow
 		}
-		q[i] = v.Int64()
+		out[i] = x
 	}
-	return q, nil
+	return out, nil
 }
 
 // Consistent reports whether the graph admits a repetition vector.
 func (g *Graph) Consistent() bool {
-	_, err := g.RepetitionVectorBig()
+	_, err := g.repetition()
 	return err == nil
 }
 
 // SumRepetition returns Σt qt as a big.Int (the complexity measure used in
 // Tables 1 and 2 of the paper).
 func (g *Graph) SumRepetition() (*big.Int, error) {
-	qb, err := g.RepetitionVectorBig()
+	q, err := g.repetition()
 	if err != nil {
 		return nil, err
 	}
 	s := new(big.Int)
-	for _, v := range qb {
-		s.Add(s, v)
+	for _, v := range q {
+		s.Add(s, v.Num())
 	}
 	return s, nil
 }

@@ -69,6 +69,20 @@ func (g *Graph) ScaleCapacities(scale int64) *Graph {
 	return out
 }
 
+// ScaleDurations returns a copy of g with every phase duration multiplied
+// by m ≥ 1. Every period scales by exactly m while the schedules keep their
+// shape, so large multipliers exercise the solvers' arithmetic on the same
+// work.
+func (g *Graph) ScaleDurations(m int64) *Graph {
+	out := g.Clone()
+	for i := range out.tasks {
+		for p := range out.tasks[i].Durations {
+			out.tasks[i].Durations[p] *= m
+		}
+	}
+	return out
+}
+
 // Unbounded returns a copy of g with all capacity bounds removed.
 func (g *Graph) Unbounded() *Graph {
 	out := g.Clone()

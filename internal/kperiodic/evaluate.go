@@ -35,8 +35,11 @@ func solveK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options) (*eva
 // resolve brings the builder's constraint graph up to date and solves the
 // MCRP with the given (reusable) solver. K-Iter calls it once per round
 // with the same builder and solver, which is what makes repeated rounds
-// cheap: unchanged arc blocks are replayed and the solver's scratch is
-// recycled.
+// cheap: unchanged arc blocks are replayed, the solver's scratch is
+// recycled, and Howard starts from the solver's final policy of the
+// previous round, mapped onto the rebuilt graph. Callers pair a builder
+// with one solver for its whole life, so that policy always belongs to
+// the builder's previous build; on a first build there is none.
 func resolve(ctx context.Context, b *builder, s *mcr.Solver, opt Options) (*evaluation, error) {
 	if err := b.build(); err != nil {
 		return nil, err
@@ -44,7 +47,10 @@ func resolve(ctx context.Context, b *builder, s *mcr.Solver, opt Options) (*eval
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := s.SolveCtx(ctx, b.mg, mcr.Options{SkipCertify: opt.SkipCertify})
+	res, err := s.SolveCtx(ctx, b.mg, mcr.Options{
+		SkipCertify: opt.SkipCertify,
+		InitPolicy:  b.warmPolicy(s.Policy()),
+	})
 	if err != nil {
 		var de *mcr.DeadlockError
 		if errors.As(err, &de) {

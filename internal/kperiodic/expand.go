@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"kiter/internal/csdf"
 	"kiter/internal/mcr"
@@ -47,6 +48,14 @@ type builder struct {
 	cumI      []int64    // pair-enumeration scratch
 	cumO      []int64
 	stats     buildStats
+
+	// Arc-index bookkeeping for warm-starting the MCRP across rounds:
+	// the index of every block's first arc (buffer blocks, then
+	// sequential blocks) in the latest and in the previous build, and
+	// which blocks the latest build replayed unchanged.
+	base, prevBase []int
+	replayed       []bool
+	warm           []int32 // warmPolicy result
 }
 
 // buildStats counts the incremental work of the latest build call.
@@ -220,10 +229,13 @@ func (b *builder) duration(t csdf.TaskID, pTilde int) int64 {
 // reused across rounds.
 func (b *builder) build() error {
 	b.stats = buildStats{}
-	for i := 0; i < b.g.NumBuffers(); i++ {
+	nb := b.g.NumBuffers()
+	b.replayed = slices.Grow(b.replayed[:0], nb+len(b.seqBlocks))[:nb+len(b.seqBlocks)]
+	for i := 0; i < nb; i++ {
 		buf := b.g.Buffer(csdf.BufferID(i))
 		blk := &b.bufBlocks[i]
-		if blk.kSrc == b.K[buf.Src] && blk.kDst == b.K[buf.Dst] {
+		b.replayed[i] = blk.kSrc == b.K[buf.Src] && blk.kDst == b.K[buf.Dst]
+		if b.replayed[i] {
 			b.stats.arcsReused += len(blk.arcs)
 			continue
 		}
@@ -232,16 +244,15 @@ func (b *builder) build() error {
 		}
 		b.stats.arcsBuilt += len(blk.arcs)
 	}
-	if b.seq {
-		for t := 0; t < b.g.NumTasks(); t++ {
-			blk := &b.seqBlocks[t]
-			if blk.kSrc == b.K[t] && blk.kDst == b.K[t] {
-				b.stats.arcsReused += len(blk.arcs)
-				continue
-			}
-			b.computeSequentialBlock(blk, csdf.TaskID(t))
-			b.stats.arcsBuilt += len(blk.arcs)
+	for t := range b.seqBlocks {
+		blk := &b.seqBlocks[t]
+		b.replayed[nb+t] = blk.kSrc == b.K[t] && blk.kDst == b.K[t]
+		if b.replayed[nb+t] {
+			b.stats.arcsReused += len(blk.arcs)
+			continue
 		}
+		b.computeSequentialBlock(blk, csdf.TaskID(t))
+		b.stats.arcsBuilt += len(blk.arcs)
 	}
 	total := 0
 	for i := range b.bufBlocks {
@@ -252,14 +263,48 @@ func (b *builder) build() error {
 	}
 	b.mg.Reset(b.nodes)
 	b.mg.Reserve(total)
+	b.prevBase, b.base = b.base, b.prevBase[:0]
 	for i := range b.bufBlocks {
 		buf := b.g.Buffer(csdf.BufferID(i))
+		b.base = append(b.base, b.mg.NumArcs())
 		b.emit(&b.bufBlocks[i], b.offset[buf.Src], b.offset[buf.Dst])
 	}
 	for t := range b.seqBlocks {
+		b.base = append(b.base, b.mg.NumArcs())
 		b.emit(&b.seqBlocks[t], b.offset[t], b.offset[t])
 	}
 	return nil
+}
+
+// warmPolicy maps prev, the final MCRP policy on the previous build's
+// graph, onto the current graph as a Howard starting policy. A block the
+// current build replayed holds the same arcs in the same order, so a
+// policy arc inside it moves to current base + (old arc − previous base).
+// Every other node — one whose task's K changed, or whose policy arc lies
+// in a rebuilt block — gets −1, Howard's default choice. After the first
+// build there is no previous graph, and the result is nil.
+func (b *builder) warmPolicy(prev []int32) []int32 {
+	if len(b.prevBase) == 0 || len(prev) == 0 {
+		return nil
+	}
+	b.warm = slices.Grow(b.warm[:0], b.nodes)[:b.nodes]
+	for i := range b.warm {
+		b.warm[i] = -1
+	}
+	for _, a := range prev {
+		if a < 0 {
+			continue
+		}
+		// The block holding arc a is the last one starting at or before it.
+		blk, _ := slices.BinarySearch(b.prevBase, int(a)+1)
+		blk--
+		if blk < 0 || !b.replayed[blk] {
+			continue
+		}
+		na := b.base[blk] + int(a) - b.prevBase[blk]
+		b.warm[b.mg.Arc(na).From] = int32(na)
+	}
+	return b.warm
 }
 
 // emit replays one block into the constraint graph, re-basing its local
@@ -381,7 +426,7 @@ func (b *builder) computeBufferBlock(blk *arcBlock, buf *csdf.Buffer) error {
 func (b *builder) computeSequentialBlock(blk *arcBlock, t csdf.TaskID) {
 	phi := b.g.Task(t).Phases()
 	n := int(b.K[t]) * phi
-	blk.arcs = blk.arcs[:0]
+	blk.arcs = slices.Grow(blk.arcs[:0], n)
 	for p := 1; p < n; p++ {
 		blk.arcs = append(blk.arcs, blockArc{
 			from: int32(p - 1),

@@ -191,3 +191,58 @@ func TestWarmRoundAllocations(t *testing.T) {
 		t.Errorf("warm K-Iter round allocates %.1f objects/run, want ≤ 8", allocs)
 	}
 }
+
+// figure2Chain rebuilds the KIterChain(n) family locally: n Figure 2
+// gadgets with durations 10, linked D→D by loose unit-rate buffers. Their
+// interleaved critical circuits make K-Iter bump one gadget per round, so
+// the constraint graph grows a little on each of about 2n rounds.
+func figure2Chain(n int) *csdf.Graph {
+	g := csdf.NewGraph(fmt.Sprintf("figure2-chain-%d", n))
+	var prevD csdf.TaskID
+	for i := 0; i < n; i++ {
+		a := g.AddTask(fmt.Sprintf("A%d", i), []int64{10, 10})
+		b := g.AddTask(fmt.Sprintf("B%d", i), []int64{10, 10, 10})
+		c := g.AddTask(fmt.Sprintf("C%d", i), []int64{10})
+		d := g.AddTask(fmt.Sprintf("D%d", i), []int64{10})
+		g.AddBuffer("", a, b, []int64{3, 5}, []int64{1, 1, 4}, 0)
+		g.AddBuffer("", b, c, []int64{6, 2, 1}, []int64{6}, 0)
+		g.AddBuffer("", c, a, []int64{2}, []int64{1, 3}, 4)
+		g.AddBuffer("", a, d, []int64{3, 5}, []int64{24}, 13)
+		g.AddBuffer("", d, c, []int64{36}, []int64{6}, 6)
+		if i > 0 {
+			g.AddSDFBuffer("", prevD, d, 1, 1, 100)
+		}
+		prevD = d
+	}
+	return g
+}
+
+// TestKIterRunAllocations guards the allocation discipline of a whole
+// multi-round K-Iter run, which TestWarmRoundAllocations's fixed-K round
+// cannot see: the constraint graph grows on every round, so scratch sized
+// exactly to each round's graph — the MCRP arc arena, its adjacency index,
+// the solver's per-node arrays — would reallocate on every one of them.
+func TestKIterRunAllocations(t *testing.T) {
+	g := figure2Chain(8)
+	res, err := KIter(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations < 16 {
+		t.Fatalf("chain of 8 gadgets converged in %d rounds; the guard needs ≥ 16", res.Iterations)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := KIter(g, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 17 rounds take about 380 allocations (440 under the race detector):
+	// per round the new K vector, the trace step, the critical circuit and
+	// the blocks re-enumerated for the bumped gadget. Sizing the arc arena
+	// and the solver's arrays exactly to each round's graph makes it about
+	// 505, and the math/big repetition vector nearly 2900. (The arena's
+	// own growth is guarded in mcr by TestReserveGrowsGeometrically.)
+	if allocs > 460 {
+		t.Errorf("%d-round K-Iter run allocates %.0f objects, want ≤ 460", res.Iterations, allocs)
+	}
+}

@@ -89,7 +89,9 @@ func KIterCtx(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResult, er
 
 	// One builder and one MCRP solver serve every round: arc blocks whose
 	// endpoint K survived the latest updateK are replayed instead of
-	// re-enumerated, and the solver's O(n) working arrays are recycled.
+	// re-enumerated, the solver's O(n) working arrays are recycled, and
+	// from the second round on Howard starts from the previous round's
+	// final policy wherever the graph around it is unchanged.
 	result := &KIterResult{}
 	b, err := newBuilder(g, q, K, inner)
 	if err != nil {

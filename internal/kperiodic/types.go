@@ -23,7 +23,7 @@ package kperiodic
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 
 	"kiter/internal/csdf"
 	"kiter/internal/rat"
@@ -145,14 +145,13 @@ func (e *DeadlockError) Error() string {
 var ErrUnbounded = fmt.Errorf("kperiodic: throughput unbounded (no circuit in the constraint graph)")
 
 func uniqueTasks(refs []PhaseRef) []csdf.TaskID {
-	seen := map[csdf.TaskID]bool{}
-	var out []csdf.TaskID
-	for _, r := range refs {
-		if !seen[r.Task] {
-			seen[r.Task] = true
-			out = append(out, r.Task)
-		}
+	if len(refs) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := make([]csdf.TaskID, len(refs))
+	for i, r := range refs {
+		out[i] = r.Task
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -85,16 +85,16 @@ func (s *Solver) positiveCycle(ctx context.Context, g *Graph, lambda rat.Rat) ([
 	if n == 0 || len(g.arcs) == 0 {
 		return nil, nil
 	}
-	s.w = growRat(s.w, len(g.arcs))
+	s.w = grow(s.w, len(g.arcs))
 	for i := range g.arcs {
 		a := &g.arcs[i]
 		s.w[i] = rat.FromInt(a.L).Sub(lambda.Mul(a.H))
 	}
-	s.dist = growRat(s.dist, n)
+	s.dist = grow(s.dist, n)
 	for i := range s.dist {
 		s.dist[i] = rat.Rat{}
 	}
-	s.pred = growInt32(s.pred, n)
+	s.pred = grow(s.pred, n)
 	for i := range s.pred {
 		s.pred[i] = -1
 	}

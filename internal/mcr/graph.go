@@ -23,7 +23,22 @@
 // Repeated resolutions — the K-Iter loop solves one MCRP per Algorithm 1
 // round — should reuse a Solver (persistent scratch state) and rebuild the
 // graph in place with Reset/Reserve, which keeps the per-round work
-// allocation-free once the backing arrays have grown to steady state.
+// allocation-free once the backing arrays have grown to steady state
+// (they grow geometrically, so a graph that grows a little every round
+// reallocates only now and then). Consecutive rounds solve graphs that
+// differ only around the tasks whose periodicity changed, so K-Iter also
+// starts each round's Howard iteration from the previous round's final
+// policy (Options.InitPolicy, Solver.Policy), mapped onto the rebuilt
+// graph: a round then costs a few policy iterations instead of a number
+// that grows with the round index.
+//
+// A policy circuit's ratio is always computed exactly (CycleLH), never
+// from float64 sums of H: with large durations the float sums cancel, the
+// policy's λ values jitter by more than the comparison tolerance, and
+// Howard cycles between equivalent policies up to its round cap. Likewise
+// an improvement step counts only when the policy actually changes: a
+// circuit's closing arc carries its float rounding defect, and
+// "improving" onto the arc already in the policy would never terminate.
 package mcr
 
 import (
@@ -76,9 +91,12 @@ func (g *Graph) Reset(n int) {
 
 // Reserve grows the arc arena's capacity to hold at least m arcs, so a
 // build loop with a known arc count performs a single allocation at most.
+// Growth at least doubles the capacity: a graph rebuilt round after round
+// with a slowly rising arc count (the K-Iter expansion) reallocates its
+// arena O(log m) times instead of once per round.
 func (g *Graph) Reserve(m int) {
 	if cap(g.arcs) < m {
-		arcs := make([]Arc, len(g.arcs), m)
+		arcs := make([]Arc, len(g.arcs), max(m, 2*cap(g.arcs)))
 		copy(arcs, g.arcs)
 		g.arcs = arcs
 	}
@@ -105,26 +123,15 @@ func (g *Graph) ensureCSR() {
 	if g.csrOK {
 		return
 	}
-	n1 := g.n + 1
-	if cap(g.outStart) < n1 {
-		g.outStart = make([]int32, n1)
-	} else {
-		g.outStart = g.outStart[:n1]
-		for i := range g.outStart {
-			g.outStart[i] = 0
-		}
-	}
+	g.outStart = grow(g.outStart, g.n+1)
+	clear(g.outStart)
 	for i := range g.arcs {
 		g.outStart[g.arcs[i].From+1]++
 	}
 	for v := 0; v < g.n; v++ {
 		g.outStart[v+1] += g.outStart[v]
 	}
-	if cap(g.outArcs) < len(g.arcs) {
-		g.outArcs = make([]int32, len(g.arcs))
-	} else {
-		g.outArcs = g.outArcs[:len(g.arcs)]
-	}
+	g.outArcs = grow(g.outArcs, len(g.arcs))
 	// outStart is consumed as a running cursor and restored by the final
 	// shift-down, the standard two-pass CSR construction.
 	for i := range g.arcs {

@@ -18,6 +18,13 @@ type Options struct {
 	// Exceeding the bound is harmless when certification is enabled: the
 	// certification loop repairs any suboptimal candidate.
 	MaxHowardRounds int
+	// InitPolicy, when non-nil, seeds Howard's initial policy:
+	// InitPolicy[v] is the index of an arc leaving v. Entries that are
+	// negative, out of range, or name an arc not leaving v or leading out
+	// of the cyclic core fall back to v's first arc into the core. K-Iter
+	// passes the previous round's final policy here, mapped onto the
+	// rebuilt graph, so each round starts close to its optimum.
+	InitPolicy []int32
 }
 
 const defaultHowardRounds = 10000
@@ -27,6 +34,9 @@ const defaultHowardRounds = 10000
 const relEps = 1e-12
 
 func gtEps(a, b float64) bool {
+	if a <= b { // the common case in Howard's scans: equal values
+		return false
+	}
 	diff := a - b
 	scale := math.Abs(a) + math.Abs(b) + 1
 	return diff > relEps*scale
@@ -90,6 +100,7 @@ func (s *Solver) Solve(g *Graph, opt Options) (Result, error) {
 // detail a flame graph needs to tell "many cheap policy rounds" from "few
 // expensive ones".
 func (s *Solver) SolveCtx(ctx context.Context, g *Graph, opt Options) (Result, error) {
+	s.pol = s.pol[:0]
 	if !s.trim(g) {
 		return Result{}, ErrNoCycle
 	}
@@ -108,14 +119,20 @@ func (s *Solver) SolveCtx(ctx context.Context, g *Graph, opt Options) (Result, e
 	return s.certifyLoop(ctx, g, res)
 }
 
+// Policy returns the final policy of the latest Howard run: Policy()[v] is
+// the index of the arc node v follows, −1 for nodes outside the cyclic
+// core. It is empty when the latest solve found no circuit. The slice
+// aliases solver scratch and is overwritten by the next solve.
+func (s *Solver) Policy() []int32 { return s.pol }
+
 // trim computes the cyclic core of g into s.alive — the nodes from which a
 // circuit is reachable, every one keeping at least one outgoing arc into
 // the core — and reports whether any node survives.
 func (s *Solver) trim(g *Graph) bool {
 	g.ensureCSR()
 	n := g.n
-	s.alive = growBool(s.alive, n)
-	s.outDeg = growInt32(s.outDeg, n)
+	s.alive = grow(s.alive, n)
+	s.outDeg = grow(s.outDeg, n)
 	s.work = s.work[:0]
 	for v := 0; v < n; v++ {
 		s.alive[v] = true
@@ -158,26 +175,15 @@ func (s *Solver) trim(g *Graph) bool {
 
 // buildIn builds the CSR in-adjacency of g into the solver's scratch.
 func (s *Solver) buildIn(g *Graph) {
-	n1 := g.n + 1
-	if cap(s.inStart) < n1 {
-		s.inStart = make([]int32, n1)
-	} else {
-		s.inStart = s.inStart[:n1]
-		for i := range s.inStart {
-			s.inStart[i] = 0
-		}
-	}
+	s.inStart = grow(s.inStart, g.n+1)
+	clear(s.inStart)
 	for i := range g.arcs {
 		s.inStart[g.arcs[i].To+1]++
 	}
 	for v := 0; v < g.n; v++ {
 		s.inStart[v+1] += s.inStart[v]
 	}
-	if cap(s.inArcs) < len(g.arcs) {
-		s.inArcs = make([]int32, len(g.arcs))
-	} else {
-		s.inArcs = s.inArcs[:len(g.arcs)]
-	}
+	s.inArcs = grow(s.inArcs, len(g.arcs))
 	for i := range g.arcs {
 		to := g.arcs[i].To
 		s.inArcs[s.inStart[to]] = int32(i)
@@ -197,13 +203,21 @@ func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, err
 		maxRounds = defaultHowardRounds
 	}
 	n := g.n
-	s.pol = growInt32(s.pol, n)
-	s.lambda = growFloat64(s.lambda, n)
-	s.val = growFloat64(s.val, n)
+	s.pol = grow(s.pol, n)
+	s.lambda = grow(s.lambda, n)
+	s.val = grow(s.val, n)
+	init := opt.InitPolicy
 	for v := 0; v < n; v++ {
 		s.pol[v] = -1
 		if !s.alive[v] {
 			continue
+		}
+		if v < len(init) {
+			if ai := init[v]; ai >= 0 && int(ai) < len(g.arcs) &&
+				g.arcs[ai].From == v && s.alive[g.arcs[ai].To] {
+				s.pol[v] = ai
+				continue
+			}
 		}
 		for _, ai := range g.Out(v) {
 			if s.alive[g.arcs[ai].To] {
@@ -249,7 +263,11 @@ func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, err
 		if improved {
 			continue
 		}
-		// Phase B: value improvement at equal λ.
+		// Phase B: value improvement at equal λ. Only an actual change of
+		// policy counts as an improvement: the entry node of a policy
+		// circuit has val = 0 while its closing arc carries the circuit's
+		// float rounding defect, so that arc can "beat" val[v] by more
+		// than the tolerance forever without the policy ever moving.
 		for v := 0; v < n; v++ {
 			if !s.alive[v] {
 				continue
@@ -267,10 +285,12 @@ func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, err
 				if gtEps(cand, cur) {
 					pol = ai
 					cur = cand
-					improved = true
 				}
 			}
-			s.pol[v] = pol
+			if pol != s.pol[v] {
+				s.pol[v] = pol
+				improved = true
+			}
 		}
 		if !improved {
 			break
@@ -304,7 +324,7 @@ func (s *Solver) evaluatePolicy(g *Graph) error {
 		black = 2 // finished
 	)
 	n := g.n
-	s.color = growInt8(s.color, n)
+	s.color = grow(s.color, n)
 	for i := range s.color {
 		s.color[i] = white
 	}
@@ -403,37 +423,14 @@ func (s *Solver) evaluatePolicy(g *Graph) error {
 	return nil
 }
 
-func growBool(b []bool, n int) []bool {
+// grow returns b resliced to length n, reallocating when its capacity
+// falls short. A reallocation at least doubles the capacity, so scratch
+// that follows a growing graph round after round — the K-Iter expansion —
+// reallocates O(log n) times rather than once per round. The contents are
+// unspecified; callers initialize what they read.
+func grow[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]bool, n)
-	}
-	return b[:n]
-}
-
-func growInt8(b []int8, n int) []int8 {
-	if cap(b) < n {
-		return make([]int8, n)
-	}
-	return b[:n]
-}
-
-func growInt32(b []int32, n int) []int32 {
-	if cap(b) < n {
-		return make([]int32, n)
-	}
-	return b[:n]
-}
-
-func growFloat64(b []float64, n int) []float64 {
-	if cap(b) < n {
-		return make([]float64, n)
-	}
-	return b[:n]
-}
-
-func growRat(b []rat.Rat, n int) []rat.Rat {
-	if cap(b) < n {
-		return make([]rat.Rat, n)
+		return make([]T, n, max(n, 2*cap(b)))
 	}
 	return b[:n]
 }

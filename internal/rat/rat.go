@@ -446,6 +446,39 @@ func (x Rat) Int64() (int64, bool) {
 	return x.num, true
 }
 
+// GcdRat returns the greatest common divisor of x and y as rationals: the
+// largest g > 0 such that x/g and y/g are both integers, which for
+// x = a/b and y = c/d in lowest terms is gcd(a, c)/lcm(b, d). Dividing a
+// vector of rationals by the GcdRat of its entries yields the smallest
+// proportional integer vector. GcdRat(0, y) is |y|.
+func GcdRat(x, y Rat) Rat {
+	if x.Sign() < 0 {
+		x = x.Neg()
+	}
+	if y.Sign() < 0 {
+		y = y.Neg()
+	}
+	if x.IsZero() {
+		return y
+	}
+	if y.IsZero() {
+		return x
+	}
+	if x.r == nil && y.r == nil {
+		// The result is reduced: a prime dividing lcm(b, d) divides b or
+		// d, hence not a or c respectively.
+		if l, ok := Lcm(x.den, y.den); ok {
+			return Rat{num: Gcd(x.num, y.num), den: l}
+		}
+	}
+	xb, yb := x.asBig(), y.asBig()
+	num := new(big.Int).GCD(nil, nil, xb.Num(), yb.Num())
+	g := new(big.Int).GCD(nil, nil, xb.Denom(), yb.Denom())
+	den := new(big.Int).Quo(xb.Denom(), g)
+	den.Mul(den, yb.Denom())
+	return normBig(new(big.Rat).SetFrac(num, den))
+}
+
 // Equal reports whether x and y are the same rational.
 func (x Rat) Equal(y Rat) bool { return x.Cmp(y) == 0 }
 

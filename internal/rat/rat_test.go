@@ -275,3 +275,40 @@ func TestErrOverflow(t *testing.T) {
 		t.Error("empty error message")
 	}
 }
+
+func TestGcdRat(t *testing.T) {
+	big40 := new(big.Int).Lsh(big.NewInt(1), 40)
+	cases := []struct{ x, y, want Rat }{
+		{Rat{}, Rat{}, Rat{}},
+		{Rat{}, NewRat(-3, 4), NewRat(3, 4)},
+		{NewRat(3, 4), Rat{}, NewRat(3, 4)},
+		{FromInt(12), FromInt(18), FromInt(6)},
+		{NewRat(1, 2), NewRat(1, 3), NewRat(1, 6)},
+		{NewRat(3, 4), NewRat(-9, 10), NewRat(3, 20)},
+		{NewRat(4, 9), NewRat(10, 3), NewRat(2, 9)},
+		// lcm of the denominators leaves int64: the math/big path.
+		{NewRat(1, 1<<40), NewRat(2, 847288609443), FromBigInts(big.NewInt(1), new(big.Int).Mul(big40, big.NewInt(847288609443)))},
+		// Big operands whose gcd fits again demote to the int64 form.
+		{FromBigInts(new(big.Int).Mul(big40, big40), big.NewInt(1)), FromBigInts(new(big.Int).Mul(big40, big.NewInt(6)), big.NewInt(1)), FromBigInts(new(big.Int).Mul(big40, big.NewInt(2)), big.NewInt(1))},
+	}
+	for _, c := range cases {
+		if got := GcdRat(c.x, c.y); got.Cmp(c.want) != 0 {
+			t.Errorf("GcdRat(%s, %s) = %s, want %s", c.x, c.y, got, c.want)
+		}
+	}
+	// Defining property on random fractions: x/g and y/g are coprime
+	// integers.
+	f := func(a, c int32, b, d uint16) bool {
+		x, y := NewRat(int64(a), int64(b)+1), NewRat(int64(c), int64(d)+1)
+		if x.IsZero() || y.IsZero() {
+			return true
+		}
+		g := GcdRat(x, y)
+		p, ok1 := x.Div(g).Int64()
+		q, ok2 := y.Div(g).Int64()
+		return g.Sign() > 0 && ok1 && ok2 && Gcd(p, q) == 1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -18,17 +18,6 @@ import (
 	"kiter/internal/symbexec"
 )
 
-// scaleDurations multiplies every phase duration by c.
-func scaleDurations(g *csdf.Graph, c int64) *csdf.Graph {
-	out := g.Clone()
-	for _, t := range out.Tasks() {
-		for p := range t.Durations {
-			out.Task(t.ID).Durations[p] *= c
-		}
-	}
-	return out
-}
-
 // TestPropertyDurationScaling: multiplying all durations by c multiplies
 // the optimal period by exactly c (time-rescaling invariance), for both
 // K-Iter and symbolic execution.
@@ -43,7 +32,7 @@ func TestPropertyDurationScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 		const c = 3
-		scaled := scaleDurations(g, c)
+		scaled := g.ScaleDurations(c)
 		got, err := kperiodic.KIter(scaled, kperiodic.Options{})
 		if err != nil {
 			t.Fatal(err)
