@@ -16,8 +16,8 @@ import (
 
 // CodecCase compares the two result encodings on one real analysis result:
 // record size and encode/decode cost for encoding/json versus
-// internal/resultcodec — the frames cachedisk segments store and the
-// cluster's cache/claim endpoints move.
+// internal/resultcodec — the frames cachedisk segments store, forwarded
+// evaluations return and the fleet tier's successor reads move.
 type CodecCase struct {
 	Name       string `json:"name"`
 	JSONBytes  int    `json:"json_bytes"`

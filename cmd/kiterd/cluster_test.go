@@ -15,13 +15,13 @@ import (
 )
 
 func TestBuildCluster(t *testing.T) {
-	if cl, err := buildCluster("", "", ":8080", 0, time.Minute, 0, 0, nil, nil); err != nil || cl != nil {
+	if cl, err := buildCluster("", "", ":8080", 0, time.Minute, 0, nil, nil); err != nil || cl != nil {
 		t.Fatalf("no -peers should mean no cluster: %v, %v", cl, err)
 	}
-	if _, err := buildCluster(" , ", "", ":8080", 0, time.Minute, 0, 0, nil, nil); err == nil {
+	if _, err := buildCluster(" , ", "", ":8080", 0, time.Minute, 0, nil, nil); err == nil {
 		t.Fatal("blank -peers accepted")
 	}
-	cl, err := buildCluster("127.0.0.1:9101, 127.0.0.1:9102", "", ":9100", 0, time.Minute, 0, 0, nil, nil)
+	cl, err := buildCluster("127.0.0.1:9101, 127.0.0.1:9102", "", ":9100", 0, time.Minute, 0, nil, nil)
 	if err != nil {
 		t.Fatalf("buildCluster: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestClusteredServersEndToEnd(t *testing.T) {
 	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
 
 	start := func(self, peer string, ln net.Listener) (*engine.Engine, *cluster.Cluster) {
-		cl, err := buildCluster(peer, self, self, time.Minute, time.Minute, 0, 0, nil, nil)
+		cl, err := buildCluster(peer, self, self, time.Minute, time.Minute, 0, nil, nil)
 		if err != nil {
 			t.Fatalf("buildCluster(%s): %v", self, err)
 		}
@@ -105,10 +105,10 @@ func TestClusteredServersEndToEnd(t *testing.T) {
 }
 
 // TestFleetCacheServersEndToEnd wires three full kiterd servers the way
-// main assembles them with -cache-fleet and -claim-lease — explicit local
-// memory tier handed to the cluster, fleet tier composed behind it, claims
-// enabled — and checks the shared result space over the public API: one
-// evaluation fleet-wide, and /stats reporting the fleet tier.
+// main assembles them with -peers — explicit local memory tier handed to
+// the cluster, fleet tier composed behind it — and checks the shared
+// result space over the public API: one evaluation fleet-wide, and /stats
+// reporting the fleet tier.
 func TestFleetCacheServersEndToEnd(t *testing.T) {
 	lns := make([]net.Listener, 3)
 	addrs := make([]string, 3)
@@ -135,7 +135,7 @@ func TestFleetCacheServersEndToEnd(t *testing.T) {
 	engines := make([]*engine.Engine, 3)
 	for i, ln := range lns {
 		self := addrs[i]
-		cl, err := buildCluster(peersOf(self), self, self, time.Minute, time.Minute, 0, 2*time.Second, nil, nil)
+		cl, err := buildCluster(peersOf(self), self, self, time.Minute, time.Minute, 0, nil, nil)
 		if err != nil {
 			t.Fatalf("buildCluster(%s): %v", self, err)
 		}
@@ -145,7 +145,6 @@ func TestFleetCacheServersEndToEnd(t *testing.T) {
 			Workers:      2,
 			CacheBackend: engine.NewTieredCache(local, cluster.NewRemoteCache(cl)),
 			Dispatcher:   cl,
-			Claims:       cl,
 		})
 		hs := &http.Server{Handler: newServer(e, testTemplate(), cl, observability{})}
 		go hs.Serve(ln)

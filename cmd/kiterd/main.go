@@ -66,22 +66,17 @@
 //
 //	kiterd -addr 127.0.0.1:9101 -peers 127.0.0.1:9102,127.0.0.1:9103
 //
-// Clustered replicas also share one result space. -cache-fleet composes a
-// fleet cache tier behind the local memory→disk tiers: a miss is answered
-// from the key's ring owner over POST /cluster/cache/get (a cold replica
-// warm-starts from its peers, including its own shard via the ring
-// successor), and every local evaluation is published to its owner.
-// -claim-lease (default 30s, 0 disables) extends singleflight across
-// processes: before evaluating, a replica claims the key at its ring owner
-// over POST /cluster/claim, so duplicate submissions through different
-// replicas cost exactly one evaluation even with caching off; a crashed
-// holder's lease expires and the key is re-claimed. All of it rides the
-// binary result codec (internal/resultcodec) — the same frames the disk
-// cache stores — and degrades to local tiers and local solves behind the
-// per-peer circuit breakers:
-//
-//	kiterd -addr 127.0.0.1:9101 -peers 127.0.0.1:9102,127.0.0.1:9103 \
-//	       -cache-fleet -claim-lease 30s
+// Clustered replicas also let a freshly joined replica warm-start its own
+// shard: a local miss on a key the replica owns itself is answered from
+// the ring successor — the member that owned the key before the join —
+// over POST /cluster/cache/get, in the binary result codec
+// (internal/resultcodec) the disk cache stores. Keys other members own
+// are never read remotely: the forward to the owner answers them from the
+// owner's cache or evaluates. Duplicate submissions cost one evaluation
+// fleet-wide while the owner is reachable, and each forward that fails
+// over to local evaluation may cost one more. -cache-fleet is accepted
+// for compatibility and does nothing: the successor read is always on
+// with -peers.
 //
 // HTTP mode drains on SIGTERM/SIGINT: readiness flips to 503 and new
 // submissions are refused (503 + Retry-After) while in-flight requests —
@@ -101,7 +96,6 @@
 //	kiterd [-addr :8080] [-workers N] [-cache N] [-method auto]
 //	       [-cache-dir dir] [-cache-disk-bytes N] [-capacities]
 //	       [-peers host:port,…] [-self host:port] [-forward-timeout 0]
-//	       [-cache-fleet] [-claim-lease 30s]
 //	       [-analyses throughput] [-timeout 60s] [-stats-out stats.json]
 //	       [-drain-timeout 30s] [-chaos spec]
 //	       [-batch dir-or-manifest] [-sweep spec.json]
@@ -165,8 +159,6 @@ func run() error {
 		peers          = flag.String("peers", "", "comma-separated peer replica addresses (host:port); jobs are consistently hashed across self+peers and forwarded to their owner")
 		selfAddr       = flag.String("self", "", "advertised cluster address of this replica (default: derived from -addr); every replica must list it under exactly this string")
 		forwardTimeout = flag.Duration("forward-timeout", 0, "per-job cluster forward budget before local fallback (0 = -timeout)")
-		cacheFleet     = flag.Bool("cache-fleet", false, "compose a fleet cache tier behind the local tiers: misses are answered from the key's ring owner over /cluster/cache and local results are published to their owner, so cold replicas warm-start from the fleet (requires -peers)")
-		claimLease     = flag.Duration("claim-lease", 30*time.Second, "cross-process singleflight lease: before evaluating, claim the key at its ring owner so duplicate submissions through different replicas cost one evaluation; the lease bounds how long a crashed holder blocks a key (0 disables; only with -peers)")
 		traceLogPath   = flag.String("trace-log", "", "append every /analyze request's span tree as one NDJSON line to this file")
 		traceBuffer    = flag.Int("trace-buffer", 256, "HTTP mode: capacity of the always-on flight recorder behind GET /debug/traces — a bounded ring of recent traces biased toward keeping the slowest and errored ones (0 disables tracing entirely)")
 		pprofAddr      = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
@@ -174,6 +166,9 @@ func run() error {
 		chaos          = flag.String("chaos", "", "fault-injection spec, e.g. cache.get:error::3,solver.entry:latency:50ms (default: $KITER_CHAOS; empty disables)")
 		version        = flag.Bool("version", false, "print version and build info, then exit")
 	)
+	// -cache-fleet is a no-op kept so existing command lines still parse:
+	// with -peers the fleet tier's successor read is always on.
+	flag.Bool("cache-fleet", false, "no-op, kept for compatibility: with -peers a replica always reads missed keys it owns from the ring successor")
 	flag.Parse()
 
 	if *version {
@@ -202,7 +197,7 @@ func run() error {
 	telemetry.RegisterRuntimeMetrics(reg)
 
 	// The flight recorder is built before the cluster so the cluster's
-	// handler-side spans (evaluate/cache/claim served for peers) record
+	// handler-side spans (evaluate and cache reads served for peers) record
 	// into the same buffer the local /analyze roots do.
 	var recorder *telemetry.Recorder
 	var exemplar *telemetry.ExemplarTracker
@@ -212,26 +207,19 @@ func run() error {
 		exemplar.Register(reg)
 	}
 
-	cl, err := buildCluster(*peers, *selfAddr, *addr, *forwardTimeout, *timeout, *workers, *claimLease, reg, recorder)
+	cl, err := buildCluster(*peers, *selfAddr, *addr, *forwardTimeout, *timeout, *workers, reg, recorder)
 	if err != nil {
 		return err
 	}
 	var dispatcher engine.Dispatcher
-	var claims engine.Claimer
 	if cl != nil {
 		dispatcher = cl
-		if *claimLease > 0 {
-			claims = cl
-		}
 		// The cluster outlives the engine: in-flight dispatches finish
 		// during e.Close, then the prober stops.
 		defer cl.Close()
 	}
-	if *cacheFleet && cl == nil {
-		return fmt.Errorf("-cache-fleet requires -peers (the fleet tier reads from ring owners)")
-	}
 	// The local tiers (memory, plus disk with -cache-dir) are built
-	// explicitly when clustered: the cluster's cache handlers serve this
+	// explicitly when clustered: the cluster's cache handler serves this
 	// replica's shard from them, and the fleet tier composes behind them.
 	local, err := buildCacheBackend(*cacheDir, *cacheDiskBytes, *shards, *cacheSize)
 	if err != nil {
@@ -249,9 +237,7 @@ func run() error {
 		if local != nil {
 			cl.SetLocalCache(local)
 		}
-		if *cacheFleet {
-			backend = engine.NewTieredCache(local, cluster.NewRemoteCache(cl))
-		}
+		backend = engine.NewTieredCache(local, cluster.NewRemoteCache(cl))
 	}
 	e := engine.New(engine.Config{
 		Workers:       *workers,
@@ -263,7 +249,6 @@ func run() error {
 		Options:       kperiodic.Options{MaxNodes: *maxNodes, MaxPairs: *maxPairs},
 		Symbolic:      symbexec.Options{MaxEvents: *symEvents},
 		Dispatcher:    dispatcher,
-		Claims:        claims,
 		Metrics:       reg,
 	})
 	defer e.Close()
@@ -368,9 +353,7 @@ func run() error {
 // to the name the peers dial, because addresses are ring identities.
 // workers (the -workers flag, 0 = GOMAXPROCS) sizes the forwarding
 // transport's per-peer connection pool to the engine's concurrency.
-// claimLease (the -claim-lease flag) enables the cross-process
-// singleflight claim client when positive.
-func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.Duration, workers int, claimLease time.Duration, reg *telemetry.Registry, recorder *telemetry.Recorder) (*cluster.Cluster, error) {
+func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.Duration, workers int, reg *telemetry.Registry, recorder *telemetry.Recorder) (*cluster.Cluster, error) {
 	if peers == "" {
 		return nil, nil
 	}
@@ -402,7 +385,6 @@ func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.
 		Peers:          list,
 		ForwardTimeout: forwardTimeout,
 		Workers:        workers,
-		ClaimLease:     claimLease,
 		Metrics:        reg,
 		Recorder:       recorder,
 	})

@@ -50,8 +50,6 @@ func registerEngineCollector(reg *telemetry.Registry, e *engine.Engine) {
 		counter("kiter_engine_cancelled_total", "Abandoned evaluations.", s.Cancelled)
 		counter("kiter_engine_rejected_total", "Submissions shed under overload.", s.Rejected)
 		counter("kiter_panics_total", "Solver panics recovered into job errors (also counted under errors).", s.Panics)
-		counter("kiter_engine_claims_granted_total", "Cross-process claims granted to this replica (it went on to evaluate).", s.ClaimsGranted)
-		counter("kiter_engine_claims_served_total", "Submissions answered with a peer's claimed result (also counted under remote results).", s.ClaimsServed)
 
 		gauge("kiter_engine_workers", "Configured worker pool size.", float64(s.Workers))
 		gauge("kiter_engine_pending", "Jobs submitted but not yet finished.", float64(s.Pending))

@@ -112,30 +112,10 @@ func newServer(e *engine.Engine, tmpl requestTemplate, cl *cluster.Cluster, obs 
 			}
 			eh.ServeHTTP(w, r)
 		})
-		// The shared-result-space endpoints. Reads keep serving through a
-		// drain — peers warming from this replica's shard cost nothing and
-		// beat a recomputation — while writes and claims are refused: a
-		// process on its way out must not accept new state or grant leases
-		// its exit would strand (callers degrade to local solves).
+		// The fleet tier's warm-start read keeps serving through a drain:
+		// a peer warming from this replica's shard costs nothing and beats
+		// a recomputation.
 		s.mux.Handle("/cluster/cache/get", cl.CacheGetHandler())
-		ph := cl.CachePutHandler()
-		s.mux.HandleFunc("/cluster/cache/put", func(w http.ResponseWriter, r *http.Request) {
-			if s.draining.Load() {
-				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusServiceUnavailable, "draining")
-				return
-			}
-			ph.ServeHTTP(w, r)
-		})
-		ch := cl.ClaimHandler()
-		s.mux.HandleFunc("/cluster/claim", func(w http.ResponseWriter, r *http.Request) {
-			if s.draining.Load() {
-				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusServiceUnavailable, "draining")
-				return
-			}
-			ch.ServeHTTP(w, r)
-		})
 	}
 	return s
 }
@@ -194,7 +174,7 @@ func retryAfter(d time.Duration) string {
 func endpointLabel(path string) string {
 	switch path {
 	case "/analyze", "/sweep", "/healthz", "/stats", "/metrics",
-		"/cluster/evaluate", "/cluster/cache/get", "/cluster/cache/put", "/cluster/claim":
+		"/cluster/evaluate", "/cluster/cache/get":
 		return path
 	}
 	if strings.HasPrefix(path, "/debug/traces") {

@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,31 +15,19 @@ import (
 	"kiter/internal/telemetry"
 )
 
-// cacheKeyHeader carries the cache key on /cluster/cache/get|put requests.
+// cacheKeyHeader carries the cache key on /cluster/cache/get requests.
 // Keys are fingerprint-derived ASCII a few hundred bytes long, well within
-// header limits, and putting them here keeps the put body a bare
-// resultcodec frame — the same bytes a disk segment stores.
+// header limits.
 const cacheKeyHeader = "X-Kiter-Cache-Key"
 
 // resultContentType is the media type of a resultcodec frame on the wire,
-// used by the cache endpoints and negotiated (via Accept) on
+// used by the cache read endpoint and negotiated (via Accept) on
 // /cluster/evaluate replies.
 const resultContentType = "application/x-kiter-result"
 
 // maxCacheBody caps one cache record on the wire, matching cachedisk's
-// per-record payload cap — the size policy every owning replica enforces.
+// per-record payload cap.
 const maxCacheBody = 64 << 20
-
-// cachePutQueue/cachePutWorkers bound the asynchronous remote-put
-// machinery: publishes ride a queue drained by a small worker pool, so the
-// engine's write-through Put (on the evaluation hot path) never waits on a
-// network round trip. A full queue drops the put — the fleet tier is an
-// optimization, and the owner can always recompute or be filled by the
-// next publisher.
-const (
-	cachePutQueue   = 256
-	cachePutWorkers = 4
-)
 
 // keyFingerprint extracts the routing fingerprint from a cache key
 // (engine.cacheKey lays keys out as "fingerprint|knobs..."). Routing on
@@ -55,86 +41,60 @@ func keyFingerprint(key string) string {
 	return key
 }
 
-// RemoteCache is the fleet tier: an engine.CacheBackend that reads and
-// writes the cluster's shared result space over /cluster/cache/get|put.
-// Composed behind the local tiers — NewTieredCache(memory→disk, fleet) —
-// it means a cold replica's misses are answered by the ring owner's warm
-// cache instead of a recomputation, and every local evaluation is
-// published to its owner for the rest of the fleet.
+// RemoteCache is the fleet tier: a read-only engine.CacheBackend that
+// lets a replica warm-start the shard it owns. Composed behind the local
+// tiers — NewTieredCache(memory→disk, fleet) — it answers a local miss on
+// a key this replica owns with one POST /cluster/cache/get at the key's
+// ring successor: exactly the member that owned the key before this
+// replica joined, so a freshly joined replica serves its own shard from
+// the previous owner's cache instead of recomputing it.
 //
-// Placement follows the dispatch ring: a key is fetched from (and
-// published to) the owner of its fingerprint. Keys this replica owns
-// itself are fetched from the ring successor instead — exactly the member
-// that owned them before this replica joined — which is what lets a
-// freshly joined replica warm-start even the shard it now owns. All
-// traffic rides the cluster's pooled transport behind the per-peer
-// circuit breakers: an open breaker turns the tier into an instant miss,
-// never a stall.
+// Keys another member owns are an instant miss with no round trip: the
+// engine forwards those jobs to their owner over /cluster/evaluate, and
+// the owner answers from its own cache or evaluates, so asking its cache
+// first would only be a second trip to the same process. The tier never
+// writes: every result lives in the cache of the replica that evaluated
+// it, which is the key's owner whenever the owner was reachable. The read
+// rides the cluster's pooled transport behind the per-peer circuit
+// breakers: an open breaker is an instant miss, never a stall.
 type RemoteCache struct {
 	c *Cluster
 
 	hits, misses atomic.Uint64
-	bytesMoved   atomic.Uint64 // payload bytes fetched + published
-
-	putCh   chan remotePut
-	dropped atomic.Uint64
-	wg      sync.WaitGroup
-	once    sync.Once
+	bytesMoved   atomic.Uint64 // payload bytes fetched
 
 	// kiter_cache_remote_* instruments; nil without Config.Metrics.
-	mHits, mMisses, mPuts, mErrors, mDropped *telemetry.Counter
-	mRTT                                     *telemetry.HistogramVec
-}
-
-type remotePut struct {
-	owner string
-	key   string
-	body  []byte
-	// traceparent carries the publishing request's trace context into the
-	// async push, so the owner's put handler still joins the right trace.
-	traceparent string
+	mHits, mMisses, mErrors *telemetry.Counter
+	mRTT                    *telemetry.HistogramVec
 }
 
 // NewRemoteCache builds the fleet tier over c's transport and ring. The
-// returned backend is owned by the engine it is configured into (its Close
-// stops the publish workers but leaves the Cluster running — close the
-// Cluster separately, after the engine).
+// returned backend is owned by the engine it is configured into; close
+// the Cluster separately, after the engine.
 func NewRemoteCache(c *Cluster) *RemoteCache {
-	rc := &RemoteCache{
-		c:     c,
-		putCh: make(chan remotePut, cachePutQueue),
-	}
+	rc := &RemoteCache{c: c}
 	if m := c.cfg.Metrics; m != nil {
 		rc.mHits = m.Counter("kiter_cache_remote_hits_total",
-			"Fleet-tier cache lookups answered by a peer.")
+			"Fleet-tier cache lookups answered by the ring successor.")
 		rc.mMisses = m.Counter("kiter_cache_remote_misses_total",
-			"Fleet-tier cache lookups that missed (including breaker-open and error short-circuits).")
-		rc.mPuts = m.Counter("kiter_cache_remote_puts_total",
-			"Results published to their ring owner.")
+			"Fleet-tier cache lookups that missed (including keys another member owns and breaker-open and error short-circuits).")
 		rc.mErrors = m.Counter("kiter_cache_remote_errors_total",
-			"Fleet-tier operations that failed in transit.")
-		rc.mDropped = m.Counter("kiter_cache_remote_dropped_total",
-			"Publishes dropped because the async put queue was full.")
+			"Fleet-tier reads that failed in transit.")
 		rc.mRTT = m.HistogramVec("kiter_cache_remote_rtt_seconds",
-			"Round-trip time of fleet-tier cache operations, in seconds.",
+			"Round-trip time of fleet-tier cache reads, in seconds.",
 			telemetry.LatencyBuckets, "op")
 	}
-	rc.wg.Add(cachePutWorkers)
-	for i := 0; i < cachePutWorkers; i++ {
-		go rc.putWorker()
-	}
-	c.remoteTier.Store(true)
 	return rc
 }
 
-// fetchOwner resolves where to read key from: its ring owner, or — when
-// this replica owns it — the ring successor that owned it before this
-// replica joined. Empty means nobody suitable is alive.
+// fetchOwner resolves where to read key from: for a key this replica
+// owns, the ring successor that owned it before this replica joined; for
+// any other key, "" — the forward to its owner asks that owner instead.
+// Empty also means no live successor.
 func (rc *RemoteCache) fetchOwner(key string) string {
 	fp := keyFingerprint(key)
-	owner := rc.c.Owner(fp)
-	if owner != rc.c.self {
-		return owner
+	if rc.c.Owner(fp) != rc.c.self {
+		return ""
 	}
 	// Successor lookup: the owner of fp with self excluded from the ring.
 	return rc.c.ring.owner(fp, func(m string) bool {
@@ -143,40 +103,41 @@ func (rc *RemoteCache) fetchOwner(key string) string {
 }
 
 // Get implements engine.CacheBackend: one breaker-guarded round trip to
-// the key's owner (or successor). Every failure mode — no peer, open
-// breaker, injected fault, transport error, corrupt frame — degrades to a
-// miss; the caller then falls through to a local evaluation.
+// the successor of a key this replica owns. Every failure mode — no
+// successor, open breaker, injected fault, transport error, corrupt
+// frame — degrades to a miss; the caller then falls through to a local
+// evaluation.
 func (rc *RemoteCache) Get(key string) (*engine.Result, bool) {
 	return rc.GetCtx(context.Background(), key)
 }
 
 // GetCtx is the context-aware Get the engine prefers
 // (engine.CtxCacheBackend): the remote hop opens a child span under the
-// request's trace, propagates the trace context to the owner, honors the
-// caller's cancellation, and explains degrade paths as span events.
+// request's trace, propagates the trace context to the successor, honors
+// the caller's cancellation, and explains degrade paths as span events.
 func (rc *RemoteCache) GetCtx(ctx context.Context, key string) (*engine.Result, bool) {
-	gctx, span := telemetry.StartSpan(ctx, "cache.fleet.get")
-	defer span.End()
-	owner := rc.fetchOwner(key)
-	if owner == "" {
+	succ := rc.fetchOwner(key)
+	if succ == "" {
 		return rc.miss()
 	}
-	span.SetAttr("owner", owner)
-	ps := rc.c.peer(owner)
+	gctx, span := telemetry.StartSpan(ctx, "cache.fleet.get")
+	defer span.End()
+	span.SetAttr("successor", succ)
+	ps := rc.c.peer(succ)
 	if ps == nil || !ps.breaker.Allow() {
-		span.Event("breaker.open", "peer", owner)
+		span.Event("breaker.open", "peer", succ)
 		return rc.miss()
 	}
 	// Chaos seam: the fleet tier degrades with the same "dispatch.forward"
 	// point the forwarding path uses — arming it severs the replica from
 	// its peers, cache tier included, and everything must fall back to the
-	// local tiers.
+	// local tiers and local solves.
 	if faultinject.Fire(faultinject.PointForward) != nil {
-		span.Event("chaos.severed", "point", faultinject.PointForward, "peer", owner)
+		span.Event("chaos.severed", "point", faultinject.PointForward, "peer", succ)
 		return rc.miss()
 	}
 	start := time.Now()
-	res, ok, err := rc.fetch(gctx, owner, key)
+	res, ok, err := rc.fetch(gctx, succ, key)
 	rc.mRTT.With("get").Observe(time.Since(start).Seconds())
 	if err != nil {
 		rc.c.noteForwardFailure(ps)
@@ -203,11 +164,11 @@ func (rc *RemoteCache) miss() (*engine.Result, bool) {
 // fetch performs the GET round trip: 200 + frame is a hit, 204 a miss,
 // anything else an error charged to the peer's breaker. The parent ctx
 // supplies cancellation and trace context; the op timeout still applies.
-func (rc *RemoteCache) fetch(parent context.Context, owner, key string) (*engine.Result, bool, error) {
+func (rc *RemoteCache) fetch(parent context.Context, peer, key string) (*engine.Result, bool, error) {
 	ctx, cancel := context.WithTimeout(parent, rc.c.opTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+owner+"/cluster/cache/get", nil)
+		"http://"+peer+"/cluster/cache/get", nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -228,19 +189,17 @@ func (rc *RemoteCache) fetch(parent context.Context, owner, key string) (*engine
 	case http.StatusOK:
 	default:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, false, fmt.Errorf("cluster: cache get from %s: %s: %s", owner, resp.Status, firstLine(body))
+		return nil, false, fmt.Errorf("cluster: cache get from %s: %s: %s", peer, resp.Status, firstLine(body))
 	}
 	frame, err := io.ReadAll(io.LimitReader(resp.Body, maxCacheBody+1))
 	if err != nil {
 		return nil, false, err
 	}
 	if len(frame) > maxCacheBody {
-		return nil, false, fmt.Errorf("cluster: cache get from %s: frame too large", owner)
+		return nil, false, fmt.Errorf("cluster: cache get from %s: frame too large", peer)
 	}
-	// Normalization marks the result fleet-origin (Peer set), which is
-	// also what stops the local write-through from bouncing it straight
-	// back to the owner.
-	res, err := decodeBinaryResult(frame, owner)
+	// Normalization marks the result fleet-origin (Peer set).
+	res, err := decodeBinaryResult(frame, peer)
 	if err != nil {
 		return nil, false, err
 	}
@@ -248,110 +207,17 @@ func (rc *RemoteCache) fetch(parent context.Context, owner, key string) (*engine
 	return res, true, nil
 }
 
-// Put implements engine.CacheBackend: publish res to its ring owner,
-// asynchronously (the caller is the evaluation hot path). Results that
-// came from the fleet in the first place (Peer set: remote cache hits,
-// forwarded evaluations, claim serves) are skipped — their owner already
-// has them — as are keys this replica owns itself: local tiers hold those,
-// and peers fetch them from here via the successor rule.
-func (rc *RemoteCache) Put(key string, res *engine.Result) {
-	rc.PutCtx(context.Background(), key, res)
-}
+// Put implements engine.CacheBackend as a no-op: the fleet tier only
+// reads. A result is cached where it was evaluated — at the owner for
+// forwarded jobs, locally for the keys this replica owns.
+func (rc *RemoteCache) Put(string, *engine.Result) {}
 
-// PutCtx is the context-aware Put (engine.CtxCacheBackend): it captures
-// the caller's trace context into the queued publish so the owner's put
-// handler records its subtree under the originating request's trace even
-// though the push happens asynchronously.
-func (rc *RemoteCache) PutCtx(ctx context.Context, key string, res *engine.Result) {
-	if res == nil || res.Peer != "" {
-		return
-	}
-	fp := keyFingerprint(key)
-	owner := rc.c.Owner(fp)
-	if owner == rc.c.self {
-		return
-	}
-	span := telemetry.FromContext(ctx)
-	if ps := rc.c.peer(owner); ps == nil || !ps.breaker.Allow() {
-		span.Event("breaker.open", "peer", owner, "op", "cache.fleet.put")
-		return
-	}
-	if faultinject.Fire(faultinject.PointForward) != nil {
-		span.Event("chaos.severed", "point", faultinject.PointForward, "peer", owner, "op", "cache.fleet.put")
-		return
-	}
-	if resultcodec.EncodedSize(res) > maxCacheBody {
-		return
-	}
-	select {
-	case rc.putCh <- remotePut{owner: owner, key: key, body: resultcodec.Encode(res),
-		traceparent: span.Context().Traceparent()}:
-	default:
-		rc.dropped.Add(1)
-		rc.mDropped.Add(1)
-	}
-}
+// PutCtx is the context-aware Put (engine.CtxCacheBackend); a no-op too.
+func (rc *RemoteCache) PutCtx(context.Context, string, *engine.Result) {}
 
-func (rc *RemoteCache) putWorker() {
-	defer rc.wg.Done()
-	for p := range rc.putCh {
-		rc.push(p)
-	}
-}
-
-// push performs one publish round trip, charging failures to the owner's
-// breaker like any other fleet traffic.
-func (rc *RemoteCache) push(p remotePut) {
-	ps := rc.c.peer(p.owner)
-	if ps == nil || !ps.breaker.Allow() {
-		return
-	}
-	start := time.Now()
-	err := rc.c.cachePush(p.owner, p.key, p.body, p.traceparent)
-	rc.mRTT.With("put").Observe(time.Since(start).Seconds())
-	if err != nil {
-		rc.c.noteForwardFailure(ps)
-		rc.mErrors.Add(1)
-		return
-	}
-	ps.breaker.Success()
-	rc.mPuts.Add(1)
-	rc.bytesMoved.Add(uint64(len(p.body)))
-}
-
-// cachePush POSTs one encoded record to owner's put endpoint. Shared with
-// the claim client, which publishes held-claim results the same way.
-// traceparent, when non-empty, rides along so the owner's handler joins
-// the publishing request's trace.
-func (c *Cluster) cachePush(owner, key string, frame []byte, traceparent string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.opTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+owner+"/cluster/cache/put", bytes.NewReader(frame))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", resultContentType)
-	req.Header.Set(cacheKeyHeader, key)
-	req.Header.Set(peerHeader, c.self)
-	if traceparent != "" {
-		req.Header.Set(telemetry.Traceparent, traceparent)
-	}
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: cache put to %s: %s", owner, resp.Status)
-	}
-	return nil
-}
-
-// opTimeout bounds one cache/claim round trip. These are index lookups
+// opTimeout bounds one cache read or trace fetch. These are index lookups
 // and byte copies, not analyses, so they get a fraction of the forward
-// timeout — a slow owner must cost less than the recomputation it saves.
+// timeout — a slow peer must cost less than the recomputation it saves.
 func (c *Cluster) opTimeout() time.Duration {
 	t := c.cfg.ForwardTimeout
 	if t <= 0 {
@@ -367,17 +233,13 @@ func (c *Cluster) opTimeout() time.Duration {
 // the owners; this tier reports 0 rather than a misleading guess.
 func (rc *RemoteCache) Len() int { return 0 }
 
-// Close implements engine.CacheBackend: it drains the publish queue and
-// stops the workers. The Cluster itself is not touched.
-func (rc *RemoteCache) Close() error {
-	rc.once.Do(func() { close(rc.putCh) })
-	rc.wg.Wait()
-	return nil
-}
+// Close implements engine.CacheBackend. The tier holds no resources of
+// its own; the Cluster itself is not touched.
+func (rc *RemoteCache) Close() error { return nil }
 
 // TierStats reports the fleet tier on engine.Stats: Bytes is the payload
-// volume moved over the wire in both directions — the bandwidth the tier
-// costs, since capacity lives on the owners.
+// volume fetched over the wire — the bandwidth the tier costs, since
+// capacity lives on the owners.
 func (rc *RemoteCache) TierStats() []engine.CacheTierStats {
 	return []engine.CacheTierStats{{
 		Tier:   "fleet",
@@ -387,11 +249,10 @@ func (rc *RemoteCache) TierStats() []engine.CacheTierStats {
 	}}
 }
 
-// SetLocalCache hands the cluster the backend its cache handlers serve
+// SetLocalCache hands the cluster the backend its cache handler serves
 // from — the replica's local tiers (memory→disk), never the fleet tier
 // itself, which would recurse. kiterd wires this before mounting the
-// handlers; a cluster without it answers every cache get from the claim
-// buffer only.
+// handler; a cluster without it answers every cache get with a miss.
 func (c *Cluster) SetLocalCache(b engine.CacheBackend) {
 	c.localCache.Store(&b)
 }
@@ -403,11 +264,9 @@ func (c *Cluster) localBackend() engine.CacheBackend {
 	return nil
 }
 
-// CacheGetHandler serves POST /cluster/cache/get: the owner-side lookup
-// of the fleet tier. It consults the replica's local tiers, then the
-// claim table's publish buffer (which holds results briefly even when the
-// local memo cache is disabled), and replies 200 + resultcodec frame or
-// 204 on a miss.
+// CacheGetHandler serves POST /cluster/cache/get: the successor side of
+// the fleet tier's warm-start read. It consults the replica's local tiers
+// only and replies 200 + resultcodec frame, or 204 on a miss.
 func (c *Cluster) CacheGetHandler() http.Handler {
 	return http.HandlerFunc(func(pw http.ResponseWriter, r *http.Request) {
 		sw := &statusCapture{ResponseWriter: pw, code: http.StatusOK}
@@ -426,12 +285,7 @@ func (c *Cluster) CacheGetHandler() http.Handler {
 		}
 		var res *engine.Result
 		if b := c.localBackend(); b != nil {
-			if hit, ok := b.Get(key); ok {
-				res = hit
-			}
-		}
-		if res == nil {
-			res = c.claims.published(key)
+			res, _ = b.Get(key)
 		}
 		span.SetAttr("hit", res != nil)
 		if res == nil {
@@ -441,55 +295,5 @@ func (c *Cluster) CacheGetHandler() http.Handler {
 		w.Header().Set("Content-Type", resultContentType)
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(resultcodec.Encode(res))
-	})
-}
-
-// CachePutHandler serves POST /cluster/cache/put: a peer publishing a
-// result it evaluated for a key this replica owns. The record lands in
-// the local tiers (whose quotas are the fleet's size/retention policy for
-// this shard) and in the claim table, where it completes any open claim
-// on the key and serves claim waiters even on cache-less replicas.
-// Oversized and undecodable frames are rejected — the owner enforces the
-// policy, it does not trust the publisher.
-func (c *Cluster) CachePutHandler() http.Handler {
-	return http.HandlerFunc(func(pw http.ResponseWriter, r *http.Request) {
-		sw := &statusCapture{ResponseWriter: pw, code: http.StatusOK}
-		w := http.ResponseWriter(sw)
-		_, finish := c.remoteSpan(r, "cluster.cache.put", "/cluster/cache/put")
-		defer func() { finish(sw.code) }()
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST required")
-			return
-		}
-		key := r.Header.Get(cacheKeyHeader)
-		if key == "" {
-			writeError(w, http.StatusBadRequest, cacheKeyHeader+" required")
-			return
-		}
-		frame, err := io.ReadAll(io.LimitReader(r.Body, maxCacheBody+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-			return
-		}
-		if len(frame) > maxCacheBody {
-			writeError(w, http.StatusRequestEntityTooLarge, "record exceeds cache policy")
-			return
-		}
-		res, err := resultcodec.Decode(frame)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "undecodable record: "+err.Error())
-			return
-		}
-		// The publisher's per-submission fields do not describe this
-		// replica's serves; strip them before the record enters the shard.
-		res.Graph = ""
-		res.CacheHit = false
-		res.Deduped = false
-		res.Peer = ""
-		if b := c.localBackend(); b != nil {
-			b.Put(key, res)
-		}
-		c.claims.publish(key, res, c.claimRetention())
-		w.WriteHeader(http.StatusNoContent)
 	})
 }

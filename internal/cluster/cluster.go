@@ -4,6 +4,15 @@
 // forwards non-local jobs to their owner over POST /cluster/evaluate; the
 // owner runs them through its own engine, so its singleflight and memo
 // cache deduplicate identical work submitted anywhere in the fleet.
+// /cluster/evaluate is the only RPC that answers for a key. The only other
+// per-key traffic is the fleet cache tier's read-only POST /cluster/cache/get
+// at the ring successor, made when a replica misses a key it owns itself —
+// which lets a freshly joined replica warm-start its shard from the member
+// that owned it before (see RemoteCache).
+//
+// The dedup guarantee: duplicate submissions cost one evaluation
+// fleet-wide while the key's owner is reachable, and each forward that
+// fails over to local evaluation may cost one more.
 //
 // The subsystem degrades to a single replica gracefully: a forward that
 // fails or times out is retried once after a jittered backoff (forwarded
@@ -80,15 +89,6 @@ type Config struct {
 	// request past 2 concurrent forwards). Zero defaults to GOMAXPROCS,
 	// matching the engine's own worker default.
 	Workers int
-	// ClaimLease enables cross-process singleflight when positive: every
-	// leader job claims its cache key at the key's ring owner before
-	// evaluating, and a claim is held for this lease (a crashed holder's
-	// key frees itself on expiry). Zero/negative disables claims — the
-	// Cluster still serves /cluster/claim for peers that have them on.
-	ClaimLease time.Duration
-	// ClaimPoll is the interval at which a denied claimant polls the
-	// owner's publish buffer for the holder's result (default 25ms).
-	ClaimPoll time.Duration
 	// Client overrides the forwarding HTTP client (tests). When nil, a
 	// client over a dedicated transport sized by Workers is built.
 	Client *http.Client
@@ -96,8 +96,8 @@ type Config struct {
 	// (kiter_cluster_forward_seconds, labeled by peer and outcome).
 	Metrics *telemetry.Registry
 	// Recorder, when non-nil, receives the handler-side span trees of the
-	// cross-process hops this replica serves (/cluster/evaluate, cache get
-	// and put, claim) — each recorded under the caller's trace ID so
+	// cross-process hops this replica serves (/cluster/evaluate and
+	// /cluster/cache/get) — each recorded under the caller's trace ID so
 	// /debug/traces/{id}?fleet=1 can stitch the fleet-wide tree back
 	// together by parent span ID.
 	Recorder *telemetry.Recorder
@@ -193,16 +193,10 @@ type Cluster struct {
 	// peer and outcome (ok / error). Nil when Config.Metrics was nil.
 	forwardRTT *telemetry.HistogramVec
 
-	// claims is the owner-side lease/publish table behind /cluster/claim
-	// and the fleet cache tier's publish buffer.
-	claims claimTable
-	// localCache is the backend the cache handlers serve from — the
+	// localCache is the backend the cache handler serves from — the
 	// replica's local tiers, set via SetLocalCache (never the fleet tier,
 	// which would recurse).
 	localCache atomic.Pointer[engine.CacheBackend]
-	// remoteTier records that a RemoteCache rides this cluster, letting a
-	// held claim's release skip the publish the tier already performs.
-	remoteTier atomic.Bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -234,7 +228,6 @@ func New(cfg Config) (*Cluster, error) {
 		peers: make(map[string]*peerState),
 		stop:  make(chan struct{}),
 	}
-	c.claims.init()
 	if cfg.Metrics != nil {
 		c.forwardRTT = cfg.Metrics.HistogramVec("kiter_cluster_forward_seconds",
 			"Round-trip time of one forwarded evaluation, in seconds.",

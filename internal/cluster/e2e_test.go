@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,13 +15,16 @@ import (
 	"kiter/internal/sweep"
 )
 
-// replica is one in-process kiterd stand-in: engine + cluster + the two
-// HTTP endpoints the cluster layer relies on.
+// replica is one in-process kiterd stand-in: engine + cluster + the HTTP
+// endpoints the cluster layer relies on.
 type replica struct {
 	addr string
 	eng  *engine.Engine
 	cl   *Cluster
 	srv  *http.Server
+	// calls counts the /cluster/* requests the replica received; nil
+	// unless the replica was started by startCacheReplica.
+	calls *callCounter
 }
 
 // startFleet boots n replicas on loopback ports, each clustered with all
@@ -88,12 +93,26 @@ func testSpec(t *testing.T) *sweep.Expansion {
 
 func runSweep(t *testing.T, e *engine.Engine, x *sweep.Expansion) *sweep.Envelope {
 	t.Helper()
+	env, _ := runSweepPoints(t, e, x)
+	return env
+}
+
+// runSweepPoints is runSweep that also returns every emitted point.
+func runSweepPoints(t *testing.T, e *engine.Engine, x *sweep.Expansion) (*sweep.Envelope, []sweep.Point) {
+	t.Helper()
+	var points []sweep.Point
 	r := sweep.Runner{Engine: e, PointTimeout: 30 * time.Second}
-	env, err := r.Run(context.Background(), x, nil)
+	env, err := r.Run(context.Background(), x, func(p sweep.Point) error {
+		if p.Result == nil {
+			return fmt.Errorf("scenario %d failed: %s", p.Scenario, p.Error)
+		}
+		points = append(points, p)
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("sweep run: %v", err)
 	}
-	return env
+	return env, points
 }
 
 // requireSameEnvelope compares everything deterministic about two sweep
@@ -178,10 +197,27 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// fleetReport renders each replica's evaluation and forwarding counters
+// and its view of every peer's breaker, for failure messages.
+func fleetReport(reps []*replica) string {
+	var b strings.Builder
+	for _, r := range reps {
+		s := r.eng.Stats()
+		fmt.Fprintf(&b, "\n  %s: evaluations=%d remoteResults=%d", r.addr, s.Evaluations, s.RemoteResults)
+		for _, p := range s.Cluster {
+			fmt.Fprintf(&b, "\n    -> %s: forwarded=%d failedOver=%d retried=%d breaker=%s",
+				p.Peer, p.Forwarded, p.FailedOver, p.Retried, p.BreakerState)
+		}
+	}
+	return b.String()
+}
+
 // TestClusterWideDedup: duplicate submissions entering through different
 // replicas — sequentially and concurrently — must cost exactly one
 // evaluation fleet-wide: the owner's singleflight and memo cache are
-// shared by construction.
+// shared by construction. The guarantee holds while the owner is
+// reachable; a forward that fails over to local evaluation may cost one
+// more, so a wrong count prints every replica's failover counters.
 func TestClusterWideDedup(t *testing.T) {
 	reps := startFleet(t, 3)
 	req := func() *engine.Request {
@@ -199,7 +235,7 @@ func TestClusterWideDedup(t *testing.T) {
 		}
 	}
 	if total := fleetEvaluations(reps); total != 1 {
-		t.Fatalf("fleet evaluations after sequential duplicates = %d, want 1", total)
+		t.Fatalf("fleet evaluations after sequential duplicates = %d, want 1%s", total, fleetReport(reps))
 	}
 
 	// Concurrent: a fresh graph submitted 4× through every replica at
@@ -226,7 +262,8 @@ func TestClusterWideDedup(t *testing.T) {
 		}
 	}
 	if total := fleetEvaluations(reps); total != 2 {
-		t.Fatalf("fleet evaluations after concurrent duplicates = %d, want 2 (one per distinct graph)", total)
+		t.Fatalf("fleet evaluations after concurrent duplicates = %d, want 2 (one per distinct graph)%s",
+			total, fleetReport(reps))
 	}
 }
 

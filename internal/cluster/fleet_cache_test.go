@@ -1,41 +1,62 @@
 package cluster
 
 import (
-	"context"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"kiter/internal/engine"
 	"kiter/internal/faultinject"
-	"kiter/internal/gen"
 )
 
-// The fleet tier and the claim client are engine backends/seams.
+// The fleet tier is an engine backend.
 var (
 	_ engine.CacheBackend = (*RemoteCache)(nil)
 	_ engine.TierStatser  = (*RemoteCache)(nil)
-	_ engine.Claimer      = (*Cluster)(nil)
 )
 
-// cacheFleetOpts tunes one startCacheFleet replica.
-type cacheFleetOpts struct {
-	// fleetTier composes a RemoteCache behind the local memory tier.
-	fleetTier bool
-	// dispatch wires the cluster as the engine's Dispatcher.
-	dispatch bool
-	// claimLease enables cross-process claims at this lease (0 = off).
-	claimLease time.Duration
-	// noLocalCache disables the engine's local memo cache entirely.
-	noLocalCache bool
+// callCounter counts the /cluster/* requests one replica receives, per
+// calling peer (the X-Kiter-Peer header) and path.
+type callCounter struct {
+	mu sync.Mutex
+	n  map[clusterCall]int
 }
 
-// startCacheReplica boots one replica with the full PR 9 surface mounted:
-// evaluate, cache get/put, claim, healthz — the in-process mirror of
-// kiterd's cluster wiring.
-func startCacheReplica(t *testing.T, ln net.Listener, peers []string, opts cacheFleetOpts) *replica {
+// clusterCall is one counted request kind: who sent it, to which path.
+type clusterCall struct{ from, path string }
+
+func (c *callCounter) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/cluster/") {
+			c.mu.Lock()
+			if c.n == nil {
+				c.n = make(map[clusterCall]int)
+			}
+			c.n[clusterCall{r.Header.Get(peerHeader), r.URL.Path}]++
+			c.mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// take returns the counts since the previous take and resets them.
+func (c *callCounter) take() map[clusterCall]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.n
+	c.n = nil
+	return n
+}
+
+// startCacheReplica boots one replica the way kiterd wires -peers:
+// forwarding through the cluster, the fleet tier composed behind a local
+// memory tier that also backs /cluster/cache/get, and healthz. Every
+// /cluster/* request it receives is counted in r.calls.
+func startCacheReplica(t *testing.T, ln net.Listener, peers []string) *replica {
 	t.Helper()
 	addr := ln.Addr().String()
 	cl, err := New(Config{
@@ -44,41 +65,27 @@ func startCacheReplica(t *testing.T, ln net.Listener, peers []string, opts cache
 		ForwardTimeout:   10 * time.Second,
 		ProbeInterval:    20 * time.Millisecond,
 		MaxProbeInterval: 100 * time.Millisecond,
-		ClaimLease:       opts.claimLease,
-		ClaimPoll:        2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New(%s): %v", addr, err)
 	}
-	ecfg := engine.Config{Workers: 2}
-	if opts.dispatch {
-		ecfg.Dispatcher = cl
-	}
-	if opts.claimLease > 0 {
-		ecfg.Claims = cl
-	}
-	if opts.noLocalCache {
-		ecfg.CacheCapacity = -1
-	}
-	if opts.fleetTier {
-		local := engine.NewMemoryCache(16, 4096)
-		cl.SetLocalCache(local)
-		ecfg.CacheBackend = engine.NewTieredCache(local, NewRemoteCache(cl))
-	} else {
-		cl.SetLocalCache(engine.NewMemoryCache(16, 4096))
-	}
-	eng := engine.New(ecfg)
+	local := engine.NewMemoryCache(16, 4096)
+	cl.SetLocalCache(local)
+	eng := engine.New(engine.Config{
+		Workers:      2,
+		Dispatcher:   cl,
+		CacheBackend: engine.NewTieredCache(local, NewRemoteCache(cl)),
+	})
 	mux := http.NewServeMux()
 	mux.Handle("/cluster/evaluate", cl.EvaluateHandler(eng, 30*time.Second))
 	mux.Handle("/cluster/cache/get", cl.CacheGetHandler())
-	mux.Handle("/cluster/cache/put", cl.CachePutHandler())
-	mux.Handle("/cluster/claim", cl.ClaimHandler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
-	srv := &http.Server{Handler: mux}
+	calls := &callCounter{}
+	srv := &http.Server{Handler: calls.wrap(mux)}
 	go srv.Serve(ln)
-	r := &replica{addr: addr, eng: eng, cl: cl, srv: srv}
+	r := &replica{addr: addr, eng: eng, cl: cl, srv: srv, calls: calls}
 	t.Cleanup(func() {
 		r.srv.Close()
 		r.eng.Close()
@@ -89,7 +96,7 @@ func startCacheReplica(t *testing.T, ln net.Listener, peers []string, opts cache
 
 // startCacheFleet boots n identically-configured replicas clustered with
 // each other.
-func startCacheFleet(t *testing.T, n int, opts cacheFleetOpts) []*replica {
+func startCacheFleet(t *testing.T, n int) []*replica {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -103,12 +110,12 @@ func startCacheFleet(t *testing.T, n int, opts cacheFleetOpts) []*replica {
 	}
 	reps := make([]*replica, n)
 	for i := range reps {
-		reps[i] = startCacheReplica(t, lns[i], addrs, opts)
+		reps[i] = startCacheReplica(t, lns[i], addrs)
 	}
 	return reps
 }
 
-// fleetTierStats returns the named tier's stats row from an engine.
+// tierStats returns the named tier's stats row from an engine.
 func tierStats(t *testing.T, e *engine.Engine, tier string) engine.CacheTierStats {
 	t.Helper()
 	for _, ts := range e.Stats().CacheTiers {
@@ -122,16 +129,20 @@ func tierStats(t *testing.T, e *engine.Engine, tier string) engine.CacheTierStat
 
 // TestFleetWarmStart is the cold-join acceptance test: after a fleet has
 // evaluated a sweep, a freshly joined replica replaying the same
-// fingerprint set must be served entirely from the fleet tier — zero local
-// solves — including the keys the new ring assigns to the joiner itself
-// (fetched from their ring successor, the previous owner).
+// fingerprint set must perform zero local solves. Every key the new ring
+// assigns to the joiner itself is a fleet-tier hit, read from its ring
+// successor (the previous owner); every other key is forwarded to its
+// owner, which answers from its cache.
 func TestFleetWarmStart(t *testing.T) {
 	single := engine.New(engine.Config{Workers: 2})
 	defer single.Close()
-	want := runSweep(t, single, testSpec(t))
+	want, points := runSweepPoints(t, single, testSpec(t))
+	var fps []string
+	for _, p := range points {
+		fps = append(fps, p.Result.Fingerprint)
+	}
 
-	opts := cacheFleetOpts{fleetTier: true, dispatch: true}
-	reps := startCacheFleet(t, 3, opts)
+	reps := startCacheFleet(t, 3)
 	got := runSweep(t, reps[0].eng, testSpec(t))
 	requireSameEnvelope(t, got, want)
 	if total := fleetEvaluations(reps); total != uint64(want.Scenarios) {
@@ -139,22 +150,37 @@ func TestFleetWarmStart(t *testing.T) {
 	}
 
 	// Cold replica joins the warm fleet and replays the sweep.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
 	peers := []string{reps[0].addr, reps[1].addr, reps[2].addr}
-	cold := startCacheReplica(t, ln, peers, opts)
-	cgot := runSweep(t, cold.eng, testSpec(t))
+	cold := startCacheReplica(t, listenOwningSome(t, peers, fps), peers)
+	cgot, cpoints := runSweepPoints(t, cold.eng, testSpec(t))
 	requireSameEnvelope(t, cgot, want)
 
 	cs := cold.eng.Stats()
 	if cs.Evaluations != 0 {
 		t.Fatalf("cold replica solved %d scenarios locally, want 0", cs.Evaluations)
 	}
+	owned := 0
+	for _, p := range cpoints {
+		res, fp := p.Result, p.Result.Fingerprint
+		if owner := cold.cl.Owner(fp); owner == cold.addr {
+			owned++
+			succ := cold.cl.ring.owner(fp, func(m string) bool { return m != cold.addr })
+			if !res.CacheHit || res.Peer != succ {
+				t.Fatalf("scenario %d (owned by the cold replica): cacheHit=%v peer=%q, want a fleet-tier hit from successor %s",
+					p.Scenario, res.CacheHit, res.Peer, succ)
+			}
+		} else if res.CacheHit || res.Peer != owner {
+			t.Fatalf("scenario %d (owned by %s): cacheHit=%v peer=%q, want a forwarded answer from its owner",
+				p.Scenario, owner, res.CacheHit, res.Peer)
+		}
+	}
 	fleet := tierStats(t, cold.eng, "fleet")
-	if fleet.Hits < uint64(want.Scenarios)*9/10 {
-		t.Fatalf("fleet-tier hits = %d of %d scenarios, want >= 90%%", fleet.Hits, want.Scenarios)
+	if fleet.Hits != uint64(owned) {
+		t.Fatalf("fleet-tier hits = %d, want %d (one per scenario the cold replica owns)", fleet.Hits, owned)
+	}
+	if cs.RemoteResults != uint64(want.Scenarios-owned) {
+		t.Fatalf("forwarded answers = %d, want %d (one per scenario another member owns)",
+			cs.RemoteResults, want.Scenarios-owned)
 	}
 	if fleet.Bytes == 0 {
 		t.Fatalf("fleet tier moved no bytes: %+v", fleet)
@@ -170,8 +196,38 @@ func TestFleetWarmStart(t *testing.T) {
 	}
 }
 
+// listenOwningSome opens a loopback listener whose address, joined to
+// peers, owns some but not all of fps on the ring — so a warm-start test
+// exercises both the successor read and the forward whatever ports the
+// OS hands out.
+func listenOwningSome(t *testing.T, peers, fps []string) net.Listener {
+	t.Helper()
+	for range 64 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		r, err := newRing(append(slices.Clone(peers), ln.Addr().String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned := 0
+		for _, fp := range fps {
+			if r.owner(fp, nil) == ln.Addr().String() {
+				owned++
+			}
+		}
+		if owned > 0 && owned < len(fps) {
+			return ln
+		}
+		ln.Close()
+	}
+	t.Fatal("no listener address owns part of the fingerprint set")
+	return nil
+}
+
 // TestFleetTierChaosDegrade arms the dispatch.forward fault — severing
-// every fleet interaction: forwards, cache tier, claims — and asserts the
+// every fleet interaction: forwards and the cache tier — and asserts the
 // replica degrades gracefully: warm keys keep serving from the local
 // memory tier, cold keys fall back to local evaluation, and no request
 // fails.
@@ -180,8 +236,7 @@ func TestFleetTierChaosDegrade(t *testing.T) {
 	defer single.Close()
 	want := runSweep(t, single, testSpec(t))
 
-	opts := cacheFleetOpts{fleetTier: true, dispatch: true, claimLease: 2 * time.Second}
-	reps := startCacheFleet(t, 3, opts)
+	reps := startCacheFleet(t, 3)
 	got := runSweep(t, reps[0].eng, testSpec(t))
 	requireSameEnvelope(t, got, want)
 
@@ -214,122 +269,6 @@ func TestFleetTierChaosDegrade(t *testing.T) {
 	}
 	if faultinject.Fired(faultinject.PointForward) == firedBefore {
 		t.Fatal("dispatch.forward fault never fired; chaos exercised nothing")
-	}
-}
-
-// TestClaimDedup is the claims acceptance test: duplicate submissions
-// through different replicas cost exactly one evaluation even with every
-// local memo cache disabled and no forwarding configured — the leased
-// claims alone carry the guarantee.
-func TestClaimDedup(t *testing.T) {
-	reps := startCacheFleet(t, 3, cacheFleetOpts{
-		claimLease:   2 * time.Second,
-		noLocalCache: true,
-	})
-
-	// Sequential duplicates, one replica after another.
-	for _, r := range reps {
-		res, err := r.eng.Submit(context.Background(), &engine.Request{
-			Graph: gen.Figure2(), Method: engine.MethodKIter,
-		})
-		if err != nil {
-			t.Fatalf("submit via %s: %v", r.addr, err)
-		}
-		if res.Throughput == nil || !res.Throughput.Optimal {
-			t.Fatalf("bad result via %s: %+v", r.addr, res)
-		}
-	}
-	if total := fleetEvaluations(reps); total != 1 {
-		t.Fatalf("fleet evaluations after sequential duplicates = %d, want 1", total)
-	}
-	var granted, served uint64
-	for _, r := range reps {
-		s := r.eng.Stats()
-		granted += s.ClaimsGranted
-		served += s.ClaimsServed
-	}
-	if granted != 1 || served != 2 {
-		t.Fatalf("claims granted/served = %d/%d, want 1/2", granted, served)
-	}
-
-	// Concurrent duplicates of a fresh graph through every replica at
-	// once: local singleflight coalesces same-replica copies, the owner's
-	// claim table the cross-replica leaders.
-	g2 := gen.SampleRateConverter()
-	var wg sync.WaitGroup
-	errs := make(chan error, 12)
-	for _, r := range reps {
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func(e *engine.Engine) {
-				defer wg.Done()
-				_, err := e.Submit(context.Background(), &engine.Request{Graph: g2, Method: engine.MethodKIter})
-				errs <- err
-			}(r.eng)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("concurrent submit: %v", err)
-		}
-	}
-	if total := fleetEvaluations(reps); total != 2 {
-		t.Fatalf("fleet evaluations after concurrent duplicates = %d, want 2 (one per distinct graph)", total)
-	}
-}
-
-// TestClaimTableLifecycle pins the owner-side lease semantics the protocol
-// rests on.
-func TestClaimTableLifecycle(t *testing.T) {
-	var tb claimTable
-	tb.init()
-	lease := 50 * time.Millisecond
-
-	// First claimant is granted; a second is held for the lease.
-	if res, granted, _ := tb.claim("k", "a", lease); res != nil || !granted {
-		t.Fatalf("first claim: res=%v granted=%v", res, granted)
-	}
-	if _, granted, heldFor := tb.claim("k", "b", lease); granted || heldFor <= 0 {
-		t.Fatalf("second claim: granted=%v heldFor=%v", granted, heldFor)
-	}
-	// The holder may re-claim its own key (idempotent retry).
-	if _, granted, _ := tb.claim("k", "a", lease); !granted {
-		t.Fatal("holder re-claim denied")
-	}
-
-	// Publish completes the claim; subsequent claims see the result.
-	res := &engine.Result{Fingerprint: "fp"}
-	tb.publish("k", res, time.Minute)
-	if got, granted, _ := tb.claim("k", "b", lease); got != res || granted {
-		t.Fatalf("post-publish claim: got=%v granted=%v", got, granted)
-	}
-	if tb.published("k") != res {
-		t.Fatal("published lookup missed")
-	}
-
-	// Release frees a held key immediately.
-	if _, granted, _ := tb.claim("k2", "a", lease); !granted {
-		t.Fatal("k2 claim denied")
-	}
-	tb.release("k2", "a")
-	if _, granted, _ := tb.claim("k2", "b", lease); !granted {
-		t.Fatal("k2 not reclaimable after release")
-	}
-	// A non-holder's release is a no-op.
-	tb.release("k2", "a")
-	if _, granted, _ := tb.claim("k2", "c", lease); granted {
-		t.Fatal("stranger release freed a held key")
-	}
-
-	// An expired lease is claimable by the next arrival (crashed holder).
-	if _, granted, _ := tb.claim("k3", "a", time.Millisecond); !granted {
-		t.Fatal("k3 claim denied")
-	}
-	time.Sleep(5 * time.Millisecond)
-	if _, granted, _ := tb.claim("k3", "b", lease); !granted {
-		t.Fatal("expired lease not reclaimable")
 	}
 }
 

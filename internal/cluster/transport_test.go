@@ -43,10 +43,13 @@ func TestDefaultClientTransportSizedToWorkers(t *testing.T) {
 
 // TestForwardConnectionReuse drives the cluster's default client with
 // rounds of concurrent requests against one host — the forwarding pattern
-// of a sweep fanning out to its owner replica — and asserts the server
-// sees at most one TCP connection per concurrent slot across all rounds.
-// Under the old bare client only 2 idle connections survived between
-// rounds, so every later round dialed ~(concurrency-2) fresh connections.
+// of a sweep fanning out to its owner replica — and asserts the pool
+// carries connections across rounds. Under the old bare client only 2
+// idle connections survived between rounds, so the server saw about
+// 2 + (c−2)·rounds connections: 32 for c = 8 and 5 rounds. The bound is
+// 2·c, not c: a request can dial a fresh connection while another
+// round's connection is still on its way back to the idle pool, so a few
+// extra dials are a race, not churn.
 func TestForwardConnectionReuse(t *testing.T) {
 	var conns atomic.Int64
 	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -80,8 +83,9 @@ func TestForwardConnectionReuse(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	if got := conns.Load(); got > concurrency {
+	churn := 2 + (concurrency-2)*rounds
+	if got := conns.Load(); got > 2*concurrency {
 		t.Fatalf("server saw %d connections for %d rounds × %d concurrent requests; "+
-			"want <= %d (connection churn)", got, rounds, concurrency, concurrency)
+			"want <= %d (the old transport's churn is ~%d)", got, rounds, concurrency, 2*concurrency, churn)
 	}
 }

@@ -48,13 +48,6 @@ type Config struct {
 	// forwards non-local jobs to their ring owner). Nil keeps every job
 	// local. The engine does not own the Dispatcher; close it after Close.
 	Dispatcher Dispatcher
-	// Claims, when set, extends singleflight across processes: every
-	// leader job that reaches a worker claims its cache key through the
-	// Claimer first, and either serves the fleet's already-published
-	// result, evaluates under an exclusive leased claim, or — on any
-	// claim-layer failure — degrades to a plain local evaluation. The
-	// engine does not own the Claimer; close it after Close.
-	Claims Claimer
 	// Metrics, when set, receives the engine's latency histograms and
 	// solver-phase instruments (queue wait, per-method solve time, K-Iter
 	// rounds, Howard iterations, arcs built/reused). The engine registers
@@ -168,10 +161,6 @@ type job struct {
 	// enqueuedAt stamps the hand-off to the worker pool for the
 	// queue-wait histogram and trace span.
 	enqueuedAt time.Time
-	// published is the successful evaluation's result, recorded so a held
-	// cross-process claim can hand it to the owner on release (nil when
-	// the evaluation failed or was cancelled — an explicit lease release).
-	published *Result
 }
 
 // ErrClosed is returned by Submit after Close.
@@ -295,7 +284,10 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	span := telemetry.FromContext(ctx)
 	span.SetAttr("fingerprint", fingerprint)
 	span.SetAttr("method", string(method))
-	if !req.NoCache && e.cache != nil {
+	useCache := !req.NoCache && e.cache != nil
+	var generation uint64
+	if useCache {
+		generation = e.flight.generation(key)
 		lookupStart := time.Now()
 		res, ok := cacheGet(ctx, e.cache, key)
 		lookupDur := time.Since(lookupStart)
@@ -315,6 +307,17 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	}
 
 	c, leader := e.flight.join(key)
+	if leader && useCache && e.flight.generation(key) != generation {
+		// A call for this key may have stored its result and left the
+		// flight group between the lookup above and the join, so neither
+		// saw it: look again before evaluating a second time. A hit
+		// completes the new call (and any waiter that joined it) as a
+		// deduplicated answer.
+		if res, ok := cacheGet(ctx, e.cache, key); ok {
+			e.flight.finish(c, res, nil)
+			leader = false
+		}
+	}
 	if leader {
 		if e.cfg.MaxPending > 0 && e.pending.Load() >= int64(e.cfg.MaxPending) {
 			e.stats.rejected.Add(1)
@@ -448,16 +451,6 @@ func (e *Engine) runJob(j *job) {
 		e.finishJob(j, nil, err)
 		return
 	}
-	// Cross-process singleflight: claim the key at its ring owner before
-	// burning a local evaluation on it. A served claim resolves the job
-	// without evaluating; a granted claim obliges us to publish the
-	// outcome through release; a failed claim degrades to a local solve.
-	if res, served, release := e.claimJob(ctx, j); served {
-		e.finishJob(j, res, nil)
-		return
-	} else if release != nil {
-		defer func() { release(j.published) }()
-	}
 	e.stats.evaluations.Add(1)
 	start := time.Now()
 	res, err := e.safeEval(ctx, j.req)
@@ -472,7 +465,6 @@ func (e *Engine) runJob(j *job) {
 		e.stats.latencyCount.Add(1)
 		e.met.evaluation.Observe(elapsed.Seconds())
 		res.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-		j.published = res
 		if !j.req.NoCache && e.cache != nil {
 			cachePut(ctx, e.cache, j.req.cacheKeyHint, res)
 		}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"hash/maphash"
 	"sync"
+	"sync/atomic"
 )
 
 // flightGroup coalesces concurrent submissions of the same cache key onto
@@ -15,7 +17,15 @@ import (
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
+	// finished counts finished calls per key stripe; see generation.
+	finished [flightStripes]atomic.Uint64
+	seed     maphash.Seed
 }
+
+// flightStripes is the number of generation counters. A counter moved by
+// another key only costs one spare cache lookup, so a few hundred keep
+// that rare without a per-key map.
+const flightStripes = 256
 
 type flightCall struct {
 	key string
@@ -33,7 +43,21 @@ type flightCall struct {
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: make(map[string]*flightCall)}
+	return &flightGroup{calls: make(map[string]*flightCall), seed: maphash.MakeSeed()}
+}
+
+// generation returns how many calls have finished in key's stripe. A
+// submission reads it before its cache lookup. If it has moved by the time
+// the submission leads a new call, a call for the same key may have
+// stored its result and finished in between — after the lookup missed and
+// before the join, which then found no call to share — so the new leader
+// must look in the cache again.
+func (g *flightGroup) generation(key string) uint64 {
+	return g.finished[g.stripe(key)].Load()
+}
+
+func (g *flightGroup) stripe(key string) uint64 {
+	return maphash.String(g.seed, key) % flightStripes
 }
 
 // join returns the in-flight call for key, creating one when absent. The
@@ -88,6 +112,9 @@ func (g *flightGroup) finish(c *flightCall, res *Result, err error) {
 	if g.calls[c.key] == c {
 		delete(g.calls, c.key)
 	}
+	// Counted under mu, together with the release: a submission whose join
+	// finds the key gone also sees the new generation.
+	g.finished[g.stripe(c.key)].Add(1)
 	g.mu.Unlock()
 	c.res, c.err = res, err
 	c.cancel()

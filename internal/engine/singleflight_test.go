@@ -213,3 +213,74 @@ func waitForStat(t *testing.T, e *Engine, cond func(Stats) bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// stallingCache is a cache whose second lookup, after reading its (missing)
+// entry, stalls until release is closed: the window in which a descheduled
+// submission's lookup and its flight join straddle another call's
+// completion.
+type stallingCache struct {
+	CacheBackend
+	lookups atomic.Int32
+	looked  chan struct{} // closed once the second lookup has read
+	release chan struct{}
+}
+
+func (c *stallingCache) Get(key string) (*Result, bool) {
+	res, ok := c.CacheBackend.Get(key)
+	if c.lookups.Add(1) == 2 {
+		close(c.looked)
+		<-c.release
+	}
+	return res, ok
+}
+
+// TestLookupJoinRace: a submission whose cache lookup misses while an
+// identical call is in flight, and which joins only after that call
+// finished, must not evaluate a second time — the new call's leader looks
+// in the cache again and answers as a deduplicated submission.
+func TestLookupJoinRace(t *testing.T) {
+	cache := &stallingCache{
+		CacheBackend: NewMemoryCache(1, 16),
+		looked:       make(chan struct{}),
+		release:      make(chan struct{}),
+	}
+	e := newTestEngine(t, Config{Workers: 1, CacheBackend: cache})
+	started := make(chan struct{})
+	var evals atomic.Int64
+	e.evalFn = func(ctx context.Context, req *Request) (*Result, error) {
+		if evals.Add(1) == 1 {
+			close(started)
+		}
+		<-cache.looked // finish only after the second lookup missed
+		return &Result{Fingerprint: req.fingerprintHint}, nil
+	}
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(context.Background(), &Request{Graph: gen.Figure2()})
+		first <- err
+	}()
+	<-started
+	second := make(chan *Result, 1)
+	go func() {
+		res, err := e.Submit(context.Background(), &Request{Graph: gen.Figure2()})
+		if err != nil {
+			t.Error(err)
+		}
+		second <- res
+	}()
+	if err := <-first; err != nil {
+		t.Fatalf("first submission: %v", err)
+	}
+	close(cache.release) // the second submission now joins the empty flight group
+	res := <-second
+	if evals.Load() != 1 {
+		t.Fatalf("evaluations = %d, want 1 (the second submission re-evaluated)", evals.Load())
+	}
+	if res == nil || !res.Deduped {
+		t.Fatalf("second submission = %+v, want a deduplicated answer", res)
+	}
+	if s := e.Stats(); s.Evaluations != 1 || s.Deduped != 1 || s.CacheMisses != 2 {
+		t.Fatalf("stats evaluations/deduped/misses = %d/%d/%d, want 1/1/2", s.Evaluations, s.Deduped, s.CacheMisses)
+	}
+}

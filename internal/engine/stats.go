@@ -5,20 +5,18 @@ import "sync/atomic"
 // counters holds the engine's hot-path telemetry. Everything is atomic:
 // the serving path never takes a lock to account.
 type counters struct {
-	submitted     atomic.Uint64
-	cacheHits     atomic.Uint64
-	cacheMisses   atomic.Uint64
-	deduped       atomic.Uint64
-	evaluations   atomic.Uint64
-	remote        atomic.Uint64
-	claimsGranted atomic.Uint64
-	claimsServed  atomic.Uint64
-	errors        atomic.Uint64
-	cancelled     atomic.Uint64
-	rejected      atomic.Uint64
-	panics        atomic.Uint64
-	latencyNanos  atomic.Int64
-	latencyCount  atomic.Uint64
+	submitted    atomic.Uint64
+	cacheHits    atomic.Uint64
+	cacheMisses  atomic.Uint64
+	deduped      atomic.Uint64
+	evaluations  atomic.Uint64
+	remote       atomic.Uint64
+	errors       atomic.Uint64
+	cancelled    atomic.Uint64
+	rejected     atomic.Uint64
+	panics       atomic.Uint64
+	latencyNanos atomic.Int64
+	latencyCount atomic.Uint64
 
 	// answers counts the default method's answers per chain step, indexed
 	// like chainSteps.
@@ -38,10 +36,12 @@ type Stats struct {
 	// the Dispatcher instead.
 	Evaluations   uint64 `json:"evaluations"`
 	RemoteResults uint64 `json:"remoteResults"`
-	// ClaimsGranted counts jobs this replica evaluated under an exclusive
-	// cross-process claim; ClaimsServed the jobs resolved by another
-	// process's published result during the claim handshake (those also
-	// count under RemoteResults, never under Evaluations).
+	// ClaimsGranted and ClaimsServed are always zero: the engine makes no
+	// cross-process claims; the owner's singleflight behind the forward
+	// hop is the fleet's only dedup.
+	//
+	// Deprecated: kept so that code written against the claiming engine
+	// still compiles; they will be removed.
 	ClaimsGranted uint64 `json:"claimsGranted,omitempty"`
 	ClaimsServed  uint64 `json:"claimsServed,omitempty"`
 	// Errors counts failed evaluations, Cancelled abandoned ones and
@@ -122,8 +122,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		Deduped:       sub(s.Deduped, prev.Deduped),
 		Evaluations:   sub(s.Evaluations, prev.Evaluations),
 		RemoteResults: sub(s.RemoteResults, prev.RemoteResults),
-		ClaimsGranted: sub(s.ClaimsGranted, prev.ClaimsGranted),
-		ClaimsServed:  sub(s.ClaimsServed, prev.ClaimsServed),
 		Errors:        sub(s.Errors, prev.Errors),
 		Cancelled:     sub(s.Cancelled, prev.Cancelled),
 		Rejected:      sub(s.Rejected, prev.Rejected),
@@ -205,8 +203,6 @@ func (e *Engine) Stats() Stats {
 		Deduped:       e.stats.deduped.Load(),
 		Evaluations:   e.stats.evaluations.Load(),
 		RemoteResults: e.stats.remote.Load(),
-		ClaimsGranted: e.stats.claimsGranted.Load(),
-		ClaimsServed:  e.stats.claimsServed.Load(),
 		Errors:        e.stats.errors.Load(),
 		Cancelled:     e.stats.cancelled.Load(),
 		Rejected:      e.stats.rejected.Load(),

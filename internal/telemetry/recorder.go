@@ -109,7 +109,7 @@ func (r *Recorder) Added() uint64 {
 
 // Get returns every retained record for the given trace ID — a process can
 // hold several per trace (its /analyze root plus handler-side subtrees for
-// evaluate, cache and claim hops it served for peers).
+// evaluate and cache-read hops it served for peers).
 func (r *Recorder) Get(traceID string) []RecordedTrace {
 	if r == nil || traceID == "" {
 		return nil
