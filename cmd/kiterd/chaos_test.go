@@ -85,10 +85,7 @@ func startKiterdFleet(t *testing.T, n int) ([]*chaosReplica, func()) {
 			Analyses: []engine.AnalysisKind{engine.AnalysisThroughput},
 			Timeout:  30 * time.Second,
 		}
-		srv := newServer(eng, tmpl, cl, observability{
-			reg: reg, recorder: rec,
-			exemplar: telemetry.NewExemplarTracker(0), process: addrs[i],
-		})
+		srv := newServer(eng, tmpl, cl, observability{reg: reg, recorder: rec, process: addrs[i]})
 		srv.admission = adm
 		srv.markReady()
 		hs := &http.Server{Handler: srv}

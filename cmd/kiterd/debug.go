@@ -9,25 +9,12 @@ import (
 	"kiter/internal/telemetry"
 )
 
-// traceSummary is one row of the GET /debug/traces listing: a trace's
-// request metadata without its span tree, which can be large — pull the
-// tree via /debug/traces/{id}.
-type traceSummary struct {
-	TraceID       string  `json:"traceId"`
-	RequestID     string  `json:"requestId,omitempty"`
-	Endpoint      string  `json:"endpoint"`
-	Process       string  `json:"process,omitempty"`
-	Status        int     `json:"status,omitempty"`
-	Error         bool    `json:"error,omitempty"`
-	StartUnixNano int64   `json:"startUnixNano"`
-	DurMS         float64 `json:"durMs"`
-}
-
 // defaultTraceListLimit bounds an unqualified listing.
 const defaultTraceListLimit = 64
 
 // handleDebugTraces serves GET /debug/traces: the flight recorder's
-// retained traces, newest first, as summaries. ?limit=N bounds the listing
+// retained traces, newest first, without their span trees, which can be
+// large — pull a tree via /debug/traces/{id}. ?limit=N bounds the listing
 // (default 64); ?errors=1 filters to errored traces.
 func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -45,29 +32,21 @@ func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	onlyErrors := boolParam(r, "errors")
 	recs := s.obs.recorder.List(0)
-	sums := make([]traceSummary, 0, len(recs))
+	listed := make([]telemetry.RecordedTrace, 0, len(recs))
 	for _, rec := range recs {
 		if onlyErrors && !rec.Error {
 			continue
 		}
-		if len(sums) == limit {
+		if len(listed) == limit {
 			break
 		}
-		sums = append(sums, traceSummary{
-			TraceID:       rec.TraceID,
-			RequestID:     rec.RequestID,
-			Endpoint:      rec.Endpoint,
-			Process:       rec.Process,
-			Status:        rec.Status,
-			Error:         rec.Error,
-			StartUnixNano: rec.StartUnixNano,
-			DurMS:         rec.DurMS,
-		})
+		rec.Root = nil
+		listed = append(listed, rec)
 	}
 	writeJSONIndent(w, http.StatusOK, map[string]any{
 		"recorded": s.obs.recorder.Added(),
 		"retained": len(recs),
-		"traces":   sums,
+		"traces":   listed,
 	})
 }
 

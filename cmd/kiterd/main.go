@@ -5,8 +5,7 @@
 //	POST /analyze   analyze a graph (body: a graph in the repository's
 //	                JSON format, or an envelope {"graph": …, "analyses":
 //	                ["throughput", …], "method": "auto", "capacities":
-//	                false}); the response carries the analysis result plus
-//	                a cache/latency stats snapshot
+//	                false}); the response carries the analysis result
 //	POST /sweep     expand a parametric sweep spec ({"base": graph,
 //	                "parameters": [{"name", "target", "values"|"range"},
 //	                …]}) into a scenario family and stream one NDJSON line
@@ -19,13 +18,18 @@
 //	                method)
 //	                plus the binary's build/version block
 //	GET  /metrics   Prometheus text exposition: request/solve latency
-//	                histograms, cache and cluster counters, build info
+//	                histograms, cache and cluster counters, build info, and
+//	                per endpoint the slowest recent trace's ID
+//	GET  /debug/traces       the flight recorder's retained traces
+//	GET  /debug/traces/{id}  one trace's span tree (?fleet=1 stitches it
+//	                         across every replica it touched)
 //
-// POST /analyze?trace=1 additionally returns the request's span tree
-// (submit → cache lookup → queue wait → solve/analysis phases); with
-// -trace-log FILE every analyze request appends its tree as one NDJSON
-// line with a request ID. -pprof-addr serves net/http/pprof on a separate
-// listener; -version prints the build block and exits.
+// The flight recorder (-trace-buffer traces, 0 disables tracing) is the
+// only place a trace is stored. /analyze and /sweep record the request's
+// span tree (submit → cache lookup → queue wait → solve/analysis phases)
+// and name it in the X-Kiter-Trace-Id response header; clients pull it
+// from GET /debug/traces/{id}. -pprof-addr serves net/http/pprof on a
+// separate listener; -version prints the build block and exits.
 //
 // Batch mode streams a directory (every .json/.xml graph under it) or a
 // manifest file (one graph path per line) through the engine in parallel
@@ -97,7 +101,7 @@
 //	       [-cache-dir dir] [-cache-disk-bytes N] [-capacities]
 //	       [-peers host:port,…] [-self host:port] [-forward-timeout 0]
 //	       [-analyses throughput] [-timeout 60s] [-stats-out stats.json]
-//	       [-drain-timeout 30s] [-chaos spec]
+//	       [-drain-timeout 30s] [-chaos spec] [-trace-buffer 256]
 //	       [-batch dir-or-manifest] [-sweep spec.json]
 package main
 
@@ -159,7 +163,6 @@ func run() error {
 		peers          = flag.String("peers", "", "comma-separated peer replica addresses (host:port); jobs are consistently hashed across self+peers and forwarded to their owner")
 		selfAddr       = flag.String("self", "", "advertised cluster address of this replica (default: derived from -addr); every replica must list it under exactly this string")
 		forwardTimeout = flag.Duration("forward-timeout", 0, "per-job cluster forward budget before local fallback (0 = -timeout)")
-		traceLogPath   = flag.String("trace-log", "", "append every /analyze request's span tree as one NDJSON line to this file")
 		traceBuffer    = flag.Int("trace-buffer", 256, "HTTP mode: capacity of the always-on flight recorder behind GET /debug/traces — a bounded ring of recent traces biased toward keeping the slowest and errored ones (0 disables tracing entirely)")
 		pprofAddr      = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "HTTP mode: budget for in-flight requests to finish after SIGTERM/SIGINT before connections are cut")
@@ -200,11 +203,8 @@ func run() error {
 	// handler-side spans (evaluate and cache reads served for peers) record
 	// into the same buffer the local /analyze roots do.
 	var recorder *telemetry.Recorder
-	var exemplar *telemetry.ExemplarTracker
 	if *traceBuffer > 0 {
 		recorder = telemetry.NewRecorder(*traceBuffer)
-		exemplar = telemetry.NewExemplarTracker(0)
-		exemplar.Register(reg)
 	}
 
 	cl, err := buildCluster(*peers, *selfAddr, *addr, *forwardTimeout, *timeout, *workers, reg, recorder)
@@ -321,21 +321,12 @@ func run() error {
 		}
 		return runBatch(e, paths, tmpl, os.Stdout, *ndjson)
 	default:
-		var traceLog *telemetry.TraceLog
-		if *traceLogPath != "" {
-			traceLog, err = telemetry.OpenTraceLog(*traceLogPath)
-			if err != nil {
-				return fmt.Errorf("opening -trace-log: %w", err)
-			}
-			defer traceLog.Close()
-		}
 		process := ""
 		if cl != nil {
 			process = cl.Self()
 		}
 		srv := newServer(e, tmpl, cl, observability{
-			reg: reg, traceLog: traceLog, recorder: recorder,
-			exemplar: exemplar, process: process, build: build,
+			reg: reg, recorder: recorder, process: process, build: build,
 		})
 		srv.admission = adm
 		if cl != nil {

@@ -57,16 +57,13 @@ func TestAnalyzeBareGraph(t *testing.T) {
 	if !resp.Result.Throughput.Optimal {
 		t.Fatal("result not optimal")
 	}
-	if resp.Stats != nil {
-		t.Fatal("stats snapshot present without ?stats=1")
-	}
 }
 
-// TestAnalyzeMinimalReplyShape pins the default /analyze reply to the
-// minimal shape: a compact single-line body whose only key is "result" —
-// no stats snapshot (opt-in via ?stats=1), no indentation. The stats
-// snapshot grows with cluster/tier counters, so shipping it
-// per request was pure hot-path bloat.
+// TestAnalyzeMinimalReplyShape pins the /analyze reply to the minimal
+// shape: a compact single-line body whose only key is "result" — no stats
+// snapshot (GET /stats serves it), no indentation. The stats snapshot
+// grows with cluster/tier counters, so shipping it per request was pure
+// hot-path bloat.
 func TestAnalyzeMinimalReplyShape(t *testing.T) {
 	srv := newTestServer(t)
 	rec := httptest.NewRecorder()
@@ -92,17 +89,6 @@ func TestAnalyzeMinimalReplyShape(t *testing.T) {
 		t.Fatalf("default reply keys = %v, want [result]", keys)
 	}
 
-	// Opting in brings the snapshot back.
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze?stats=1", bytes.NewReader(graphBody(t))))
-	var resp analyzeResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Stats == nil || resp.Stats.Submitted == 0 {
-		t.Fatalf("?stats=1 reply carries no stats: %s", rec.Body)
-	}
-
 	// Human-facing endpoints keep the indented encoder.
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
@@ -120,13 +106,19 @@ func TestAnalyzeEnvelopeAndCacheStats(t *testing.T) {
 	}
 	body, _ := json.Marshal(env)
 	var resp analyzeResponse
+	var stats engine.Stats
 	for i := 0; i < 2; i++ {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze?stats=1", bytes.NewReader(body)))
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
 		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		rec = httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,8 +131,8 @@ func TestAnalyzeEnvelopeAndCacheStats(t *testing.T) {
 	if !resp.Result.CacheHit {
 		t.Fatal("second identical request was not a cache hit")
 	}
-	if resp.Stats.CacheHits != 1 || resp.Stats.Evaluations != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 evaluation", resp.Stats)
+	if stats.CacheHits != 1 || stats.Evaluations != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 evaluation", stats)
 	}
 }
 

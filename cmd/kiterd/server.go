@@ -25,17 +25,15 @@ import (
 const maxBodyBytes = 64 << 20
 
 // observability bundles the telemetry seams handed to the server: the
-// metrics registry behind GET /metrics, the optional -trace-log NDJSON
-// sink, the always-on flight recorder behind GET /debug/traces, the
-// exemplar tracker linking /metrics latency to trace IDs, and the build
-// block reported by /stats. The zero value is a fully quiet server (no
-// /metrics endpoint, no per-request histograms, no trace log, no
-// recorder) — what most tests want.
+// metrics registry behind GET /metrics, the flight recorder behind
+// GET /debug/traces (the only place a trace is stored; the /metrics
+// slowest-trace exemplars are derived from it), and the build block
+// reported by /stats. The zero value is a fully quiet server (no /metrics
+// endpoint, no per-request histograms, no span trees, no recorder) — what
+// most tests want.
 type observability struct {
 	reg      *telemetry.Registry
-	traceLog *telemetry.TraceLog
 	recorder *telemetry.Recorder
-	exemplar *telemetry.ExemplarTracker
 	// process names this replica in recorded traces — the cluster self
 	// address in a fleet, empty standalone.
 	process string
@@ -71,7 +69,7 @@ type server struct {
 	// pending slot). Nil admits everything — the engine's hard MaxPending
 	// cliff is then the only shedding.
 	admission *resilience.Admission
-	// reqSeq numbers traced requests for the trace log.
+	// reqSeq numbers the request IDs the server generates.
 	reqSeq atomic.Uint64
 }
 
@@ -93,6 +91,7 @@ func newServer(e *engine.Engine, tmpl requestTemplate, cl *cluster.Cluster, obs 
 		s.httpHist = obs.reg.HistogramVec("kiter_http_request_seconds",
 			"HTTP request latency by endpoint and status code, in seconds.",
 			telemetry.LatencyBuckets, "endpoint", "code")
+		obs.recorder.RegisterExemplars(obs.reg)
 		s.mux.HandleFunc("/metrics", s.handleMetrics)
 	}
 	if obs.recorder != nil {
@@ -183,9 +182,9 @@ func endpointLabel(path string) string {
 	return "other"
 }
 
-// traceIDHeader is the response header trace-producing handlers set so the
-// middleware can link the request histogram's slowest observation to its
-// flight-recorder trace (and so clients learn which trace to pull).
+// traceIDHeader is the response header trace-producing handlers set so
+// clients learn which flight-recorder trace to pull from
+// GET /debug/traces/{id}.
 const traceIDHeader = "X-Kiter-Trace-Id"
 
 // requestIDHeader carries the per-request correlation ID: echoed from the
@@ -257,12 +256,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.httpHist == nil {
 		return
 	}
-	elapsed := time.Since(start).Seconds()
-	ep := endpointLabel(r.URL.Path)
-	s.httpHist.With(ep, strconv.Itoa(sw.code)).Observe(elapsed)
-	if tid := sw.Header().Get(traceIDHeader); tid != "" {
-		s.obs.exemplar.Observe(ep, tid, elapsed)
-	}
+	s.httpHist.With(endpointLabel(r.URL.Path), strconv.Itoa(sw.code)).Observe(time.Since(start).Seconds())
 }
 
 // handleMetrics renders every registered instrument plus the scrape-time
@@ -287,18 +281,11 @@ type analyzeEnvelope struct {
 	NoCache    bool            `json:"noCache"`
 }
 
-// analyzeResponse is the /analyze reply: the analysis result, and nothing
-// else by default — a full engine.Stats snapshot costs a per-request
-// allocation walk over every cluster/tier counter and bloats
-// each response with telemetry that grows with the fleet, so it is opt-in
-// via ?stats=1 (GET /stats remains the zero-argument way to read it). With
-// ?trace=1 the reply also carries the request's span tree and its
-// trace-log request ID.
+// analyzeResponse is the /analyze reply: the analysis result and nothing
+// else. Engine stats live behind GET /stats; the request's span tree is in
+// the flight recorder under the X-Kiter-Trace-Id response header.
 type analyzeResponse struct {
-	Result    *engine.Result      `json:"result"`
-	Stats     *engine.Stats       `json:"stats,omitempty"`
-	RequestID string              `json:"requestId,omitempty"`
-	Trace     *telemetry.SpanNode `json:"trace,omitempty"`
+	Result *engine.Result `json:"result"`
 }
 
 // boolParam reports whether a query parameter was set truthily.
@@ -309,12 +296,6 @@ func boolParam(r *http.Request, name string) bool {
 	}
 	return false
 }
-
-// traceRequested reports whether the client asked for the span tree.
-func traceRequested(r *http.Request) bool { return boolParam(r, "trace") }
-
-// statsRequested reports whether the client asked for the stats snapshot.
-func statsRequested(r *http.Request) bool { return boolParam(r, "stats") }
 
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -382,56 +363,29 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// A span tree is built when the client asked for it (?trace=1), the
-	// process logs traces (-trace-log), or a flight recorder is running
-	// (always the case under -trace-buffer > 0); the engine's
-	// instrumentation hangs its submit/solve/analysis children off this
-	// root via the context, and — in a fleet — the span's context rides the
-	// forward as a traceparent header so the owning replica's handler span
-	// joins the same tree.
-	wantTrace := traceRequested(r)
+	// A span tree is built exactly when a flight recorder is running
+	// (-trace-buffer > 0); the engine's instrumentation hangs its
+	// submit/solve/analysis children off this root via the context, and —
+	// in a fleet — the span's context rides the forward as a traceparent
+	// header so the owning replica's handler span joins the same tree.
 	var span *telemetry.Span
 	var reqID string
-	start := time.Now()
-	if wantTrace || s.obs.traceLog != nil || s.obs.recorder != nil {
+	if s.obs.recorder != nil {
 		reqID = s.middlewareRequestID(w)
 		span = telemetry.NewTrace("analyze")
 		span.SetAttr("requestId", reqID)
 		ctx = telemetry.ContextWithSpan(ctx, span)
-		// Expose the trace ID before any write: clients learn which trace
-		// to pull, and the middleware links it to the latency exemplar.
+		// Expose the trace ID before any write: clients pull the tree
+		// from GET /debug/traces/{id}.
 		w.Header().Set(traceIDHeader, span.Context().TraceID)
 	}
-	// finishTrace ends the root, flushes it to the trace log, and files it
-	// in the flight recorder; it runs on the error path too, so failed and
-	// timed-out requests leave a record (errored traces are exactly the
-	// ones the recorder's tail-biased retention fights to keep).
-	finishTrace := func(status string, code int) *telemetry.SpanNode {
-		if span == nil {
-			return nil
-		}
+	// finishTrace files the root in the flight recorder; it runs on the
+	// error path too, so failed and timed-out requests leave a record
+	// (errored traces are exactly the ones the recorder's tail-biased
+	// retention fights to keep).
+	finishTrace := func(status string, code int) {
 		span.SetAttr("status", status)
-		span.End()
-		node := span.Snapshot()
-		if s.obs.traceLog != nil {
-			_ = s.obs.traceLog.Append(telemetry.TraceRecord{
-				RequestID: reqID, Endpoint: "/analyze", Trace: node,
-			})
-		}
-		if s.obs.recorder != nil {
-			s.obs.recorder.Add(telemetry.RecordedTrace{
-				TraceID:       span.Context().TraceID,
-				RequestID:     reqID,
-				Endpoint:      "/analyze",
-				Process:       s.obs.process,
-				Status:        code,
-				Error:         code >= 400,
-				StartUnixNano: start.UnixNano(),
-				DurMS:         float64(time.Since(start)) / float64(time.Millisecond),
-				Root:          node,
-			})
-		}
-		return node
+		s.obs.recorder.Finish(span, "/analyze", s.obs.process, reqID, code)
 	}
 
 	res, err := s.e.Submit(ctx, req)
@@ -459,16 +413,8 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := analyzeResponse{Result: res}
-	if statsRequested(r) {
-		st := s.e.Stats()
-		resp.Stats = &st
-	}
-	if node := finishTrace("ok", http.StatusOK); node != nil && wantTrace {
-		resp.RequestID = reqID
-		resp.Trace = node
-	}
-	writeJSON(w, http.StatusOK, resp)
+	finishTrace("ok", http.StatusOK)
+	writeJSON(w, http.StatusOK, analyzeResponse{Result: res})
 }
 
 // middlewareRequestID reads the correlation ID the serving middleware

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"time"
 
 	"kiter/internal/engine"
 	"kiter/internal/sweep"
@@ -93,28 +92,13 @@ func (t *sweepTrace) pointDone(p sweep.Point) {
 	sp.End()
 }
 
-// finish ends the root and files the sweep in the flight recorder.
-func (t *sweepTrace) finish(s *server, status string, failed bool, start time.Time) {
+// finish files the sweep's root in the flight recorder.
+func (t *sweepTrace) finish(s *server, status string, code int) {
 	if t == nil {
 		return
 	}
 	t.span.SetAttr("status", status)
-	t.span.End()
-	code := http.StatusOK
-	if failed {
-		code = http.StatusInternalServerError
-	}
-	s.obs.recorder.Add(telemetry.RecordedTrace{
-		TraceID:       t.span.Context().TraceID,
-		RequestID:     t.reqID,
-		Endpoint:      "/sweep",
-		Process:       s.obs.process,
-		Status:        code,
-		Error:         failed,
-		StartUnixNano: start.UnixNano(),
-		DurMS:         float64(time.Since(start)) / float64(time.Millisecond),
-		Root:          t.span.Snapshot(),
-	})
+	s.obs.recorder.Finish(t.span, "/sweep", s.obs.process, t.reqID, code)
 }
 
 // handleSweep serves POST /sweep: a parametric sweep spec in, one NDJSON
@@ -150,7 +134,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The sweep's root span (and its sampled per-scenario children) must be
 	// opened before the stream commits: the trace ID header has to precede
 	// the status line.
-	start := time.Now()
 	trace := s.newSweepTrace(w, x.Total())
 
 	// From here on the response is a stream: the status line is committed
@@ -181,13 +164,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	runner := sweep.Runner{Engine: s.e, PointTimeout: s.tmpl.Timeout, MemberContext: trace.memberContext}
 	env, err := runner.Run(ctx, x, emit)
 	if err != nil {
-		trace.finish(s, "error", true, start)
+		trace.finish(s, "error", http.StatusInternalServerError)
 		// The client is usually gone (emit error / context cancel); write
 		// the error line anyway for proxies that buffered the stream.
 		_ = enc.Encode(map[string]string{"error": err.Error()})
 		return
 	}
-	trace.finish(s, "ok", false, start)
+	trace.finish(s, "ok", http.StatusOK)
 	line := sweepEnvelopeLine{Envelope: env}
 	if trace != nil {
 		line.TraceID = trace.span.Context().TraceID

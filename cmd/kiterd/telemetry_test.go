@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,15 +17,16 @@ import (
 
 // newObsServer builds a server with the full observability wiring of a real
 // kiterd process: a shared registry feeding the engine instruments, the
-// scrape-time stats collector and the /metrics endpoint.
-func newObsServer(t *testing.T, tl *telemetry.TraceLog) *server {
+// scrape-time stats collector, the /metrics endpoint and the flight
+// recorder behind /debug/traces.
+func newObsServer(t *testing.T) *server {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	e := engine.New(engine.Config{Workers: 4, Metrics: reg})
 	t.Cleanup(e.Close)
 	registerEngineCollector(reg, e)
 	registerBuildInfo(reg, readBuildInfo())
-	return newServer(e, testTemplate(), nil, observability{reg: reg, traceLog: tl})
+	return newServer(e, testTemplate(), nil, observability{reg: reg, recorder: telemetry.NewRecorder(256)})
 }
 
 // scrape GETs /metrics and returns the exposition body.
@@ -44,7 +43,9 @@ func scrape(t *testing.T, srv *server) string {
 	return rec.Body.String()
 }
 
-func postAnalyze(t *testing.T, srv *server, path string) analyzeResponse {
+// postAnalyze POSTs the Figure 2 graph and returns the reply with its
+// response headers.
+func postAnalyze(t *testing.T, srv *server, path string) (analyzeResponse, http.Header) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(graphBody(t))))
@@ -55,7 +56,24 @@ func postAnalyze(t *testing.T, srv *server, path string) analyzeResponse {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	return resp
+	return resp, rec.Header()
+}
+
+// getTrace pulls one trace's local records from GET /debug/traces/{id}.
+func getTrace(t *testing.T, srv *server, traceID string) []telemetry.RecordedTrace {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces/"+traceID, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /debug/traces/%s status = %d, body %s", traceID, rec.Code, rec.Body)
+	}
+	var doc struct {
+		Records []telemetry.RecordedTrace `json:"records"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Records
 }
 
 // TestMetricsEndpoint is the scrape acceptance path: after real traffic,
@@ -63,7 +81,7 @@ func postAnalyze(t *testing.T, srv *server, path string) analyzeResponse {
 // cumulative bucket counts are monotone with the +Inf bucket equal to the
 // sample count.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := newObsServer(t, nil)
+	srv := newObsServer(t)
 	postAnalyze(t, srv, "/analyze")
 	postAnalyze(t, srv, "/analyze") // second hit exercises the cache counters
 
@@ -78,6 +96,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"kiter_engine_cache_hits_total",
 		"kiter_engine_evaluations_total",
 		"kiter_race_wins_total",
+		"kiter_http_slowest_trace_seconds",
 		"kiter_engine_workers",
 		"kiter_build_info",
 	} {
@@ -93,6 +112,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	checkHistogramMonotone(t, body, "kiter_engine_evaluation_seconds")
 	checkHistogramMonotone(t, body, "kiter_http_request_seconds")
+
+	// The exemplar names a trace /debug/traces can serve.
+	_, rest, ok := strings.Cut(body, `kiter_http_slowest_trace_seconds{endpoint="/analyze",traceId="`)
+	if !ok {
+		t.Fatalf("no /analyze exemplar:\n%s", grepLines(body, "slowest_trace"))
+	}
+	tid, _, _ := strings.Cut(rest, `"`)
+	if recs := getTrace(t, srv, tid); len(recs) != 1 || recs[0].Endpoint != "/analyze" {
+		t.Fatalf("exemplar trace %s resolves to %+v", tid, recs)
+	}
 }
 
 // grepLines filters an exposition body for error messages.
@@ -147,42 +176,52 @@ func checkHistogramMonotone(t *testing.T, body, family string) {
 	}
 }
 
-// TestAnalyzeTrace exercises POST /analyze?trace=1: the reply carries a
-// request ID and a span tree whose phases (cache lookup, queue wait,
-// analysis sections) sum to no more than the root's wall time.
+// TestAnalyzeTrace exercises record-then-pull: /analyze names its trace in
+// X-Kiter-Trace-Id, and GET /debug/traces/{id} returns a span tree whose
+// phases (cache lookup, queue wait, analysis sections) sum to no more than
+// the root's wall time.
 func TestAnalyzeTrace(t *testing.T) {
-	srv := newObsServer(t, nil)
-	resp := postAnalyze(t, srv, "/analyze?trace=1")
-	if resp.RequestID == "" {
-		t.Fatal("traced response carries no requestId")
+	srv := newObsServer(t)
+	_, hdr := postAnalyze(t, srv, "/analyze")
+	tid := hdr.Get(traceIDHeader)
+	if tid == "" {
+		t.Fatal("/analyze set no X-Kiter-Trace-Id")
 	}
-	if resp.Trace == nil {
-		t.Fatal("traced response carries no span tree")
+	recs := getTrace(t, srv, tid)
+	if len(recs) != 1 {
+		t.Fatalf("trace %s has %d records, want 1", tid, len(recs))
 	}
-	if resp.Trace.Name != "analyze" {
-		t.Fatalf("root span = %q, want analyze", resp.Trace.Name)
+	if recs[0].RequestID == "" || recs[0].RequestID != hdr.Get(requestIDHeader) {
+		t.Fatalf("recorded requestId %q, X-Request-ID %q", recs[0].RequestID, hdr.Get(requestIDHeader))
+	}
+	root := recs[0].Root
+	if root == nil {
+		t.Fatal("recorded trace carries no span tree")
+	}
+	if root.Name != "analyze" {
+		t.Fatalf("root span = %q, want analyze", root.Name)
 	}
 	names := map[string]bool{}
 	var childSum float64
-	for _, c := range resp.Trace.Children {
+	for _, c := range root.Children {
 		names[c.Name] = true
 		childSum += c.DurMS
 	}
 	for _, want := range []string{"cache.lookup", "queue.wait", "analysis.throughput"} {
 		if !names[want] {
-			t.Errorf("trace missing %s child; have %v", want, resp.Trace.Children)
+			t.Errorf("trace missing %s child; have %v", want, root.Children)
 		}
 	}
 	// The direct children run sequentially (lookup → queue → analyses), so
 	// their durations fit inside the root span; 1ms of slack absorbs clock
 	// granularity on the individual measurements.
-	if childSum > resp.Trace.DurMS+1.0 {
-		t.Fatalf("children sum %.3fms exceeds root %.3fms", childSum, resp.Trace.DurMS)
+	if childSum > root.DurMS+1.0 {
+		t.Fatalf("children sum %.3fms exceeds root %.3fms", childSum, root.DurMS)
 	}
 
 	// The analysis section contains the actual solve phase.
 	var throughput *telemetry.SpanNode
-	for _, c := range resp.Trace.Children {
+	for _, c := range root.Children {
 		if c.Name == "analysis.throughput" {
 			throughput = c
 		}
@@ -196,51 +235,32 @@ func TestAnalyzeTrace(t *testing.T) {
 	if !sawSolve {
 		t.Fatalf("analysis.throughput has no solve child: %+v", throughput.Children)
 	}
-
-	// An untraced request stays clean: no requestId, no tree.
-	plain := postAnalyze(t, srv, "/analyze")
-	if plain.RequestID != "" || plain.Trace != nil {
-		t.Fatal("untraced response carries trace fields")
-	}
 }
 
-// TestTraceLogNDJSON boots a server with -trace-log wiring and checks every
-// analyze request appends one parseable NDJSON record with a distinct
-// request ID — including requests that did not ask for ?trace=1.
-func TestTraceLogNDJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "traces.ndjson")
-	tl, err := telemetry.OpenTraceLog(path)
+// TestNoRecorderNoTraces: without a flight recorder (-trace-buffer 0)
+// nothing is traced — /analyze and /sweep name no trace, even when a
+// client still asks for one with the retired trace query parameter, and
+// /debug/traces is not served.
+func TestNoRecorderNoTraces(t *testing.T) {
+	srv := newTestServer(t)
+	if _, hdr := postAnalyze(t, srv, "/analyze?trace=true"); hdr.Get(traceIDHeader) != "" {
+		t.Fatalf("/analyze without a recorder set %s = %q", traceIDHeader, hdr.Get(traceIDHeader))
+	}
+	body, err := json.Marshal(sweep.VideoPipelineSpec(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newObsServer(t, tl)
-	postAnalyze(t, srv, "/analyze?trace=1")
-	postAnalyze(t, srv, "/analyze")
-	if err := tl.Close(); err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK || rec.Header().Get(traceIDHeader) != "" {
+		t.Fatalf("/sweep without a recorder: status %d, %s = %q", rec.Code, traceIDHeader, rec.Header().Get(traceIDHeader))
 	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("trace log has %d lines, want 2:\n%s", len(lines), data)
-	}
-	seen := map[string]bool{}
-	for _, line := range lines {
-		var rec telemetry.TraceRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("unparseable trace line %q: %v", line, err)
+	for _, path := range []string{"/debug/traces", "/debug/traces/0123456789abcdef0123456789abcdef"} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s without a recorder = %d, want 404", path, rec.Code)
 		}
-		if rec.RequestID == "" || rec.Endpoint != "/analyze" || rec.Trace == nil {
-			t.Fatalf("incomplete trace record: %+v", rec)
-		}
-		if seen[rec.RequestID] {
-			t.Fatalf("duplicate request ID %s", rec.RequestID)
-		}
-		seen[rec.RequestID] = true
 	}
 }
 

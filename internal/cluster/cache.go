@@ -63,9 +63,11 @@ type RemoteCache struct {
 	hits, misses atomic.Uint64
 	bytesMoved   atomic.Uint64 // payload bytes fetched
 
-	// kiter_cache_remote_* instruments; nil without Config.Metrics.
-	mHits, mMisses, mErrors *telemetry.Counter
-	mRTT                    *telemetry.HistogramVec
+	// kiter_cache_remote_* instruments; nil without Config.Metrics. Hits
+	// and misses reach /metrics through TierStats as
+	// kiter_cache_tier_{hits,misses}_total{tier="fleet"}.
+	mErrors *telemetry.Counter
+	mRTT    *telemetry.HistogramVec
 }
 
 // NewRemoteCache builds the fleet tier over c's transport and ring. The
@@ -74,10 +76,6 @@ type RemoteCache struct {
 func NewRemoteCache(c *Cluster) *RemoteCache {
 	rc := &RemoteCache{c: c}
 	if m := c.cfg.Metrics; m != nil {
-		rc.mHits = m.Counter("kiter_cache_remote_hits_total",
-			"Fleet-tier cache lookups answered by the ring successor.")
-		rc.mMisses = m.Counter("kiter_cache_remote_misses_total",
-			"Fleet-tier cache lookups that missed (including keys another member owns and breaker-open and error short-circuits).")
 		rc.mErrors = m.Counter("kiter_cache_remote_errors_total",
 			"Fleet-tier reads that failed in transit.")
 		rc.mRTT = m.HistogramVec("kiter_cache_remote_rtt_seconds",
@@ -151,13 +149,11 @@ func (rc *RemoteCache) GetCtx(ctx context.Context, key string) (*engine.Result, 
 		return rc.miss()
 	}
 	rc.hits.Add(1)
-	rc.mHits.Add(1)
 	return res, true
 }
 
 func (rc *RemoteCache) miss() (*engine.Result, bool) {
 	rc.misses.Add(1)
-	rc.mMisses.Add(1)
 	return nil, false
 }
 

@@ -37,20 +37,8 @@ func (c *Cluster) remoteSpan(r *http.Request, name, endpoint string) (context.Co
 	if peer := r.Header.Get(peerHeader); peer != "" {
 		span.SetAttr("caller", peer)
 	}
-	start := time.Now()
 	return telemetry.ContextWithSpan(ctx, span), func(status int) {
-		span.End()
-		c.cfg.Recorder.Add(telemetry.RecordedTrace{
-			TraceID:       sc.TraceID,
-			RequestID:     r.Header.Get("X-Request-ID"),
-			Endpoint:      endpoint,
-			Process:       c.self,
-			Status:        status,
-			Error:         status >= 400,
-			StartUnixNano: start.UnixNano(),
-			DurMS:         float64(time.Since(start)) / float64(time.Millisecond),
-			Root:          span.Snapshot(),
-		})
+		c.cfg.Recorder.Finish(span, endpoint, c.self, r.Header.Get("X-Request-ID"), status)
 	}
 }
 

@@ -28,8 +28,8 @@ func (p *PanicError) Error() string {
 }
 
 // recoveredPanic accounts one recovered solver panic: it bumps the panic
-// counter, attaches the stack to the request's trace span (reaching the
-// -trace-log NDJSON sink for traced requests), logs it to stderr, and
+// counter, attaches the stack to the request's trace span (so the flight
+// recorder keeps it with the errored trace), logs it to stderr, and
 // returns the PanicError the job fails with.
 func (e *Engine) recoveredPanic(ctx context.Context, where string, v any) *PanicError {
 	stack := debug.Stack()

@@ -185,7 +185,7 @@ func TestCloseRacesSubmitFamily(t *testing.T) {
 }
 
 // TestPanicErrorMessage pins the error surface: it names the site and the
-// panic value so operators can grep trace logs for it.
+// panic value so operators can grep logs and recorded traces for it.
 func TestPanicErrorMessage(t *testing.T) {
 	pe := &PanicError{Where: "solve.kiter", Value: fmt.Errorf("boom")}
 	if got := pe.Error(); got != "engine: recovered panic in solve.kiter: boom" {

@@ -1,7 +1,8 @@
 // Package telemetry is the dependency-free observability substrate behind
-// kiterd's GET /metrics and POST /analyze?trace=1: a metrics registry
+// kiterd's GET /metrics and GET /debug/traces: a metrics registry
 // (counters, gauges, log-linear latency histograms) with Prometheus text
-// exposition, and lightweight per-job span trees carried through contexts.
+// exposition, lightweight per-job span trees carried through contexts, and
+// the flight recorder that stores the finished trees.
 //
 // Everything is nil-tolerant by design: a nil *Registry hands out nil
 // instruments, and every instrument method no-ops on a nil receiver, so

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"sort"
 	"sync"
+	"time"
 )
 
 // RecordedTrace is one process's view of one trace: the finished span tree
@@ -18,7 +19,7 @@ type RecordedTrace struct {
 	Error         bool      `json:"error,omitempty"`
 	StartUnixNano int64     `json:"startUnixNano"`
 	DurMS         float64   `json:"durMs"`
-	Root          *SpanNode `json:"root"`
+	Root          *SpanNode `json:"root,omitempty"`
 }
 
 // Recorder is the always-on flight recorder: a bounded in-memory buffer of
@@ -97,6 +98,30 @@ func (r *Recorder) Add(t RecordedTrace) {
 	}
 }
 
+// Finish ends root and files it as one trace: the request to endpoint
+// served by process under requestID, answered with HTTP status (>= 400
+// marks it errored). TraceID, start and duration come from the root's
+// snapshot. This is how every handler records its trace; a nil recorder
+// or root makes it a no-op.
+func (r *Recorder) Finish(root *Span, endpoint, process, requestID string, status int) {
+	if r == nil || root == nil {
+		return
+	}
+	root.End()
+	node := root.Snapshot()
+	r.Add(RecordedTrace{
+		TraceID:       root.Context().TraceID,
+		RequestID:     requestID,
+		Endpoint:      endpoint,
+		Process:       process,
+		Status:        status,
+		Error:         status >= 400,
+		StartUnixNano: node.StartUnixNano,
+		DurMS:         node.DurMS,
+		Root:          node,
+	})
+}
+
 // Added returns the lifetime count of recorded traces.
 func (r *Recorder) Added() uint64 {
 	if r == nil {
@@ -153,6 +178,47 @@ func (r *Recorder) List(limit int) []RecordedTrace {
 		out = out[:limit]
 	}
 	return out
+}
+
+// exemplarWindow is how far back the slowest-trace exemplars look: a trace
+// that started earlier no longer names the current latency tail.
+const exemplarWindow = 2 * time.Minute
+
+// RegisterExemplars exposes kiter_http_slowest_trace_seconds, the
+// exemplar link from the latency histograms on /metrics to the recorder:
+// per endpoint, the slowest retained trace that started within the last
+// two minutes, with its trace ID as a label. The sample is derived at
+// scrape time from the retained traces, so every traceId it names can be
+// pulled from /debug/traces/{id}. Cardinality stays bounded by the
+// server's fixed endpoint set.
+func (r *Recorder) RegisterExemplars(reg *Registry) {
+	if r == nil || reg == nil {
+		return
+	}
+	reg.Collect(func(x *ExpoWriter) {
+		since := time.Now().Add(-exemplarWindow).UnixNano()
+		slowest := map[string]RecordedTrace{}
+		for _, rec := range r.List(0) {
+			if rec.StartUnixNano < since {
+				continue
+			}
+			if cur, ok := slowest[rec.Endpoint]; !ok || rec.DurMS > cur.DurMS {
+				slowest[rec.Endpoint] = rec
+			}
+		}
+		eps := make([]string, 0, len(slowest))
+		for ep := range slowest {
+			eps = append(eps, ep)
+		}
+		sort.Strings(eps)
+		x.Family("kiter_http_slowest_trace_seconds", "gauge",
+			"Duration of the slowest retained trace per endpoint that started in the last 2 minutes; traceId labels the flight-recorder trace to pivot to.")
+		for _, ep := range eps {
+			ex := slowest[ep]
+			x.Sample("kiter_http_slowest_trace_seconds", ex.DurMS/1000,
+				"endpoint", ep, "traceId", ex.TraceID)
+		}
+	})
 }
 
 // Stitch reassembles one logical trace from per-process records: each

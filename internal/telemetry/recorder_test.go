@@ -2,8 +2,11 @@ package telemetry
 
 import (
 	"fmt"
+	"io"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -163,28 +166,136 @@ func TestStitchCycleGuard(t *testing.T) {
 	}
 }
 
-func TestExemplarTracker(t *testing.T) {
-	tr := NewExemplarTracker(0)
-	tr.Observe("/analyze", "t1", 0.5)
-	tr.Observe("/analyze", "t2", 0.1) // faster: must not replace
-	tr.Observe("/sweep", "t3", 1.0)
-	reg := NewRegistry()
-	tr.Register(reg)
+// TestRecorderFinish: Finish ends the root and files it with the ID,
+// timing and tree taken from the span; a status >= 400 marks it errored.
+func TestRecorderFinish(t *testing.T) {
+	r := NewRecorder(8)
+	root := NewTrace("analyze")
+	r.Finish(root, "/analyze", "a:1", "req-1", 504)
+	got := r.Get(root.Context().TraceID)
+	if len(got) != 1 {
+		t.Fatalf("Finish filed %d records, want 1", len(got))
+	}
+	node := root.Snapshot()
+	want := RecordedTrace{
+		TraceID: root.Context().TraceID, RequestID: "req-1", Endpoint: "/analyze",
+		Process: "a:1", Status: 504, Error: true,
+		StartUnixNano: node.StartUnixNano, DurMS: node.DurMS,
+	}
+	if rec := got[0]; rec.Root == nil || rec.Root.Name != "analyze" {
+		t.Fatalf("filed root = %+v", rec.Root)
+	} else if rec.Root = nil; rec != want {
+		t.Fatalf("filed %+v, want %+v", rec, want)
+	}
+	// Nil recorders and roots are inert.
+	var nilR *Recorder
+	nilR.Finish(NewTrace("x"), "/analyze", "", "", 200)
+	r.Finish(nil, "/analyze", "", "", 200)
+	if r.Added() != 1 {
+		t.Fatalf("Added = %d after nil finishes, want 1", r.Added())
+	}
+}
+
+// exemplars scrapes reg and returns kiter_http_slowest_trace_seconds as
+// endpoint → sample line.
+func exemplars(t *testing.T, reg *Registry) map[string]string {
+	t.Helper()
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	expo := sb.String()
-	if !strings.Contains(expo, `kiter_http_slowest_trace_seconds{endpoint="/analyze",traceId="t1"} 0.5`) {
-		t.Fatalf("slowest /analyze exemplar missing or replaced:\n%s", expo)
+	out := map[string]string{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, `kiter_http_slowest_trace_seconds{endpoint="`); ok {
+			out[rest[:strings.IndexByte(rest, '"')]] = line
+		}
 	}
-	if !strings.Contains(expo, `traceId="t3"`) {
-		t.Fatalf("/sweep exemplar missing:\n%s", expo)
+	return out
+}
+
+// traceIDLabel extracts the traceId label of one exemplar sample line.
+func traceIDLabel(line string) string {
+	_, rest, _ := strings.Cut(line, `traceId="`)
+	id, _, _ := strings.Cut(rest, `"`)
+	return id
+}
+
+// TestRecorderExemplars: the scrape-time exemplar per endpoint is the
+// slowest retained trace that started in the window — never an evicted or
+// stale one — so every traceId it names resolves through Get.
+func TestRecorderExemplars(t *testing.T) {
+	now := time.Now().UnixNano()
+	at := func(id, endpoint string, durMS float64, start int64) RecordedTrace {
+		return RecordedTrace{TraceID: id, Endpoint: endpoint, DurMS: durMS, StartUnixNano: start,
+			Root: &SpanNode{Name: "root"}}
 	}
-	// Nil receivers are inert.
-	var nilT *ExemplarTracker
-	nilT.Observe("/analyze", "t9", 9)
-	nilT.Register(reg)
+	// Capacity 8: a 4-slot recent ring, 2 slow slots, 2 error slots.
+	r := NewRecorder(8)
+	reg := NewRegistry()
+	r.RegisterExemplars(reg)
+	r.Add(at("t1", "/analyze", 500, now))
+	r.Add(at("t2", "/analyze", 100, now)) // faster: must not replace
+	r.Add(at("t3", "/sweep", 1000, now))
+	r.Add(at("stale", "/analyze", 9000, now-int64(3*time.Minute))) // slowest, but out of window
+	ex := exemplars(t, reg)
+	if want := `kiter_http_slowest_trace_seconds{endpoint="/analyze",traceId="t1"} 0.5`; ex["/analyze"] != want {
+		t.Fatalf("/analyze exemplar = %q, want %q", ex["/analyze"], want)
+	}
+	if traceIDLabel(ex["/sweep"]) != "t3" {
+		t.Fatalf("/sweep exemplar = %q, want t3", ex["/sweep"])
+	}
+
+	// Evict t1: the slow set already dropped it for stale and t3, and four
+	// newer, faster /analyze traces rotate it out of the recent ring.
+	for i := 0; i < 4; i++ {
+		r.Add(at(fmt.Sprintf("f%d", i), "/analyze", float64(10+i), now))
+	}
+	if got := r.Get("t1"); len(got) != 0 {
+		t.Fatalf("t1 still retained: %v", got)
+	}
+	if got := r.Get("stale"); len(got) != 1 {
+		t.Fatalf("stale trace evicted, so the window check below proves nothing: %v", got)
+	}
+	ex = exemplars(t, reg)
+	if id := traceIDLabel(ex["/analyze"]); id != "f3" {
+		t.Fatalf("/analyze exemplar = %q after eviction, want the slowest retained f3", ex["/analyze"])
+	}
+	for ep, line := range ex {
+		if id := traceIDLabel(line); len(r.Get(id)) == 0 {
+			t.Fatalf("%s exemplar names trace %q the recorder cannot serve", ep, id)
+		}
+	}
+
+	// Nil recorders are inert.
+	var nilR *Recorder
+	nilR.RegisterExemplars(reg)
+	exemplars(t, reg)
+}
+
+// TestRecorderExemplarsConcurrent: scrapes read the recorder while
+// handlers file traces into it. Run under -race.
+func TestRecorderExemplarsConcurrent(t *testing.T) {
+	r := NewRecorder(16)
+	reg := NewRegistry()
+	r.RegisterExemplars(reg)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r.Finish(NewTrace("analyze"), "/analyze", "", "", 200)
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if r.Added() != 800 {
+		t.Fatalf("Added = %d, want 800", r.Added())
+	}
 }
 
 func TestRuntimeMetricsRegister(t *testing.T) {

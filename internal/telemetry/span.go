@@ -189,9 +189,8 @@ func (s *Span) Record(name string, start time.Time, d time.Duration) {
 	s.mu.Unlock()
 }
 
-// SpanNode is the exported JSON form of a span tree, as returned by
-// POST /analyze?trace=1, GET /debug/traces/{id} and the -trace-log NDJSON
-// stream. TraceID is set on roots only; SpanID/ParentID appear on spans
+// SpanNode is the exported JSON form of a span tree, as filed in the
+// flight recorder and returned by GET /debug/traces/{id}. TraceID is set on roots only; SpanID/ParentID appear on spans
 // that participate in cross-process propagation.
 type SpanNode struct {
 	Name          string         `json:"name"`

@@ -2,10 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,46 +93,5 @@ func TestSnapshotOfUnendedSpan(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if n := s.Snapshot(); n.DurMS <= 0 {
 		t.Error("unended span must report elapsed time so far")
-	}
-}
-
-func TestTraceLogAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.ndjson")
-	tl, err := OpenTraceLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := NewTrace("analyze")
-	root.End()
-	for i := 0; i < 3; i++ {
-		if err := tl.Append(TraceRecord{RequestID: "req-1", Endpoint: "/analyze", Trace: root.Snapshot()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d, want 3", len(lines))
-	}
-	var rec TraceRecord
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.RequestID != "req-1" || rec.Trace == nil || rec.Trace.Name != "analyze" {
-		t.Fatalf("bad record: %+v", rec)
-	}
-	// nil log swallows appends.
-	var nilLog *TraceLog
-	if err := nilLog.Append(TraceRecord{}); err != nil {
-		t.Error("nil TraceLog.Append must be a no-op")
-	}
-	if err := nilLog.Close(); err != nil {
-		t.Error("nil TraceLog.Close must be a no-op")
 	}
 }
