@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kiter/internal/engine"
@@ -79,13 +77,6 @@ func collectBatchPaths(arg string) ([]string, error) {
 	return paths, nil
 }
 
-// batchLine is one graph's outcome in batch mode.
-type batchLine struct {
-	path string
-	res  *engine.Result
-	err  error
-}
-
 // ndjsonLine is the JSON shape of one streamed batch result.
 type ndjsonLine struct {
 	Path   string         `json:"path"`
@@ -93,7 +84,8 @@ type ndjsonLine struct {
 	Result *engine.Result `json:"result,omitempty"`
 }
 
-// ndjsonSummary closes an NDJSON stream with the batch totals.
+// ndjsonSummary closes a batch stream with the batch totals; Stats is the
+// engine activity the batch itself caused.
 type ndjsonSummary struct {
 	Summary struct {
 		Graphs    int          `json:"graphs"`
@@ -103,164 +95,59 @@ type ndjsonSummary struct {
 	} `json:"summary"`
 }
 
-// runBatch streams every graph through the engine in parallel, printing
-// one line per graph in input order plus a closing stats summary. With
-// ndjson, results are instead emitted as one JSON object per line in
-// completion order, the moment each job finishes — a pipeline consumer
-// sees the first result while the batch is still running — followed by a
-// single {"summary": …} line. Graphs that fail to load or analyze are
-// reported but do not abort the batch; the returned error counts them.
-func runBatch(e *engine.Engine, paths []string, tmpl requestTemplate, out io.Writer, ndjson bool) error {
-	// Input-order printing needs every result; the NDJSON stream does not,
-	// so in that mode results are dropped as soon as they are written — a
-	// sweep batch holds O(in-flight) results, not O(batch).
-	var lines []batchLine
-	if !ndjson {
-		lines = make([]batchLine, len(paths))
-	}
-	var ndjsonFailed atomic.Int64
-	var outMu sync.Mutex
-	emit := func(l batchLine) {
-		nl := ndjsonLine{Path: l.path, Result: l.res}
-		if l.err != nil {
-			nl.Error = l.err.Error()
-		}
-		buf, err := json.Marshal(nl)
+// runBatch streams the graphs at paths through the engine as one family
+// and writes NDJSON to out: one {"path", "result"|"error"} line per graph
+// in completion order, the moment each job finishes, then a single
+// {"summary": …} line. Graphs that fail to load or analyze are reported
+// inline and do not abort the batch; the returned error counts them. A
+// write error on out cancels the remaining graphs and is returned.
+func runBatch(e *engine.Engine, paths []string, tmpl requestTemplate, out io.Writer) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	enc := json.NewEncoder(out)
+	var sum ndjsonSummary
+	var writeErr error
+	build := func(i int) (*engine.Request, error) {
+		g, err := sdf3x.ReadFile(paths[i])
 		if err != nil {
-			buf, _ = json.Marshal(ndjsonLine{Path: l.path, Error: err.Error()})
+			return nil, err
 		}
-		outMu.Lock()
-		defer outMu.Unlock()
-		out.Write(buf)
-		io.WriteString(out, "\n")
+		return &engine.Request{
+			Graph:           g,
+			Analyses:        tmpl.Analyses,
+			Method:          tmpl.Method,
+			ApplyCapacities: tmpl.Capacities,
+		}, nil
 	}
-	// The engine's worker pool bounds compute; this semaphore, acquired
-	// before each goroutine is spawned, bounds live submitter goroutines
-	// (and therefore in-flight jobs) below the engine's load-shedding
-	// threshold — including a user-lowered -max-pending — even for very
-	// large manifests.
-	pool := e.Stats()
-	width := 2 * pool.Workers
-	if pool.MaxPending > 0 && pool.MaxPending < width {
-		width = pool.MaxPending
-	}
-	sem := make(chan struct{}, width)
-	var wg sync.WaitGroup
+	before := e.Stats()
 	start := time.Now()
-	for i, path := range paths {
-		i, path := i, path
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			l := analyzeFile(e, path, tmpl)
-			if ndjson {
-				if l.err != nil {
-					ndjsonFailed.Add(1)
-				}
-				emit(l)
-				return
-			}
-			lines[i] = l
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	failed := int(ndjsonFailed.Load())
-	for _, l := range lines {
-		if l.err != nil {
-			failed++
-			fmt.Fprintf(out, "%-40s error: %v\n", filepath.Base(l.path), l.err)
-			continue
+	err := e.SubmitFamily(ctx, len(paths), engine.FamilyConfig{MemberTimeout: tmpl.Timeout}, build, func(fr engine.FamilyResult) {
+		line := ndjsonLine{Path: paths[fr.Index], Result: fr.Result}
+		if fr.Err != nil {
+			sum.Summary.Failed++
+			line.Error = fr.Err.Error()
 		}
-		fmt.Fprintf(out, "%-40s %s\n", filepath.Base(l.path), formatResult(l.res))
-	}
-	s := e.Stats()
-	if ndjson {
-		var sum ndjsonSummary
-		sum.Summary.Graphs = len(paths)
-		sum.Summary.Failed = failed
-		sum.Summary.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-		sum.Summary.Stats = s
-		buf, err := json.Marshal(sum)
-		if err == nil {
-			out.Write(buf)
-			io.WriteString(out, "\n")
+		if writeErr != nil {
+			return // out is broken; drain the in-flight tail silently
 		}
-	} else {
-		fmt.Fprintf(out, "\nbatch: %d graphs, %d failed in %v (%d evaluated, %d cache hits, %d deduped, hit rate %.0f%%, mean eval %.1fms)\n",
-			len(paths), failed, elapsed.Round(time.Millisecond), s.Evaluations, s.CacheHits, s.Deduped, 100*s.HitRate, s.MeanLatencyMS)
+		if writeErr = enc.Encode(line); writeErr != nil {
+			cancel()
+		}
+	})
+	if writeErr != nil {
+		return writeErr
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d graphs failed", failed, len(paths))
+	if err != nil {
+		return err
+	}
+	sum.Summary.Graphs = len(paths)
+	sum.Summary.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	sum.Summary.Stats = e.Stats().Delta(before)
+	if err := enc.Encode(sum); err != nil {
+		return err
+	}
+	if sum.Summary.Failed > 0 {
+		return fmt.Errorf("%d of %d graphs failed", sum.Summary.Failed, len(paths))
 	}
 	return nil
-}
-
-// analyzeFile loads one graph file and submits it.
-func analyzeFile(e *engine.Engine, path string, tmpl requestTemplate) batchLine {
-	g, err := sdf3x.ReadFile(path)
-	if err != nil {
-		return batchLine{path: path, err: err}
-	}
-	ctx := context.Background()
-	if tmpl.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, tmpl.Timeout)
-		defer cancel()
-	}
-	res, err := e.Submit(ctx, &engine.Request{
-		Graph:           g,
-		Analyses:        tmpl.Analyses,
-		Method:          tmpl.Method,
-		ApplyCapacities: tmpl.Capacities,
-	})
-	return batchLine{path: path, res: res, err: err}
-}
-
-// formatResult renders the batch line for one result.
-func formatResult(res *engine.Result) string {
-	var sb strings.Builder
-	if t := res.Throughput; t != nil {
-		if t.Error != "" {
-			fmt.Fprintf(&sb, "throughput error: %s", t.Error)
-		} else {
-			fmt.Fprintf(&sb, "Ω = %-14s Th = %-14s %-9s optimal=%v", t.Period, t.Throughput, t.Method, t.Optimal)
-		}
-	}
-	if s := res.Schedule; s != nil {
-		if s.Error != "" {
-			fmt.Fprintf(&sb, "  schedule error: %s", s.Error)
-		} else {
-			fmt.Fprintf(&sb, "  latency = %s", s.Latency)
-		}
-	}
-	if s := res.Symbolic; s != nil && res.Throughput == nil {
-		if s.Error != "" {
-			fmt.Fprintf(&sb, "  symbolic error: %s", s.Error)
-		} else {
-			fmt.Fprintf(&sb, "Ω = %-14s (symbolic)", s.Period)
-		}
-	}
-	if s := res.Sizing; s != nil {
-		if s.Error != "" {
-			fmt.Fprintf(&sb, "  sizing error: %s", s.Error)
-		} else {
-			total := int64(0)
-			for _, c := range s.Capacities {
-				total += c
-			}
-			fmt.Fprintf(&sb, "  capacity = %d over %d buffers", total, len(s.Capacities))
-		}
-	}
-	if res.CacheHit {
-		sb.WriteString("  [cached]")
-	} else if res.Deduped {
-		sb.WriteString("  [deduped]")
-	} else {
-		fmt.Fprintf(&sb, "  [%.1fms]", res.ElapsedMS)
-	}
-	return sb.String()
 }

@@ -32,22 +32,20 @@
 // separate listener; -version prints the build block and exits.
 //
 // Batch mode streams a directory (every .json/.xml graph under it) or a
-// manifest file (one graph path per line) through the engine in parallel
-// and prints one result line per graph:
+// manifest file (one graph path per line) through the engine as one family
+// and writes newline-delimited JSON in completion order — one {"path",
+// "result"} object (or {"path", "error"}) per line the moment each job
+// finishes, then a closing {"summary": …} line — so downstream pipeline
+// stages start consuming before the batch ends. It exits non-zero when any
+// graph fails. cmd/gengraph writes the evaluation suites to feed it:
 //
-//	kiterd -batch graphs/
+//	go run ./cmd/gengraph -suite table1 -out suites
+//	kiterd -batch suites/MimicDSP | jq .result.throughput.period
 //	kiterd -batch manifest.txt -method kiter -analyses throughput,schedule
-//	kiterd -batch-suite mimicdsp -batch-count 20 -batch-dir /tmp/suite
 //
-// With -ndjson, batch mode streams results as newline-delimited JSON in
-// completion order — one {"path", "result"} object per line the moment
-// each job finishes, then a closing {"summary": …} line — so downstream
-// pipeline stages start consuming before the batch ends:
-//
-//	kiterd -batch graphs/ -ndjson | jq .result.throughput.period
-//
-// Sweep mode runs one parametric spec file through the same NDJSON
-// streaming path and exits non-zero when any scenario fails:
+// Sweep mode runs one parametric spec file through the same family
+// submission and NDJSON streaming and exits non-zero when any scenario
+// fails:
 //
 //	kiterd -sweep spec.json | jq 'select(.envelope).envelope.maxThroughput'
 //
@@ -119,7 +117,6 @@ import (
 	"kiter/internal/cluster"
 	"kiter/internal/engine"
 	"kiter/internal/faultinject"
-	"kiter/internal/gen"
 	"kiter/internal/kperiodic"
 	"kiter/internal/resilience"
 	"kiter/internal/symbexec"
@@ -127,7 +124,7 @@ import (
 )
 
 func main() {
-	// run owns all deferred cleanup (engine shutdown, temp suite dirs);
+	// run owns all deferred cleanup (engine shutdown, stats snapshot);
 	// exiting from main keeps those defers running on failure.
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "kiterd:", err)
@@ -154,11 +151,6 @@ func run() error {
 		maxPairs       = flag.Int64("max-pairs", 50_000_000, "phase-pair budget per evaluation (0 = unlimited)")
 		symEvents      = flag.Int64("symbolic-budget", 0, "symbolic execution event budget (0 = default)")
 		batch          = flag.String("batch", "", "batch mode: analyze a directory or manifest of graph files and exit")
-		batchSuite     = flag.String("batch-suite", "", "batch mode: generate a benchmark suite (actualdsp, mimicdsp, lghsdf, lgtransient) and analyze it")
-		batchCount     = flag.Int("batch-count", 20, "graphs to generate with -batch-suite")
-		batchSeed      = flag.Int64("batch-seed", 1, "generation seed for -batch-suite")
-		batchDir       = flag.String("batch-dir", "", "directory to materialize -batch-suite graphs into (default: temp dir)")
-		ndjson         = flag.Bool("ndjson", false, "batch mode: stream one JSON result line per graph as jobs finish, plus a summary line")
 		sweepSpec      = flag.String("sweep", "", "sweep mode: expand a parametric spec file into a scenario family, stream NDJSON results and exit")
 		peers          = flag.String("peers", "", "comma-separated peer replica addresses (host:port); jobs are consistently hashed across self+peers and forwarded to their owner")
 		selfAddr       = flag.String("self", "", "advertised cluster address of this replica (default: derived from -addr); every replica must list it under exactly this string")
@@ -281,8 +273,8 @@ func run() error {
 		Timeout:    *timeout,
 	}
 	// Fail fast on flag typos rather than per submission (a bad -method
-	// would otherwise generate a whole batch suite only to fail every
-	// graph, or 400 every HTTP request).
+	// would otherwise fail every graph of a batch, or 400 every HTTP
+	// request).
 	if !engine.ValidMethod(tmpl.Method) {
 		return fmt.Errorf("unknown -method %q (want auto, kiter, periodic, expansion or symbolic)", *method)
 	}
@@ -295,31 +287,12 @@ func run() error {
 	switch {
 	case *sweepSpec != "":
 		return runSweepFile(e, *sweepSpec, tmpl, os.Stdout)
-	case *batchSuite != "":
-		dir := *batchDir
-		if dir == "" {
-			var err error
-			dir, err = os.MkdirTemp("", "kiterd-suite-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-		}
-		suite, err := gen.SuiteByName(*batchSuite, *batchCount, *batchSeed)
-		if err != nil {
-			return err
-		}
-		paths, err := gen.WriteSuite(dir, suite)
-		if err != nil {
-			return err
-		}
-		return runBatch(e, paths, tmpl, os.Stdout, *ndjson)
 	case *batch != "":
 		paths, err := collectBatchPaths(*batch)
 		if err != nil {
 			return err
 		}
-		return runBatch(e, paths, tmpl, os.Stdout, *ndjson)
+		return runBatch(e, paths, tmpl, os.Stdout)
 	default:
 		process := ""
 		if cl != nil {

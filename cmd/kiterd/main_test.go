@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -178,6 +180,27 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
+// readBatch splits runBatch's NDJSON output into its per-graph lines and
+// the closing summary, failing on anything unparseable.
+func readBatch(t *testing.T, out string) ([]ndjsonLine, ndjsonSummary) {
+	t.Helper()
+	raw := strings.Split(strings.TrimSpace(out), "\n")
+	lines := make([]ndjsonLine, len(raw)-1)
+	for i, line := range raw[:len(raw)-1] {
+		if err := json.Unmarshal([]byte(line), &lines[i]); err != nil {
+			t.Fatalf("unparseable NDJSON line %q: %v", line, err)
+		}
+		if lines[i].Path == "" {
+			t.Fatalf("line without path: %q", line)
+		}
+	}
+	var sum ndjsonSummary
+	if err := json.Unmarshal([]byte(raw[len(raw)-1]), &sum); err != nil || sum.Summary.Graphs == 0 {
+		t.Fatalf("unparseable summary %q: %v", raw[len(raw)-1], err)
+	}
+	return lines, sum
+}
+
 // TestBatchEndToEnd drives the batch front-end over a directory of ≥ 20
 // generated suite graphs, twice — the second pass must be all cache hits.
 func TestBatchEndToEnd(t *testing.T) {
@@ -200,29 +223,45 @@ func TestBatchEndToEnd(t *testing.T) {
 	tmpl.Method = engine.MethodKIter
 
 	var out bytes.Buffer
-	if err := runBatch(e, paths, tmpl, &out, false); err != nil {
+	if err := runBatch(e, paths, tmpl, &out); err != nil {
 		t.Fatalf("runBatch: %v\n%s", err, out.String())
 	}
-	if got := strings.Count(out.String(), "Ω ="); got != len(paths) {
-		t.Fatalf("batch printed %d results for %d graphs:\n%s", got, len(paths), out.String())
+	lines, sum := readBatch(t, out.String())
+	if len(lines) != len(paths) {
+		t.Fatalf("batch printed %d results for %d graphs:\n%s", len(lines), len(paths), out.String())
 	}
-	s := e.Stats()
-	if int(s.Evaluations) != len(paths) {
-		t.Fatalf("evaluations = %d, want %d", s.Evaluations, len(paths))
+	for _, l := range lines {
+		if l.Result == nil || l.Result.Throughput == nil || !l.Result.Throughput.Optimal {
+			t.Fatalf("%s: no optimal throughput result: %+v", l.Path, l.Result)
+		}
+	}
+	if int(sum.Summary.Stats.Evaluations) != len(paths) {
+		t.Fatalf("evaluations = %d, want %d", sum.Summary.Stats.Evaluations, len(paths))
 	}
 
 	out.Reset()
-	if err := runBatch(e, paths, tmpl, &out, false); err != nil {
+	if err := runBatch(e, paths, tmpl, &out); err != nil {
 		t.Fatalf("second runBatch: %v", err)
 	}
-	if got := strings.Count(out.String(), "[cached]"); got != len(paths) {
-		t.Fatalf("second pass had %d cache hits for %d graphs:\n%s", got, len(paths), out.String())
+	lines, sum = readBatch(t, out.String())
+	hits := 0
+	for _, l := range lines {
+		if l.Result != nil && l.Result.CacheHit {
+			hits++
+		}
+	}
+	if hits != len(paths) {
+		t.Fatalf("second pass had %d cache hits for %d graphs:\n%s", hits, len(paths), out.String())
+	}
+	if sum.Summary.Stats.Evaluations != 0 {
+		t.Fatalf("second pass summary counts %d evaluations, want 0", sum.Summary.Stats.Evaluations)
 	}
 }
 
 // TestBatchNDJSON checks the streaming output contract: one parseable
 // JSON object per graph carrying path and result, a single closing
-// summary line, and failures reported inline rather than aborting.
+// summary line that counts failures, and failures reported inline (and
+// in the returned error) rather than aborting.
 func TestBatchNDJSON(t *testing.T) {
 	dir := t.TempDir()
 	paths, err := gen.WriteSuite(dir, gen.ActualDSP())
@@ -237,31 +276,24 @@ func TestBatchNDJSON(t *testing.T) {
 	tmpl.Method = engine.MethodKIter
 
 	var out bytes.Buffer
-	err = runBatch(e, paths, tmpl, &out, true)
-	if err == nil || !strings.Contains(err.Error(), "1 of") {
-		t.Fatalf("missing graph not counted: err=%v", err)
+	err = runBatch(e, paths, tmpl, &out)
+	if want := fmt.Sprintf("1 of %d", len(paths)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("missing graph not counted: err=%v, want %q", err, want)
 	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != len(paths)+1 {
+	lines, sum := readBatch(t, out.String())
+	if len(lines) != len(paths) {
 		t.Fatalf("got %d NDJSON lines for %d graphs (+1 summary):\n%s", len(lines), len(paths), out.String())
 	}
 	seen := map[string]bool{}
 	failures := 0
-	for _, line := range lines[:len(lines)-1] {
-		var nl ndjsonLine
-		if err := json.Unmarshal([]byte(line), &nl); err != nil {
-			t.Fatalf("unparseable NDJSON line %q: %v", line, err)
-		}
-		if nl.Path == "" {
-			t.Fatalf("line without path: %q", line)
-		}
-		seen[nl.Path] = true
-		if nl.Error != "" {
+	for _, l := range lines {
+		seen[l.Path] = true
+		if l.Error != "" {
 			failures++
 			continue
 		}
-		if nl.Result == nil || nl.Result.Throughput == nil || !nl.Result.Throughput.Optimal {
-			t.Fatalf("line without optimal throughput result: %q", line)
+		if l.Result == nil || l.Result.Throughput == nil || !l.Result.Throughput.Optimal {
+			t.Fatalf("%s: line without optimal throughput result", l.Path)
 		}
 	}
 	if len(seen) != len(paths) {
@@ -269,10 +301,6 @@ func TestBatchNDJSON(t *testing.T) {
 	}
 	if failures != 1 {
 		t.Fatalf("streamed %d failures, want 1", failures)
-	}
-	var sum ndjsonSummary
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil {
-		t.Fatalf("unparseable summary %q: %v", lines[len(lines)-1], err)
 	}
 	if sum.Summary.Graphs != len(paths) || sum.Summary.Failed != 1 {
 		t.Fatalf("summary = %+v, want %d graphs / 1 failed", sum.Summary, len(paths))
@@ -309,13 +337,61 @@ func TestBatchManifestAndErrors(t *testing.T) {
 	e := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(e.Close)
 	var out bytes.Buffer
-	err = runBatch(e, got, testTemplate(), &out, false)
+	err = runBatch(e, got, testTemplate(), &out)
 	if err == nil || !strings.Contains(err.Error(), "1 of") {
 		t.Fatalf("missing graph not reported: err=%v\n%s", err, out.String())
+	}
+	lines, _ := readBatch(t, out.String())
+	inline := false
+	for _, l := range lines {
+		if filepath.Base(l.Path) == "missing.json" && l.Error != "" && l.Result == nil {
+			inline = true
+		}
+	}
+	if !inline {
+		t.Fatalf("missing graph has no inline error line:\n%s", out.String())
 	}
 
 	if _, err := collectBatchPaths(filepath.Join(dir, "does-not-exist")); err == nil {
 		t.Fatal("missing batch argument accepted")
+	}
+}
+
+// failAfterWriter accepts its first n writes and fails every one after.
+type failAfterWriter struct{ n int }
+
+var errBrokenPipe = errors.New("broken pipe")
+
+func (w *failAfterWriter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errBrokenPipe
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestBatchWriteErrorCancels pins the broken-consumer rule batch mode
+// shares with sweeps: once a line cannot be written, the remaining graphs
+// are cancelled rather than analyzed for nobody, and the write error is
+// what runBatch returns.
+func TestBatchWriteErrorCancels(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for i := range 40 {
+		path := filepath.Join(dir, fmt.Sprintf("g%02d.json", i))
+		if err := sdf3x.WriteFile(path, gen.KIterChain(2+i)); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	e := engine.New(engine.Config{Workers: 1})
+	t.Cleanup(e.Close)
+	err := runBatch(e, paths, testTemplate(), &failAfterWriter{n: 1})
+	if !errors.Is(err, errBrokenPipe) {
+		t.Fatalf("runBatch = %v, want the write error", err)
+	}
+	if s := e.Stats(); s.Submitted >= uint64(len(paths)) {
+		t.Fatalf("submitted %d of %d graphs after the output broke", s.Submitted, len(paths))
 	}
 }
 

@@ -408,24 +408,3 @@ func TestRunSweepFileFailuresExitNonZero(t *testing.T) {
 		t.Fatal("missing spec file accepted")
 	}
 }
-
-// TestBatchSummaryCountsFailures pins the satellite fix: the plain batch
-// summary line reports the failure count (and runBatch errors → exit 1).
-func TestBatchSummaryCountsFailures(t *testing.T) {
-	dir := t.TempDir()
-	g := slowGraph(4)
-	if err := sdf3x.WriteFile(filepath.Join(dir, "ok.json"), g); err != nil {
-		t.Fatal(err)
-	}
-	paths := []string{filepath.Join(dir, "ok.json"), filepath.Join(dir, "missing.json")}
-	e := engine.New(engine.Config{Workers: 2})
-	t.Cleanup(e.Close)
-	var out bytes.Buffer
-	err := runBatch(e, paths, testTemplate(), &out, false)
-	if err == nil || !strings.Contains(err.Error(), "1 of 2") {
-		t.Fatalf("err = %v", err)
-	}
-	if !strings.Contains(out.String(), "2 graphs, 1 failed") {
-		t.Fatalf("summary line lacks failure count:\n%s", out.String())
-	}
-}

@@ -8,10 +8,7 @@
 //
 // Record payloads are resultcodec frames (segment format v2) — the same
 // binary encoding the cluster wire speaks, so a record written here and a
-// result fetched from a peer are the same bytes. Segments written by
-// pre-codec builds (format v1, JSON payloads) are still read: the segment
-// header's version selects the payload decoder, so a live kiterd upgrade
-// keeps its warm cache while all new appends land in v2 segments.
+// result fetched from a peer are the same bytes.
 //
 // Durability is deliberately best-effort: the store is a cache, never a
 // source of truth. Writes are not fsynced, corrupt records (truncation,
@@ -26,7 +23,6 @@ package cachedisk
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -44,13 +40,12 @@ import (
 // uint32 format version), then records back to back. Each record is a
 // 12-byte header — uint32 key length, uint32 payload length, uint32
 // IEEE CRC over key+payload — followed by the key bytes and the payload
-// (a resultcodec frame in v2 segments, JSON in legacy v1 segments).
+// (a resultcodec frame).
 // Records are immutable once written; a re-Put of a key appends a new
 // record and the index forgets the old one.
 const (
 	magic          = "KITC"
 	formatVersion  = 2
-	legacyVersion  = 1 // JSON payloads; still readable, never written
 	fileHeaderLen  = 8
 	recHeaderLen   = 12
 	maxKeyLen      = 1 << 20  // keys are fingerprint+knobs, well under this
@@ -103,11 +98,10 @@ type Store struct {
 }
 
 type segment struct {
-	id      int
-	path    string
-	f       *os.File // read-only for loaded segments, read-write for the active one
-	size    int64
-	version uint32 // payload format: formatVersion or legacyVersion
+	id   int
+	path string
+	f    *os.File // read-only for loaded segments, read-write for the active one
+	size int64
 }
 
 type recordRef struct {
@@ -217,12 +211,11 @@ func (s *Store) openSegment(id int, path string) (seg *segment, stale bool) {
 		f.Close()
 		return nil, false
 	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	if string(hdr[:4]) != magic || (version != formatVersion && version != legacyVersion) {
+	if string(hdr[:4]) != magic || binary.LittleEndian.Uint32(hdr[4:]) != formatVersion {
 		f.Close()
 		return nil, true
 	}
-	seg = &segment{id: id, path: path, f: f, version: version}
+	seg = &segment{id: id, path: path, f: f}
 	// An unparseable tail (a torn final write) is excluded from the
 	// segment's logical size; since frozen segments take no appends, the
 	// dead bytes are merely carried until compaction drops the segment.
@@ -285,7 +278,7 @@ func (s *Store) rotateLocked() error {
 		os.Remove(path)
 		return fmt.Errorf("cachedisk: %w", err)
 	}
-	seg := &segment{id: s.nextID, path: path, f: f, size: fileHeaderLen, version: formatVersion}
+	seg := &segment{id: s.nextID, path: path, f: f, size: fileHeaderLen}
 	s.segs = append(s.segs, seg)
 	s.active = seg
 	s.total += fileHeaderLen
@@ -331,22 +324,11 @@ func (s *Store) Get(key string) (*engine.Result, bool) {
 		string(body[:ref.keyLen]) != key {
 		return s.drop(key, ref)
 	}
-	// The segment's header version picks the payload decoder: current
-	// segments hold resultcodec frames, legacy v1 segments hold JSON. A
-	// payload that passes the record CRC but fails its own decode (e.g. a
-	// v1 record in a mislabelled segment) degrades to a miss like any
-	// other corruption.
-	var res *engine.Result
-	if ref.seg.version == legacyVersion {
-		res = new(engine.Result)
-		if err := json.Unmarshal(body[ref.keyLen:], res); err != nil {
-			return s.drop(key, ref)
-		}
-	} else {
-		var err error
-		if res, err = resultcodec.Decode(body[ref.keyLen:]); err != nil {
-			return s.drop(key, ref)
-		}
+	// A payload that passes the record CRC but is not a resultcodec frame
+	// degrades to a miss like any other corruption.
+	res, err := resultcodec.Decode(body[ref.keyLen:])
+	if err != nil {
+		return s.drop(key, ref)
 	}
 	s.hits.Add(1)
 	return res, true

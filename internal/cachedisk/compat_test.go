@@ -11,7 +11,7 @@ import (
 
 // writeRawSegment fabricates a segment file of the given format version
 // with one record per (key, payload) pair — byte-identical to what a
-// pre-codec (v1) or current (v2) build would have written.
+// build writing that version would have produced.
 func writeRawSegment(t *testing.T, path string, version uint32, recs map[string][]byte) {
 	t.Helper()
 	buf := make([]byte, fileHeaderLen)
@@ -31,44 +31,36 @@ func writeRawSegment(t *testing.T, path string, version uint32, recs map[string]
 	}
 }
 
-// TestLegacyJSONSegmentStillLoads is the upgrade guarantee: a directory
-// written by a pre-codec build (v1 segments, JSON payloads) keeps its warm
-// cache when opened by this build, and new writes land alongside it in a
-// v2 segment without disturbing the legacy reads.
-func TestLegacyJSONSegmentStillLoads(t *testing.T) {
+// TestLegacyJSONSegmentDiscarded pins the rule for pre-codec directories:
+// a v1 segment (JSON payloads) is an unknown format like any other, so it
+// is discarded at Open, and the store starts empty and fully writable.
+func TestLegacyJSONSegmentDiscarded(t *testing.T) {
 	dir := t.TempDir()
-	legacy := testResult("fp-legacy")
-	payload, err := json.Marshal(legacy)
+	payload, err := json.Marshal(testResult("fp-legacy"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRawSegment(t, filepath.Join(dir, segName(0)), legacyVersion,
+	const v1 = 1 // the pre-codec segment format
+	writeRawSegment(t, filepath.Join(dir, segName(0)), v1,
 		map[string][]byte{"legacy-key": payload})
 
 	s := mustOpen(t, dir, Options{})
 	defer s.Close()
-	res, ok := s.Get("legacy-key")
-	if !ok || res.Fingerprint != "fp-legacy" || res.Throughput.Period != "3/2" {
-		t.Fatalf("legacy record lost across format upgrade: %+v, %v", res, ok)
+	if s.Len() != 0 {
+		t.Fatalf("len = %d, want 0 (v1 segment must be discarded)", s.Len())
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(0))); !os.IsNotExist(err) {
+		t.Fatalf("v1 segment not removed: %v", err)
+	}
+	if res, ok := s.Get("legacy-key"); ok {
+		t.Fatalf("discarded v1 record still answers: %+v", res)
 	}
 
 	s.Put("new-key", testResult("fp-new"))
-	if res, ok := s.Get("new-key"); !ok || res.Fingerprint != "fp-new" {
-		t.Fatalf("post-upgrade write unreadable: %+v, %v", res, ok)
-	}
-	if res, ok := s.Get("legacy-key"); !ok || res.Fingerprint != "fp-legacy" {
-		t.Fatalf("legacy record lost after new writes: %+v, %v", res, ok)
-	}
-
-	// A re-Put of the legacy key supersedes the JSON record with a codec
-	// one, and the whole mixed directory survives a restart.
-	s.Put("legacy-key", testResult("fp-upgraded"))
-	s.Close()
-	s2 := mustOpen(t, dir, Options{})
-	defer s2.Close()
-	for key, want := range map[string]string{"legacy-key": "fp-upgraded", "new-key": "fp-new"} {
-		if res, ok := s2.Get(key); !ok || res.Fingerprint != want {
-			t.Fatalf("%s after mixed-format restart: %+v, %v (want %s)", key, res, ok, want)
+	s.Put("legacy-key", testResult("fp-recomputed"))
+	for key, want := range map[string]string{"legacy-key": "fp-recomputed", "new-key": "fp-new"} {
+		if res, ok := s.Get(key); !ok || res.Fingerprint != want {
+			t.Fatalf("%s after discarding v1: %+v, %v (want %s)", key, res, ok, want)
 		}
 	}
 }

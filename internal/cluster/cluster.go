@@ -37,7 +37,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -402,9 +401,6 @@ func (c *Cluster) forward(ctx context.Context, owner string, job *engine.Dispatc
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	// Negotiate the binary result codec; older peers ignore Accept and
-	// answer JSON, which stays understood (version-skew tolerance).
-	req.Header.Set("Accept", resultContentType)
 	req.Header.Set(peerHeader, c.self)
 	// Propagate trace context: the owner opens its handler span as a child
 	// of this process's cluster.forward span, so the fleet-wide tree
@@ -424,12 +420,12 @@ func (c *Cluster) forward(ctx context.Context, owner string, job *engine.Dispatc
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: peer %s: %s: %s", owner, resp.Status, firstLine(reply))
 	}
-	var res *engine.Result
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), resultContentType) {
-		res, err = decodeBinaryResult(reply, owner)
-	} else {
-		res, err = decodeResult(reply, owner)
+	// The owner always answers in the result codec; any other body (a
+	// peer from an older build, a proxy error page) is a failed forward.
+	if ct := resp.Header.Get("Content-Type"); ct != resultContentType {
+		return nil, fmt.Errorf("cluster: peer %s answered %q, want %s", owner, ct, resultContentType)
 	}
+	res, err := decodeBinaryResult(reply, owner)
 	if err != nil {
 		return nil, err
 	}

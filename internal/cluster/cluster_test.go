@@ -14,6 +14,7 @@ import (
 	"kiter/internal/engine"
 	"kiter/internal/gen"
 	"kiter/internal/resilience"
+	"kiter/internal/resultcodec"
 )
 
 func TestWireRoundTrip(t *testing.T) {
@@ -182,7 +183,8 @@ func TestForwardRetryThenBreakerOpens(t *testing.T) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		json.NewEncoder(w).Encode(&engine.Result{Fingerprint: req.Graph.FingerprintHex()})
+		w.Header().Set("Content-Type", resultContentType)
+		w.Write(resultcodec.Encode(&engine.Result{Fingerprint: req.Graph.FingerprintHex()}))
 	})
 	peer := httptest.NewServer(mux)
 	defer peer.Close()
@@ -254,5 +256,68 @@ func TestForwardRetryThenBreakerOpens(t *testing.T) {
 	if len(stats) != 1 || stats[0].BreakerOpens != 1 || stats[0].Retried != 1 ||
 		stats[0].Forwarded != 1 || stats[0].FailedOver != 2 {
 		t.Fatalf("final stats: %+v", stats[0])
+	}
+}
+
+// TestJSONAnswerFailsOver pins the wire rule that /cluster/evaluate answers
+// only in the result codec: an owner replying application/json — even with
+// a valid result for the right fingerprint — is a failed forward, so the
+// job is evaluated locally and the peer's FailedOver counter goes up.
+func TestJSONAnswerFailsOver(t *testing.T) {
+	var calls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	})
+	mux.HandleFunc("/cluster/evaluate", func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		body, _ := io.ReadAll(r.Body)
+		req, err := decodeRequest(body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(&engine.Result{
+			Fingerprint: req.Graph.FingerprintHex(),
+			Throughput:  &engine.ThroughputResult{Period: "424242", Optimal: true},
+		})
+	})
+	peer := httptest.NewServer(mux)
+	defer peer.Close()
+	addr := strings.TrimPrefix(peer.URL, "http://")
+
+	c := newTestCluster(t, "self:1", []string{addr})
+	eng := engine.New(engine.Config{Workers: 1, Dispatcher: c})
+	t.Cleanup(eng.Close)
+
+	// A graph the ring places on the peer, so the submission forwards.
+	g := gen.KIterChain(2)
+	for n := 3; c.Owner(g.FingerprintHex()) != addr; n++ {
+		if n > 64 {
+			t.Fatal("no KIterChain graph placed on the peer")
+		}
+		g = gen.KIterChain(n)
+	}
+	res, err := eng.Submit(context.Background(), &engine.Request{
+		Graph:    g,
+		Analyses: []engine.AnalysisKind{engine.AnalysisThroughput},
+		Method:   engine.MethodKIter,
+	})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if res.Peer != "" {
+		t.Fatalf("result attributed to peer %q, want a local evaluation", res.Peer)
+	}
+	if res.Throughput == nil || res.Throughput.Period == "424242" {
+		t.Fatalf("job answered with the peer's JSON result: %+v", res.Throughput)
+	}
+	if calls.Load() == 0 {
+		t.Fatal("job never forwarded to the owner")
+	}
+	stats := c.DispatchStats()
+	if len(stats) != 1 || stats[0].FailedOver != 1 || stats[0].Forwarded != 0 {
+		t.Fatalf("peer stats = %+v, want 1 failover and 0 forwards", stats)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"kiter/internal/engine"
@@ -119,18 +118,9 @@ func (c *Cluster) EvaluateHandler(e *engine.Engine, timeout time.Duration) http.
 		if ps := c.peer(r.Header.Get(peerHeader)); ps != nil {
 			ps.served.Add(1)
 		}
-		// Current peers negotiate the binary result codec via Accept; the
-		// JSON fallback keeps mixed-version fleets forwarding during a
-		// rolling upgrade.
-		if strings.Contains(r.Header.Get("Accept"), resultContentType) {
-			w.Header().Set("Content-Type", resultContentType)
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(resultcodec.Encode(res))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", resultContentType)
 		w.WriteHeader(http.StatusOK)
-		_ = json.NewEncoder(w).Encode(res)
+		_, _ = w.Write(resultcodec.Encode(res))
 	})
 }
 

@@ -71,20 +71,11 @@ func decodeRequest(body []byte) (*engine.Request, error) {
 	return req, nil
 }
 
-// decodeResult parses the owner's reply and normalizes the per-submission
-// fields: the forwarding engine re-applies its own graph name and dedup
-// flags, and CacheHit/Peer describe the remote serve, not the local one.
-func decodeResult(body []byte, peer string) (*engine.Result, error) {
-	var res engine.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, fmt.Errorf("cluster: decoding result: %w", err)
-	}
-	return normalizeRemote(&res, peer), nil
-}
-
-// decodeBinaryResult is decodeResult for resultcodec replies — the
-// negotiated fast path on /cluster/evaluate and the only encoding of the
-// cache tier.
+// decodeBinaryResult parses a peer's resultcodec reply — the only result
+// encoding on /cluster/evaluate and the cache tier — and normalizes the
+// per-submission fields: the forwarding engine re-applies its own graph
+// name and dedup flags, and CacheHit/Peer describe the remote serve, not
+// the local one.
 func decodeBinaryResult(body []byte, peer string) (*engine.Result, error) {
 	res, err := resultcodec.Decode(body)
 	if err != nil {

@@ -10,8 +10,9 @@ import (
 
 // WriteSuite materializes a suite as one JSON graph file per graph under
 // dir (created if needed) and returns the written paths in graph order.
-// The files are the batch fixtures consumed by `kiterd -batch` and the
-// engine's end-to-end tests.
+// Tests use it to build batch fixtures for `kiterd -batch`, and
+// cmd/benchjson to materialize codec inputs; the command-line way to write
+// the evaluation suites is `gengraph -suite table1`.
 func WriteSuite(dir string, s Suite) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
