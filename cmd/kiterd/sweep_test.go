@@ -408,3 +408,25 @@ func TestRunSweepFileFailuresExitNonZero(t *testing.T) {
 		t.Fatal("missing spec file accepted")
 	}
 }
+
+// TestBatchSummaryCountsFailures pins that the closing NDJSON summary
+// reports the failure count (and runBatch errors → exit 1).
+func TestBatchSummaryCountsFailures(t *testing.T) {
+	dir := t.TempDir()
+	g := slowGraph(4)
+	if err := sdf3x.WriteFile(filepath.Join(dir, "ok.json"), g); err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{filepath.Join(dir, "ok.json"), filepath.Join(dir, "missing.json")}
+	e := engine.New(engine.Config{Workers: 2})
+	t.Cleanup(e.Close)
+	var out bytes.Buffer
+	err := runBatch(e, paths, testTemplate(), &out)
+	if err == nil || !strings.Contains(err.Error(), "1 of 2") {
+		t.Fatalf("err = %v", err)
+	}
+	_, sum := readBatch(t, out.String())
+	if sum.Summary.Graphs != 2 || sum.Summary.Failed != 1 {
+		t.Fatalf("summary = %+v, want 2 graphs / 1 failed:\n%s", sum.Summary, out.String())
+	}
+}
