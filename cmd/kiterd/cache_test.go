@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"kiter/internal/engine"
@@ -24,7 +25,7 @@ func TestSweepRestartServesFromDisk(t *testing.T) {
 
 	runSweep := func() (*sweep.Envelope, engine.Stats) {
 		t.Helper()
-		backend, err := buildCacheBackend(dir, 1<<20, 16, 1024)
+		backend, err := buildCache(1024, dir, 1<<20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,6 +75,40 @@ func TestSweepRestartServesFromDisk(t *testing.T) {
 	}
 	if env2.MinThroughput != env1.MinThroughput || env2.MaxThroughput != env1.MaxThroughput {
 		t.Fatalf("disk-served envelope drifted: %+v vs %+v", env2, env1)
+	}
+}
+
+// TestBuildCacheTiers: -cache 0 means the default memory capacity on every
+// path, so with -cache-dir the memory tier still sits over disk; only a
+// negative -cache drops the memory tier.
+func TestBuildCacheTiers(t *testing.T) {
+	for _, tc := range []struct {
+		capacity int
+		dir      bool
+		want     []string
+	}{
+		{0, true, []string{"memory", "disk"}},
+		{0, false, []string{"memory"}},
+		{4096, true, []string{"memory", "disk"}},
+		{-1, true, []string{"disk"}},
+	} {
+		dir := ""
+		if tc.dir {
+			dir = t.TempDir()
+		}
+		backend, err := buildCache(tc.capacity, dir, 1<<20, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := engine.New(engine.Config{Workers: 1, CacheBackend: backend})
+		var got []string
+		for _, ts := range e.Stats().CacheTiers {
+			got = append(got, ts.Tier)
+		}
+		e.Close()
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("-cache %d, cache dir %v: tiers %v, want %v", tc.capacity, tc.dir, got, tc.want)
+		}
 	}
 }
 

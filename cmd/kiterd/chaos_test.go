@@ -49,7 +49,7 @@ func startKiterdFleet(t *testing.T, n int) ([]*chaosReplica, func()) {
 	reps := make([]*chaosReplica, n)
 	for i := range reps {
 		reg := telemetry.NewRegistry()
-		backend, err := buildCacheBackend(t.TempDir(), 8<<20, 4, 256)
+		backend, err := buildCache(256, t.TempDir(), 8<<20, nil)
 		if err != nil {
 			t.Fatalf("cache backend: %v", err)
 		}

@@ -139,11 +139,13 @@ func TestFleetCacheServersEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("buildCluster(%s): %v", self, err)
 		}
-		local := engine.NewMemoryCache(16, 4096)
-		cl.SetLocalCache(local)
+		backend, err := buildCache(0, "", 0, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
 		e := engine.New(engine.Config{
 			Workers:      2,
-			CacheBackend: engine.NewTieredCache(local, cluster.NewRemoteCache(cl)),
+			CacheBackend: backend,
 			Dispatcher:   cl,
 		})
 		hs := &http.Server{Handler: newServer(e, testTemplate(), cl, observability{})}

@@ -95,12 +95,16 @@
 //
 // Usage:
 //
-//	kiterd [-addr :8080] [-workers N] [-cache N] [-method auto]
-//	       [-cache-dir dir] [-cache-disk-bytes N] [-capacities]
-//	       [-peers host:port,…] [-self host:port] [-forward-timeout 0]
-//	       [-analyses throughput] [-timeout 60s] [-stats-out stats.json]
-//	       [-drain-timeout 30s] [-chaos spec] [-trace-buffer 256]
+//	kiterd [-addr :8080] [-workers N] [-max-pending N] [-cache N]
+//	       [-method auto] [-cache-dir dir] [-cache-disk-bytes N]
+//	       [-capacities] [-peers host:port,…] [-self host:port]
+//	       [-forward-timeout 0] [-analyses throughput] [-timeout 60s]
+//	       [-stats-out stats.json] [-drain-timeout 30s] [-chaos spec]
+//	       [-trace-buffer 256] [-pprof-addr addr] [-version]
 //	       [-batch dir-or-manifest] [-sweep spec.json]
+//
+// At most -workers jobs evaluate at once; the rest wait for a slot in
+// arrival order, and beyond -max-pending jobs new submissions are shed.
 package main
 
 import (
@@ -119,7 +123,6 @@ import (
 	"kiter/internal/faultinject"
 	"kiter/internal/kperiodic"
 	"kiter/internal/resilience"
-	"kiter/internal/symbexec"
 	"kiter/internal/telemetry"
 )
 
@@ -135,10 +138,8 @@ func main() {
 func run() error {
 	var (
 		addr           = flag.String("addr", ":8080", "HTTP listen address")
-		workers        = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue          = flag.Int("queue", 0, "job queue depth (0 = 2×workers)")
-		cacheSize      = flag.Int("cache", 4096, "result cache capacity in entries (negative disables)")
-		shards         = flag.Int("cache-shards", 16, "result cache shard count")
+		workers        = flag.Int("workers", 0, "max concurrent evaluations (0 = GOMAXPROCS)")
+		cacheSize      = flag.Int("cache", 4096, "result cache capacity in entries (0 = 4096, negative disables)")
 		cacheDir       = flag.String("cache-dir", "", "directory for a disk result-cache tier under the in-memory one; restarts with the same directory warm-start from prior results (empty = memory only)")
 		cacheDiskBytes = flag.Int64("cache-disk-bytes", 256<<20, "disk cache byte quota for -cache-dir; over it the oldest segments are compacted away in the background")
 		statsOut       = flag.String("stats-out", "", "write the final engine stats snapshot as JSON to this file on exit (all modes, including HTTP after a drain)")
@@ -147,9 +148,6 @@ func run() error {
 		analyses       = flag.String("analyses", "throughput", "comma-separated analyses: throughput,schedule,sizing,symbolic")
 		capacities     = flag.Bool("capacities", false, "apply declared buffer capacities before analysis")
 		timeout        = flag.Duration("timeout", 60*time.Second, "per-request analysis timeout")
-		maxNodes       = flag.Int64("max-nodes", 2_000_000, "bi-valued graph node budget per evaluation (0 = unlimited)")
-		maxPairs       = flag.Int64("max-pairs", 50_000_000, "phase-pair budget per evaluation (0 = unlimited)")
-		symEvents      = flag.Int64("symbolic-budget", 0, "symbolic execution event budget (0 = default)")
 		batch          = flag.String("batch", "", "batch mode: analyze a directory or manifest of graph files and exit")
 		sweepSpec      = flag.String("sweep", "", "sweep mode: expand a parametric spec file into a scenario family, stream NDJSON results and exit")
 		peers          = flag.String("peers", "", "comma-separated peer replica addresses (host:port); jobs are consistently hashed across self+peers and forwarded to their owner")
@@ -210,38 +208,20 @@ func run() error {
 		// during e.Close, then the prober stops.
 		defer cl.Close()
 	}
-	// The local tiers (memory, plus disk with -cache-dir) are built
-	// explicitly when clustered: the cluster's cache handler serves this
-	// replica's shard from them, and the fleet tier composes behind them.
-	local, err := buildCacheBackend(*cacheDir, *cacheDiskBytes, *shards, *cacheSize)
+	backend, err := buildCache(*cacheSize, *cacheDir, *cacheDiskBytes, cl)
 	if err != nil {
 		return err
 	}
-	if cl != nil && local == nil {
-		capacity := *cacheSize
-		if capacity == 0 {
-			capacity = 4096
-		}
-		local = engine.NewMemoryCache(*shards, capacity)
-	}
-	backend := local
-	if cl != nil {
-		if local != nil {
-			cl.SetLocalCache(local)
-		}
-		backend = engine.NewTieredCache(local, cluster.NewRemoteCache(cl))
-	}
 	e := engine.New(engine.Config{
 		Workers:       *workers,
-		QueueDepth:    *queue,
-		CacheCapacity: *cacheSize,
-		CacheShards:   *shards,
-		CacheBackend:  backend, // nil keeps the engine's default memory cache
+		CacheCapacity: *cacheSize, // a negative -cache leaves backend nil: no caching
+		CacheBackend:  backend,
 		MaxPending:    *maxPending,
-		Options:       kperiodic.Options{MaxNodes: *maxNodes, MaxPairs: *maxPairs},
-		Symbolic:      symbexec.Options{MaxEvents: *symEvents},
-		Dispatcher:    dispatcher,
-		Metrics:       reg,
+		// K-Iter's bi-valued graph node and phase-pair guard rails;
+		// symbolic execution keeps its default 50 M event budget.
+		Options:    kperiodic.Options{MaxNodes: 2_000_000, MaxPairs: 50_000_000},
+		Dispatcher: dispatcher,
+		Metrics:    reg,
 	})
 	defer e.Close()
 	build := readBuildInfo()
@@ -363,20 +343,29 @@ type requestTemplate struct {
 	Timeout    time.Duration
 }
 
-// buildCacheBackend assembles the engine's memo cache from the cache
-// flags: nil (the engine's default in-memory sharded LRU) when no -cache-dir
-// is set, otherwise a memory→disk tier sharing the same memory knobs, so a
-// restarted kiterd re-answers repeat work from the disk tier while serving
-// the hot set from memory.
-func buildCacheBackend(dir string, diskBytes int64, shards, capacity int) (engine.CacheBackend, error) {
-	if dir == "" {
-		return nil, nil
+// buildCache assembles the engine's memo cache from the cache flags as a
+// stack of tiers: memory (capacity entries, 0 meaning 4096 and negative
+// none), then disk under dir when it is set, so a restarted kiterd
+// re-answers repeat work from disk while serving the hot set from memory,
+// then the fleet tier when cl is set. The cluster's cache handler serves
+// this replica's shard from the local stack, never from the fleet tier.
+func buildCache(capacity int, dir string, diskBytes int64, cl *cluster.Cluster) (engine.CacheBackend, error) {
+	if capacity == 0 {
+		capacity = 4096
 	}
-	disk, err := cachedisk.Open(dir, cachedisk.Options{MaxBytes: diskBytes})
-	if err != nil {
-		return nil, fmt.Errorf("opening -cache-dir: %w", err)
+	local := engine.NewMemoryCache(16, capacity)
+	if dir != "" {
+		disk, err := cachedisk.Open(dir, cachedisk.Options{MaxBytes: diskBytes})
+		if err != nil {
+			return nil, fmt.Errorf("opening -cache-dir: %w", err)
+		}
+		local = engine.NewTieredCache(local, disk)
 	}
-	return engine.NewTieredCache(engine.NewMemoryCache(shards, capacity), disk), nil
+	if cl == nil {
+		return local, nil
+	}
+	cl.SetLocalCache(local)
+	return engine.NewTieredCache(local, cluster.NewRemoteCache(cl)), nil
 }
 
 // writeStatsFile dumps a stats snapshot as indented JSON for -stats-out.

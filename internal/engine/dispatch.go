@@ -34,7 +34,7 @@ type DispatchJob struct {
 
 // Dispatcher is the work-routing seam: when configured, the engine offers
 // every leader job (one per deduplicated cache key) to the Dispatcher
-// before enqueueing it on the local worker pool. internal/cluster
+// before it waits for a local worker slot. internal/cluster
 // implements it to forward non-local jobs to their ring owner; the nil
 // Dispatcher is the local engine of today.
 //
@@ -89,7 +89,7 @@ type DispatchStatser interface {
 
 // launch routes a leader's job: a configured Dispatcher gets first claim
 // (djob is nil when there is none, or when the request pinned itself local
-// with NoForward); unhandled jobs go to the local worker pool. Remote
+// with NoForward); unhandled jobs wait for a local worker slot. Remote
 // results are cached under the same key a local evaluation would use, so
 // repeats are answered locally.
 func (e *Engine) launch(j *job, djob *DispatchJob) {
@@ -123,5 +123,5 @@ func (e *Engine) launch(j *job, djob *DispatchJob) {
 			return
 		}
 	}
-	e.enqueue(j)
+	e.runLocal(j)
 }

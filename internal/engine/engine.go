@@ -17,21 +17,17 @@ import (
 
 // Config tunes an Engine.
 type Config struct {
-	// Workers is the evaluation pool size (default: GOMAXPROCS). Each
-	// worker runs one job at a time, every analysis of it included, so at
-	// most Workers analyses run at once.
+	// Workers is the number of evaluation slots (default: GOMAXPROCS). A
+	// local job holds one slot for its whole evaluation, every analysis of
+	// it included, so at most Workers jobs evaluate at once; the rest wait
+	// for a slot in arrival order.
 	Workers int
-	// QueueDepth is the buffered job queue length (default: 2·Workers).
-	QueueDepth int
 	// CacheCapacity is the total memo-cache size in entries (default
 	// 4096; negative disables caching). Ignored when CacheBackend is set.
 	CacheCapacity int
-	// CacheShards splits the cache to bound lock contention (default 16).
-	// Ignored when CacheBackend is set.
-	CacheShards int
 	// CacheBackend overrides the memo cache entirely (nil keeps the
-	// default in-process sharded LRU built from CacheCapacity and
-	// CacheShards). The engine takes ownership: Engine.Close closes the
+	// default in-process sharded LRU built from CacheCapacity). The
+	// engine takes ownership: Engine.Close closes the
 	// backend. Compose tiers with NewTieredCache — e.g. memory over an
 	// internal/cachedisk store — to share results across restarts.
 	CacheBackend CacheBackend
@@ -61,14 +57,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 2 * cfg.Workers
-	}
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = 4096
-	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 16
 	}
 	if cfg.MaxPending == 0 {
 		cfg.MaxPending = 16 * (cfg.Workers + 1)
@@ -79,8 +69,10 @@ func (cfg Config) withDefaults() Config {
 // Engine is the concurrent analysis engine. Create one with New, feed it
 // with Submit from any number of goroutines, and Close it when done.
 type Engine struct {
-	cfg    Config
-	jobs   chan *job
+	cfg Config
+	// slots holds one token per evaluating job; its capacity is Workers.
+	// Leaders blocked sending into it are the engine's only queue.
+	slots  chan struct{}
 	cache  CacheBackend // nil when caching is disabled
 	flight *flightGroup
 	stats  counters
@@ -93,7 +85,6 @@ type Engine struct {
 	shutdownCtx context.Context
 	shutdown    context.CancelFunc
 	once        sync.Once
-	wg          sync.WaitGroup
 
 	// evalFn computes a job's result; replaced in tests to observe
 	// scheduling behaviour without paying for real analyses.
@@ -109,10 +100,9 @@ type Engine struct {
 // points — the latency-distribution telemetry that Stats' plain counters
 // cannot express.
 type instruments struct {
-	// queueWait is submit→dequeue: the time a leader job spent in the
-	// queue before a worker took it.
+	// queueWait is the time a local leader job waited for a worker slot.
 	queueWait *telemetry.Histogram
-	// evaluation is dequeue→done for successful evaluations — the solve
+	// evaluation is slot→done for successful evaluations — the solve
 	// wall time MeanLatencyMS averages, as a full distribution.
 	evaluation *telemetry.Histogram
 	// cacheLookup times CacheBackend.Get (a disk-tier hit pays a decode).
@@ -132,7 +122,7 @@ type instruments struct {
 func newInstruments(m *telemetry.Registry) instruments {
 	return instruments{
 		queueWait: m.Histogram("kiter_engine_queue_wait_seconds",
-			"Time from job enqueue to a worker slot, in seconds.", telemetry.LatencyBuckets),
+			"Time a job waited for a worker slot, in seconds.", telemetry.LatencyBuckets),
 		evaluation: m.Histogram("kiter_engine_evaluation_seconds",
 			"Wall time of successful evaluations, in seconds.", telemetry.LatencyBuckets),
 		cacheLookup: m.Histogram("kiter_engine_cache_lookup_seconds",
@@ -158,9 +148,6 @@ type job struct {
 	// submitter's trace span when the request is traced. Cancellation
 	// always flows from jobCtx.
 	ctx context.Context
-	// enqueuedAt stamps the hand-off to the worker pool for the
-	// queue-wait histogram and trace span.
-	enqueuedAt time.Time
 }
 
 // ErrClosed is returned by Submit after Close.
@@ -170,16 +157,17 @@ var ErrClosed = errors.New("engine: closed")
 // callers should shed load (HTTP 503) or retry with backoff.
 var ErrOverloaded = errors.New("engine: too many pending jobs")
 
-// New starts an engine with cfg's worker pool.
+// New builds an engine with cfg's worker slots. It starts no goroutine:
+// each leader job runs on its own until it finishes.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	cache := cfg.CacheBackend
 	if cache == nil {
-		cache = NewMemoryCache(cfg.CacheShards, cfg.CacheCapacity)
+		cache = NewMemoryCache(16, cfg.CacheCapacity)
 	}
 	e := &Engine{
 		cfg:    cfg,
-		jobs:   make(chan *job, cfg.QueueDepth),
+		slots:  make(chan struct{}, cfg.Workers),
 		cache:  cache,
 		flight: newFlightGroup(),
 		closed: make(chan struct{}),
@@ -187,43 +175,34 @@ func New(cfg Config) *Engine {
 	e.shutdownCtx, e.shutdown = context.WithCancel(context.Background())
 	e.met = newInstruments(cfg.Metrics)
 	e.evalFn = e.evaluate
-	e.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go e.worker()
-	}
 	return e
 }
 
-// Close stops the pool: jobs already running on a worker complete
+// Close stops the engine: jobs already holding a worker slot complete
 // normally (their contexts are not cancelled, so their waiters still get
 // results), in-flight Dispatcher forwards are cancelled and fail with
-// ErrClosed, queued jobs that no worker picked up fail with ErrClosed, and
-// Close returns once every job has been resolved one way or the other and
-// the cache backend is closed. It is safe to call once; Submit calls
-// racing with Close may either complete or report ErrClosed (backends
-// treat post-Close Get/Put as no-op misses, so such stragglers are safe).
+// ErrClosed, jobs still waiting for a slot fail with ErrClosed, and Close
+// returns once every job has been resolved one way or the other and the
+// cache backend is closed. Later calls return at once. Submit calls racing
+// with Close may either complete or report ErrClosed (backends treat
+// post-Close Get/Put as no-op misses, so such stragglers are safe).
 func (e *Engine) Close() {
 	e.once.Do(func() {
 		close(e.closed)
 		e.shutdown()
-	})
-	e.wg.Wait()
-	// Fail whatever is still queued; enqueue goroutines observe closed
-	// themselves, so pending drains to zero.
-	for {
-		select {
-		case j := <-e.jobs:
-			e.finishJob(j, nil, ErrClosed)
-		default:
-			if e.pending.Load() == 0 {
-				if e.cache != nil {
-					_ = e.cache.Close()
-				}
-				return
-			}
+		// Holding every slot means every running evaluation has finished;
+		// the jobs left in pending are waiters and dispatches that observe
+		// closed on their own.
+		for range cap(e.slots) {
+			e.slots <- struct{}{}
+		}
+		for e.pending.Load() != 0 {
 			runtime.Gosched()
 		}
-	}
+		if e.cache != nil {
+			_ = e.cache.Close()
+		}
+	})
 }
 
 // Submit analyzes req.Graph, deduplicating against identical in-flight
@@ -324,18 +303,17 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 			// Fail the whole call, not just this submitter: a waiter may
 			// have joined since join(), and leaving would strand it (and
 			// every later submission of this key) on a job that is never
-			// enqueued.
+			// launched.
 			e.flight.finish(c, nil, ErrOverloaded)
 			return nil, ErrOverloaded
 		}
 		e.pending.Add(1)
-		// Re-check closed after raising pending: either Close's drain
-		// loop observes our increment and keeps consuming the queue until
-		// this job is finished, or its final pending read preceded the
-		// increment — in which case closed is already observable here and
-		// the job never enters the queue. Without this ordering a job
-		// enqueued during shutdown could sit in the channel with no
-		// worker or drain loop left to read it, hanging every waiter.
+		// Re-check closed after raising pending: either Close's final
+		// wait observes our increment and waits until this job is
+		// finished, or its pending read preceded the increment — in which
+		// case closed is already observable here and the job never
+		// launches. Without this ordering a job launched after Close
+		// returned could still reach the Dispatcher and the closed cache.
 		select {
 		case <-e.closed:
 			e.finishJob(&job{req: prepared, call: c}, nil, ErrClosed)
@@ -397,42 +375,39 @@ func (e *Engine) PendingJobs() int { return int(e.pending.Load()) }
 // WorkerCount returns the configured evaluation pool size.
 func (e *Engine) WorkerCount() int { return e.cfg.Workers }
 
-// QueueWaitQuantile returns the q-quantile of the observed submit→dequeue
-// queue waits in seconds, from the kiter_engine_queue_wait_seconds
+// QueueWaitQuantile returns the q-quantile of the observed worker-slot
+// waits in seconds, from the kiter_engine_queue_wait_seconds
 // histogram; 0 without Config.Metrics or before the first observation.
 func (e *Engine) QueueWaitQuantile(q float64) float64 {
 	return e.met.queueWait.Quantile(q)
 }
 
-// enqueue hands a job to the pool, giving up when every waiter abandoned
-// it or the engine closed before a worker became free.
-func (e *Engine) enqueue(j *job) {
-	j.enqueuedAt = time.Now()
+// runLocal evaluates a job under a worker slot, giving up when every
+// waiter abandoned it or the engine closed before a slot became free.
+func (e *Engine) runLocal(j *job) {
+	start := time.Now()
 	select {
-	case e.jobs <- j:
+	case e.slots <- struct{}{}:
 	case <-j.call.jobCtx.Done():
 		e.finishJob(j, nil, j.call.jobCtx.Err())
+		return
 	case <-e.closed:
 		e.finishJob(j, nil, ErrClosed)
+		return
 	}
-}
-
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	for {
-		select {
-		case j := <-e.jobs:
-			if !j.enqueuedAt.IsZero() {
-				// The full submit→dequeue gap a loaded pool adds.
-				wait := time.Since(j.enqueuedAt)
-				e.met.queueWait.Observe(wait.Seconds())
-				telemetry.FromContext(j.evalCtx()).Record("queue.wait", j.enqueuedAt, wait)
-			}
-			e.runJob(j)
-		case <-e.closed:
-			return
-		}
+	defer func() { <-e.slots }()
+	// Close takes priority over a free slot: select picks randomly when
+	// both are ready, so check closed explicitly before evaluating.
+	select {
+	case <-e.closed:
+		e.finishJob(j, nil, ErrClosed)
+		return
+	default:
 	}
+	wait := time.Since(start)
+	e.met.queueWait.Observe(wait.Seconds())
+	telemetry.FromContext(j.evalCtx()).Record("queue.wait", start, wait)
+	e.runJob(j)
 }
 
 // evalCtx returns the context evaluations run under: the span-carrying

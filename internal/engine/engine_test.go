@@ -367,6 +367,126 @@ func TestSubmitCloseRace(t *testing.T) {
 	}
 }
 
+// TestWorkerSlotsBoundConcurrency: with Workers slots, distinct blocking
+// submissions never evaluate more than Workers at once, and every one of
+// them finishes once the evaluations are released.
+func TestWorkerSlotsBoundConcurrency(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 2})
+	release := make(chan struct{})
+	var running, peak atomic.Int32
+	e.evalFn = func(ctx context.Context, req *Request) (*Result, error) {
+		n := running.Add(1)
+		defer running.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		<-release
+		return &Result{}, nil
+	}
+	const submitters = 8
+	errs := make(chan error, submitters)
+	for i := 0; i < submitters; i++ {
+		g := gen.HSDFRing(2, []int64{int64(1 + i)}, 1)
+		go func() {
+			_, err := e.Submit(context.Background(), &Request{Graph: g, NoCache: true})
+			errs <- err
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for e.PendingJobs() < submitters || running.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pending %d, running %d: submissions never queued up", e.PendingJobs(), running.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // give a third evaluation the chance to start
+	close(release)
+	for i := 0; i < submitters; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a submission never finished after release")
+		}
+	}
+	if p := peak.Load(); p != 2 {
+		t.Fatalf("peak concurrent evaluations = %d, want 2", p)
+	}
+}
+
+// TestCloseFinishesRunningFailsWaiting pins Close's contract on a one-slot
+// engine: the running job completes with its result before Close returns,
+// the job waiting for the slot fails with ErrClosed, and a second Close
+// returns at once.
+func TestCloseFinishesRunningFailsWaiting(t *testing.T) {
+	e := New(Config{Workers: 1})
+	release := make(chan struct{})
+	started := make(chan struct{}, 2)
+	e.evalFn = func(ctx context.Context, req *Request) (*Result, error) {
+		started <- struct{}{}
+		select {
+		case <-release:
+			return &Result{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	submit := func(g *csdf.Graph) chan error {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := e.Submit(context.Background(), &Request{Graph: g, NoCache: true})
+			errc <- err
+		}()
+		return errc
+	}
+	running := submit(gen.Figure2())
+	<-started
+	waiting := submit(gen.SampleRateConverter())
+	for e.PendingJobs() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	select {
+	case err := <-waiting:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("waiting job: %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiting job not failed by Close")
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case err := <-running:
+		if err != nil {
+			t.Fatalf("running job: %v, want its result", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("running job never finished")
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the running job finished")
+	}
+	if len(started) != 0 {
+		t.Fatal("the waiting job was evaluated after Close")
+	}
+	second := make(chan struct{})
+	go func() { e.Close(); close(second) }()
+	select {
+	case <-second:
+	case <-time.After(10 * time.Second):
+		t.Fatal("second Close blocked")
+	}
+}
+
 // TestMethodIgnoredWithoutThroughput: Method only affects the throughput
 // analysis, so non-throughput requests must share one cache entry across
 // methods.
@@ -461,7 +581,7 @@ func TestPeriodicDeadlockDefinitive(t *testing.T) {
 
 // TestEvictionEndToEnd: a capacity-1 cache holds only the latest result.
 func TestEvictionEndToEnd(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 2, CacheCapacity: 1, CacheShards: 1})
+	e := newTestEngine(t, Config{Workers: 2, CacheCapacity: 1})
 	ctx := context.Background()
 	if _, err := e.Submit(ctx, &Request{Graph: gen.Figure2(), Method: MethodKIter}); err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func TestSubmitFamilyBuildErrors(t *testing.T) {
 // TestSubmitFamilyCancellation cancels mid-family: the call returns
 // ctx.Err(), members never started get no callback, and the engine drains.
 func TestSubmitFamilyCancellation(t *testing.T) {
-	e := New(Config{Workers: 1, QueueDepth: 1})
+	e := New(Config{Workers: 1})
 	defer e.Close()
 	release := make(chan struct{})
 	e.evalFn = func(ctx context.Context, req *Request) (*Result, error) {

@@ -62,7 +62,7 @@ func (g *flightGroup) stripe(key string) uint64 {
 
 // join returns the in-flight call for key, creating one when absent. The
 // second return reports leadership: the leader is responsible for getting
-// the job onto the worker pool. Every joiner must eventually call either
+// the job evaluated or dispatched. Every joiner must eventually call either
 // wait (consuming the result) or leave (abandoning it).
 func (g *flightGroup) join(key string) (*flightCall, bool) {
 	g.mu.Lock()

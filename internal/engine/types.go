@@ -1,6 +1,6 @@
 // Package engine is the concurrent analysis engine: it accepts jobs (a
-// CSDF graph plus a set of requested analyses), runs them on a bounded
-// worker pool, deduplicates identical in-flight submissions, memoizes
+// CSDF graph plus a set of requested analyses), runs at most Workers of
+// them at once, deduplicates identical in-flight submissions, memoizes
 // completed results in a sharded LRU cache keyed by the graph's structural
 // fingerprint, and — for throughput — runs a fixed fallback chain by
 // default: K-Iter, then symbolic execution when K-Iter fails, then the

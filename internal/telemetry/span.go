@@ -176,9 +176,8 @@ func (s *Span) Event(name string, kv ...any) {
 }
 
 // Record attaches an already-measured phase as a completed child span —
-// for phases whose start and end are observed in different goroutines
-// (queue wait: enqueue vs. worker dequeue) where threading a live span
-// through would be noise.
+// for phases timed with plain clock reads (the worker-slot wait, the
+// cache lookup) where threading a live span through would be noise.
 func (s *Span) Record(name string, start time.Time, d time.Duration) {
 	if s == nil {
 		return
