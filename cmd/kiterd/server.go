@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -270,17 +269,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.obs.reg.WritePrometheus(w)
 }
 
-// analyzeEnvelope is the optional request wrapper: a bare graph body (the
-// repository's JSON graph format) is accepted too and detected by the
-// absence of the "graph" key.
-type analyzeEnvelope struct {
-	Graph      json.RawMessage `json:"graph"`
-	Analyses   []string        `json:"analyses"`
-	Method     string          `json:"method"`
-	Capacities *bool           `json:"capacities"`
-	NoCache    bool            `json:"noCache"`
-}
-
 // analyzeResponse is the /analyze reply: the analysis result and nothing
 // else. Engine stats live behind GET /stats; the request's span tree is in
 // the flight recorder under the X-Kiter-Trace-Id response header.
@@ -309,31 +297,22 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Probe for the "graph" key to tell an envelope from a bare graph body;
-	// envelopes are then decoded strictly so a typo'd knob ("metod",
-	// "anlyses") fails loudly instead of silently running the defaults.
-	var probe struct {
-		Graph json.RawMessage `json:"graph"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	var env analyzeEnvelope
-	graphJSON := json.RawMessage(body) // bare graph body
-	if probe.Graph != nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&env); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-			return
-		}
-		graphJSON = env.Graph
-	}
-	g, err := sdf3x.ReadJSON(bytes.NewReader(graphJSON))
+	// One pass decodes the envelope and the graph. Envelopes are strict so
+	// a typo'd knob ("metod", "anlyses") fails loudly instead of silently
+	// running the defaults; a bare graph body skips unknown keys.
+	g, env, err := sdf3x.DecodeRequest(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding graph: %v", err)
+		var reqErr *sdf3x.RequestError
+		if errors.As(err, &reqErr) {
+			httpError(w, http.StatusBadRequest, "decoding request: %v", reqErr.Err)
+		} else {
+			httpError(w, http.StatusBadRequest, "decoding graph: %v", err)
+		}
 		return
+	}
+	var knobs sdf3x.Envelope // a bare graph runs with the template's knobs
+	if env != nil {
+		knobs = *env
 	}
 
 	req := &engine.Request{
@@ -341,19 +320,19 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Analyses:        s.tmpl.Analyses,
 		Method:          s.tmpl.Method,
 		ApplyCapacities: s.tmpl.Capacities,
-		NoCache:         env.NoCache,
+		NoCache:         knobs.NoCache,
 	}
-	if len(env.Analyses) > 0 {
+	if len(knobs.Analyses) > 0 {
 		req.Analyses = nil
-		for _, a := range env.Analyses {
+		for _, a := range knobs.Analyses {
 			req.Analyses = append(req.Analyses, engine.AnalysisKind(a))
 		}
 	}
-	if env.Method != "" {
-		req.Method = engine.Method(env.Method)
+	if knobs.Method != "" {
+		req.Method = engine.Method(knobs.Method)
 	}
-	if env.Capacities != nil {
-		req.ApplyCapacities = *env.Capacities
+	if knobs.Capacities != nil {
+		req.ApplyCapacities = *knobs.Capacities
 	}
 
 	ctx := r.Context()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"kiter/internal/engine"
@@ -10,62 +11,73 @@ import (
 	"kiter/internal/sdf3x"
 )
 
-// wireRequest is the body of POST /cluster/evaluate: the original graph in
-// the repository's JSON format plus the normalized request knobs, so the
-// receiving engine prepares the job exactly as a direct submission and
-// lands on the same cache key — that shared key is what makes the owner's
-// singleflight and memo cache deduplicate across the whole fleet.
-type wireRequest struct {
-	Graph      json.RawMessage `json:"graph"`
-	Analyses   []string        `json:"analyses,omitempty"`
-	Method     string          `json:"method,omitempty"`
-	Capacities bool            `json:"capacities,omitempty"`
-	NoCache    bool            `json:"noCache,omitempty"`
+// wireKnobs are the request knobs of a POST /cluster/evaluate body. The
+// body is an /analyze envelope: the original graph in the repository's JSON
+// format under "graph", the normalized knobs beside it, so the receiving
+// engine prepares the job exactly as a direct submission and lands on the
+// same cache key — that shared key is what makes the owner's singleflight
+// and memo cache deduplicate across the whole fleet.
+type wireKnobs struct {
+	Analyses   []string `json:"analyses,omitempty"`
+	Method     string   `json:"method,omitempty"`
+	Capacities bool     `json:"capacities,omitempty"`
+	NoCache    bool     `json:"noCache,omitempty"`
 }
 
-// encodeJob serializes a dispatch job for the forward hop.
+// encodeJob serializes a dispatch job for the forward hop. The graph is
+// written once, compact, straight into the envelope.
 func encodeJob(job *engine.DispatchJob) ([]byte, error) {
-	var g bytes.Buffer
-	if err := sdf3x.WriteJSON(&g, job.Graph); err != nil {
-		return nil, fmt.Errorf("cluster: encoding graph: %w", err)
-	}
-	wr := wireRequest{
-		Graph:      g.Bytes(),
+	k := wireKnobs{
 		Method:     string(job.Method),
 		Capacities: job.ApplyCapacities,
 		NoCache:    job.NoCache,
 	}
 	for _, a := range job.Analyses {
-		wr.Analyses = append(wr.Analyses, string(a))
+		k.Analyses = append(k.Analyses, string(a))
 	}
-	return json.Marshal(wr)
+	knobs, err := json.Marshal(k)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: encoding request: %w", err)
+	}
+	var b bytes.Buffer
+	b.WriteString(`{"graph":`)
+	if err := sdf3x.WriteCompactJSON(&b, job.Graph); err != nil {
+		return nil, fmt.Errorf("cluster: encoding graph: %w", err)
+	}
+	// knobs is a JSON object: its members follow the graph's.
+	if len(knobs) > len("{}") {
+		b.WriteByte(',')
+	}
+	b.Write(knobs[1:])
+	return b.Bytes(), nil
 }
 
-// decodeRequest parses a forwarded body back into an engine request. The
-// envelope is decoded strictly — a field this replica does not know means
-// a version skew worth failing loudly (the sender then falls back to local
-// evaluation) rather than silently dropping a knob.
+// decodeRequest parses a forwarded body back into an engine request with
+// the one-pass envelope decoder. The envelope is strict — a field this
+// replica does not know means a version skew worth failing loudly (the
+// sender then falls back to local evaluation) rather than silently
+// dropping a knob — and a body without a "graph" key is rejected.
 func decodeRequest(body []byte) (*engine.Request, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var wr wireRequest
-	if err := dec.Decode(&wr); err != nil {
-		return nil, fmt.Errorf("cluster: decoding request: %w", err)
-	}
-	g, err := sdf3x.ReadJSON(bytes.NewReader(wr.Graph))
-	if err != nil {
+	g, env, err := sdf3x.DecodeRequest(body)
+	var reqErr *sdf3x.RequestError
+	switch {
+	case errors.As(err, &reqErr):
+		return nil, fmt.Errorf("cluster: decoding request: %w", reqErr.Err)
+	case err != nil:
 		return nil, fmt.Errorf("cluster: decoding graph: %w", err)
+	case env == nil:
+		return nil, errors.New(`cluster: decoding request: no "graph" key`)
 	}
 	req := &engine.Request{
 		Graph:           g,
-		Method:          engine.Method(wr.Method),
-		ApplyCapacities: wr.Capacities,
-		NoCache:         wr.NoCache,
+		Method:          engine.Method(env.Method),
+		ApplyCapacities: env.Capacities != nil && *env.Capacities,
+		NoCache:         env.NoCache,
 		// One hop only: the owner evaluates even if its own ring view says
 		// someone else should (health views can diverge transiently).
 		NoForward: true,
 	}
-	for _, a := range wr.Analyses {
+	for _, a := range env.Analyses {
 		req.Analyses = append(req.Analyses, engine.AnalysisKind(a))
 	}
 	return req, nil

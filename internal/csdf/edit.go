@@ -2,7 +2,6 @@ package csdf
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 )
 
@@ -81,7 +80,6 @@ func (g *Graph) CloneWithEdits(edits ...Edit) (*Graph, error) {
 		Name:    g.Name,
 		tasks:   slices.Clone(g.tasks),
 		buffers: slices.Clone(g.buffers),
-		byName:  maps.Clone(g.byName),
 	}
 	// clonedDur/clonedIn/clonedOut track which slices were already detached
 	// from the base, so stacked edits on one site do not re-copy.

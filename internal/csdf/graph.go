@@ -90,17 +90,34 @@ func (b *Buffer) TotalOut() int64 {
 }
 
 // Graph is a Cyclo-Static Dataflow Graph. Build it with NewGraph, AddTask
-// and AddBuffer; analyses treat it as immutable once built.
+// and AddBuffer, or in one call with Assemble; analyses treat it as
+// immutable once built.
 type Graph struct {
 	Name    string
 	tasks   []Task
 	buffers []Buffer
-	byName  map[string]TaskID
 }
 
 // NewGraph returns an empty graph with the given name.
 func NewGraph(name string) *Graph {
-	return &Graph{Name: name, byName: make(map[string]TaskID)}
+	return &Graph{Name: name}
+}
+
+// Assemble returns a validated graph over tasks and buffers. It takes
+// ownership of both slices and of the duration and rate slices they hold,
+// where AddTask and AddBuffer copy each one; element i gets ID i.
+func Assemble(name string, tasks []Task, buffers []Buffer) (*Graph, error) {
+	g := &Graph{Name: name, tasks: tasks, buffers: buffers}
+	for i := range tasks {
+		tasks[i].ID = TaskID(i)
+	}
+	for i := range buffers {
+		buffers[i].ID = BufferID(i)
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // AddTask appends a task with the given per-phase durations and returns its
@@ -113,9 +130,6 @@ func (g *Graph) AddTask(name string, durations []int64) TaskID {
 		Name:      name,
 		Durations: append([]int64(nil), durations...),
 	})
-	if name != "" {
-		g.byName[name] = id
-	}
 	return id
 }
 
@@ -172,10 +186,16 @@ func (g *Graph) Tasks() []Task { return g.tasks }
 // Buffers returns the buffer list in ID order. The slice aliases storage.
 func (g *Graph) Buffers() []Buffer { return g.buffers }
 
-// TaskByName looks a task up by name.
+// TaskByName looks a named task up; of several tasks with the same name it
+// returns the last. The scan is linear: callers resolve a handful of names
+// per graph, which costs less than indexing every graph.
 func (g *Graph) TaskByName(name string) (TaskID, bool) {
-	id, ok := g.byName[name]
-	return id, ok
+	for i := len(g.tasks) - 1; i >= 0 && name != ""; i-- {
+		if g.tasks[i].Name == name {
+			return TaskID(i), true
+		}
+	}
+	return 0, false
 }
 
 // Clone returns a deep copy of the graph.

@@ -15,7 +15,8 @@ import (
 	"kiter/internal/csdf"
 )
 
-// jsonGraph is the on-disk JSON shape.
+// jsonGraph is the on-disk JSON shape WriteJSON encodes; decode.go reads
+// the same shape without reflection.
 type jsonGraph struct {
 	Name    string       `json:"name"`
 	Tasks   []jsonTask   `json:"tasks"`
@@ -37,9 +38,21 @@ type jsonBuffer struct {
 	Capacity int64   `json:"capacity,omitempty"`
 }
 
-// WriteJSON marshals g. Task references use names, so every task must have
-// a unique non-empty name; unnamed tasks are emitted as "tN".
+// WriteJSON marshals g, indented for reading. Task references use names,
+// so every task must have a unique non-empty name; unnamed tasks are
+// emitted as "tN".
 func WriteJSON(w io.Writer, g *csdf.Graph) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(toJSON(g))
+}
+
+// WriteCompactJSON marshals g like WriteJSON, without indentation.
+func WriteCompactJSON(w io.Writer, g *csdf.Graph) error {
+	return json.NewEncoder(w).Encode(toJSON(g))
+}
+
+func toJSON(g *csdf.Graph) jsonGraph {
 	names := taskNames(g)
 	jg := jsonGraph{Name: g.Name}
 	for _, t := range g.Tasks() {
@@ -51,43 +64,25 @@ func WriteJSON(w io.Writer, g *csdf.Graph) error {
 			In: b.In, Out: b.Out, Initial: b.Initial, Capacity: b.Capacity,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jg)
+	return jg
 }
 
-// ReadJSON unmarshals a graph and validates it.
+// ReadJSON reads a graph document to the end of r, decodes and validates
+// it. Anything but whitespace after the graph is an error.
 func ReadJSON(r io.Reader) (*csdf.Graph, error) {
-	var jg jsonGraph
-	if err := json.NewDecoder(r).Decode(&jg); err != nil {
-		return nil, fmt.Errorf("sdf3x: decoding JSON: %w", err)
+	var data []byte
+	var err error
+	if l, ok := r.(interface{ Len() int }); ok {
+		// bytes.Reader, bytes.Buffer, strings.Reader: read in one go.
+		data = make([]byte, l.Len())
+		_, err = io.ReadFull(r, data)
+	} else {
+		data, err = io.ReadAll(r)
 	}
-	g := csdf.NewGraph(jg.Name)
-	ids := map[string]csdf.TaskID{}
-	for _, t := range jg.Tasks {
-		if _, dup := ids[t.Name]; dup {
-			return nil, fmt.Errorf("sdf3x: duplicate task name %q", t.Name)
-		}
-		ids[t.Name] = g.AddTask(t.Name, t.Durations)
+	if err != nil {
+		return nil, fmt.Errorf("sdf3x: reading JSON: %w", err)
 	}
-	for _, b := range jg.Buffers {
-		src, ok := ids[b.Src]
-		if !ok {
-			return nil, fmt.Errorf("sdf3x: buffer %q: unknown source %q", b.Name, b.Src)
-		}
-		dst, ok := ids[b.Dst]
-		if !ok {
-			return nil, fmt.Errorf("sdf3x: buffer %q: unknown destination %q", b.Name, b.Dst)
-		}
-		id := g.AddBuffer(b.Name, src, dst, b.In, b.Out, b.Initial)
-		if b.Capacity > 0 {
-			g.SetCapacity(id, b.Capacity)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return decodeGraph(data)
 }
 
 func taskNames(g *csdf.Graph) []string {

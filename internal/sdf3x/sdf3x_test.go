@@ -136,6 +136,9 @@ func TestReadJSONErrors(t *testing.T) {
 		`{"name":"x","tasks":[{"name":"a","durations":[1]}],"buffers":[{"src":"zzz","dst":"a","in":[1],"out":[1]}]}`,
 		// Validation failure: rate length mismatch.
 		`{"name":"x","tasks":[{"name":"a","durations":[1]},{"name":"b","durations":[1]}],"buffers":[{"src":"a","dst":"b","in":[1,2],"out":[1]}]}`,
+		// Trailing data after a valid graph.
+		`{"name":"x","tasks":[{"name":"a","durations":[1]}]} trailing garbage`,
+		`{"name":"x","tasks":[{"name":"a","durations":[1]}]}}`,
 	}
 	for i, c := range cases {
 		if _, err := sdf3x.ReadJSON(strings.NewReader(c)); err == nil {
