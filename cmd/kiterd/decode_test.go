@@ -12,10 +12,10 @@ import (
 )
 
 // analyzeEnvelope and decodeAnalyzeOracle are the three-step /analyze
-// decode that sdf3x.DecodeRequest replaced: a json.Unmarshal probe for the
+// decode that sdf3x.ReadRequest replaced: a json.Unmarshal probe for the
 // "graph" key, a strict json.Decoder pass for envelopes, then
 // sdf3x.ReadJSON on the graph. (FuzzReadJSON holds ReadJSON to the
-// reflection decoder, so the two targets together compare DecodeRequest
+// reflection decoder, so the two targets together compare ReadRequest
 // with the whole reflection path.) A non-nil envelope means envelope mode;
 // reqErr and graphErr are the "decoding request" and "decoding graph" 400s.
 type analyzeEnvelope struct {
@@ -59,7 +59,7 @@ func decodeAnalyzeOracle(body []byte) (g *csdf.Graph, env *analyzeEnvelope, reqE
 func FuzzDecodeAnalyze(f *testing.F) {
 	f.Add([]byte(`{"graph":{"tasks":[{"name":"a","durations":[1]}]},"method":"kiter"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		g, env, err := sdf3x.DecodeRequest(body)
+		g, env, err := sdf3x.ReadRequest(bytes.NewReader(body), int64(len(body)))
 		wantG, wantEnv, wantReqErr, wantGraphErr := decodeAnalyzeOracle(body)
 		var reqErr *sdf3x.RequestError
 		switch {

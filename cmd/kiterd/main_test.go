@@ -421,3 +421,66 @@ func mustJSON(v any) string {
 	b, _ := json.MarshalIndent(v, "", "  ")
 	return string(b)
 }
+
+// discardWriter is a ResponseWriter that keeps only the status code and
+// the byte count, so an allocation count sees the handler's own work.
+type discardWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *discardWriter) Header() http.Header  { return w.h }
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// rewindBody is a request body that a test rewinds between requests.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// TestAnalyzeWarmAllocations pins the allocations of a warm /analyze: the
+// same bare BlackScholes body (41 tasks, 41 buffers, 4.3 KB compact) after
+// the engine has cached its result, through ServeHTTP with the zero
+// observability. The body is read into the pooled decoder's buffer, so of
+// the 109 objects 88 are the decoded graph; the rest are the request ID
+// and headers, the deadline, the engine's cache read and the reply. The
+// race detector drops pooled scratch at random, which adds up to about 17.
+func TestAnalyzeWarmAllocations(t *testing.T) {
+	g, err := gen.Industrial(gen.IndustrialSpecs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sdf3x.WriteCompactJSON(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	srv := newTestServer(t)
+	rb := rewindBody{bytes.NewReader(body)}
+	req := httptest.NewRequest(http.MethodPost, "/analyze", rb)
+	w := &discardWriter{h: http.Header{}}
+	serve := func() {
+		rb.Reset(body)
+		w.code, w.n = 0, 0
+		srv.ServeHTTP(w, req)
+		if w.code != http.StatusOK || w.n == 0 {
+			t.Fatalf("status %d, %d bytes", w.code, w.n)
+		}
+	}
+	serve() // prime the engine's cache
+	if st := srv.e.Stats(); st.Evaluations != 1 {
+		t.Fatalf("priming evaluated %d jobs, want 1", st.Evaluations)
+	}
+	allocs := testing.AllocsPerRun(100, serve)
+	if st := srv.e.Stats(); st.Evaluations != 1 {
+		t.Fatalf("warm requests evaluated %d jobs, want none", st.Evaluations-1)
+	}
+	if allocs > 130 {
+		t.Errorf("warm /analyze allocates %.0f objects on a %d-task, %d-buffer graph, want ≤ 130",
+			allocs, g.NumTasks(), g.NumBuffers())
+	}
+}

@@ -293,19 +293,21 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	// One pass decodes the envelope and the graph. Envelopes are strict so
-	// a typo'd knob ("metod", "anlyses") fails loudly instead of silently
-	// running the defaults; a bare graph body skips unknown keys.
-	g, env, err := sdf3x.DecodeRequest(body)
+	// The body is read under the size cap into the pooled decoder's own
+	// buffer, and one pass decodes the envelope and the graph from it.
+	// Envelopes are strict so a typo'd knob ("metod", "anlyses") fails
+	// loudly instead of silently running the defaults; a bare graph body
+	// skips unknown keys.
+	g, env, err := sdf3x.ReadRequest(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
 	if err != nil {
+		var readErr *sdf3x.ReadError
 		var reqErr *sdf3x.RequestError
-		if errors.As(err, &reqErr) {
+		switch {
+		case errors.As(err, &readErr):
+			readError(w, readErr.Err)
+		case errors.As(err, &reqErr):
 			httpError(w, http.StatusBadRequest, "decoding request: %v", reqErr.Err)
-		} else {
+		default:
 			httpError(w, http.StatusBadRequest, "decoding graph: %v", err)
 		}
 		return
@@ -417,15 +419,21 @@ func (s *server) middlewareRequestID(w http.ResponseWriter) string {
 func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", mbe.Limit)
-			return nil, false
-		}
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		readError(w, err)
 		return nil, false
 	}
 	return body, true
+}
+
+// readError writes the response for a failed read of a capped body: 413
+// when the cap was hit, 400 otherwise.
+func readError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", mbe.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "reading body: %v", err)
 }
 
 // handleHealthz serves both probes. The plain GET /healthz is liveness —
@@ -448,13 +456,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSONIndent(w, http.StatusOK, map[string]any{
 			"status":  "ready",
-			"workers": s.e.Stats().Workers,
+			"workers": s.e.WorkerCount(),
 		})
 		return
 	}
 	writeJSONIndent(w, http.StatusOK, map[string]any{
 		"status":  "ok",
-		"workers": s.e.Stats().Workers,
+		"workers": s.e.WorkerCount(),
 	})
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -31,7 +32,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeJob: %v", err)
 	}
-	req, err := decodeRequest(body)
+	req, err := decodeRequest(bytes.NewReader(body), int64(len(body)))
 	if err != nil {
 		t.Fatalf("decodeRequest: %v", err)
 	}
@@ -50,10 +51,10 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRequestRejectsUnknownFields(t *testing.T) {
-	if _, err := decodeRequest([]byte(`{"graph": {}, "shiny": true}`)); err == nil {
+	if _, err := decodeRequest(strings.NewReader(`{"graph": {}, "shiny": true}`), -1); err == nil {
 		t.Fatal("unknown wire field accepted — version skew would be silent")
 	}
-	if _, err := decodeRequest([]byte(`not json`)); err == nil {
+	if _, err := decodeRequest(strings.NewReader(`not json`), -1); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -178,7 +179,7 @@ func TestForwardRetryThenBreakerOpens(t *testing.T) {
 			http.Error(w, "injected outage", http.StatusInternalServerError)
 			return
 		}
-		req, err := decodeRequest(body)
+		req, err := decodeRequest(bytes.NewReader(body), int64(len(body)))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -272,7 +273,7 @@ func TestJSONAnswerFailsOver(t *testing.T) {
 	mux.HandleFunc("/cluster/evaluate", func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		body, _ := io.ReadAll(r.Body)
-		req, err := decodeRequest(body)
+		req, err := decodeRequest(bytes.NewReader(body), int64(len(body)))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
 	"kiter/internal/engine"
 	"kiter/internal/resultcodec"
+	"kiter/internal/sdf3x"
 	"kiter/internal/telemetry"
 )
 
@@ -82,17 +82,17 @@ func (c *Cluster) EvaluateHandler(e *engine.Engine, timeout time.Duration) http.
 			writeError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxForwardBody+1))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-			return
-		}
-		if len(body) > maxForwardBody {
+		req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxForwardBody), r.ContentLength)
+		var mbe *http.MaxBytesError
+		var readErr *sdf3x.ReadError
+		switch {
+		case errors.As(err, &mbe):
 			writeError(w, http.StatusRequestEntityTooLarge, "body too large")
 			return
-		}
-		req, err := decodeRequest(body)
-		if err != nil {
+		case errors.As(err, &readErr):
+			writeError(w, http.StatusBadRequest, "reading body: "+readErr.Err.Error())
+			return
+		case err != nil:
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"kiter/internal/engine"
 	"kiter/internal/resultcodec"
@@ -52,15 +53,20 @@ func encodeJob(job *engine.DispatchJob) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// decodeRequest parses a forwarded body back into an engine request with
-// the one-pass envelope decoder. The envelope is strict — a field this
-// replica does not know means a version skew worth failing loudly (the
-// sender then falls back to local evaluation) rather than silently
-// dropping a knob — and a body without a "graph" key is rejected.
-func decodeRequest(body []byte) (*engine.Request, error) {
-	g, env, err := sdf3x.DecodeRequest(body)
+// decodeRequest reads a forwarded body from r and parses it back into an
+// engine request with the one-pass envelope decoder; sizeHint is the
+// body's length when known. A failed read comes back as the
+// *sdf3x.ReadError. The envelope is strict — a field this replica does not
+// know means a version skew worth failing loudly (the sender then falls
+// back to local evaluation) rather than silently dropping a knob — and a
+// body without a "graph" key is rejected.
+func decodeRequest(r io.Reader, sizeHint int64) (*engine.Request, error) {
+	g, env, err := sdf3x.ReadRequest(r, sizeHint)
+	var readErr *sdf3x.ReadError
 	var reqErr *sdf3x.RequestError
 	switch {
+	case errors.As(err, &readErr):
+		return nil, err
 	case errors.As(err, &reqErr):
 		return nil, fmt.Errorf("cluster: decoding request: %w", reqErr.Err)
 	case err != nil:

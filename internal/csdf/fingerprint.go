@@ -20,10 +20,17 @@ import (
 // identical analysis results.
 func (g *Graph) Fingerprint() [32]byte {
 	h := sha256.New()
-	var tmp [8]byte
+	// The int64s are batched into buf and hashed one full buffer at a
+	// time: the hashed byte stream is the same as one Write per value.
+	var buf [512]byte
+	n := 0
 	wi := func(v int64) {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-		h.Write(tmp[:])
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], uint64(v))
+		n += 8
 	}
 	wv := func(vs []int64) {
 		wi(int64(len(vs)))
@@ -45,6 +52,7 @@ func (g *Graph) Fingerprint() [32]byte {
 		wi(b.Initial)
 		wi(b.Capacity)
 	}
+	h.Write(buf[:n])
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
@@ -53,5 +61,7 @@ func (g *Graph) Fingerprint() [32]byte {
 // FingerprintHex returns Fingerprint as a lowercase hex string.
 func (g *Graph) FingerprintHex() string {
 	fp := g.Fingerprint()
-	return hex.EncodeToString(fp[:])
+	var s [2 * len(fp)]byte
+	hex.Encode(s[:], fp[:])
+	return string(s[:])
 }

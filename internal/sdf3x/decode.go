@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"slices"
 	"sync"
 
 	"kiter/internal/csdf"
@@ -11,8 +13,11 @@ import (
 
 // This file is the only graph JSON decoder: a single-pass recursive-descent
 // reader for the fixed schema of jsonGraph and of the request envelope
-// around it, building csdf.Graph directly. It accepts and rejects exactly
-// what encoding/json did when it decoded into jsonGraph by reflection:
+// around it, building csdf.Graph directly. The pooled decoder owns the
+// bytes it decodes: it reads its input into a buffer it keeps, and nothing
+// it returns (graph, envelope, error) aliases that buffer. It accepts and
+// rejects exactly what encoding/json did when it decoded into jsonGraph by
+// reflection:
 //
 //   - keys match a field exactly first, then by bytes.EqualFold;
 //   - a repeated key decodes again into what the earlier one left, so the
@@ -39,6 +44,7 @@ const maxDepth = 10000
 const (
 	maxPooledItems = 1 << 10 // tasks, buffers, analyses
 	maxPooledInts  = 1 << 14 // slab entries
+	maxPooledBytes = 1 << 20 // input buffer
 )
 
 // span locates an int64 array in the decoder's slab: n values at off,
@@ -68,7 +74,11 @@ type rawGraph struct {
 	nBuffers int
 }
 
+// reset empties the graph, clearing the elements it drops: past their
+// length the pooled slices hold only zero values.
 func (g *rawGraph) reset() {
+	clear(g.tasks)
+	clear(g.buffers)
 	*g = rawGraph{tasks: g.tasks[:0], buffers: g.buffers[:0]}
 }
 
@@ -83,12 +93,19 @@ type Envelope struct {
 
 // RequestError reports a request body rejected as a whole: malformed JSON,
 // a top-level value that is not an object, or an envelope key that is
-// unknown or has the wrong type. DecodeRequest's other errors concern the
-// graph.
+// unknown or has the wrong type. ReadRequest's errors other than a
+// ReadError and a RequestError concern the graph.
 type RequestError struct{ Err error }
 
 func (e *RequestError) Error() string { return e.Err.Error() }
 func (e *RequestError) Unwrap() error { return e.Err }
+
+// ReadError reports that reading a request body failed; Err is the
+// reader's error, such as an *http.MaxBytesError.
+type ReadError struct{ Err error }
+
+func (e *ReadError) Error() string { return "sdf3x: reading request: " + e.Err.Error() }
+func (e *ReadError) Unwrap() error { return e.Err }
 
 // syntaxError is malformed JSON at a byte offset.
 type syntaxError struct {
@@ -107,6 +124,8 @@ var (
 )
 
 type decoder struct {
+	// data is the input, read into a buffer the decoder owns and keeps
+	// for its next use.
 	data  []byte
 	off   int
 	depth int
@@ -126,39 +145,61 @@ type decoder struct {
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
-func newDecoder(data []byte) *decoder {
+// read takes a decoder from the pool and reads r to EOF into its input
+// buffer. A positive sizeHint grows the buffer once to that size, up to
+// the retention bound, so a body of the hinted length is read without
+// another grow. On a read error the decoder is already released.
+func read(r io.Reader, sizeHint int64) (*decoder, error) {
 	d := decoders.Get().(*decoder)
-	d.data = data
-	return d
+	b := d.data[:0]
+	if sizeHint > 0 {
+		// One byte more, so the read that meets EOF has room.
+		b = slices.Grow(b, int(min(sizeHint, maxPooledBytes))+1)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			d.data = b
+			d.release()
+			return nil, err
+		}
+	}
+	d.data = b
+	return d, nil
 }
 
-// release clears every reference into the input and the built graph, then
-// pools the scratch unless it grew past the retention bounds.
+// release clears every reference into the built graph, then pools the
+// scratch unless it grew past the retention bounds. Past their lengths the
+// scratch slices hold only zero values (every truncation clears what it
+// drops), so clearing up to the lengths is enough. The input buffer holds
+// no references and is kept as it is.
 func (d *decoder) release() {
 	for _, n := range []int{len(d.ids), cap(d.knobs.Analyses), cap(d.bare.tasks), cap(d.bare.buffers), cap(d.env.tasks), cap(d.env.buffers)} {
 		if n > maxPooledItems {
 			return
 		}
 	}
-	if cap(d.slab) > maxPooledInts {
+	if cap(d.slab) > maxPooledInts || cap(d.data) > maxPooledBytes {
 		return
 	}
-	for _, g := range []*rawGraph{&d.bare, &d.env} {
-		clear(g.tasks[:cap(g.tasks)])
-		clear(g.buffers[:cap(g.buffers)])
-		g.reset()
-	}
-	clear(d.knobs.Analyses[:cap(d.knobs.Analyses)])
+	d.bare.reset()
+	d.env.reset()
+	clear(d.knobs.Analyses)
 	d.knobs, d.nAnalyses = Envelope{Analyses: d.knobs.Analyses[:0]}, 0
 	clear(d.ids)
-	d.data, d.off, d.depth, d.err, d.slab = nil, 0, 0, nil, d.slab[:0]
+	d.off, d.depth, d.err, d.slab = 0, 0, nil, d.slab[:0]
 	decoders.Put(d)
 }
 
-// decodeGraph decodes data as one graph document.
-func decodeGraph(data []byte) (*csdf.Graph, error) {
-	d := newDecoder(data)
-	defer d.release()
+// document decodes the input as one graph document.
+func (d *decoder) document() (*csdf.Graph, error) {
 	err := d.graph(&d.bare)
 	if err == nil {
 		err = d.end()
@@ -172,15 +213,28 @@ func decodeGraph(data []byte) (*csdf.Graph, error) {
 	return d.build(&d.bare)
 }
 
-// DecodeRequest decodes a request body in one pass: either a bare graph or
-// an envelope {"graph": …, "analyses": […], "method": …, "capacities": …,
-// "noCache": …}. A "graph" key anywhere in the top-level object makes it an
-// envelope, which is strict: any other key is a RequestError naming it.
-// A bare graph is lenient: unknown keys are skipped (they must still be
-// valid JSON). The envelope is nil for a bare graph.
-func DecodeRequest(body []byte) (*csdf.Graph, *Envelope, error) {
-	d := newDecoder(body)
+// ReadRequest reads a request body from r to EOF and decodes it in one
+// pass: either a bare graph or an envelope {"graph": …, "analyses": […],
+// "method": …, "capacities": …, "noCache": …}. A "graph" key anywhere in
+// the top-level object makes it an envelope, which is strict: any other key
+// is a RequestError naming it. A bare graph is lenient: unknown keys are
+// skipped (they must still be valid JSON). The envelope is nil for a bare
+// graph. A failed read is a ReadError wrapping the reader's error.
+//
+// The body is read into the pooled decoder's own buffer, which a positive
+// sizeHint (a request's ContentLength) sizes in one grow; nothing returned
+// aliases it.
+func ReadRequest(r io.Reader, sizeHint int64) (*csdf.Graph, *Envelope, error) {
+	d, err := read(r, sizeHint)
+	if err != nil {
+		return nil, nil, &ReadError{err}
+	}
 	defer d.release()
+	return d.request()
+}
+
+// request decodes the input as a request body; see ReadRequest.
+func (d *decoder) request() (*csdf.Graph, *Envelope, error) {
 	var envErr, graphErr, bareErr error
 	// unknown is the first key an envelope does not know, kept as a token
 	// so a bare graph's keys cost no error value.
@@ -354,10 +408,12 @@ func (d *decoder) graphField(g *rawGraph, f int) error {
 // elems decodes an array into *backing element by element: elements the
 // array does not reach keep what an earlier array wrote there, as
 // encoding/json reuses a slice's backing array, and live is set to the
-// array's length. A null or an empty array drops the backing array.
+// array's length. A null or an empty array drops the backing array,
+// clearing its elements.
 func elems[T any](d *decoder, backing *[]T, live *int, field string, elem func(*T) error) error {
 	switch d.next() {
 	case 'n':
+		clear(*backing)
 		*backing, *live = (*backing)[:0], 0
 		return d.null()
 	case '[':
@@ -371,6 +427,7 @@ func elems[T any](d *decoder, backing *[]T, live *int, field string, elem func(*
 			return elem(&(*backing)[n-1])
 		})
 		if n == 0 {
+			clear(*backing)
 			*backing = (*backing)[:0]
 		}
 		*live = n

@@ -59,10 +59,11 @@ func sameGraph(t *testing.T, got, want *csdf.Graph) {
 }
 
 // TestReadJSONAllocations pins the decoder's allocations on BlackScholes
-// (41 tasks, 41 buffers, 4.3 KB compact): 83 name strings plus the input
-// copy, the slab, the task and buffer arrays and the graph — 89 in all.
-// The reflection decoder took about 515. The race detector drops pooled
-// scratch at random, which adds a few.
+// (41 tasks, 41 buffers, 4.3 KB compact): the input is read into the
+// pooled decoder's buffer, so only 83 name strings, the slab, the task and
+// buffer arrays and the graph remain — 88 in all. The reflection decoder
+// took about 515. The race detector drops pooled scratch at random, which
+// adds up to about ten.
 func TestReadJSONAllocations(t *testing.T) {
 	g, err := gen.Industrial(gen.IndustrialSpecs()[0])
 	if err != nil {
@@ -73,13 +74,13 @@ func TestReadJSONAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := buf.Bytes()
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := sdf3x.ReadJSON(bytes.NewReader(body)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 110 {
-		t.Errorf("ReadJSON allocates %.0f objects on a %d-task, %d-buffer graph, want ≤ 110",
+	if allocs > 106 {
+		t.Errorf("ReadJSON allocates %.0f objects on a %d-task, %d-buffer graph, want ≤ 106",
 			allocs, g.NumTasks(), g.NumBuffers())
 	}
 }

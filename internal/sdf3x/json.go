@@ -70,19 +70,12 @@ func toJSON(g *csdf.Graph) jsonGraph {
 // ReadJSON reads a graph document to the end of r, decodes and validates
 // it. Anything but whitespace after the graph is an error.
 func ReadJSON(r io.Reader) (*csdf.Graph, error) {
-	var data []byte
-	var err error
-	if l, ok := r.(interface{ Len() int }); ok {
-		// bytes.Reader, bytes.Buffer, strings.Reader: read in one go.
-		data = make([]byte, l.Len())
-		_, err = io.ReadFull(r, data)
-	} else {
-		data, err = io.ReadAll(r)
-	}
+	d, err := read(r, 0)
 	if err != nil {
 		return nil, fmt.Errorf("sdf3x: reading JSON: %w", err)
 	}
-	return decodeGraph(data)
+	defer d.release()
+	return d.document()
 }
 
 func taskNames(g *csdf.Graph) []string {
