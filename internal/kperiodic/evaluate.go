@@ -20,26 +20,39 @@ type evaluation struct {
 	deadlock []PhaseRef
 }
 
-// solveK builds the bi-valued graph for (g, q, K) and solves the MCRP. The
-// context is polled during constraint generation (the dominating cost), so
-// a cancelled ctx aborts mid-expansion rather than after it.
-func solveK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options) (*evaluation, error) {
-	b, err := newBuilder(g, q, K, opt)
+// solveK builds the bi-valued graph for (g, q, K) in w and solves the
+// MCRP. The context is polled during constraint generation (the dominating
+// cost), so a cancelled ctx aborts mid-expansion rather than after it. An
+// infeasible K comes back as *DeadlockError when its certificate circuit
+// passes the multiplicity condition and as *ErrInfeasibleK otherwise.
+func (w *workspace) solveK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options) (*evaluation, error) {
+	if err := w.b.reset(g, q, K, opt); err != nil {
+		return nil, err
+	}
+	w.b.ctx = ctx
+	ev, err := resolve(ctx, &w.b, &w.s, opt)
 	if err != nil {
 		return nil, err
 	}
-	b.ctx = ctx
-	return resolve(ctx, b, mcr.NewSolver(), opt)
+	if ev.deadlock != nil {
+		tasks := uniqueTasks(ev.deadlock)
+		if optimalityTest(tasks, q, K) {
+			return nil, &DeadlockError{K: append([]int64(nil), K...), Tasks: tasks}
+		}
+		return nil, &ErrInfeasibleK{K: append([]int64(nil), K...), Tasks: tasks}
+	}
+	return ev, nil
 }
 
 // resolve brings the builder's constraint graph up to date and solves the
-// MCRP with the given (reusable) solver. K-Iter calls it once per round
-// with the same builder and solver, which is what makes repeated rounds
-// cheap: unchanged arc blocks are replayed, the solver's scratch is
-// recycled, and Howard starts from the solver's final policy of the
-// previous round, mapped onto the rebuilt graph. Callers pair a builder
-// with one solver for its whole life, so that policy always belongs to
-// the builder's previous build; on a first build there is none.
+// MCRP with the given solver. K-Iter calls it once per round with the same
+// builder and solver, which is what makes repeated rounds cheap: unchanged
+// arc blocks are replayed, the solver's scratch is recycled, and Howard
+// starts from the solver's final policy of the previous round, mapped onto
+// the rebuilt graph. A builder and solver are paired in one workspace, so
+// that policy always belongs to the builder's previous build; on a first
+// build after reset there is none, and the solver's leftover policy from
+// an earlier graph is ignored.
 func resolve(ctx context.Context, b *builder, s *mcr.Solver, opt Options) (*evaluation, error) {
 	if err := b.build(); err != nil {
 		return nil, err
@@ -114,16 +127,17 @@ func EvaluateKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
-	ev, err := solveK(ctx, g, q, K, opt)
+	w := getWorkspace()
+	out, err := w.evaluateK(ctx, g, q, K, opt)
+	w.release()
+	return out, err
+}
+
+// evaluateK is EvaluateKCtx in w.
+func (w *workspace) evaluateK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options) (*Evaluation, error) {
+	ev, err := w.solveK(ctx, g, q, K, opt)
 	if err != nil {
 		return nil, err
-	}
-	if ev.deadlock != nil {
-		tasks := uniqueTasks(ev.deadlock)
-		if optimalityTest(tasks, q, K) {
-			return nil, &DeadlockError{K: append([]int64(nil), K...), Tasks: tasks}
-		}
-		return nil, &ErrInfeasibleK{K: append([]int64(nil), K...), Tasks: tasks}
 	}
 	out := ev.toEvaluation()
 	out.Optimal = optimalityTest(out.CriticalTasks, q, K)

@@ -84,27 +84,43 @@ type blockArc struct {
 	hf       float64
 }
 
-func newBuilder(g *csdf.Graph, q, K []int64, opt Options) (*builder, error) {
+// reset points the builder at a new (g, q, K) while keeping every backing
+// array it grew for earlier graphs: the block caches' arc slices, the
+// MCRP graph's arena and CSR arrays, and the pair-enumeration scratch.
+// Nothing from an earlier graph is reused as data. Every block is marked
+// empty, so build re-enumerates it instead of replaying another graph's
+// arcs for the buffer with the same index and endpoint K; the arc-index
+// bookkeeping is emptied, so warmPolicy maps no earlier policy onto the
+// first build.
+func (b *builder) reset(g *csdf.Graph, q, K []int64, opt Options) error {
 	if err := checkK(g, K); err != nil {
-		return nil, err
+		return err
 	}
-	b := &builder{
-		g:         g,
-		q:         q,
-		K:         append([]int64(nil), K...),
-		seq:       !opt.AutoConcurrency,
-		opt:       opt,
-		offset:    make([]int, g.NumTasks()+1),
-		mg:        mcr.New(0),
-		bufBlocks: make([]arcBlock, g.NumBuffers()),
+	b.g, b.q, b.ctx, b.opt = g, q, nil, opt
+	b.K = append(b.K[:0], K...)
+	b.seq = !opt.AutoConcurrency
+	b.offset = slices.Grow(b.offset[:0], g.NumTasks()+1)[:g.NumTasks()+1]
+	if b.mg == nil {
+		b.mg = mcr.New(0)
 	}
+	b.bufBlocks = emptyBlocks(b.bufBlocks, g.NumBuffers())
+	b.seqBlocks = b.seqBlocks[:0]
 	if b.seq {
-		b.seqBlocks = make([]arcBlock, g.NumTasks())
+		b.seqBlocks = emptyBlocks(b.seqBlocks, g.NumTasks())
 	}
-	if err := b.layout(); err != nil {
-		return nil, err
+	b.base, b.prevBase, b.replayed, b.warm = b.base[:0], b.prevBase[:0], b.replayed[:0], b.warm[:0]
+	b.stats = buildStats{}
+	return b.layout()
+}
+
+// emptyBlocks reslices blocks to n entries, each marked empty but keeping
+// its arc slice's capacity.
+func emptyBlocks(blocks []arcBlock, n int) []arcBlock {
+	blocks = slices.Grow(blocks[:0], n)[:n]
+	for i := range blocks {
+		blocks[i].kSrc, blocks[i].kDst = 0, 0
 	}
-	return b, nil
+	return blocks
 }
 
 func checkK(g *csdf.Graph, K []int64) error {

@@ -34,7 +34,7 @@ func TestConstraintArcsFigure1(t *testing.T) {
 	if q[0] != 7 || q[1] != 6 {
 		t.Fatalf("q = %v, want [7 6]", q)
 	}
-	b, err := newBuilder(g, q, []int64{1, 1}, Options{AutoConcurrency: true} /* no self-loops */)
+	b, err := freshBuilder(g, q, []int64{1, 1}, Options{AutoConcurrency: true} /* no self-loops */)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestConstraintArcsFigure1(t *testing.T) {
 func TestExpansionDuplication(t *testing.T) {
 	g := figure1()
 	q := []int64{7, 6}
-	b, err := newBuilder(g, q, []int64{2, 1}, Options{AutoConcurrency: true})
+	b, err := freshBuilder(g, q, []int64{2, 1}, Options{AutoConcurrency: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestExpansionDuplication(t *testing.T) {
 func TestPhaseRefRoundTrip(t *testing.T) {
 	g := figure1()
 	q := []int64{7, 6}
-	b, err := newBuilder(g, q, []int64{3, 2}, Options{AutoConcurrency: true})
+	b, err := freshBuilder(g, q, []int64{3, 2}, Options{AutoConcurrency: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSequentialArcs(t *testing.T) {
 	g := csdf.NewGraph("seq")
 	g.AddTask("a", []int64{2, 3})
 	q := []int64{1}
-	b, err := newBuilder(g, q, []int64{2}, Options{})
+	b, err := freshBuilder(g, q, []int64{2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +189,13 @@ func TestSequentialArcs(t *testing.T) {
 func TestBuilderRejectsBadK(t *testing.T) {
 	g := figure1()
 	q := []int64{7, 6}
-	if _, err := newBuilder(g, q, []int64{1}, Options{AutoConcurrency: true}); err == nil {
+	if _, err := freshBuilder(g, q, []int64{1}, Options{AutoConcurrency: true}); err == nil {
 		t.Error("short K accepted")
 	}
-	if _, err := newBuilder(g, q, []int64{0, 1}, Options{AutoConcurrency: true}); err == nil {
+	if _, err := freshBuilder(g, q, []int64{0, 1}, Options{AutoConcurrency: true}); err == nil {
 		t.Error("zero K accepted")
 	}
-	if _, err := newBuilder(g, q, []int64{-2, 1}, Options{AutoConcurrency: true}); err == nil {
+	if _, err := freshBuilder(g, q, []int64{-2, 1}, Options{AutoConcurrency: true}); err == nil {
 		t.Error("negative K accepted")
 	}
 }

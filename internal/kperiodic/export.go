@@ -24,8 +24,16 @@ func BivaluedGraph(g *csdf.Graph, K []int64, opt Options) ([]BivaluedArc, error)
 	if err != nil {
 		return nil, err
 	}
-	b, err := newBuilder(g, q, K, opt)
-	if err != nil {
+	w := getWorkspace()
+	arcs, err := w.bivaluedGraph(g, q, K, opt)
+	w.release()
+	return arcs, err
+}
+
+// bivaluedGraph is BivaluedGraph in w.
+func (w *workspace) bivaluedGraph(g *csdf.Graph, q, K []int64, opt Options) ([]BivaluedArc, error) {
+	b := &w.b
+	if err := b.reset(g, q, K, opt); err != nil {
 		return nil, err
 	}
 	if err := b.build(); err != nil {

@@ -76,6 +76,15 @@ func KIterCtx(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResult, er
 	if err != nil {
 		return nil, err
 	}
+	w := getWorkspace()
+	res, err := w.kiter(ctx, g, q, opt)
+	w.release()
+	return res, err
+}
+
+// kiter runs Algorithm 1 in w. Everything it returns is copied out of the
+// workspace, so the caller may release w as soon as it returns.
+func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q []int64, opt Options) (*KIterResult, error) {
 	K := make([]int64, g.NumTasks())
 	for i := range K {
 		K[i] = 1
@@ -87,19 +96,19 @@ func KIterCtx(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResult, er
 	inner := opt
 	inner.SkipCertify = true
 
-	// One builder and one MCRP solver serve every round: arc blocks whose
-	// endpoint K survived the latest updateK are replayed instead of
-	// re-enumerated, the solver's O(n) working arrays are recycled, and
-	// from the second round on Howard starts from the previous round's
-	// final policy wherever the graph around it is unchanged.
+	// The workspace's builder and MCRP solver serve every round: arc
+	// blocks whose endpoint K survived the latest updateK are replayed
+	// instead of re-enumerated, the solver's O(n) working arrays are
+	// recycled, and from the second round on Howard starts from the
+	// previous round's final policy wherever the graph around it is
+	// unchanged. Across evaluations only the backing arrays carry over.
 	result := &KIterResult{}
-	b, err := newBuilder(g, q, K, inner)
-	if err != nil {
+	b, solver := &w.b, &w.s
+	if err := b.reset(g, q, K, inner); err != nil {
 		result.Iterations = 1
 		return result, err
 	}
 	b.ctx = ctx
-	solver := mcr.NewSolver()
 	span := telemetry.FromContext(ctx)
 	defer func() {
 		span.AddInt("iterations", int64(result.Iterations))

@@ -50,17 +50,18 @@ func ScheduleKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
+	w := getWorkspace()
+	sch, err := w.scheduleK(ctx, g, q, K, opt)
+	w.release()
+	return sch, err
+}
+
+// scheduleK is ScheduleKCtx in w.
+func (w *workspace) scheduleK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options) (*Schedule, error) {
 	opt.SkipCertify = false // exact potentials need the exact period
-	ev, err := solveK(ctx, g, q, K, opt)
+	ev, err := w.solveK(ctx, g, q, K, opt)
 	if err != nil {
 		return nil, err
-	}
-	if ev.deadlock != nil {
-		tasks := uniqueTasks(ev.deadlock)
-		if optimalityTest(tasks, q, K) {
-			return nil, &DeadlockError{K: append([]int64(nil), K...), Tasks: tasks}
-		}
-		return nil, &ErrInfeasibleK{K: append([]int64(nil), K...), Tasks: tasks}
 	}
 	b := ev.b
 	// Longest-path potentials with arc weights w = L − λ·H, where λ is the
@@ -75,8 +76,8 @@ func ScheduleKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*
 		changed := false
 		for i := 0; i < b.mg.NumArcs(); i++ {
 			a := b.mg.Arc(i)
-			w := rat.FromInt(a.L).Sub(lambda.Mul(a.H))
-			cand := dist[a.From].Add(w)
+			wt := rat.FromInt(a.L).Sub(lambda.Mul(a.H))
+			cand := dist[a.From].Add(wt)
 			if cand.Cmp(dist[a.To]) > 0 {
 				dist[a.To] = cand
 				changed = true
@@ -89,7 +90,7 @@ func ScheduleKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*
 	sch := &Schedule{
 		K:      append([]int64(nil), K...),
 		Q:      q,
-		Period: ev.toEvaluation().Period,
+		Period: ev.res.Ratio,
 		Starts: make([][]rat.Rat, g.NumTasks()),
 		Mu:     make([]rat.Rat, g.NumTasks()),
 		phases: make([]int, g.NumTasks()),

@@ -20,17 +20,20 @@
 // positive make the underlying scheduling LP infeasible; they are reported
 // as a DeadlockError carrying the certificate circuit.
 //
-// Repeated resolutions — the K-Iter loop solves one MCRP per Algorithm 1
-// round — should reuse a Solver (persistent scratch state) and rebuild the
-// graph in place with Reset/Reserve, which keeps the per-round work
+// Repeated resolutions should reuse a Solver (persistent scratch state)
+// and rebuild the graph in place with Reset/Reserve, which keeps the work
 // allocation-free once the backing arrays have grown to steady state
-// (they grow geometrically, so a graph that grows a little every round
-// reallocates only now and then). Consecutive rounds solve graphs that
-// differ only around the tasks whose periodicity changed, so K-Iter also
-// starts each round's Howard iteration from the previous round's final
-// policy (Options.InitPolicy, Solver.Policy), mapped onto the rebuilt
-// graph: a round then costs a few policy iterations instead of a number
-// that grows with the round index.
+// (they grow geometrically, so a graph that grows a little every solve
+// reallocates only now and then). internal/kperiodic keeps one Graph and
+// one Solver in each workspace of a bounded pool, so they serve every
+// round of a K-Iter run and then later evaluations of other graphs; a
+// Solver carries no answer from one graph to the next, since Howard's
+// starting policy comes from Options.InitPolicy alone. Consecutive K-Iter
+// rounds solve graphs that differ only around the tasks whose periodicity
+// changed, so K-Iter starts each round's Howard iteration from the
+// previous round's final policy (Options.InitPolicy, Solver.Policy),
+// mapped onto the rebuilt graph: a round then costs a few policy
+// iterations instead of a number that grows with the round index.
 //
 // A policy circuit's ratio is always computed exactly (CycleLH), never
 // from float64 sums of H: with large durations the float sums cancel, the

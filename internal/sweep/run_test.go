@@ -304,3 +304,38 @@ func TestPointJSONShape(t *testing.T) {
 		t.Fatal("empty result not omitted")
 	}
 }
+
+// TestSweepScenarioAllocations pins the allocations of one uncached sweep
+// scenario, from Materialize through Engine.Submit to a K-Iter answer,
+// with telemetry off and kperiodic's workspace pool warm, so CI gates the
+// per-scenario solve path by a count rather than a time.
+func TestSweepScenarioAllocations(t *testing.T) {
+	spec := VideoPipelineSpec(2, 2)
+	spec.Method = "kiter"
+	spec.NoCache = true
+	x := mustCompile(t, spec)
+	e := newTestEngine(t)
+	scenario := func() {
+		req, err := x.Request(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp := res.Throughput; res.CacheHit || tp == nil || tp.Method != engine.MethodKIter || !tp.Optimal {
+			t.Fatalf("want an uncached, optimal K-Iter answer, got %+v", res)
+		}
+	}
+	scenario() // grow a pooled workspace
+	allocs := testing.AllocsPerRun(100, scenario)
+	// About 51 allocations: the materialized graph, the request, the
+	// engine's job and result, and K-Iter's trace. Under the race
+	// detector sync.Pool drops a random share of its entries, so some
+	// scenarios start from a new workspace: 59–73 over 100 runs. Without
+	// the workspace pool the count is 99.
+	if allocs > 85 {
+		t.Errorf("one uncached sweep scenario allocates %.0f objects, want ≤ 85", allocs)
+	}
+}

@@ -19,8 +19,9 @@ import (
 )
 
 // TestPropertyDurationScaling: multiplying all durations by c multiplies
-// the optimal period by exactly c (time-rescaling invariance), for both
-// K-Iter and symbolic execution.
+// the optimal period by exactly c (time-rescaling invariance), for K-Iter,
+// symbolic execution and the 1-periodic method, whose bound scales the
+// same way.
 func TestPropertyDurationScaling(t *testing.T) {
 	for seed := int64(300); seed < 312; seed++ {
 		g, err := gen.RandomSmall(seed)
@@ -47,6 +48,49 @@ func TestPropertyDurationScaling(t *testing.T) {
 		}
 		if sym.Period.Cmp(want) != 0 {
 			t.Errorf("seed %d: symbolic Ω(3·d) = %s, want %s", seed, sym.Period, want)
+		}
+		base1, err := kperiodic.Evaluate1(g, kperiodic.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got1, err := kperiodic.Evaluate1(scaled, kperiodic.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want1 := base1.Period.Mul(rat.FromInt(c)); got1.Period.Cmp(want1) != 0 {
+			t.Errorf("seed %d: 1-periodic Ω(3·d) = %s, want 3·Ω(d) = %s", seed, got1.Period, want1)
+		}
+	}
+}
+
+// TestPropertyRenaming: renaming the graph, every task and every buffer
+// changes neither the structural fingerprint nor the optimal period.
+func TestPropertyRenaming(t *testing.T) {
+	for seed := int64(370); seed < 382; seed++ {
+		g, err := gen.RandomSmall(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := csdf.NewGraph("renamed-" + g.Name)
+		for _, task := range g.Tasks() {
+			r.AddTask("x-"+task.Name, task.Durations)
+		}
+		for _, b := range g.Buffers() {
+			r.AddBuffer("y-"+b.Name, b.Src, b.Dst, b.In, b.Out, b.Initial)
+		}
+		if got, want := r.FingerprintHex(), g.FingerprintHex(); got != want {
+			t.Errorf("seed %d: renaming changed the fingerprint from %s to %s", seed, want, got)
+		}
+		base, err := kperiodic.KIter(g, kperiodic.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := kperiodic.KIter(r, kperiodic.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Period.Cmp(base.Period) != 0 {
+			t.Errorf("seed %d: renaming changed Ω from %s to %s", seed, base.Period, got.Period)
 		}
 	}
 }
