@@ -56,8 +56,8 @@ type RunResult struct {
 	SLOViolations    []string         `json:"slo_violations,omitempty"`
 }
 
-// Report is the BENCH_serve_*.json document, following the label /
-// go_version / goarch header conventions of cmd/benchjson.
+// Report is the BENCH_serve_*.json document, with the label /
+// go_version / goarch header of the other BENCH_*.json files.
 type Report struct {
 	Label     string      `json:"label"`
 	Target    string      `json:"target"`

@@ -124,10 +124,9 @@ func chaosSweepBody(t *testing.T) []byte {
 	return body
 }
 
-// streamSweep POSTs a sweep to one replica and consumes the NDJSON
-// stream, invoking onLine after each scenario line and returning the
-// closing envelope.
-func streamSweep(t *testing.T, addr string, body []byte, onLine func(n int)) *sweep.Envelope {
+// streamSweep POSTs a sweep to one replica, consumes the NDJSON stream
+// and returns the closing envelope.
+func streamSweep(t *testing.T, addr string, body []byte) *sweep.Envelope {
 	t.Helper()
 	resp, err := http.Post("http://"+addr+"/sweep", "application/json", strings.NewReader(string(body)))
 	if err != nil {
@@ -140,17 +139,10 @@ func streamSweep(t *testing.T, addr string, body []byte, onLine func(n int)) *sw
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var env *sweep.Envelope
-	lines := 0
 	for sc.Scan() {
-		line := sc.Bytes()
 		var el sweepEnvelopeLine
-		if err := json.Unmarshal(line, &el); err == nil && el.Envelope != nil {
+		if err := json.Unmarshal(sc.Bytes(), &el); err == nil && el.Envelope != nil {
 			env = el.Envelope
-			continue
-		}
-		lines++
-		if onLine != nil {
-			onLine(lines)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -203,10 +195,10 @@ func fetchStats(t *testing.T, addr string) statsResponse {
 
 // TestChaosSweepSurvivesFaults is the fault-tolerance acceptance test: a
 // 3-replica fleet runs a sweep while chaos injects solver panics, disk
-// cache read errors and forward failures, and one peer is killed
-// mid-stream. The envelope must be byte-for-byte the clean run's — every
-// fault absorbed by recovery, fallback or retry — with the recovery
-// counters visible on /stats and /metrics and zero crashes.
+// cache read errors and forward failures, and one peer is dead. The
+// envelope must be byte-for-byte the clean run's — every fault absorbed by
+// recovery, fallback or retry — with the recovery counters visible on
+// /stats and /metrics and zero crashes.
 func TestChaosSweepSurvivesFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e under -short")
@@ -215,7 +207,7 @@ func TestChaosSweepSurvivesFaults(t *testing.T) {
 
 	// Reference run: a clean fleet, no faults.
 	cleanReps, stopClean := startKiterdFleet(t, 3)
-	cleanEnv := streamSweep(t, cleanReps[0].addr, body, nil)
+	cleanEnv := streamSweep(t, cleanReps[0].addr, body)
 	stopClean()
 	if cleanEnv.Failed != 0 || cleanEnv.Completed != cleanEnv.Scenarios {
 		t.Fatalf("clean run not clean: %+v", cleanEnv)
@@ -235,23 +227,21 @@ func TestChaosSweepSurvivesFaults(t *testing.T) {
 	defer faultinject.Activate(nil)
 
 	reps, _ := startKiterdFleet(t, 3)
-	killed := false
-	env := streamSweep(t, reps[0].addr, body, func(n int) {
-		// Kill replica 2's HTTP server a few scenarios in: forwards to it
-		// start failing for real, its breaker opens on the killers'
-		// peers, and its keys spill to the survivors.
-		if n == 3 && !killed {
-			killed = true
-			reps[2].hs.Close()
-		}
-	})
+	// Kill the peer that owns the most scenarios before the sweep starts,
+	// so the dead-peer phase does not depend on how far the stream got.
+	// The entry replica forwards every scenario the dead peer owns and
+	// only an open breaker reroutes them, so with at least two of them
+	// the first forward fails and is retried, fails over, and the next
+	// one crosses the default breaker threshold of 3 consecutive failures.
+	dead, survivor := killBusiestPeer(t, reps, body)
+	env := streamSweep(t, reps[0].addr, body)
 	requireSameEnvelope(t, env, cleanEnv)
 
 	// Recovery counters: solver panics were recovered, forwards failed
 	// over and retried, and at least one breaker opened.
 	var failedOver, retried, opens uint64
 	var panics uint64
-	for _, r := range reps[:2] { // replica 2's server is dead; read engines directly
+	for _, r := range []*chaosReplica{reps[0], survivor} { // the dead peer's server is closed
 		st := fetchStats(t, r.addr)
 		panics += st.Panics
 		for _, p := range st.Cluster {
@@ -264,8 +254,8 @@ func TestChaosSweepSurvivesFaults(t *testing.T) {
 		t.Fatal("/stats shows no recovered panics")
 	}
 	if failedOver == 0 || retried == 0 || opens == 0 {
-		t.Fatalf("recovery counters missing: failedOver=%d retried=%d breakerOpens=%d",
-			failedOver, retried, opens)
+		t.Fatalf("recovery counters missing (dead peer %s): failedOver=%d retried=%d breakerOpens=%d",
+			dead.addr, failedOver, retried, opens)
 	}
 
 	// The same counters surface on the Prometheus exposition.
@@ -294,10 +284,49 @@ func TestChaosSweepSurvivesFaults(t *testing.T) {
 	// Artifacts for the CI chaos-smoke step: final stats snapshots.
 	if dir := os.Getenv("CHAOS_ARTIFACT_DIR"); dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err == nil {
-			for i, r := range reps[:2] {
+			for i, r := range []*chaosReplica{reps[0], survivor} {
 				_ = writeStatsFile(filepath.Join(dir, fmt.Sprintf("chaos-replica-%d.json", i)), r.eng.Stats())
 			}
 			_ = os.WriteFile(filepath.Join(dir, "chaos-metrics.prom"), []byte(expo), 0o644)
 		}
 	}
+}
+
+// killBusiestPeer closes the HTTP server of whichever non-entry replica
+// owns the most of the sweep's distinct scenario fingerprints on the ring,
+// and returns it and the other non-entry replica. It fails the test, with
+// the ownership table, when that replica owns fewer than two: the chaos
+// test needs two forwards to reach the dead peer.
+func killBusiestPeer(t *testing.T, reps []*chaosReplica, body []byte) (dead, survivor *chaosReplica) {
+	t.Helper()
+	spec, err := sweep.ParseSpec(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := sweep.Compile(spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := map[string]int{}
+	seen := map[string]bool{}
+	for i := 0; i < x.Total(); i++ {
+		g, err := x.Materialize(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp := g.FingerprintHex(); !seen[fp] {
+			seen[fp] = true
+			owned[reps[0].cl.Owner(fp)]++
+		}
+	}
+	dead, survivor = reps[1], reps[2]
+	if owned[survivor.addr] > owned[dead.addr] {
+		dead, survivor = survivor, dead
+	}
+	if owned[dead.addr] < 2 {
+		t.Fatalf("the busiest peer %s owns %d of %d distinct scenarios, want ≥ 2; ownership: %v",
+			dead.addr, owned[dead.addr], len(seen), owned)
+	}
+	dead.hs.Close()
+	return dead, survivor
 }

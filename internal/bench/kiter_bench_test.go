@@ -8,13 +8,24 @@ import (
 
 // BenchmarkKIter tracks the Algorithm 1 hot path over the perf suite
 // (PerfCases): single-round sanity cases plus the multi-round KIterChain
-// family that exercises the incremental expansion. cmd/benchjson runs the
-// same cases to regenerate BENCH_*.json.
+// family that exercises the incremental expansion. Besides time and
+// allocations it reports each case's convergence rounds and how many
+// constraint arcs the incremental expansion built versus replayed, taken
+// from one untimed run.
 func BenchmarkKIter(b *testing.B) {
 	for _, pc := range PerfCases() {
 		b.Run(pc.Name, func(b *testing.B) {
 			g := pc.Build()
 			opt := Limits{}.kiterOptions()
+			res, err := kperiodic.KIter(g, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var built, reused int
+			for _, step := range res.Trace {
+				built += step.ArcsBuilt
+				reused += step.ArcsReused
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -22,6 +33,9 @@ func BenchmarkKIter(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(res.Iterations), "rounds")
+			b.ReportMetric(float64(built), "arcs_built")
+			b.ReportMetric(float64(reused), "arcs_reused")
 		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"kiter/internal/faultinject"
 	"kiter/internal/kperiodic"
 	"kiter/internal/sched"
-	"kiter/internal/sizing"
 	"kiter/internal/symbexec"
 	"kiter/internal/telemetry"
 )
@@ -38,6 +37,9 @@ func (e *Engine) evaluate(ctx context.Context, req *Request) (*Result, error) {
 	for _, a := range req.Analyses {
 		requested[a] = true
 	}
+	// The schedule and sizing sections derive from one schedule, built by
+	// whichever of them runs first.
+	var ks *kSchedule
 	for _, a := range analysisOrder {
 		if !requested[a] {
 			continue
@@ -47,10 +49,17 @@ func (e *Engine) evaluate(ctx context.Context, req *Request) (*Result, error) {
 		switch a {
 		case AnalysisThroughput:
 			err = e.analyzeThroughput(actx, req, res)
-		case AnalysisSchedule:
-			err = e.analyzeSchedule(actx, req.Graph, res)
-		case AnalysisSizing:
-			err = e.analyzeSizing(actx, req.Graph, res)
+		case AnalysisSchedule, AnalysisSizing:
+			if ks == nil {
+				ks, err = e.buildKSchedule(actx, req.Graph, res)
+			}
+			if err == nil {
+				if a == AnalysisSchedule {
+					res.Schedule = ks.scheduleSection(req.Graph)
+				} else {
+					res.Sizing = ks.sizingSection(req.Graph)
+				}
+			}
 		case AnalysisSymbolic:
 			err = e.analyzeSymbolic(actx, req.Graph, res)
 		}
@@ -128,70 +137,60 @@ func (e *Engine) analyzeThroughput(ctx context.Context, req *Request, res *Resul
 	return nil
 }
 
-func (e *Engine) analyzeSchedule(ctx context.Context, g *csdf.Graph, res *Result) error {
-	// Reuse the throughput section's certified periodicity vector when
-	// this job already computed one; otherwise run K-Iter for it.
-	var K []int64
-	var period string
+// kSchedule is what the schedule and sizing sections share: a K-periodic
+// schedule at the optimal periodicity vector K, with its period, or, with
+// s nil, the section error that stopped it. K is nil when K-Iter itself
+// failed.
+type kSchedule struct {
+	K      []int64
+	period string
+	s      *kperiodic.Schedule
+	err    string
+}
+
+// buildKSchedule reuses the throughput section's certified periodicity
+// vector when this job already computed one; otherwise it runs K-Iter for
+// it. Only a contextual error is returned; any other failure is recorded
+// as the sections' error.
+func (e *Engine) buildKSchedule(ctx context.Context, g *csdf.Graph, res *Result) (*kSchedule, error) {
+	ks := &kSchedule{}
 	if t := res.Throughput; t != nil && t.Error == "" && t.Optimal && len(t.K) > 0 {
-		K, period = t.K, t.Period
+		ks.K, ks.period = t.K, t.Period
 	} else {
 		kr, err := kperiodic.KIterCtx(ctx, g, e.cfg.Options)
 		if err != nil {
-			msg, abort := sectionErr(ctx, err)
-			if abort != nil {
-				return abort
-			}
-			res.Schedule = &ScheduleResult{Error: msg}
-			return nil
+			var abort error
+			ks.err, abort = sectionErr(ctx, err)
+			return ks, abort
 		}
-		K, period = kr.K, kr.Period.String()
+		ks.K, ks.period = kr.K, kr.Period.String()
 	}
-	s, err := kperiodic.ScheduleKCtx(ctx, g, K, e.cfg.Options)
+	s, err := kperiodic.ScheduleKCtx(ctx, g, ks.K, e.cfg.Options)
 	if err != nil {
-		msg, abort := sectionErr(ctx, err)
-		if abort != nil {
-			return abort
-		}
-		res.Schedule = &ScheduleResult{K: K, Error: msg}
-		return nil
+		var abort error
+		ks.err, abort = sectionErr(ctx, err)
+		return ks, abort
 	}
-	res.Schedule = &ScheduleResult{
-		K:       K,
-		Period:  period,
-		Latency: sched.IterationLatency(g, s).String(),
-	}
-	return nil
+	ks.s = s
+	return ks, nil
 }
 
-func (e *Engine) analyzeSizing(ctx context.Context, g *csdf.Graph, res *Result) error {
-	// With a certified periodicity vector already in hand, the optimal
-	// capacities are one schedule construction away — skip the K-Iter
-	// run inside OptimalCapacitiesCtx.
-	if t := res.Throughput; t != nil && t.Error == "" && t.Optimal && len(t.K) > 0 {
-		s, err := kperiodic.ScheduleKCtx(ctx, g, t.K, e.cfg.Options)
-		if err != nil {
-			msg, abort := sectionErr(ctx, err)
-			if abort != nil {
-				return abort
-			}
-			res.Sizing = &SizingResult{Error: msg}
-			return nil
-		}
-		res.Sizing = &SizingResult{Capacities: sched.BufferBacklog(g, s, 3), Period: t.Period}
-		return nil
+func (ks *kSchedule) scheduleSection(g *csdf.Graph) *ScheduleResult {
+	if ks.s == nil {
+		return &ScheduleResult{K: ks.K, Error: ks.err}
 	}
-	caps, period, err := sizing.OptimalCapacitiesCtx(ctx, g, e.cfg.Options)
-	if err != nil {
-		msg, abort := sectionErr(ctx, err)
-		if abort != nil {
-			return abort
-		}
-		res.Sizing = &SizingResult{Error: msg}
-		return nil
+	return &ScheduleResult{
+		K:       ks.K,
+		Period:  ks.period,
+		Latency: sched.IterationLatency(g, ks.s).String(),
 	}
-	res.Sizing = &SizingResult{Capacities: caps, Period: period.String()}
-	return nil
+}
+
+func (ks *kSchedule) sizingSection(g *csdf.Graph) *SizingResult {
+	if ks.s == nil {
+		return &SizingResult{Error: ks.err}
+	}
+	return &SizingResult{Capacities: sched.BufferBacklog(g, ks.s, 3), Period: ks.period}
 }
 
 func (e *Engine) analyzeSymbolic(ctx context.Context, g *csdf.Graph, res *Result) error {

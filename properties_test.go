@@ -95,6 +95,70 @@ func TestPropertyRenaming(t *testing.T) {
 	}
 }
 
+// TestPropertyTaskReorder: adding the tasks in another order, with every
+// buffer's endpoints remapped, and the buffers in another order leaves Ω
+// unchanged for K-Iter, symbolic execution and the 1-periodic method. The
+// fingerprint hashes insertion order, so it may change and is not checked.
+func TestPropertyTaskReorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for seed := int64(390); seed < 402; seed++ {
+		g, err := gen.RandomSmall(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := csdf.NewGraph(g.Name)
+		tasks := g.Tasks()
+		newID := make([]csdf.TaskID, len(tasks))
+		for _, old := range rng.Perm(len(tasks)) {
+			newID[old] = r.AddTask(tasks[old].Name, tasks[old].Durations)
+		}
+		buffers := g.Buffers()
+		for _, old := range rng.Perm(len(buffers)) {
+			b := buffers[old]
+			id := r.AddBuffer(b.Name, newID[b.Src], newID[b.Dst], b.In, b.Out, b.Initial)
+			r.SetCapacity(id, b.Capacity)
+		}
+		for _, c := range []struct {
+			method string
+			omega  func(*csdf.Graph) (rat.Rat, error)
+		}{
+			{"K-Iter", func(g *csdf.Graph) (rat.Rat, error) {
+				res, err := kperiodic.KIter(g, kperiodic.Options{})
+				if err != nil {
+					return rat.Rat{}, err
+				}
+				return res.Period, nil
+			}},
+			{"symbolic", func(g *csdf.Graph) (rat.Rat, error) {
+				res, err := symbexec.Run(g, symbexec.Options{})
+				if err != nil {
+					return rat.Rat{}, err
+				}
+				return res.Period, nil
+			}},
+			{"1-periodic", func(g *csdf.Graph) (rat.Rat, error) {
+				res, err := kperiodic.Evaluate1(g, kperiodic.Options{})
+				if err != nil {
+					return rat.Rat{}, err
+				}
+				return res.Period, nil
+			}},
+		} {
+			base, err := c.omega(g)
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, c.method, err)
+			}
+			got, err := c.omega(r)
+			if err != nil {
+				t.Fatalf("seed %d: %s on the reordered graph: %v", seed, c.method, err)
+			}
+			if got.Cmp(base) != 0 {
+				t.Errorf("seed %d: reordering changed the %s Ω from %s to %s", seed, c.method, base, got)
+			}
+		}
+	}
+}
+
 // TestPropertyTokenMonotonicity: adding initial tokens to any buffer can
 // only relax the schedule, so the optimal period never increases.
 func TestPropertyTokenMonotonicity(t *testing.T) {
