@@ -10,14 +10,21 @@ import (
 	"kiter/internal/rat"
 )
 
-// evaluation bundles the bi-valued graph with its solved MCRP result so
-// that K-Iter can re-certify or inspect circuits without rebuilding.
+// evaluation is the solved state of one round: the builder, whose
+// components hold their latest answers, and the critical component with
+// its answer, so that K-Iter can certify or inspect the circuit without
+// re-solving.
 type evaluation struct {
-	b   *builder
-	res mcr.Result
-	// deadlock holds the infeasibility certificate circuit when the MCRP
-	// reported one (res is then zero).
+	b    *builder
+	crit *component // nil when deadlock is set
+	res  mcr.Result // crit's answer; Certified once certify ran
+	// howard sums the Howard iterations of the component solves that ran
+	// in this round.
+	howard int
+	// deadlock holds the infeasibility certificate circuit when a
+	// component's MCRP reported one.
 	deadlock []PhaseRef
+	refs     []PhaseRef // critical's memo
 }
 
 // solveK builds the bi-valued graph for (g, q, K) in w and solves the
@@ -44,41 +51,159 @@ func (w *workspace) solveK(ctx context.Context, g *csdf.Graph, q, K []int64, opt
 	return ev, nil
 }
 
-// resolve brings the builder's constraint graph up to date and solves the
-// MCRP with the given solver. K-Iter calls it once per round with the same
-// builder and solver, which is what makes repeated rounds cheap: unchanged
-// arc blocks are replayed, the solver's scratch is recycled, and Howard
-// starts from the solver's final policy of the previous round, mapped onto
-// the rebuilt graph. A builder and solver are paired in one workspace, so
-// that policy always belongs to the builder's previous build; on a first
-// build after reset there is none, and the solver's leftover policy from
-// an earlier graph is ignored.
+// resolve brings the builder's blocks up to date and solves the MCRP one
+// strongly connected component at a time, with the given solver. Only
+// stale components are solved — those with a task whose K changed since
+// their latest solve, and all of them after a reset; every other
+// component's graph is unchanged, so its latest answer stands. K-Iter
+// calls resolve once per round with the same builder and solver, which is
+// what makes repeated rounds cheap: unchanged arc blocks are replayed, the
+// solver's scratch is recycled, a round re-solves only the components of
+// the tasks whose K it bumped, and Howard starts each of them from its
+// final policy of that component's previous solve, mapped onto the
+// rebuilt graph.
+//
+// The critical component is the one with the largest exact ratio; ties go
+// to the circuit with the lowest node of the whole graph. A component
+// without a circuit is skipped, and when none has one the result is
+// ErrUnbounded. The first infeasible component, in the order of their
+// lowest tasks, gives the deadlock certificate. Unless opt.SkipCertify is
+// set, the answer is then certified exactly.
 func resolve(ctx context.Context, b *builder, s *mcr.Solver, opt Options) (*evaluation, error) {
-	if err := b.build(); err != nil {
+	if err := b.refresh(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := s.SolveCtx(ctx, b.mg, mcr.Options{
-		SkipCertify: opt.SkipCertify,
-		InitPolicy:  b.warmPolicy(s.Policy()),
-	})
-	if err != nil {
-		var de *mcr.DeadlockError
-		if errors.As(err, &de) {
-			ev := &evaluation{b: b}
-			for _, ai := range de.CycleArcs {
-				ev.deadlock = append(ev.deadlock, b.phaseRef(b.mg.Arc(ai).From))
+	ev := &evaluation{b: b}
+	for i := range b.comps {
+		c := &b.comps[i]
+		if !c.stale {
+			continue
+		}
+		b.emitComponent(c)
+		if b.traceSolve != nil {
+			b.traceSolve(c.nodes)
+		}
+		res, err := s.SolveCtx(ctx, b.mg, mcr.Options{SkipCertify: true, InitPolicy: b.warmPolicy(c)})
+		b.keepPolicy(c, s.Policy())
+		c.res, c.cyclic = res, err == nil
+		if err != nil && !errors.Is(err, mcr.ErrNoCycle) {
+			var de *mcr.DeadlockError
+			if !errors.As(err, &de) {
+				return nil, err
 			}
-			return ev, nil
+			// The component stays stale: a deadlock either ends the
+			// analysis or bumps K on the certificate's tasks.
+			if ev.deadlock == nil {
+				ev.deadlock = b.arcRefs(c, de.CycleArcs)
+			}
+			continue
 		}
-		if errors.Is(err, mcr.ErrNoCycle) {
-			return nil, ErrUnbounded
-		}
-		return nil, err
+		ev.howard += res.Iterations
+		c.stale = false
 	}
-	return &evaluation{b: b, res: res}, nil
+	if ev.deadlock != nil {
+		return ev, nil
+	}
+	for i := range b.comps {
+		c := &b.comps[i]
+		if !c.cyclic {
+			continue
+		}
+		if ev.crit == nil {
+			ev.crit = c
+			continue
+		}
+		d := c.res.Ratio.Cmp(ev.crit.res.Ratio)
+		if d > 0 || d == 0 && b.lowestNode(c) < b.lowestNode(ev.crit) {
+			ev.crit = c
+		}
+	}
+	if ev.crit == nil {
+		return nil, ErrUnbounded
+	}
+	ev.res = ev.crit.res
+	ev.res.Certified = false
+	if !opt.SkipCertify {
+		if err := ev.certify(ctx, s); err != nil {
+			return nil, err
+		}
+	}
+	return ev, nil
+}
+
+// certify makes ev exact. It refines the critical component's float
+// candidate to that component's exact maximum ratio λ, then checks every
+// other component for a circuit of ratio above λ; one that has such a
+// circuit is refined to its own maximum and becomes critical. No circuit
+// crosses components, so this certifies λ for the whole graph. An
+// infeasible circuit found on the way becomes ev.deadlock instead.
+func (ev *evaluation) certify(ctx context.Context, s *mcr.Solver) error {
+	b := ev.b
+	b.emitComponent(ev.crit)
+	res, err := s.RefineCtx(ctx, b.mg, ev.crit.res)
+	if err != nil {
+		return ev.refineFailed(ev.crit, err)
+	}
+	ev.crit.res = res
+	for i := range b.comps {
+		c := &b.comps[i]
+		if c == ev.crit {
+			continue
+		}
+		b.emitComponent(c)
+		better, err := s.RefineCtx(ctx, b.mg, mcr.Result{Ratio: res.Ratio})
+		if err != nil {
+			return ev.refineFailed(c, err)
+		}
+		if better.CycleArcs != nil {
+			ev.crit, res = c, better
+			c.res, c.cyclic = better, true
+		}
+	}
+	ev.res, ev.refs = res, nil
+	return nil
+}
+
+// refineFailed records a refinement error of component c: an infeasible
+// circuit becomes ev.deadlock; any other error is returned.
+func (ev *evaluation) refineFailed(c *component, err error) error {
+	var de *mcr.DeadlockError
+	if !errors.As(err, &de) {
+		return err
+	}
+	ev.crit, ev.deadlock = nil, ev.b.arcRefs(c, de.CycleArcs)
+	return nil
+}
+
+// arcRefs maps a circuit of component c's graph, given by its arcs, to
+// expanded phases; b.mg must hold c's graph.
+func (b *builder) arcRefs(c *component, arcs []int) []PhaseRef {
+	refs := make([]PhaseRef, len(arcs))
+	for i, ai := range arcs {
+		refs[i] = b.localRef(c, b.mg.Arc(ai).From)
+	}
+	return refs
+}
+
+// lowestNode returns the lowest whole-graph node on c's latest circuit.
+func (b *builder) lowestNode(c *component) int {
+	low := b.nodes
+	for _, node := range c.res.CycleNodes {
+		r := b.localRef(c, node)
+		low = min(low, b.node(r.Task, r.Phase))
+	}
+	return low
+}
+
+// critical returns ev's critical circuit as expanded phases.
+func (ev *evaluation) critical() []PhaseRef {
+	if ev.refs == nil {
+		ev.refs = make([]PhaseRef, len(ev.res.CycleNodes))
+		for i, node := range ev.res.CycleNodes {
+			ev.refs[i] = ev.b.localRef(ev.crit, node)
+		}
+	}
+	return ev.refs
 }
 
 // toEvaluation converts a solved MCRP into the public Evaluation. The
@@ -90,17 +215,15 @@ func (ev *evaluation) toEvaluation() *Evaluation {
 		K:                append([]int64(nil), b.K...),
 		LcmK:             new(big.Int).Set(b.lcmK),
 		Certified:        ev.res.Certified,
-		Nodes:            b.mg.NumNodes(),
-		Arcs:             b.mg.NumArcs(),
-		HowardIterations: ev.res.Iterations,
+		Nodes:            b.nodes,
+		Arcs:             b.arcs,
+		HowardIterations: ev.howard,
 	}
 	out.Period = ev.res.Ratio
 	if out.Period.Sign() > 0 {
 		out.Throughput = out.Period.Inv()
 	}
-	for _, node := range ev.res.CycleNodes {
-		out.Critical = append(out.Critical, b.phaseRef(node))
-	}
+	out.Critical = ev.critical()
 	out.CriticalTasks = uniqueTasks(out.Critical)
 	return out
 }
@@ -167,11 +290,7 @@ func Evaluate1(g *csdf.Graph, opt Options) (*Evaluation, error) {
 
 // Evaluate1Ctx is Evaluate1 with cancellation.
 func Evaluate1Ctx(ctx context.Context, g *csdf.Graph, opt Options) (*Evaluation, error) {
-	K := make([]int64, g.NumTasks())
-	for i := range K {
-		K[i] = 1
-	}
-	return EvaluateKCtx(ctx, g, K, opt)
+	return EvaluateKCtx(ctx, g, ones(g.NumTasks()), opt)
 }
 
 // Expansion evaluates with K = q, the repetition vector: the classical

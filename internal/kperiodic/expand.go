@@ -30,7 +30,12 @@ import (
 // Crucially it also makes every buffer's arc set depend only on the K of
 // its two endpoint tasks, which is what lets the builder cache per-buffer
 // arc blocks across K-Iter rounds and rebuild only the blocks whose
-// endpoint periodicity changed.
+// endpoint periodicity changed. It also makes the cycle ratios of
+// different task-level strongly connected components directly
+// comparable, so each component is solved in its own MCRP graph
+// (component), and a round re-solves only the components whose tasks'
+// K changed. The whole graph is assembled only where a caller needs all
+// of it (build): schedule potentials and the exported arcs.
 type builder struct {
 	g      *csdf.Graph
 	q      []int64
@@ -38,27 +43,73 @@ type builder struct {
 	lcmK   *big.Int
 	offset []int // node index of ⟨t1,1⟩ per task
 	nodes  int
-	mg     *mcr.Graph
-	seq    bool            // add implicit sequential self-loops
-	ctx    context.Context // polled during pair enumeration; nil = never cancelled
-	opt    Options         // size budgets, re-checked on every setK
+	arcs   int // arcs of the whole bi-valued graph (all blocks)
+	// mg is the MCRP graph the builder last assembled: one component's
+	// (emitComponent, which records it in emitted) or the whole
+	// bi-valued graph (build).
+	mg      *mcr.Graph
+	emitted *component
+	seq     bool            // add implicit sequential self-loops
+	ctx     context.Context // polled during pair enumeration; nil = never cancelled
+	opt     Options         // size budgets, re-checked on every setK
 
 	bufBlocks []arcBlock // per-buffer cached constraint arcs
 	seqBlocks []arcBlock // per-task cached sequential arcs (seq only)
+	replayed  []bool     // per block (buffers, then tasks): replayed by the latest refresh
 	cumI      []int64    // pair-enumeration scratch
 	cumO      []int64
 	stats     buildStats
 
-	// Arc-index bookkeeping for warm-starting the MCRP across rounds:
-	// the index of every block's first arc (buffer blocks, then
-	// sequential blocks) in the latest and in the previous build, and
-	// which blocks the latest build replayed unchanged.
+	// The task-level strongly connected components, fixed from reset on:
+	// comps in the order of their lowest task, compOf[t] the component
+	// of task t, local[t] the node of ⟨t1,1⟩ in its component's graph.
+	// compTasks and compBlocks back every component's task and block
+	// lists; base and prevBase, indexed like compBlocks, hold the index
+	// of every block's first arc in the latest and in the previous
+	// emission of its component, for warmPolicy; pols backs the
+	// components' policies.
+	sccs           csdf.SCCs
+	comps          []component
+	compOf         []int32
+	local          []int
+	compTasks      []csdf.TaskID
+	compBlocks     []int32
 	base, prevBase []int
-	replayed       []bool
+	pols           []int32
 	warm           []int32 // warmPolicy result
+	at             []int   // partition scratch
+
+	// traceSolve, when set, is called with the node count of every
+	// component MCRP solve. Tests use it to see which components a round
+	// re-solves.
+	traceSolve func(nodes int)
 }
 
-// buildStats counts the incremental work of the latest build call.
+// component is one strongly connected component of the task graph and
+// its latest answer. Every arc of the bi-valued graph is a buffer's or a
+// task's sequential constraint, so every circuit lies inside one
+// component, and the maximum cycle ratio of the whole graph is the
+// maximum over the components. A component's MCRP graph holds the blocks
+// of its internal buffers and of its tasks' sequential chains, in
+// component-local nodes; those blocks depend only on its own tasks' K, so
+// its graph, answer and Howard policy stay valid until one of those K
+// changes. Buffers between components carry no circuit and join no
+// component graph. The components take turns in the builder's one MCRP
+// graph: emitting the same blocks again reproduces the same arcs, so the
+// arc and node indices of a component's answer stay valid.
+type component struct {
+	tasks  []csdf.TaskID // ascending
+	blocks []int32       // internal buffer blocks, then sequential blocks
+	first  int           // index of blocks[0] in builder.compBlocks
+	nodes  int
+
+	stale  bool       // a task's K changed since the latest solve, or none ran
+	cyclic bool       // the latest solve found a circuit, whose answer is res
+	res    mcr.Result // in the component graph's arc and node indices
+	pol    []int32    // the latest solve's final Howard policy; aliases builder.pols
+}
+
+// buildStats counts the incremental work of the latest refresh.
 type buildStats struct {
 	arcsBuilt  int // arcs recomputed by pair enumeration this round
 	arcsReused int // arcs replayed from a previous round's block cache
@@ -88,10 +139,10 @@ type blockArc struct {
 // array it grew for earlier graphs: the block caches' arc slices, the
 // MCRP graph's arena and CSR arrays, and the pair-enumeration scratch.
 // Nothing from an earlier graph is reused as data. Every block is marked
-// empty, so build re-enumerates it instead of replaying another graph's
-// arcs for the buffer with the same index and endpoint K; the arc-index
-// bookkeeping is emptied, so warmPolicy maps no earlier policy onto the
-// first build.
+// empty, so refresh re-enumerates it instead of replaying another graph's
+// arcs for the buffer with the same index and endpoint K; every component
+// is partitioned afresh and marked stale with no policy, so warmPolicy
+// maps no earlier policy onto its first solve.
 func (b *builder) reset(g *csdf.Graph, q, K []int64, opt Options) error {
 	if err := checkK(g, K); err != nil {
 		return err
@@ -108,9 +159,91 @@ func (b *builder) reset(g *csdf.Graph, q, K []int64, opt Options) error {
 	if b.seq {
 		b.seqBlocks = emptyBlocks(b.seqBlocks, g.NumTasks())
 	}
-	b.base, b.prevBase, b.replayed, b.warm = b.base[:0], b.prevBase[:0], b.replayed[:0], b.warm[:0]
 	b.stats = buildStats{}
+	b.partition()
 	return b.layout()
+}
+
+// partition computes the task-level strongly connected components of b.g
+// and lists each one's tasks and arc blocks, numbering the components by
+// their lowest task.
+func (b *builder) partition() {
+	g := b.g
+	n, nb := g.NumTasks(), g.NumBuffers()
+	g.TaskSCCs(&b.sccs)
+	nc, ns := b.sccs.Len(), 0
+	if b.seq {
+		ns = n
+	}
+	// Number the components by their lowest task, then counting-sort the
+	// tasks (ascending) and the blocks (internal buffers ascending, then
+	// sequential chains) by component.
+	at := resize(b.at, 3*nc+2)
+	rank, tasksAt, blocksAt := at[:nc], at[nc:2*nc+1], at[2*nc+1:]
+	for c := range rank {
+		rank[c] = -1
+	}
+	clear(at[nc:])
+	compOf, sccOf := resize(b.compOf, n), b.sccs.Comp
+	next := 0
+	for t := range n {
+		r := &rank[sccOf[t]]
+		if *r < 0 {
+			*r = next
+			next++
+		}
+		compOf[t] = int32(*r)
+		tasksAt[*r+1]++
+	}
+	bufs := g.Buffers()
+	for i := range bufs {
+		if c := compOf[bufs[i].Src]; c == compOf[bufs[i].Dst] {
+			blocksAt[c+1]++
+		}
+	}
+	for c := range nc {
+		if b.seq {
+			blocksAt[c+1] += tasksAt[c+1]
+		}
+		tasksAt[c+1] += tasksAt[c]
+		blocksAt[c+1] += blocksAt[c]
+	}
+	compTasks, compBlocks := resize(b.compTasks, n), resize(b.compBlocks, blocksAt[nc])
+	comps := resize(b.comps, nc)
+	for i := range comps {
+		comps[i] = component{
+			tasks:  compTasks[tasksAt[i]:tasksAt[i]:tasksAt[i+1]],
+			blocks: compBlocks[blocksAt[i]:blocksAt[i]:blocksAt[i+1]],
+			first:  blocksAt[i],
+			stale:  true,
+		}
+	}
+	for t := range n {
+		c := &comps[compOf[t]]
+		c.tasks = append(c.tasks, csdf.TaskID(t))
+	}
+	for i := range bufs {
+		if c := compOf[bufs[i].Src]; c == compOf[bufs[i].Dst] {
+			comps[c].blocks = append(comps[c].blocks, int32(i))
+		}
+	}
+	for t := range ns {
+		c := &comps[compOf[t]]
+		c.blocks = append(c.blocks, int32(nb+t))
+	}
+	b.at, b.compOf, b.comps, b.compTasks, b.compBlocks = at, compOf, comps, compTasks, compBlocks
+	b.base = resize(b.base, blocksAt[nc])
+	b.prevBase = resize(b.prevBase, blocksAt[nc])
+	b.pols, b.emitted = b.pols[:0], nil
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// falls short. Entries within the old capacity keep their contents.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return slices.Grow(s[:cap(s)], n-cap(s))[:n]
+	}
+	return s[:n]
 }
 
 // emptyBlocks reslices blocks to n entries, each marked empty but keeping
@@ -135,20 +268,27 @@ func checkK(g *csdf.Graph, K []int64) error {
 	return nil
 }
 
-// setK switches the builder to a new periodicity vector. Cached arc
-// blocks are untouched: build compares every block's endpoint K values
-// against the new vector and recomputes only the stale ones.
+// setK switches the builder to a new periodicity vector and marks stale
+// every component with a task whose K changed. Cached arc blocks are
+// untouched: refresh compares every block's endpoint K values against the
+// new vector and recomputes only the stale ones.
 func (b *builder) setK(K []int64) error {
 	if err := checkK(b.g, K); err != nil {
 		return err
+	}
+	for t, k := range K {
+		if b.K[t] != k {
+			b.comps[b.compOf[t]].stale = true
+		}
 	}
 	b.K = append(b.K[:0], K...)
 	return b.layout()
 }
 
 // layout recomputes everything that depends on the whole K vector — the
-// size budget, lcm(K), and the task node offsets — and is therefore
-// redone on every round regardless of block reuse.
+// size budget, lcm(K), and the task node offsets in the whole graph and
+// in their components' graphs — and is therefore redone on every round
+// regardless of block reuse.
 func (b *builder) layout() error {
 	g, K := b.g, b.K
 	// Size budget: nodes and constraint pairs, checked before any
@@ -192,6 +332,15 @@ func (b *builder) layout() error {
 		b.nodes += int(K[t]) * g.Task(csdf.TaskID(t)).Phases()
 	}
 	b.offset[g.NumTasks()] = b.nodes
+	b.local = resize(b.local, g.NumTasks())
+	for i := range b.comps {
+		c := &b.comps[i]
+		c.nodes = 0
+		for _, t := range c.tasks {
+			b.local[t] = c.nodes
+			c.nodes += int(K[t]) * g.Task(t).Phases()
+		}
+	}
 	if b.lcmK == nil {
 		b.lcmK = new(big.Int)
 	}
@@ -237,98 +386,159 @@ func (b *builder) duration(t csdf.TaskID, pTilde int) int64 {
 	return task.Durations[(pTilde-1)%task.Phases()]
 }
 
-// build brings the constraint graph up to date with the current K:
-// buffer and sequential arc blocks whose endpoint K values are unchanged
-// since their last computation are replayed from the cache (re-based on
-// the current node offsets); the rest are re-enumerated. The assembled
-// arcs land in b.mg, whose arena is pre-sized to the exact total and
-// reused across rounds.
-func (b *builder) build() error {
+// refresh brings the arc blocks up to date with the current K: buffer
+// and sequential blocks whose endpoint K values are unchanged since their
+// last computation are kept for replay; the rest are re-enumerated. Every
+// block is refreshed, including those of buffers between components, so
+// the round's statistics and b.arcs describe the whole bi-valued graph.
+func (b *builder) refresh() error {
 	b.stats = buildStats{}
 	nb := b.g.NumBuffers()
-	b.replayed = slices.Grow(b.replayed[:0], nb+len(b.seqBlocks))[:nb+len(b.seqBlocks)]
-	for i := 0; i < nb; i++ {
-		buf := b.g.Buffer(csdf.BufferID(i))
-		blk := &b.bufBlocks[i]
-		b.replayed[i] = blk.kSrc == b.K[buf.Src] && blk.kDst == b.K[buf.Dst]
+	b.replayed = resize(b.replayed, nb+len(b.seqBlocks))
+	b.arcs, b.emitted = 0, nil
+	for i := range b.replayed {
+		blk, src, dst := b.block(i)
+		b.replayed[i] = blk.kSrc == b.K[src] && blk.kDst == b.K[dst]
 		if b.replayed[i] {
 			b.stats.arcsReused += len(blk.arcs)
-			continue
+		} else {
+			if i < nb {
+				if err := b.computeBufferBlock(blk, b.g.Buffer(csdf.BufferID(i))); err != nil {
+					return err
+				}
+			} else {
+				b.computeSequentialBlock(blk, src)
+			}
+			b.stats.arcsBuilt += len(blk.arcs)
 		}
-		if err := b.computeBufferBlock(blk, buf); err != nil {
-			return err
-		}
-		b.stats.arcsBuilt += len(blk.arcs)
-	}
-	for t := range b.seqBlocks {
-		blk := &b.seqBlocks[t]
-		b.replayed[nb+t] = blk.kSrc == b.K[t] && blk.kDst == b.K[t]
-		if b.replayed[nb+t] {
-			b.stats.arcsReused += len(blk.arcs)
-			continue
-		}
-		b.computeSequentialBlock(blk, csdf.TaskID(t))
-		b.stats.arcsBuilt += len(blk.arcs)
-	}
-	total := 0
-	for i := range b.bufBlocks {
-		total += len(b.bufBlocks[i].arcs)
-	}
-	for i := range b.seqBlocks {
-		total += len(b.seqBlocks[i].arcs)
-	}
-	b.mg.Reset(b.nodes)
-	b.mg.Reserve(total)
-	b.prevBase, b.base = b.base, b.prevBase[:0]
-	for i := range b.bufBlocks {
-		buf := b.g.Buffer(csdf.BufferID(i))
-		b.base = append(b.base, b.mg.NumArcs())
-		b.emit(&b.bufBlocks[i], b.offset[buf.Src], b.offset[buf.Dst])
-	}
-	for t := range b.seqBlocks {
-		b.base = append(b.base, b.mg.NumArcs())
-		b.emit(&b.seqBlocks[t], b.offset[t], b.offset[t])
+		b.arcs += len(blk.arcs)
 	}
 	return nil
 }
 
-// warmPolicy maps prev, the final MCRP policy on the previous build's
-// graph, onto the current graph as a Howard starting policy. A block the
-// current build replayed holds the same arcs in the same order, so a
-// policy arc inside it moves to current base + (old arc − previous base).
-// Every other node — one whose task's K changed, or whose policy arc lies
-// in a rebuilt block — gets −1, Howard's default choice. After the first
-// build there is no previous graph, and the result is nil.
-func (b *builder) warmPolicy(prev []int32) []int32 {
-	if len(b.prevBase) == 0 || len(prev) == 0 {
+// block returns block i — buffer i's, or for i ≥ NumBuffers the
+// sequential chain of task i − NumBuffers — with its endpoint tasks.
+func (b *builder) block(i int) (blk *arcBlock, src, dst csdf.TaskID) {
+	nb := b.g.NumBuffers()
+	if i < nb {
+		buf := b.g.Buffer(csdf.BufferID(i))
+		return &b.bufBlocks[i], buf.Src, buf.Dst
+	}
+	t := csdf.TaskID(i - nb)
+	return &b.seqBlocks[t], t, t
+}
+
+// build refreshes the blocks and assembles the whole bi-valued graph in
+// b.mg, whose arena is pre-sized to the exact total and reused across
+// calls. Solving needs only the component graphs (emitComponent); the
+// whole graph serves the schedule's potentials and the exported arcs.
+func (b *builder) build() error {
+	if err := b.refresh(); err != nil {
+		return err
+	}
+	b.mg.Reset(b.nodes)
+	b.mg.Reserve(b.arcs)
+	for i := range b.replayed {
+		blk, src, dst := b.block(i)
+		emit(b.mg, blk, b.offset[src], b.offset[dst])
+	}
+	return nil
+}
+
+// emitComponent assembles component c's graph in b.mg from the current
+// blocks of its internal buffers and sequential chains, in
+// component-local nodes, unless b.mg holds it already.
+func (b *builder) emitComponent(c *component) {
+	if b.emitted == c {
+		return
+	}
+	total := 0
+	for _, i := range c.blocks {
+		blk, _, _ := b.block(int(i))
+		total += len(blk.arcs)
+	}
+	b.mg.Reset(c.nodes)
+	b.mg.Reserve(total)
+	base := b.base[c.first : c.first+len(c.blocks)]
+	copy(b.prevBase[c.first:], base)
+	for k, i := range c.blocks {
+		blk, src, dst := b.block(int(i))
+		base[k] = b.mg.NumArcs()
+		emit(b.mg, blk, b.local[src], b.local[dst])
+	}
+	b.emitted = c
+}
+
+// warmPolicy maps c.pol, the final policy of c's previous solve, onto its
+// graph in b.mg as a Howard starting policy. c is re-emitted in every
+// round that changes one of its tasks' K, so a block the latest refresh
+// replayed holds the same arcs, in the same order, as in c's previous
+// emission, and a policy arc inside it moves to current base + (old arc −
+// previous base). Every other node — one whose task's K changed, or whose
+// policy arc lies in a rebuilt block — gets −1, Howard's default choice.
+// Before c's first solve there is no policy, and the result is nil.
+func (b *builder) warmPolicy(c *component) []int32 {
+	if len(c.pol) == 0 {
 		return nil
 	}
-	b.warm = slices.Grow(b.warm[:0], b.nodes)[:b.nodes]
+	base := b.base[c.first : c.first+len(c.blocks)]
+	prev := b.prevBase[c.first : c.first+len(c.blocks)]
+	b.warm = resize(b.warm, c.nodes)
 	for i := range b.warm {
 		b.warm[i] = -1
 	}
-	for _, a := range prev {
+	for _, a := range c.pol {
 		if a < 0 {
 			continue
 		}
 		// The block holding arc a is the last one starting at or before it.
-		blk, _ := slices.BinarySearch(b.prevBase, int(a)+1)
-		blk--
-		if blk < 0 || !b.replayed[blk] {
+		k, _ := slices.BinarySearch(prev, int(a)+1)
+		k--
+		if k < 0 || !b.replayed[c.blocks[k]] {
 			continue
 		}
-		na := b.base[blk] + int(a) - b.prevBase[blk]
+		na := base[k] + int(a) - prev[k]
 		b.warm[b.mg.Arc(na).From] = int32(na)
 	}
 	return b.warm
 }
 
-// emit replays one block into the constraint graph, re-basing its local
-// coordinates on the current task region offsets.
-func (b *builder) emit(blk *arcBlock, offSrc, offDst int) {
+// keepPolicy stores pol as c's policy in b.pols: in c's slot when it
+// fits, else in a new slot of twice the length at the end, which leaves
+// the old slot unused until the next reset.
+func (b *builder) keepPolicy(c *component, pol []int32) {
+	if len(pol) > cap(c.pol) {
+		at := len(b.pols)
+		b.pols = slices.Grow(b.pols, 2*len(pol))[:at+2*len(pol)]
+		c.pol = b.pols[at:at:len(b.pols)]
+	}
+	c.pol = append(c.pol[:0], pol...)
+}
+
+// localRef maps node, a node of component c's graph, to its expanded
+// phase.
+func (b *builder) localRef(c *component, node int) PhaseRef {
+	// Binary search for the last task whose region starts at or before
+	// node: the component's tasks, and so their local offsets, ascend.
+	lo, hi := 0, len(c.tasks)
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		if b.local[c.tasks[mid]] <= node {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	t := c.tasks[lo]
+	return PhaseRef{Task: t, Phase: node - b.local[t] + 1}
+}
+
+// emit replays one block into mg, re-basing its local coordinates on the
+// given task region offsets.
+func emit(mg *mcr.Graph, blk *arcBlock, offSrc, offDst int) {
 	for i := range blk.arcs {
 		a := &blk.arcs[i]
-		b.mg.AddArcHF(offSrc+int(a.from), offDst+int(a.to), a.l, a.h, a.hf)
+		mg.AddArcHF(offSrc+int(a.from), offDst+int(a.to), a.l, a.h, a.hf)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 
 	"kiter/internal/csdf"
+	"kiter/internal/mcr"
+	"kiter/internal/rat"
 )
 
 // Hooks for the external test package, which can import gen (a white-box
@@ -22,7 +24,17 @@ func FreshKIterCtx(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResul
 	if err != nil {
 		return nil, err
 	}
-	return new(workspace).kiter(ctx, g, q, opt)
+	return new(workspace).kiter(ctx, g, q, ones(g.NumTasks()), opt)
+}
+
+// KIterFrom is KIter started from the periodicity vector start instead of
+// all ones.
+func KIterFrom(g *csdf.Graph, start []int64, opt Options) (*KIterResult, error) {
+	q, err := g.RepetitionVector()
+	if err != nil {
+		return nil, err
+	}
+	return new(workspace).kiter(context.Background(), g, q, start, opt)
 }
 
 // FreshScheduleK is ScheduleK on a workspace no earlier solve used.
@@ -53,6 +65,25 @@ func ReusedKIter() func(context.Context, *csdf.Graph, Options) (*KIterResult, er
 		if err != nil {
 			return nil, err
 		}
-		return w.kiter(ctx, g, q, opt)
+		return w.kiter(ctx, g, q, ones(g.NumTasks()), opt)
 	}
+}
+
+// WholeGraphMCR solves the whole bi-valued graph of (g, K) as one exactly
+// certified MCRP, the reference the per-component solve must match: its
+// maximum ratio, or the solver's error (mcr.ErrNoCycle, *mcr.DeadlockError).
+func WholeGraphMCR(g *csdf.Graph, K []int64, opt Options) (rat.Rat, error) {
+	q, err := g.RepetitionVector()
+	if err != nil {
+		return rat.Rat{}, err
+	}
+	b, err := freshBuilder(g, q, K, opt)
+	if err != nil {
+		return rat.Rat{}, err
+	}
+	if err := b.build(); err != nil {
+		return rat.Rat{}, err
+	}
+	res, err := mcr.Solve(b.mg, mcr.Options{})
+	return res.Ratio, err
 }

@@ -1,6 +1,7 @@
 package kperiodic
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -236,17 +237,72 @@ func TestKIterRunAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 17 rounds take about 127 allocations: per round the new K vector,
-	// the trace step and the critical circuit. The builder, its block
-	// caches, the arc arena and the solver's arrays come from the pooled
-	// workspace a previous run grew. Under the race detector sync.Pool
-	// drops a random share of its entries, so a run sometimes starts from
-	// a new workspace; over 100 runs that averages about 210. Without the
-	// pool the count was about 380, with the arena and the solver's arrays
-	// sized exactly to each round's graph about 505, and with the math/big
-	// repetition vector nearly 2900. (The arena's own growth is guarded in
-	// mcr by TestReserveGrowsGeometrically.)
+	// 17 rounds take about 113 allocations: per round the new K vector,
+	// the trace step and the critical circuit, plus one Howard answer per
+	// strongly connected component solved (all 8 in the first round, one
+	// per round after). The builder, its block caches, the arc arena and
+	// the solver's arrays come from the pooled workspace a previous run
+	// grew. Under the race detector sync.Pool drops a random share of its
+	// entries, so a run sometimes starts from a new workspace; over 100
+	// runs that averages about 225. Without the pool the count is about
+	// 370; with the whole graph solved every round it was about 380,
+	// with the arena and the solver's arrays sized exactly to each round's
+	// graph about 505, and with the math/big repetition vector nearly
+	// 2900. (The arena's own growth is guarded in mcr by
+	// TestReserveGrowsGeometrically.)
 	if allocs > 260 {
 		t.Errorf("%d-round K-Iter run allocates %.0f objects, want ≤ 260", res.Iterations, allocs)
+	}
+}
+
+// TestRoundsResolveOnlyChangedComponent checks the per-component solve on
+// the KIterChain(16) shape: each gadget is one strongly connected
+// component, and each round bumps K on one gadget's critical circuit, so
+// after the first round, which solves all 16 components, every round
+// solves exactly one component no larger than a gadget — never the whole
+// bi-valued graph.
+func TestRoundsResolveOnlyChangedComponent(t *testing.T) {
+	g := figure2Chain(16)
+	q, err := g.RepetitionVector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := new(workspace)
+	var solved []int
+	w.b.traceSolve = func(nodes int) { solved = append(solved, nodes) }
+	res, err := w.kiter(context.Background(), g, q, ones(g.NumTasks()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations < 30 {
+		t.Fatalf("chain of 16 gadgets converged in %d rounds; the test needs ≥ 30", res.Iterations)
+	}
+	if want := 16 + res.Iterations - 1; len(solved) != want {
+		t.Fatalf("%d rounds made %d component solves, want %d", res.Iterations, len(solved), want)
+	}
+	// A gadget's largest node count: its four tasks at their final K.
+	gadget := 0
+	for i := 0; i < 16; i++ {
+		n := 0
+		for t := 4 * i; t < 4*i+4; t++ {
+			n += int(res.K[t]) * g.Task(csdf.TaskID(t)).Phases()
+		}
+		gadget = max(gadget, n)
+	}
+	for i, nodes := range solved[16:] {
+		if nodes > gadget || 10*nodes > res.Nodes {
+			t.Errorf("round %d solved %d nodes; a gadget has at most %d, the whole graph %d",
+				i+2, nodes, gadget, res.Nodes)
+		}
+	}
+	// The trace still describes the whole bi-valued graph.
+	for i, step := range res.Trace {
+		whole := 0
+		for t, k := range step.K {
+			whole += int(k) * g.Task(csdf.TaskID(t)).Phases()
+		}
+		if step.Nodes != whole {
+			t.Errorf("round %d reports %d nodes, the whole bi-valued graph has %d", i+1, step.Nodes, whole)
+		}
 	}
 }

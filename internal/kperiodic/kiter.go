@@ -2,12 +2,10 @@ package kperiodic
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"kiter/internal/csdf"
-	"kiter/internal/mcr"
 	"kiter/internal/rat"
 	"kiter/internal/telemetry"
 )
@@ -24,9 +22,10 @@ type IterStep struct {
 	// this round: constraint arcs recomputed from their buffer's phase
 	// pairs vs. replayed from a previous round's block cache.
 	ArcsBuilt, ArcsReused int
-	// HowardIterations counts the MCRP solver's policy-improvement rounds
-	// in this K-Iter round (zero when the round was infeasible before the
-	// solve completed).
+	// HowardIterations sums the MCRP solver's policy-improvement rounds
+	// over the strongly connected components this round re-solved: all of
+	// them in the first round, then those with a task whose K changed. A
+	// component whose solve met an infeasible circuit adds nothing.
 	HowardIterations int
 }
 
@@ -71,24 +70,33 @@ func KIter(g *csdf.Graph, opt Options) (*KIterResult, error) {
 // long analysis stops promptly once the caller gives up. On cancellation
 // the partial result (the trace of completed rounds) is returned together
 // with the context's error.
+//
+// The bi-valued graph is solved one task-level strongly connected
+// component at a time: every circuit lies inside one component, and the
+// partition is fixed for the whole call, since K never changes the task
+// graph. The first round solves every component; each later round
+// re-solves only the components holding a task whose K the previous round
+// bumped — the tasks of one critical circuit, so one component — and
+// keeps every other component's answer. The final answer is certified
+// exactly against every component.
 func KIterCtx(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResult, error) {
 	q, err := g.RepetitionVector()
 	if err != nil {
 		return nil, err
 	}
 	w := getWorkspace()
-	res, err := w.kiter(ctx, g, q, opt)
+	res, err := w.kiter(ctx, g, q, ones(g.NumTasks()), opt)
 	w.release()
 	return res, err
 }
 
-// kiter runs Algorithm 1 in w. Everything it returns is copied out of the
-// workspace, so the caller may release w as soon as it returns.
-func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q []int64, opt Options) (*KIterResult, error) {
-	K := make([]int64, g.NumTasks())
-	for i := range K {
-		K[i] = 1
-	}
+// kiter runs Algorithm 1 in w from the periodicity vector start, which
+// KIterCtx sets to all ones; every start whose entries divide q reaches
+// the same certified Ω, since Theorem 4's test depends only on the final
+// K and the critical circuit. Everything kiter returns is copied out of
+// the workspace, so the caller may release w as soon as it returns.
+func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q, start []int64, opt Options) (*KIterResult, error) {
+	K := append([]int64(nil), start...)
 	maxIter := opt.MaxIterations
 	if maxIter <= 0 {
 		maxIter = defaultMaxIterations
@@ -98,10 +106,11 @@ func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q []int64, opt Opt
 
 	// The workspace's builder and MCRP solver serve every round: arc
 	// blocks whose endpoint K survived the latest updateK are replayed
-	// instead of re-enumerated, the solver's O(n) working arrays are
-	// recycled, and from the second round on Howard starts from the
-	// previous round's final policy wherever the graph around it is
-	// unchanged. Across evaluations only the backing arrays carry over.
+	// instead of re-enumerated, components whose tasks kept their K keep
+	// their answer, the solver's O(n) working arrays are recycled, and a
+	// re-solved component's Howard run starts from its previous final
+	// policy wherever the graph around it is unchanged. Across
+	// evaluations only the backing arrays carry over.
 	result := &KIterResult{}
 	b, solver := &w.b, &w.s
 	if err := b.reset(g, q, K, inner); err != nil {
@@ -144,13 +153,14 @@ func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q []int64, opt Opt
 		if ev.deadlock != nil {
 			tasks := uniqueTasks(ev.deadlock)
 			result.Trace = append(result.Trace, IterStep{
-				K:             append([]int64(nil), K...),
-				Infeasible:    true,
-				CriticalTasks: tasks,
-				Nodes:         ev.b.mg.NumNodes(),
-				Arcs:          ev.b.mg.NumArcs(),
-				ArcsBuilt:     ev.b.stats.arcsBuilt,
-				ArcsReused:    ev.b.stats.arcsReused,
+				K:                append([]int64(nil), K...),
+				Infeasible:       true,
+				CriticalTasks:    tasks,
+				Nodes:            b.nodes,
+				Arcs:             b.arcs,
+				ArcsBuilt:        b.stats.arcsBuilt,
+				ArcsReused:       b.stats.arcsReused,
+				HowardIterations: ev.howard,
 			})
 			if optimalityTest(tasks, q, K) {
 				return result, &DeadlockError{K: append([]int64(nil), K...), Tasks: tasks}
@@ -159,16 +169,16 @@ func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q []int64, opt Opt
 			continue
 		}
 
-		tasks := criticalTasks(ev)
+		tasks := uniqueTasks(ev.critical())
 		result.Trace = append(result.Trace, IterStep{
 			K:                append([]int64(nil), K...),
 			Period:           ev.res.Ratio,
 			CriticalTasks:    tasks,
-			Nodes:            ev.b.mg.NumNodes(),
-			Arcs:             ev.b.mg.NumArcs(),
-			ArcsBuilt:        ev.b.stats.arcsBuilt,
-			ArcsReused:       ev.b.stats.arcsReused,
-			HowardIterations: ev.res.Iterations,
+			Nodes:            b.nodes,
+			Arcs:             b.arcs,
+			ArcsBuilt:        b.stats.arcsBuilt,
+			ArcsReused:       b.stats.arcsReused,
+			HowardIterations: ev.howard,
 		})
 		if !optimalityTest(tasks, q, K) {
 			updateK(K, tasks, q, opt)
@@ -177,28 +187,21 @@ func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q []int64, opt Opt
 
 		// The candidate circuit passes; make the circuit exact before
 		// trusting the verdict.
-		if !opt.SkipCertify && !ev.res.Certified {
-			refined, err := solver.RefineCtx(ctx, ev.b.mg, ev.res)
-			if err != nil {
-				var de *mcr.DeadlockError
-				if errors.As(err, &de) {
-					var refs []PhaseRef
-					for _, ai := range de.CycleArcs {
-						refs = append(refs, ev.b.phaseRef(ev.b.mg.Arc(ai).From))
-					}
-					dTasks := uniqueTasks(refs)
-					if optimalityTest(dTasks, q, K) {
-						return result, &DeadlockError{K: append([]int64(nil), K...), Tasks: dTasks}
-					}
-					updateK(K, dTasks, q, opt)
-					continue
-				}
-				// Certification can now be cancelled mid-relaxation; keep
-				// the partial-trace contract on that path too.
+		if !opt.SkipCertify {
+			// Certification can be cancelled mid-relaxation; keep the
+			// partial-trace contract on that path too.
+			if err := ev.certify(ctx, solver); err != nil {
 				return result, err
 			}
-			ev.res = refined
-			tasks = criticalTasks(ev)
+			if ev.deadlock != nil {
+				dTasks := uniqueTasks(ev.deadlock)
+				if optimalityTest(dTasks, q, K) {
+					return result, &DeadlockError{K: append([]int64(nil), K...), Tasks: dTasks}
+				}
+				updateK(K, dTasks, q, opt)
+				continue
+			}
+			tasks = uniqueTasks(ev.critical())
 			if !optimalityTest(tasks, q, K) {
 				// The certified circuit differs and fails the test.
 				updateK(K, tasks, q, opt)
@@ -213,12 +216,13 @@ func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q []int64, opt Opt
 	return nil, fmt.Errorf("kperiodic: K-Iter did not converge within %d iterations", maxIter)
 }
 
-func criticalTasks(ev *evaluation) []csdf.TaskID {
-	refs := make([]PhaseRef, 0, len(ev.res.CycleNodes))
-	for _, node := range ev.res.CycleNodes {
-		refs = append(refs, ev.b.phaseRef(node))
+// ones returns the all-ones periodicity vector of n tasks.
+func ones(n int) []int64 {
+	K := make([]int64, n)
+	for i := range K {
+		K[i] = 1
 	}
-	return uniqueTasks(refs)
+	return K
 }
 
 // updateK applies the paper's periodicity bump: for every task t of the

@@ -63,7 +63,12 @@ func (w *workspace) scheduleK(ctx context.Context, g *csdf.Graph, q, K []int64, 
 	if err != nil {
 		return nil, err
 	}
+	// The potentials need the whole graph: start times depend on the
+	// buffers between components too.
 	b := ev.b
+	if err := b.build(); err != nil {
+		return nil, err
+	}
 	// Longest-path potentials with arc weights w = L − λ·H, where λ is the
 	// optimal ratio in the builder's lcm-free normalization (λ = Ω_G,
 	// H = lcm(K)·H̃ — the product λ·H equals Ω̃_G̃·H̃ exactly): at the

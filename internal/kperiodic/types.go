@@ -106,8 +106,10 @@ type Evaluation struct {
 	Certified bool
 	// Nodes and Arcs give the bi-valued graph size.
 	Nodes, Arcs int
-	// HowardIterations counts the policy-improvement rounds the MCRP solver
-	// took on the final bi-valued graph.
+	// HowardIterations sums the policy-improvement rounds of the MCRP
+	// solves behind this evaluation, one per strongly connected component
+	// of the task graph; for K-Iter, those of its final round, which
+	// re-solves only the components whose K changed.
 	HowardIterations int
 }
 

@@ -19,12 +19,12 @@ type workspace struct {
 }
 
 // maxPooledArcs bounds the scratch a pooled workspace may keep: its block
-// caches' summed arc capacity, its block count and its latest node count.
-// The MCRP arena and the solver's arrays are sized from the same builds,
-// and grow at most 2× past what a build needs, so they stay within twice
-// the bound too. The largest expansion of a typical analysis has under a
-// thousand arcs; a workspace that grew past the bound is dropped instead
-// of pinning its memory in the pool.
+// caches' summed arc capacity, its block and component count, its policy
+// store and its latest node count. The MCRP arena and the solver's arrays
+// are sized from the same builds, and grow at most 2× past what a build
+// needs, so they stay within twice the bound too. The largest expansion
+// of a typical analysis has under a thousand arcs; a workspace that grew
+// past the bound is dropped instead of pinning its memory in the pool.
 const maxPooledArcs = 1 << 16
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
@@ -38,9 +38,9 @@ func getWorkspace() *workspace { return workspaces.Get().(*workspace) }
 // workspace, whose state is then unknown.
 func (w *workspace) release() {
 	b := &w.b
-	b.g, b.q, b.ctx = nil, nil, nil
-	if b.nodes > maxPooledArcs || cap(b.bufBlocks)+cap(b.seqBlocks) > maxPooledArcs ||
-		b.arcCapacity() > maxPooledArcs {
+	b.g, b.q, b.ctx, b.traceSolve = nil, nil, nil, nil
+	if b.nodes > maxPooledArcs || cap(b.bufBlocks)+cap(b.seqBlocks)+cap(b.comps) > maxPooledArcs ||
+		cap(b.pols) > maxPooledArcs || b.arcCapacity() > maxPooledArcs {
 		return
 	}
 	workspaces.Put(w)

@@ -26,14 +26,15 @@
 // (they grow geometrically, so a graph that grows a little every solve
 // reallocates only now and then). internal/kperiodic keeps one Graph and
 // one Solver in each workspace of a bounded pool, so they serve every
-// round of a K-Iter run and then later evaluations of other graphs; a
-// Solver carries no answer from one graph to the next, since Howard's
-// starting policy comes from Options.InitPolicy alone. Consecutive K-Iter
-// rounds solve graphs that differ only around the tasks whose periodicity
-// changed, so K-Iter starts each round's Howard iteration from the
-// previous round's final policy (Options.InitPolicy, Solver.Policy),
-// mapped onto the rebuilt graph: a round then costs a few policy
-// iterations instead of a number that grows with the round index.
+// strongly connected component of the task graph in every round of a
+// K-Iter run, and then later evaluations of other graphs; a Solver
+// carries no answer from one graph to the next, since Howard's starting
+// policy comes from Options.InitPolicy alone. A K-Iter round re-solves
+// only the components whose tasks' periodicity changed, and starts each
+// one's Howard iteration from that component's previous final policy
+// (Options.InitPolicy, Solver.Policy), mapped onto the rebuilt graph: a
+// round then costs a few policy iterations instead of a number that grows
+// with the round index.
 //
 // A policy circuit's ratio is always computed exactly (CycleLH), never
 // from float64 sums of H: with large durations the float sums cancel, the

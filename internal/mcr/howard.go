@@ -80,10 +80,11 @@ func Solve(g *Graph, opt Options) (Result, error) {
 	return NewSolver().SolveCtx(context.Background(), g, opt)
 }
 
-// SolveCtx is Solve with cancellation: the context is polled once per
-// Howard round and once per certification relaxation round, so a caller
+// SolveCtx is Solve with cancellation: the context is polled between
+// Howard rounds and once per certification relaxation round, so a caller
 // abandoning a large resolution gets control back after at most O(|E|)
-// work.
+// work. A solve that converges in one round, such as that of a small
+// strongly connected component, never polls before certification.
 func SolveCtx(ctx context.Context, g *Graph, opt Options) (Result, error) {
 	return NewSolver().SolveCtx(ctx, g, opt)
 }
@@ -229,8 +230,10 @@ func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, err
 
 	rounds := 0
 	for round := 0; round < maxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
+		if round > 0 {
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
 		}
 		rounds = round + 1
 		if err := s.evaluatePolicy(g); err != nil {
@@ -299,11 +302,19 @@ func (s *Solver) howard(ctx context.Context, g *Graph, opt Options) (Result, err
 	if len(s.best) == 0 {
 		return Result{}, ErrNoCycle
 	}
+	// One allocation backs both circuit slices: a caller solving many
+	// small graphs, one per strongly connected component, keeps every
+	// answer.
+	k := len(s.best)
+	circuit := make([]int, 2*k)
 	res := Result{
-		CycleArcs:  append([]int(nil), s.best...),
+		CycleArcs:  circuit[:k:k],
+		CycleNodes: circuit[k:],
 		Iterations: rounds,
 	}
-	res.CycleNodes = g.nodesOfCycle(res.CycleArcs)
+	for i, ai := range s.best {
+		res.CycleArcs[i], res.CycleNodes[i] = ai, g.arcs[ai].From
+	}
 	ratio, err := g.CycleRatio(res.CycleArcs)
 	if err != nil {
 		return Result{}, err

@@ -8,86 +8,6 @@ import (
 	"kiter/internal/rat"
 )
 
-// taskSCCs returns the strongly connected components of the task digraph
-// induced by the buffers (Tarjan, iterative), each as a list of TaskIDs.
-func taskSCCs(g *csdf.Graph) [][]csdf.TaskID {
-	n := g.NumTasks()
-	adj := make([][]int, n)
-	for _, b := range g.Buffers() {
-		if b.Src != b.Dst {
-			adj[b.Src] = append(adj[b.Src], int(b.Dst))
-		}
-	}
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		stack []int
-		comps [][]csdf.TaskID
-		cnt   int
-	)
-	type frame struct{ v, ai int }
-	var frames []frame
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		frames = append(frames[:0], frame{v: root})
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			v := f.v
-			if f.ai == 0 {
-				index[v] = cnt
-				low[v] = cnt
-				cnt++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			for f.ai < len(adj[v]) {
-				w := adj[v][f.ai]
-				f.ai++
-				if index[w] == unvisited {
-					frames = append(frames, frame{v: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[v] == index[v] {
-				var comp []csdf.TaskID
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, csdf.TaskID(w))
-					if w == v {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-		}
-	}
-	return comps
-}
-
 // subgraph extracts the induced subgraph on the given tasks (with all
 // buffers whose both endpoints belong to the set), returning it together
 // with the mapping from new to old task IDs.
@@ -117,10 +37,11 @@ func subgraph(g *csdf.Graph, tasks []csdf.TaskID) (*csdf.Graph, []csdf.TaskID) {
 // the maximum over the components' isolated normalized periods. Each
 // component period is rescaled from the component-local repetition vector
 // to the global one.
-func runDecomposed(ctx context.Context, g *csdf.Graph, q []int64, comps [][]csdf.TaskID, opt Options) (*Result, error) {
+func runDecomposed(ctx context.Context, g *csdf.Graph, q []int64, comps *csdf.SCCs, opt Options) (*Result, error) {
 	best := &Result{}
 	haveBest := false
-	for _, comp := range comps {
+	for c := range comps.Len() {
+		comp := comps.Component(c)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -137,8 +137,8 @@ func RunCtx(ctx context.Context, g *csdf.Graph, opt Options) (*Result, error) {
 	if int(opt.Reference) < 0 || int(opt.Reference) >= g.NumTasks() {
 		return nil, fmt.Errorf("symbexec: reference task %d out of range", opt.Reference)
 	}
-	comps := taskSCCs(g)
-	if len(comps) > 1 {
+	comps := g.TaskSCCs(nil)
+	if comps.Len() > 1 {
 		return runDecomposed(ctx, g, q, comps, opt)
 	}
 	return runRecurrence(ctx, g, opt)
