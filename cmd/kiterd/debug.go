@@ -13,9 +13,9 @@ import (
 const defaultTraceListLimit = 64
 
 // handleDebugTraces serves GET /debug/traces: the flight recorder's
-// retained traces, newest first, without their span trees, which can be
-// large — pull a tree via /debug/traces/{id}. ?limit=N bounds the listing
-// (default 64); ?errors=1 filters to errored traces.
+// retained traces, newest first, without their span trees — the listing
+// decodes none; pull a tree via /debug/traces/{id}. ?limit=N bounds the
+// listing (default 64); ?errors=1 filters to errored traces.
 func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
@@ -40,7 +40,6 @@ func (s *server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		if len(listed) == limit {
 			break
 		}
-		rec.Root = nil
 		listed = append(listed, rec)
 	}
 	writeJSONIndent(w, http.StatusOK, map[string]any{

@@ -354,7 +354,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if s.obs.recorder != nil {
 		reqID = s.middlewareRequestID(w)
 		span = telemetry.NewTrace("analyze")
-		span.SetAttr("requestId", reqID)
+		span.SetString("requestId", reqID)
 		ctx = telemetry.ContextWithSpan(ctx, span)
 		// Expose the trace ID before any write: clients pull the tree
 		// from GET /debug/traces/{id}.
@@ -365,7 +365,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// (errored traces are exactly the ones the recorder's tail-biased
 	// retention fights to keep).
 	finishTrace := func(status string, code int) {
-		span.SetAttr("status", status)
+		span.SetString("status", status)
 		s.obs.recorder.Finish(span, "/analyze", s.obs.process, reqID, code)
 	}
 

@@ -49,9 +49,9 @@ func (s *server) newSweepTrace(w http.ResponseWriter, total int) *sweepTrace {
 	}
 	reqID := s.middlewareRequestID(w)
 	span := telemetry.NewTrace("sweep")
-	span.SetAttr("requestId", reqID)
-	span.SetAttr("scenarios", total)
-	span.SetAttr("sampleStride", stride)
+	span.SetString("requestId", reqID)
+	span.SetInt("scenarios", int64(total))
+	span.SetInt("sampleStride", int64(stride))
 	w.Header().Set(traceIDHeader, span.Context().TraceID)
 	return &sweepTrace{span: span, reqID: reqID, stride: stride, open: map[int]*telemetry.Span{}}
 }
@@ -67,7 +67,7 @@ func (t *sweepTrace) memberContext(ctx context.Context, i int) context.Context {
 	if sp == nil {
 		return ctx
 	}
-	sp.SetAttr("scenario", i)
+	sp.SetInt("scenario", int64(i))
 	t.mu.Lock()
 	t.open[i] = sp
 	t.mu.Unlock()
@@ -87,7 +87,7 @@ func (t *sweepTrace) pointDone(p sweep.Point) {
 		return
 	}
 	if p.Error != "" {
-		sp.SetAttr("error", p.Error)
+		sp.SetString("error", p.Error)
 	}
 	sp.End()
 }
@@ -97,7 +97,7 @@ func (t *sweepTrace) finish(s *server, status string, code int) {
 	if t == nil {
 		return
 	}
-	t.span.SetAttr("status", status)
+	t.span.SetString("status", status)
 	s.obs.recorder.Finish(t.span, "/sweep", s.obs.process, t.reqID, code)
 }
 

@@ -120,7 +120,7 @@ func (rc *RemoteCache) GetCtx(ctx context.Context, key string) (*engine.Result, 
 	}
 	gctx, span := telemetry.StartSpan(ctx, "cache.fleet.get")
 	defer span.End()
-	span.SetAttr("successor", succ)
+	span.SetString("successor", succ)
 	ps := rc.c.peer(succ)
 	if ps == nil || !ps.breaker.Allow() {
 		span.Event("breaker.open", "peer", succ)
@@ -140,11 +140,11 @@ func (rc *RemoteCache) GetCtx(ctx context.Context, key string) (*engine.Result, 
 	if err != nil {
 		rc.c.noteForwardFailure(ps)
 		rc.mErrors.Add(1)
-		span.SetAttr("error", err.Error())
+		span.SetString("error", err.Error())
 		return rc.miss()
 	}
 	ps.breaker.Success()
-	span.SetAttr("hit", ok)
+	span.SetBool("hit", ok)
 	if !ok {
 		return rc.miss()
 	}
@@ -283,7 +283,7 @@ func (c *Cluster) CacheGetHandler() http.Handler {
 		if b := c.localBackend(); b != nil {
 			res, _ = b.Get(key)
 		}
-		span.SetAttr("hit", res != nil)
+		span.SetBool("hit", res != nil)
 		if res == nil {
 			w.WriteHeader(http.StatusNoContent)
 			return

@@ -305,7 +305,7 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 		return nil, false, nil
 	}
 	fctx, fspan := telemetry.StartSpan(ctx, "cluster.forward")
-	fspan.SetAttr("peer", owner)
+	fspan.SetString("peer", owner)
 	defer fspan.End()
 	res, err := c.attempt(fctx, owner, job)
 	if err == nil {
@@ -320,7 +320,7 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 		return nil, true, ctx.Err()
 	}
 	c.noteForwardFailure(ps)
-	fspan.SetAttr("error", err.Error())
+	fspan.SetString("error", err.Error())
 	// Retry once unless that first failure just opened the breaker (the
 	// peer is systematically down, not transiently flaky).
 	if !ps.breaker.Allow() {
@@ -330,14 +330,14 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 		if res, err = c.attempt(fctx, owner, job); err == nil {
 			ps.breaker.Success()
 			ps.forwarded.Add(1)
-			fspan.SetAttr("retried", true)
+			fspan.SetBool("retried", true)
 			return res, true, nil
 		}
 		if ctx.Err() != nil {
 			return nil, true, ctx.Err()
 		}
 		c.noteForwardFailure(ps)
-		fspan.SetAttr("error", err.Error())
+		fspan.SetString("error", err.Error())
 	}
 	ps.failedOver.Add(1)
 	fspan.Event("fallback.local", "peer", owner, "error", err.Error())

@@ -34,7 +34,7 @@ func (c *Cluster) remoteSpan(r *http.Request, name, endpoint string) (context.Co
 	}
 	span := telemetry.NewRemoteTrace(name, sc)
 	if peer := r.Header.Get(peerHeader); peer != "" {
-		span.SetAttr("caller", peer)
+		span.SetString("caller", peer)
 	}
 	return telemetry.ContextWithSpan(ctx, span), func(status int) {
 		c.cfg.Recorder.Finish(span, endpoint, c.self, r.Header.Get("X-Request-ID"), status)

@@ -59,9 +59,9 @@ func (e *Engine) runMethod(ctx context.Context, g *csdf.Graph, m Method) (*Throu
 	e.met.solve.With(string(m)).Observe(time.Since(start).Seconds())
 	if span != nil {
 		if err != nil {
-			span.SetAttr("error", err.Error())
+			span.SetString("error", err.Error())
 		} else {
-			span.SetAttr("optimal", tr.Optimal)
+			span.SetBool("optimal", tr.Optimal)
 		}
 		span.End()
 	}

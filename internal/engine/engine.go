@@ -261,8 +261,8 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	key := cacheKey(fingerprint, analyses, keyMethod, req.ApplyCapacities)
 
 	span := telemetry.FromContext(ctx)
-	span.SetAttr("fingerprint", fingerprint)
-	span.SetAttr("method", string(method))
+	span.SetString("fingerprint", fingerprint)
+	span.SetString("method", string(method))
 	useCache := !req.NoCache && e.cache != nil
 	var generation uint64
 	if useCache {
@@ -273,7 +273,7 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		e.met.cacheLookup.Observe(lookupDur.Seconds())
 		if span != nil {
 			span.Record("cache.lookup", lookupStart, lookupDur)
-			span.SetAttr("cacheHit", ok)
+			span.SetBool("cacheHit", ok)
 		}
 		if ok {
 			e.stats.cacheHits.Add(1)
@@ -349,7 +349,7 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		go e.launch(&job{req: prepared, call: c, ctx: jctx}, djob)
 	} else {
 		e.stats.deduped.Add(1)
-		span.SetAttr("deduped", true)
+		span.SetBool("deduped", true)
 	}
 
 	select {

@@ -35,9 +35,9 @@ func (e *Engine) recoveredPanic(ctx context.Context, where string, v any) *Panic
 	stack := debug.Stack()
 	e.stats.panics.Add(1)
 	if span := telemetry.FromContext(ctx); span != nil {
-		span.SetAttr("panic", fmt.Sprint(v))
-		span.SetAttr("panicWhere", where)
-		span.SetAttr("panicStack", string(stack))
+		span.SetString("panic", fmt.Sprint(v))
+		span.SetString("panicWhere", where)
+		span.SetString("panicStack", string(stack))
 	}
 	log.Printf("engine: recovered panic in %s: %v\n%s", where, v, stack)
 	return &PanicError{Where: where, Value: v, Stack: stack}

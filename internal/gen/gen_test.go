@@ -3,6 +3,7 @@ package gen_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"kiter/internal/csdf"
 	"kiter/internal/gen"
@@ -70,6 +71,30 @@ func TestRandomDeterminism(t *testing.T) {
 		ba, bb := a.Buffer(csdf.BufferID(i)), b.Buffer(csdf.BufferID(i))
 		if ba.Src != bb.Src || ba.Dst != bb.Dst || ba.Initial != bb.Initial {
 			t.Fatalf("buffer %d differs between identical profiles", i)
+		}
+	}
+}
+
+// TestRandomOneTaskWithBuffersFails: a buffer needs two distinct tasks, so
+// a one-task profile that asks for buffers is an error, returned at once
+// rather than looping on draws that can never place one.
+func TestRandomOneTaskWithBuffersFails(t *testing.T) {
+	for _, p := range []gen.Profile{
+		{Name: "tree", Seed: 1, Tasks: 1, Buffers: 1},
+		{Name: "ring", Seed: 1, Tasks: 1, Buffers: 3, Ring: true, MaxSpan: 2},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := gen.Random(p)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: Random accepted %d buffers on one task", p.Name, p.Buffers)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Random did not return within 10s", p.Name)
 		}
 	}
 }

@@ -61,6 +61,10 @@ func Random(p Profile) (*csdf.Graph, error) {
 	if p.Tasks < 1 {
 		return nil, fmt.Errorf("gen: profile needs at least one task")
 	}
+	if p.Tasks == 1 && p.Buffers > 0 {
+		// Every buffer joins two distinct tasks, so none can be placed.
+		return nil, fmt.Errorf("gen: profile asks for %d buffers on one task", p.Buffers)
+	}
 	if p.MaxPhases < 1 {
 		p.MaxPhases = 1
 	}

@@ -3,6 +3,7 @@ package kperiodic
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"kiter/internal/csdf"
@@ -42,6 +43,15 @@ const defaultMaxIterations = 10000
 // maxTracedRounds caps how many K-Iter rounds get their own child span in a
 // request trace.
 const maxTracedRounds = 32
+
+// roundNames names the traced rounds, round.1 to round.32, so recording a
+// round builds no string.
+var roundNames = func() (names [maxTracedRounds]string) {
+	for i := range names {
+		names[i] = "round." + strconv.Itoa(i+1)
+	}
+	return names
+}()
 
 // KIter computes the exact maximum throughput of g by Algorithm 1 of the
 // paper: starting from K = [1,…,1], it repeatedly evaluates the minimum
@@ -145,7 +155,7 @@ func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q, start []int64, 
 		// slowly-converging instance would otherwise bloat the trace tree
 		// with thousands of children.
 		if span != nil && iter < maxTracedRounds {
-			span.Record(fmt.Sprintf("round.%d", iter+1), roundStart, time.Since(roundStart))
+			span.Record(roundNames[iter], roundStart, time.Since(roundStart))
 		}
 		if err != nil {
 			return result, err

@@ -111,8 +111,8 @@ func (s *Solver) SolveCtx(ctx context.Context, g *Graph, opt Options) (Result, e
 	}
 	if span := telemetry.FromContext(ctx); span != nil {
 		span.AddInt("howardIterations", int64(res.Iterations))
-		span.SetAttr("mcrNodes", int64(g.NumNodes()))
-		span.SetAttr("mcrArcs", int64(g.NumArcs()))
+		span.SetInt("mcrNodes", int64(g.NumNodes()))
+		span.SetInt("mcrArcs", int64(g.NumArcs()))
 	}
 	if opt.SkipCertify {
 		return res, nil

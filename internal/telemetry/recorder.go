@@ -29,18 +29,29 @@ type RecordedTrace struct {
 // so the traces worth debugging (the latency tail and the failures)
 // survive long after plain recent traffic has rotated out.
 //
+// Each retained trace is its listing metadata plus its span tree encoded
+// as one pointer-free string; span trees exist only while a reader holds
+// what Get decoded.
+//
 // All methods are safe for concurrent use and no-ops on a nil receiver, so
 // recording sites run unconditionally.
 type Recorder struct {
 	mu      sync.Mutex
-	recent  []*RecordedTrace // FIFO ring
+	recent  []*retainedTrace // FIFO ring
 	recentI int
-	slow    []*RecordedTrace // evict-fastest set
-	errored []*RecordedTrace // FIFO ring
+	slow    []*retainedTrace // evict-fastest set
+	errored []*retainedTrace // FIFO ring
 	errI    int
 
 	recentCap, slowCap, errCap int
 	added                      uint64
+}
+
+// retainedTrace is one recorder entry, immutable once filed: meta with a
+// nil Root, and the span tree in encodeTrace's encoding.
+type retainedTrace struct {
+	meta RecordedTrace
+	tree string
 }
 
 // NewRecorder returns a recorder holding at most cap traces (minimum 8).
@@ -55,15 +66,16 @@ func NewRecorder(capacity int) *Recorder {
 	}
 }
 
-// Add records one finished trace.
-func (r *Recorder) Add(t RecordedTrace) {
-	if r == nil || t.TraceID == "" || t.Root == nil {
+// add files one finished trace: meta for the listing, tree its encoded
+// span tree.
+func (r *Recorder) add(meta RecordedTrace, tree string) {
+	if r == nil || meta.TraceID == "" || tree == "" {
 		return
 	}
+	rec := &retainedTrace{meta: meta, tree: tree}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.added++
-	rec := &t
 
 	if len(r.recent) < r.recentCap {
 		r.recent = append(r.recent, rec)
@@ -72,7 +84,7 @@ func (r *Recorder) Add(t RecordedTrace) {
 		r.recentI = (r.recentI + 1) % r.recentCap
 	}
 
-	if t.Error {
+	if meta.Error {
 		if len(r.errored) < r.errCap {
 			r.errored = append(r.errored, rec)
 		} else {
@@ -89,37 +101,42 @@ func (r *Recorder) Add(t RecordedTrace) {
 	// Full: replace the fastest resident if this trace is slower.
 	fastest := 0
 	for i := 1; i < len(r.slow); i++ {
-		if r.slow[i].DurMS < r.slow[fastest].DurMS {
+		if r.slow[i].meta.DurMS < r.slow[fastest].meta.DurMS {
 			fastest = i
 		}
 	}
-	if t.DurMS > r.slow[fastest].DurMS {
+	if meta.DurMS > r.slow[fastest].meta.DurMS {
 		r.slow[fastest] = rec
 	}
 }
 
 // Finish ends root and files it as one trace: the request to endpoint
 // served by process under requestID, answered with HTTP status (>= 400
-// marks it errored). TraceID, start and duration come from the root's
-// snapshot. This is how every handler records its trace; a nil recorder
-// or root makes it a no-op.
+// marks it errored). TraceID, start and duration come from the root. The
+// tree is walked once, each span under its own lock, into one compact
+// encoding; spans still open report their duration up to Finish, and
+// nothing done to the spans afterwards reaches the recorder. This is how
+// every handler records its trace; a nil recorder or root makes it a
+// no-op.
 func (r *Recorder) Finish(root *Span, endpoint, process, requestID string, status int) {
 	if r == nil || root == nil {
 		return
 	}
 	root.End()
-	node := root.Snapshot()
-	r.Add(RecordedTrace{
+	tree := encodeTrace(root, time.Now())
+	root.mu.Lock()
+	start, dur := root.start, root.dur
+	root.mu.Unlock()
+	r.add(RecordedTrace{
 		TraceID:       root.Context().TraceID,
 		RequestID:     requestID,
 		Endpoint:      endpoint,
 		Process:       process,
 		Status:        status,
 		Error:         status >= 400,
-		StartUnixNano: node.StartUnixNano,
-		DurMS:         node.DurMS,
-		Root:          node,
-	})
+		StartUnixNano: start.UnixNano(),
+		DurMS:         float64(dur) / float64(time.Millisecond),
+	}, tree)
 }
 
 // Added returns the lifetime count of recorded traces.
@@ -134,50 +151,62 @@ func (r *Recorder) Added() uint64 {
 
 // Get returns every retained record for the given trace ID — a process can
 // hold several per trace (its /analyze root plus handler-side subtrees for
-// evaluate and cache-read hops it served for peers).
+// evaluate and cache-read hops it served for peers). Each call decodes
+// fresh span trees, so callers may graft or annotate them freely.
 func (r *Recorder) Get(traceID string) []RecordedTrace {
 	if r == nil || traceID == "" {
 		return nil
 	}
+	var found []*retainedTrace
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := map[*RecordedTrace]bool{}
-	var out []RecordedTrace
-	for _, seg := range [][]*RecordedTrace{r.recent, r.slow, r.errored} {
-		for _, rec := range seg {
-			if rec.TraceID == traceID && !seen[rec] {
-				seen[rec] = true
-				out = append(out, *rec)
-			}
+	r.each(func(rec *retainedTrace) {
+		if rec.meta.TraceID == traceID {
+			found = append(found, rec)
 		}
+	})
+	r.mu.Unlock()
+	if len(found) == 0 {
+		return nil
+	}
+	out := make([]RecordedTrace, len(found))
+	for i, rec := range found {
+		out[i] = rec.meta
+		out[i].Root = decodeTrace(rec.tree)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].StartUnixNano < out[j].StartUnixNano })
 	return out
 }
 
-// List returns up to limit retained traces, newest first, spanning all
-// three retention segments without duplicates.
+// List returns the metadata of up to limit retained traces, newest first,
+// spanning all three retention segments without duplicates. It decodes no
+// span trees: every Root is nil.
 func (r *Recorder) List(limit int) []RecordedTrace {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	seen := map[*RecordedTrace]bool{}
 	var out []RecordedTrace
-	for _, seg := range [][]*RecordedTrace{r.recent, r.slow, r.errored} {
-		for _, rec := range seg {
-			if !seen[rec] {
-				seen[rec] = true
-				out = append(out, *rec)
-			}
-		}
-	}
+	r.mu.Lock()
+	r.each(func(rec *retainedTrace) { out = append(out, rec.meta) })
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].StartUnixNano > out[j].StartUnixNano })
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
 	return out
+}
+
+// each calls f once per retained trace; a trace can sit in two segments
+// (recent and slow or errored). The caller holds r.mu.
+func (r *Recorder) each(f func(*retainedTrace)) {
+	seen := map[*retainedTrace]bool{}
+	for _, seg := range [][]*retainedTrace{r.recent, r.slow, r.errored} {
+		for _, rec := range seg {
+			if !seen[rec] {
+				seen[rec] = true
+				f(rec)
+			}
+		}
+	}
 }
 
 // exemplarWindow is how far back the slowest-trace exemplars look: a trace
@@ -226,7 +255,9 @@ func (r *Recorder) RegisterExemplars(reg *Registry) {
 // is grafted under that parent. It returns the resulting roots — one tree
 // when every hop was captured; orphaned subtrees (their parent's process
 // unreachable or rotated out) stay separate roots, marked detached. The
-// second return counts those detached subtrees.
+// second return counts those detached subtrees. Stitch grafts and stamps
+// the records' own trees in place; Recorder.Get decodes fresh ones on
+// every call, so stitching never reaches the recorder.
 func Stitch(records []RecordedTrace) ([]*SpanNode, int) {
 	byID := map[string]*SpanNode{}
 	roots := make([]*SpanNode, 0, len(records))

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -67,25 +70,26 @@ func TestRemoteTraceJoins(t *testing.T) {
 	}
 }
 
-func rec(id string, durMS float64, errored bool) RecordedTrace {
+// rec is one trace for the recorder's internal add: its metadata and an
+// encoded one-span tree.
+func rec(id string, durMS float64, errored bool) (RecordedTrace, string) {
 	return RecordedTrace{
 		TraceID: id,
 		Error:   errored,
 		DurMS:   durMS,
-		Root:    &SpanNode{Name: "analyze", SpanID: "s" + id},
-	}
+	}, encodeTrace(NewTrace("analyze"), time.Now())
 }
 
 // TestRecorderTailBias: after heavy churn, the slowest and the errored
 // traces are still retrievable while ordinary fast traffic has rotated out.
 func TestRecorderTailBias(t *testing.T) {
 	r := NewRecorder(16)
-	r.Add(rec("slowest", 5000, false))
-	r.Add(rec("bad", 1, true))
+	r.add(rec("slowest", 5000, false))
+	r.add(rec("bad", 1, true))
 	// Durations creep upward so the evict-fastest policy has strictly
 	// slower candidates: fast-0 cannot linger in the slow set on a tie.
 	for i := 0; i < 500; i++ {
-		r.Add(rec(fmt.Sprintf("fast-%d", i), 1+float64(i)/10, false))
+		r.add(rec(fmt.Sprintf("fast-%d", i), 1+float64(i)/10, false))
 	}
 	if got := r.Get("slowest"); len(got) != 1 {
 		t.Fatalf("slowest trace evicted: %v", got)
@@ -150,6 +154,73 @@ func TestStitch(t *testing.T) {
 	orphan := roots[1]
 	if orphan.SpanID != "claim" || orphan.Attrs["detached"] != true {
 		t.Fatalf("orphan not marked detached: %+v", orphan)
+	}
+}
+
+// TestStitchLeavesRecorderUnchanged: stitching what Get returned, as every
+// GET /debug/traces/{id}?fleet=1 does, grafts and stamps only those
+// copies. The recorder's traces read back unchanged, and each stitch finds
+// one remote subtree under the forward span, not one per earlier stitch.
+func TestStitchLeavesRecorderUnchanged(t *testing.T) {
+	r := NewRecorder(8)
+	root := NewTrace("analyze")
+	_, fwd := StartSpan(ContextWithSpan(context.Background(), root), "cluster.forward")
+	remote := NewRemoteTrace("cluster.evaluate", fwd.Context())
+	r.Finish(remote, "/cluster/evaluate", "b", "", 200)
+	fwd.End()
+	r.Finish(root, "/analyze", "a", "req-1", 200)
+	id := root.Context().TraceID
+	want, err := json.Marshal(r.Get(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		roots, detached := Stitch(r.Get(id))
+		if len(roots) != 1 || detached != 0 {
+			t.Fatalf("stitch %d: %d roots, %d detached, want one tree", i, len(roots), detached)
+		}
+		if got := len(roots[0].Children[0].Children); got != 1 {
+			t.Fatalf("stitch %d: cluster.forward holds %d remote roots, want 1", i, got)
+		}
+	}
+	got, err := json.Marshal(r.Get(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stitching changed the retained trace:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFinishWhileSpansGrow: Finish encodes a tree that other goroutines are
+// still growing — a cancelled request's stragglers. Run under -race.
+func TestFinishWhileSpansGrow(t *testing.T) {
+	r := NewRecorder(8)
+	root := NewTrace("sweep")
+	ctx := ContextWithSpan(context.Background(), root)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				_, s := StartSpan(ctx, "sweep.scenario")
+				s.SetInt("scenario", int64(i))
+				s.Record("queue.wait", time.Now(), time.Microsecond)
+				s.AddInt("n", 1)
+				s.Event("tick", "i", i)
+				s.End()
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		r.Finish(root, "/sweep", "", "", 200)
+	}
+	wg.Wait()
+	for _, rec := range r.Get(root.Context().TraceID) {
+		if rec.Root == nil || rec.Root.Name != "sweep" {
+			t.Fatalf("decoded root %+v", rec.Root)
+		}
 	}
 }
 
@@ -225,18 +296,18 @@ func traceIDLabel(line string) string {
 // stale one — so every traceId it names resolves through Get.
 func TestRecorderExemplars(t *testing.T) {
 	now := time.Now().UnixNano()
-	at := func(id, endpoint string, durMS float64, start int64) RecordedTrace {
-		return RecordedTrace{TraceID: id, Endpoint: endpoint, DurMS: durMS, StartUnixNano: start,
-			Root: &SpanNode{Name: "root"}}
+	at := func(id, endpoint string, durMS float64, start int64) (RecordedTrace, string) {
+		return RecordedTrace{TraceID: id, Endpoint: endpoint, DurMS: durMS, StartUnixNano: start},
+			encodeTrace(NewTrace("root"), time.Now())
 	}
 	// Capacity 8: a 4-slot recent ring, 2 slow slots, 2 error slots.
 	r := NewRecorder(8)
 	reg := NewRegistry()
 	r.RegisterExemplars(reg)
-	r.Add(at("t1", "/analyze", 500, now))
-	r.Add(at("t2", "/analyze", 100, now)) // faster: must not replace
-	r.Add(at("t3", "/sweep", 1000, now))
-	r.Add(at("stale", "/analyze", 9000, now-int64(3*time.Minute))) // slowest, but out of window
+	r.add(at("t1", "/analyze", 500, now))
+	r.add(at("t2", "/analyze", 100, now)) // faster: must not replace
+	r.add(at("t3", "/sweep", 1000, now))
+	r.add(at("stale", "/analyze", 9000, now-int64(3*time.Minute))) // slowest, but out of window
 	ex := exemplars(t, reg)
 	if want := `kiter_http_slowest_trace_seconds{endpoint="/analyze",traceId="t1"} 0.5`; ex["/analyze"] != want {
 		t.Fatalf("/analyze exemplar = %q, want %q", ex["/analyze"], want)
@@ -248,7 +319,7 @@ func TestRecorderExemplars(t *testing.T) {
 	// Evict t1: the slow set already dropped it for stale and t3, and four
 	// newer, faster /analyze traces rotate it out of the recent ring.
 	for i := 0; i < 4; i++ {
-		r.Add(at(fmt.Sprintf("f%d", i), "/analyze", float64(10+i), now))
+		r.add(at(fmt.Sprintf("f%d", i), "/analyze", float64(10+i), now))
 	}
 	if got := r.Get("t1"); len(got) != 0 {
 		t.Fatalf("t1 still retained: %v", got)

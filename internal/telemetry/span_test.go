@@ -20,7 +20,7 @@ func TestSpanTreeThroughContext(t *testing.T) {
 	_, grand := StartSpan(cctx, "howard")
 	grand.AddInt("iterations", 3)
 	grand.AddInt("iterations", 4)
-	grand.SetAttr("method", "kiter")
+	grand.SetString("method", "kiter")
 	grand.End()
 	child.End()
 	root.Record("queue.wait", time.Now().Add(-time.Millisecond), time.Millisecond)
@@ -39,7 +39,7 @@ func TestSpanTreeThroughContext(t *testing.T) {
 		t.Errorf("AddInt accumulation = %v, want 7", howard.Attrs["iterations"])
 	}
 	if howard.Attrs["method"] != "kiter" {
-		t.Errorf("SetAttr = %v", howard.Attrs["method"])
+		t.Errorf("SetString = %v", howard.Attrs["method"])
 	}
 	if n.Children[1].Name != "queue.wait" || n.Children[1].DurMS <= 0 {
 		t.Errorf("Record child wrong: %+v", n.Children[1])
@@ -57,7 +57,7 @@ func TestSpanNoopWithoutTrace(t *testing.T) {
 		t.Fatal("StartSpan must pass through when tracing is off")
 	}
 	s.End()
-	s.SetAttr("k", 1)
+	s.SetInt("k", 1)
 	s.AddInt("k", 1)
 	s.Record("r", time.Now(), 0)
 	if s.Snapshot() != nil {

@@ -68,7 +68,8 @@ func NewSpanContext() SpanContext {
 
 // Trace and span IDs only need uniqueness, not unpredictability —
 // math/rand/v2's per-goroutine ChaCha8 source is cheap and never errors,
-// unlike crypto/rand.
+// unlike crypto/rand. Each is hex-encoded on the stack, so minting one
+// allocates only its string.
 func newTraceID() string {
 	var b [16]byte
 	binary.BigEndian.PutUint64(b[:8], rand.Uint64())
@@ -76,7 +77,9 @@ func newTraceID() string {
 	if b == ([16]byte{}) {
 		b[15] = 1
 	}
-	return hex.EncodeToString(b[:])
+	var h [32]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 func newSpanID() string {
@@ -85,5 +88,7 @@ func newSpanID() string {
 	if b == ([8]byte{}) {
 		b[7] = 1
 	}
-	return hex.EncodeToString(b[:])
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
