@@ -57,13 +57,15 @@ func (s *server) newSweepTrace(w http.ResponseWriter, total int) *sweepTrace {
 }
 
 // memberContext is the Runner.MemberContext hook: sampled scenarios get a
-// child span carried in their submission context, so the engine's
-// submit/solve instrumentation lands under it.
+// child span of the sweep's root carried in their submission context, so
+// the engine's submit/solve instrumentation lands under it. The rest carry
+// no span at all and record nothing, so the root holds only the sampled
+// scenarios.
 func (t *sweepTrace) memberContext(ctx context.Context, i int) context.Context {
 	if t == nil || i%t.stride != 0 {
 		return ctx
 	}
-	mctx, sp := telemetry.StartSpan(ctx, "sweep.scenario")
+	mctx, sp := telemetry.StartSpan(telemetry.ContextWithSpan(ctx, t.span), "sweep.scenario")
 	if sp == nil {
 		return ctx
 	}
@@ -157,12 +159,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The configured analysis timeout applies per scenario, not to the
 	// sweep as a whole: a long family of fast solves streams to completion
 	// while one pathological scenario still cannot pin a worker forever.
-	ctx := r.Context()
-	if trace != nil {
-		ctx = telemetry.ContextWithSpan(ctx, trace.span)
-	}
 	runner := sweep.Runner{Engine: s.e, PointTimeout: s.tmpl.Timeout, MemberContext: trace.memberContext}
-	env, err := runner.Run(ctx, x, emit)
+	env, err := runner.Run(r.Context(), x, emit)
 	if err != nil {
 		trace.finish(s, "error", http.StatusInternalServerError)
 		// The client is usually gone (emit error / context cancel); write

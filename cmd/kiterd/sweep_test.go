@@ -409,6 +409,45 @@ func TestRunSweepFileFailuresExitNonZero(t *testing.T) {
 	}
 }
 
+// TestSweepTraceHoldsOnlySampledScenarios: a traced 64-scenario sweep
+// files a root whose direct children are the sampled sweep.scenario spans
+// alone, at most sweepTraceSamples of them, and whose attributes are the
+// sweep's own. Unsampled scenarios record nothing: no engine phase hangs
+// off the root and no per-scenario attribute overwrites its attributes.
+func TestSweepTraceHoldsOnlySampledScenarios(t *testing.T) {
+	srv := newObsServer(t)
+	body, err := json.Marshal(sweep.VideoPipelineSpec(8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/sweep status = %d, body %s", rec.Code, rec.Body)
+	}
+	records := getTrace(t, srv, rec.Header().Get(traceIDHeader))
+	if len(records) != 1 || records[0].Root == nil {
+		t.Fatalf("want one recorded sweep trace, got %+v", records)
+	}
+	root := records[0].Root
+	if root.Attrs["scenarios"] != float64(64) {
+		t.Fatalf("root attrs %v, want scenarios = 64", root.Attrs)
+	}
+	for _, key := range []string{"fingerprint", "method", "cacheHit"} {
+		if v, ok := root.Attrs[key]; ok {
+			t.Errorf("sweep root carries a scenario's %s = %v", key, v)
+		}
+	}
+	if n := len(root.Children); n == 0 || n > sweepTraceSamples {
+		t.Errorf("sweep root has %d children, want 1..%d", n, sweepTraceSamples)
+	}
+	for _, c := range root.Children {
+		if c.Name != "sweep.scenario" {
+			t.Errorf("sweep root has a direct %q child", c.Name)
+		}
+	}
+}
+
 // TestBatchSummaryCountsFailures pins that the closing NDJSON summary
 // reports the failure count (and runBatch errors → exit 1).
 func TestBatchSummaryCountsFailures(t *testing.T) {

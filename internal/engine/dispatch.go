@@ -87,11 +87,11 @@ type DispatchStatser interface {
 	DispatchStats() []PeerStats
 }
 
-// launch routes a leader's job: a configured Dispatcher gets first claim
-// (djob is nil when there is none, or when the request pinned itself local
-// with NoForward); unhandled jobs wait for a local worker slot. Remote
-// results are cached under the same key a local evaluation would use, so
-// repeats are answered locally.
+// launch routes a leader's job, on the leader's goroutine: a configured
+// Dispatcher gets first claim (djob is nil when there is none, or when the
+// request pinned itself local with NoForward); unhandled jobs wait for a
+// local worker slot. Remote results are cached under the same key a local
+// evaluation would use, so repeats are answered locally.
 func (e *Engine) launch(j *job, djob *DispatchJob) {
 	if djob != nil {
 		// The dispatch context dies with the last waiter (flight refcount)

@@ -205,3 +205,55 @@ func TestDispatcherSeesFlightContext(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestDispatcherPanicReleasesWaiters: a Dispatcher that panics on the
+// leader's goroutine fails the job like a solver panic does. The leader
+// and every waiter get the PanicError, pending drops to zero and Close
+// returns.
+func TestDispatcherPanicReleasesWaiters(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	d := &stubDispatcher{fn: func(ctx context.Context, job *DispatchJob) (*Result, bool, error) {
+		close(entered)
+		<-release
+		panic("dispatcher exploded")
+	}}
+	e := New(Config{Workers: 1, Dispatcher: d})
+	const submitters = 4
+	errs := make(chan error, submitters)
+	submit := func() {
+		_, err := e.Submit(context.Background(), &Request{Graph: gen.Figure2()})
+		errs <- err
+	}
+	go submit()
+	<-entered
+	for range submitters - 1 {
+		go submit()
+	}
+	waitForStat(t, e, func(s Stats) bool { return s.Deduped == submitters-1 })
+	close(release)
+	for range submitters {
+		select {
+		case err := <-errs:
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Where != "launch" {
+				t.Fatalf("Submit error = %v, want a PanicError from launch", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a submitter hung after the Dispatcher panicked")
+		}
+	}
+	if n := e.PendingJobs(); n != 0 {
+		t.Fatalf("%d jobs still pending after the panic", n)
+	}
+	if s := e.Stats(); s.Panics != 1 || s.Errors != 1 {
+		t.Fatalf("stats after panic: panics=%d errors=%d, want 1/1", s.Panics, s.Errors)
+	}
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the Dispatcher panicked")
+	}
+}

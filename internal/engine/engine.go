@@ -148,6 +148,8 @@ type job struct {
 	// submitter's trace span when the request is traced. Cancellation
 	// always flows from jobCtx.
 	ctx context.Context
+	// finished is set by finishJob; only the leader's goroutine touches it.
+	finished bool
 }
 
 // ErrClosed is returned by Submit after Close.
@@ -157,8 +159,9 @@ var ErrClosed = errors.New("engine: closed")
 // callers should shed load (HTTP 503) or retry with backoff.
 var ErrOverloaded = errors.New("engine: too many pending jobs")
 
-// New builds an engine with cfg's worker slots. It starts no goroutine:
-// each leader job runs on its own until it finishes.
+// New builds an engine with cfg's worker slots. It starts no goroutine,
+// and neither does Submit: each leader job runs on its submitter's
+// goroutine until it finishes.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	cache := cfg.CacheBackend
@@ -209,6 +212,13 @@ func (e *Engine) Close() {
 // submissions and memoizing completed results. It blocks until the result
 // is available, ctx is done, or the engine is closed/overloaded. The
 // returned Result must be treated as immutable.
+//
+// The submission that starts an evaluation (the leader) runs it on its own
+// goroutine; identical submissions arriving meanwhile wait for its result.
+// When ctx ends, a waiter returns ctx.Err() at once. So does the leader
+// when no waiter is left, after the evaluation it abandons has stopped.
+// If other waiters remain, the evaluation runs on for them, and the
+// leader's Submit returns ctx.Err() only once that evaluation has ended.
 func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	e.stats.submitted.Add(1)
 	if req == nil || req.Graph == nil {
@@ -346,7 +356,14 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 				Fingerprint:     fingerprint,
 			}
 		}
-		go e.launch(&job{req: prepared, call: c, ctx: jctx}, djob)
+		// The leader departs like any waiter: the last one to leave
+		// cancels jobCtx and the evaluation aborts. Until then it runs on
+		// this goroutine, whose stack has already grown.
+		stop := context.AfterFunc(ctx, func() { e.flight.leave(c) })
+		e.safeLaunch(&job{req: prepared, call: c, ctx: jctx}, djob)
+		if !stop() {
+			return nil, ctx.Err()
+		}
 	} else {
 		e.stats.deduped.Add(1)
 		span.SetBool("deduped", true)
@@ -457,6 +474,7 @@ func (e *Engine) runJob(j *job) {
 // slot, that submission could observe a stale count at MaxPending and be
 // spuriously rejected.
 func (e *Engine) finishJob(j *job, res *Result, err error) {
+	j.finished = true
 	e.pending.Add(-1)
 	e.flight.finish(j.call, res, err)
 }

@@ -16,12 +16,14 @@ type FamilyResult struct {
 
 // FamilyConfig tunes one SubmitFamily call.
 type FamilyConfig struct {
-	// Width bounds concurrent member submissions (<= 0 picks the batch
-	// default: 2·Workers). Width is clamped below MaxPending with
-	// headroom so a family alone does not trip the engine's load
-	// shedding; concurrent traffic sharing the pending budget can still
-	// push the engine over it, in which case the affected members fail
-	// with ErrOverloaded like any other submission.
+	// Width is the number of member goroutines, each submitting one
+	// member at a time, so it bounds concurrent member submissions (<= 0
+	// picks the batch default: 2·Workers; never more than the family
+	// size). Width is clamped below MaxPending with headroom so a family
+	// alone does not trip the engine's load shedding; concurrent traffic
+	// sharing the pending budget can still push the engine over it, in
+	// which case the affected members fail with ErrOverloaded like any
+	// other submission.
 	Width int
 	// MemberTimeout bounds each member's submission individually (0 = no
 	// per-member deadline) — the per-request budget of a server, applied
@@ -43,6 +45,10 @@ type FamilyConfig struct {
 // once per started member, in completion order, and is serialized — done
 // implementations need no locking and may write to a stream directly.
 //
+// The members run on cfg.Width long-lived goroutines, each taking the next
+// index, building and submitting it, and looping; a leader's evaluation
+// then runs on a stack that earlier members have already grown.
+//
 // When ctx is cancelled, in-flight members fail with the context error,
 // members not yet started are never built or submitted, and SubmitFamily
 // returns ctx.Err() after the in-flight tail drains; members skipped this
@@ -63,56 +69,62 @@ func (e *Engine) SubmitFamily(ctx context.Context, n int, cfg FamilyConfig, buil
 			width = budget
 		}
 	}
-	if width < 1 {
-		width = 1
-	}
-	sem := make(chan struct{}, width)
-	var wg sync.WaitGroup
-	var doneMu sync.Mutex
+	width = min(max(width, 1), n)
+
+	var (
+		// mu hands out indices and serializes build, so requests are built
+		// once each and in index order.
+		mu     sync.Mutex
+		next   int
+		doneMu sync.Mutex
+		wg     sync.WaitGroup
+	)
 	emit := func(r FamilyResult) {
 		doneMu.Lock()
 		defer doneMu.Unlock()
 		done(r)
 	}
-	for i := 0; i < n; i++ {
-		// The semaphore acquire doubles as the cancellation point: once ctx
-		// is done no further member starts, bounding the work a disconnected
-		// sweep client leaves behind to the in-flight window. The explicit
-		// Err check first gives cancellation priority over a free slot
-		// (select picks randomly when both are ready).
-		if ctx.Err() != nil {
-			wg.Wait()
-			return ctx.Err()
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			wg.Wait()
-			return ctx.Err()
-		}
-		req, err := build(i)
-		if err != nil {
-			<-sem
-			emit(FamilyResult{Index: i, Err: err})
-			continue
-		}
-		wg.Add(1)
-		go func(i int, req *Request) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			mctx := ctx
-			if cfg.MemberContext != nil {
-				mctx = cfg.MemberContext(mctx, i)
+	member := func() {
+		defer wg.Done()
+		for {
+			// Checking ctx before taking each index is the cancellation
+			// point: a disconnected sweep client leaves behind only the
+			// members already in flight.
+			mu.Lock()
+			if next >= n || ctx.Err() != nil {
+				mu.Unlock()
+				return
 			}
-			if cfg.MemberTimeout > 0 {
-				var cancel context.CancelFunc
-				mctx, cancel = context.WithTimeout(mctx, cfg.MemberTimeout)
-				defer cancel()
+			i := next
+			next++
+			req, err := build(i)
+			mu.Unlock()
+			if err != nil {
+				emit(FamilyResult{Index: i, Err: err})
+				continue
 			}
-			res, err := e.Submit(mctx, req)
+			res, err := e.submitMember(ctx, cfg, i, req)
 			emit(FamilyResult{Index: i, Result: res, Err: err})
-		}(i, req)
+		}
+	}
+	for range width {
+		wg.Add(1)
+		go member()
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// submitMember submits member i under its own context: MemberContext's
+// derivation of ctx, bounded by MemberTimeout.
+func (e *Engine) submitMember(ctx context.Context, cfg FamilyConfig, i int, req *Request) (*Result, error) {
+	if cfg.MemberContext != nil {
+		ctx = cfg.MemberContext(ctx, i)
+	}
+	if cfg.MemberTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.MemberTimeout)
+		defer cancel()
+	}
+	return e.Submit(ctx, req)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,6 +54,53 @@ func TestSubmitFamilyCompletes(t *testing.T) {
 	}
 	if s.CacheHits+s.Deduped != total-distinct {
 		t.Fatalf("cacheHits+deduped = %d, want %d", s.CacheHits+s.Deduped, total-distinct)
+	}
+}
+
+// TestSubmitFamilyBuildsInOrderWithinWidth: build runs exactly once per
+// index, in ascending order, and no more than Width members evaluate at
+// once, for families empty, narrower than Width and wider than it.
+func TestSubmitFamilyBuildsInOrderWithinWidth(t *testing.T) {
+	const width = 3
+	for _, n := range []int{0, 2, width, 17} {
+		e := New(Config{Workers: 8})
+		var running, peak atomic.Int64
+		e.evalFn = func(ctx context.Context, req *Request) (*Result, error) {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			return &Result{Fingerprint: req.fingerprintHint}, nil
+		}
+		var built []int // build is serialized, so it appends unlocked
+		var done int
+		err := e.SubmitFamily(context.Background(), n, FamilyConfig{Width: width},
+			func(i int) (*Request, error) {
+				built = append(built, i)
+				return &Request{Graph: gen.TwoTaskChain(int64(i+1), 1)}, nil
+			},
+			func(r FamilyResult) {
+				if r.Err != nil {
+					t.Errorf("n=%d member %d: %v", n, r.Index, r.Err)
+				}
+				done++
+			})
+		e.Close()
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(built) != n || done != n {
+			t.Fatalf("n=%d: built %d members, %d done callbacks", n, len(built), done)
+		}
+		for i, b := range built {
+			if b != i {
+				t.Fatalf("n=%d: build order %v, want ascending", n, built)
+			}
+		}
+		if p := peak.Load(); p > min(width, int64(n)) {
+			t.Fatalf("n=%d: %d members evaluated at once, want ≤ %d", n, p, min(width, n))
+		}
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // process) keeps serving. The stack is captured at the recovery site.
 type PanicError struct {
 	// Where names the recovery site ("evaluate" for the worker-level
-	// recover, "solve.<method>" for a step of the default method's chain).
+	// recover, "solve.<method>" for a step of the default method's chain,
+	// "launch" for a Dispatcher or cache backend fault around them).
 	Where string
 	// Value is the recovered panic value.
 	Value any
@@ -53,6 +54,24 @@ func (e *Engine) safeEval(ctx context.Context, req *Request) (res *Result, err e
 		}
 	}()
 	return e.evalFn(ctx, req)
+}
+
+// safeLaunch runs launch on the leader's goroutine. A panic escaping it —
+// from a Dispatcher or a cache backend, since solver panics are recovered
+// further down — fails the job like a solver panic, so every waiter is
+// released and pending drops instead of Close spinning on a job that
+// never finishes.
+func (e *Engine) safeLaunch(j *job, djob *DispatchJob) {
+	defer func() {
+		if v := recover(); v != nil {
+			err := e.recoveredPanic(j.evalCtx(), "launch", v)
+			if !j.finished {
+				e.stats.errors.Add(1)
+				e.finishJob(j, nil, err)
+			}
+		}
+	}()
+	e.launch(j, djob)
 }
 
 // safeRunMethod is runMethod under panic isolation, for the steps of the

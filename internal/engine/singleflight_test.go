@@ -82,6 +82,87 @@ func TestWaiterDepartsMidFlight(t *testing.T) {
 	}
 }
 
+// TestLeaderDepartsWhileWaitersRemain: the leader evaluates on its own
+// goroutine, so its departure differs from a waiter's in one way. When its
+// context ends while another waiter remains, the evaluation keeps its
+// context and runs on, the waiter gets the result, and the leader's Submit
+// returns context.Canceled, but only once the evaluation has ended.
+func TestLeaderDepartsWhileWaitersRemain(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var evals atomic.Int64
+	var jobCtxLive atomic.Bool
+	e.evalFn = func(ctx context.Context, req *Request) (*Result, error) {
+		evals.Add(1)
+		close(started)
+		<-release
+		jobCtxLive.Store(ctx.Err() == nil)
+		return &Result{Fingerprint: req.fingerprintHint}, nil
+	}
+
+	leaderCtx, depart := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := e.Submit(leaderCtx, &Request{Graph: gen.Figure2()})
+		leaderErr <- err
+	}()
+	<-started
+	type reply struct {
+		res *Result
+		err error
+	}
+	waiter := make(chan reply, 1)
+	go func() {
+		res, err := e.Submit(context.Background(), &Request{Graph: gen.Figure2()})
+		waiter <- reply{res, err}
+	}()
+	waitForStat(t, e, func(s Stats) bool { return s.Deduped == 1 })
+
+	depart()
+	// The departure is a leave: wait until it has dropped the leader's
+	// reference, so the evaluation below runs with one waiter left.
+	deadline := time.Now().Add(5 * time.Second)
+	for waiters(e.flight) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("leader's departure never left the flight (waiters = %d)", waiters(e.flight))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-leaderErr:
+		t.Fatalf("leader returned %v while its evaluation was still running", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("departed leader got %v, want context.Canceled", err)
+	}
+	if r := <-waiter; r.err != nil || !r.res.Deduped {
+		t.Fatalf("remaining waiter got %+v, %v; want the shared result", r.res, r.err)
+	}
+	if !jobCtxLive.Load() {
+		t.Fatal("job context was cancelled although a waiter remained")
+	}
+	if evals.Load() != 1 {
+		t.Fatalf("evaluations = %d, want 1", evals.Load())
+	}
+	if n := e.flight.flightLen(); n != 0 {
+		t.Fatalf("%d flight keys leaked after finish", n)
+	}
+}
+
+// waiters sums the waiter counts of g's in-flight calls (test-only).
+func waiters(g *flightGroup) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := 0
+	for _, c := range g.calls {
+		n += c.waiters
+	}
+	return n
+}
+
 // TestAllWaitersDepartReleasesKey: once the last of several waiters
 // departs mid-flight, the job context fires AND the key is released, so
 // the next submission of the same graph starts a fresh evaluation instead

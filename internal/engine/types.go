@@ -12,7 +12,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"kiter/internal/csdf"
@@ -202,16 +202,9 @@ func (req *Request) normalize() []AnalysisKind {
 	if len(req.Analyses) == 0 {
 		return []AnalysisKind{AnalysisThroughput}
 	}
-	seen := map[AnalysisKind]bool{}
-	var out []AnalysisKind
-	for _, a := range req.Analyses {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(req.Analyses)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // cacheKey derives the memoization key: structural fingerprint plus every

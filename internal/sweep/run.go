@@ -64,8 +64,9 @@ type Envelope struct {
 // Runner streams sweeps through an engine.
 type Runner struct {
 	Engine *engine.Engine
-	// Width bounds concurrent scenario submissions (0 = the engine's batch
-	// default, 2·workers clamped below the load-shedding threshold).
+	// Width is the number of scenario goroutines, so it bounds concurrent
+	// scenario submissions (0 = the engine's batch default, 2·workers
+	// clamped below the load-shedding threshold).
 	Width int
 	// PointTimeout bounds each scenario individually (0 = none) — the
 	// server's per-request analysis budget applied per scenario, so a

@@ -305,6 +305,9 @@ func TestPointJSONShape(t *testing.T) {
 	}
 }
 
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
 // TestSweepScenarioAllocations pins the allocations of one uncached sweep
 // scenario, from Materialize through Engine.Submit to a K-Iter answer,
 // with telemetry off and kperiodic's workspace pool warm, so CI gates the
@@ -330,12 +333,16 @@ func TestSweepScenarioAllocations(t *testing.T) {
 	}
 	scenario() // grow a pooled workspace
 	allocs := testing.AllocsPerRun(100, scenario)
-	// About 51 allocations: the materialized graph, the request, the
-	// engine's job and result, and K-Iter's trace. Under the race
-	// detector sync.Pool drops a random share of its entries, so some
-	// scenarios start from a new workspace: 59–73 over 100 runs. Without
-	// the workspace pool the count is 99.
-	if allocs > 85 {
-		t.Errorf("one uncached sweep scenario allocates %.0f objects, want ≤ 85", allocs)
+	// 49 allocations: the materialized graph, the request, the engine's
+	// job and result, the leader's departure hook and K-Iter's trace. Under
+	// the race detector sync.Pool drops a random share of its entries, so
+	// some scenarios start from a new workspace: 60–79 over 150 runs of
+	// 100. Without the workspace pool the count is 99.
+	ceiling := 55.0
+	if raceEnabled {
+		ceiling = 85
+	}
+	if allocs > ceiling {
+		t.Errorf("one uncached sweep scenario allocates %.0f objects, want ≤ %.0f", allocs, ceiling)
 	}
 }
