@@ -7,8 +7,8 @@
 // methods; BenchmarkTable2_* covers the industrial and synthetic CSDFGs ×
 // three methods (with and without buffer bounds); BenchmarkFig* covers the
 // figure reproductions; BenchmarkAblation* covers the design choices
-// called out in DESIGN.md. Absolute numbers are machine-specific — the
-// shapes to check are recorded in EXPERIMENTS.md.
+// listed under README's "Generated stand-ins and ablations". Absolute
+// numbers are machine-specific; the shapes to check are listed there too.
 package kiter_test
 
 import (
@@ -192,7 +192,7 @@ func BenchmarkFig5BivaluedGraph(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) --------------------------------------------
+// --- Ablations (README, "Generated stand-ins and ablations") -------------
 
 // BenchmarkAblationCertification isolates the cost of the exact
 // certification pass on top of the float64 Howard fast path.

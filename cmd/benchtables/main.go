@@ -4,7 +4,8 @@
 //	benchtables -table 2    # Table 2: CSDFG applications × methods
 //
 // Absolute times differ from the paper (different machine, Go vs C++, and
-// generated stand-in benchmarks — see DESIGN.md); the shape to check is
+// generated stand-in benchmarks — see README's "Generated stand-ins and
+// ablations"); the shape to check is
 // the ranking: periodic < K-Iter ≪ symbolic execution, with K-Iter always
 // reaching 100% optimality.
 package main

@@ -2,7 +2,8 @@
 // the Figure 1 buffer and its precedence example, the Figure 2 running
 // example with its repetition vector, the Figure 3 ASAP schedule, the
 // Figure 4 K-periodic schedule, and the Figure 5 bi-valued graph with its
-// critical circuit. See EXPERIMENTS.md for the paper-vs-measured notes.
+// critical circuit. README's "Generated stand-ins and ablations" lists the
+// Figure 2 anchors these reproduce.
 package main
 
 import (

@@ -83,8 +83,8 @@ func TestFigure2Repetition(t *testing.T) {
 		t.Fatalf("RepetitionVector: %v", err)
 	}
 	// The printed rate vectors of Figure 2 are mutually consistent with
-	// q = [3,4,6,1]; see EXPERIMENTS.md for the discussion of the
-	// caption's q = [6,12,6,1].
+	// q = [3,4,6,1], not the caption's q = [6,12,6,1]; see README's
+	// "Generated stand-ins and ablations".
 	want := []int64{3, 4, 6, 1}
 	for i := range want {
 		if q[i] != want[i] {

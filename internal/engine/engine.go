@@ -358,11 +358,17 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		}
 		// The leader departs like any waiter: the last one to leave
 		// cancels jobCtx and the evaluation aborts. Until then it runs on
-		// this goroutine, whose stack has already grown.
-		stop := context.AfterFunc(ctx, func() { e.flight.leave(c) })
-		e.safeLaunch(&job{req: prepared, call: c, ctx: jctx}, djob)
-		if !stop() {
-			return nil, ctx.Err()
+		// this goroutine, whose stack has already grown. A context that
+		// can never end needs no departure hook.
+		j := &job{req: prepared, call: c, ctx: jctx}
+		if ctx.Done() == nil {
+			e.safeLaunch(j, djob)
+		} else {
+			stop := context.AfterFunc(ctx, func() { e.flight.leave(c) })
+			e.safeLaunch(j, djob)
+			if !stop() {
+				return nil, ctx.Err()
+			}
 		}
 	} else {
 		e.stats.deduped.Add(1)

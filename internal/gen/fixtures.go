@@ -5,7 +5,8 @@
 // the IB+AG5CSDF industrial CSDF set (Table 2).
 //
 // The original benchmark files are not distributed with the paper; see
-// DESIGN.md for the substitution argument. Every generated graph is
+// README's "Generated stand-ins and ablations" for the substitution
+// argument. Every generated graph is
 // consistent by construction (rates are derived from a chosen repetition
 // vector) and is delivered live: generators place enough initial tokens on
 // feedback arcs for a 1-periodic schedule to exist, which is a sufficient
@@ -33,9 +34,9 @@ func Figure1() (*csdf.Graph, csdf.BufferID) {
 // A(ϕ=2, d=[1,1]), B(ϕ=3, d=[1,1,1]), C(ϕ=1), D(ϕ=1) connected by five
 // buffers with the printed rate vectors. The graph is consistent with
 // repetition vector q = [3,4,6,1]; its exact maximum throughput anchors
-// (1-periodic Ω = 18, optimal Ω* = 13, K* = q) are recorded in
-// EXPERIMENTS.md together with the critical-circuit correspondence to
-// Figure 5.
+// (1-periodic Ω = 18, optimal Ω* = 13, K* = q) and the critical-circuit
+// correspondence to Figure 5 are listed under README's "Generated
+// stand-ins and ablations".
 func Figure2() *csdf.Graph {
 	g := csdf.NewGraph("figure2")
 	a := g.AddTask("A", []int64{1, 1})

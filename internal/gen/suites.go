@@ -21,7 +21,8 @@ type Suite struct {
 // a sample-rate converter, a satellite-receiver-like pipeline, an
 // H.263-style decoder, a modem-like loop and an MP3-style playback chain.
 // Rates follow the stage ratios published for these applications; see
-// DESIGN.md for the substitution argument.
+// README's "Generated stand-ins and ablations" for the substitution
+// argument.
 func ActualDSP() Suite {
 	return Suite{
 		Name: "ActualDSP",

@@ -85,7 +85,7 @@ func resolve(ctx context.Context, b *builder, s *mcr.Solver, opt Options) (*eval
 		}
 		res, err := s.SolveCtx(ctx, b.mg, mcr.Options{SkipCertify: true, InitPolicy: b.warmPolicy(c)})
 		b.keepPolicy(c, s.Policy())
-		c.res, c.cyclic = res, err == nil
+		b.setAnswer(c, res, err == nil)
 		if err != nil && !errors.Is(err, mcr.ErrNoCycle) {
 			var de *mcr.DeadlockError
 			if !errors.As(err, &de) {
@@ -114,7 +114,7 @@ func resolve(ctx context.Context, b *builder, s *mcr.Solver, opt Options) (*eval
 			continue
 		}
 		d := c.res.Ratio.Cmp(ev.crit.res.Ratio)
-		if d > 0 || d == 0 && b.lowestNode(c) < b.lowestNode(ev.crit) {
+		if d > 0 || d == 0 && c.low.before(ev.crit.low) {
 			ev.crit = c
 		}
 	}
@@ -144,7 +144,7 @@ func (ev *evaluation) certify(ctx context.Context, s *mcr.Solver) error {
 	if err != nil {
 		return ev.refineFailed(ev.crit, err)
 	}
-	ev.crit.res = res
+	b.setAnswer(ev.crit, res, true)
 	for i := range b.comps {
 		c := &b.comps[i]
 		if c == ev.crit {
@@ -157,7 +157,7 @@ func (ev *evaluation) certify(ctx context.Context, s *mcr.Solver) error {
 		}
 		if better.CycleArcs != nil {
 			ev.crit, res = c, better
-			c.res, c.cyclic = better, true
+			b.setAnswer(c, better, true)
 		}
 	}
 	ev.res, ev.refs = res, nil
@@ -185,14 +185,21 @@ func (b *builder) arcRefs(c *component, arcs []int) []PhaseRef {
 	return refs
 }
 
-// lowestNode returns the lowest whole-graph node on c's latest circuit.
-func (b *builder) lowestNode(c *component) int {
-	low := b.nodes
-	for _, node := range c.res.CycleNodes {
-		r := b.localRef(c, node)
-		low = min(low, b.node(r.Task, r.Phase))
+// setAnswer records res as c's latest answer, with the lowest (task,
+// phase) on its circuit when it has one. Node numbers, in the component
+// graph as in the whole graph, ascend in (task, phase) order for any K,
+// so the lowest local node is that phase, and comparing two components'
+// phases orders them as their lowest whole-graph nodes would.
+func (b *builder) setAnswer(c *component, res mcr.Result, cyclic bool) {
+	c.res, c.cyclic = res, cyclic
+	if !cyclic {
+		return
 	}
-	return low
+	low := res.CycleNodes[0]
+	for _, node := range res.CycleNodes[1:] {
+		low = min(low, node)
+	}
+	c.low = b.localRef(c, low)
 }
 
 // critical returns ev's critical circuit as expanded phases.

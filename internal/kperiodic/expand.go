@@ -106,6 +106,7 @@ type component struct {
 	stale  bool       // a task's K changed since the latest solve, or none ran
 	cyclic bool       // the latest solve found a circuit, whose answer is res
 	res    mcr.Result // in the component graph's arc and node indices
+	low    PhaseRef   // the lowest (task, phase) on res's circuit, when cyclic
 	pol    []int32    // the latest solve's final Howard policy; aliases builder.pols
 }
 

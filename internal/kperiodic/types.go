@@ -82,6 +82,12 @@ func (p PhaseRef) Decompose(phases int) (origPhase, repeat int) {
 	return (p.Phase-1)%phases + 1, (p.Phase-1)/phases + 1
 }
 
+// before reports whether p precedes o in (task, phase) order, the order
+// of the expanded graph's nodes.
+func (p PhaseRef) before(o PhaseRef) bool {
+	return p.Task < o.Task || p.Task == o.Task && p.Phase < o.Phase
+}
+
 // Evaluation is the outcome of a K-periodic throughput evaluation.
 type Evaluation struct {
 	// K is the periodicity vector used (copy).

@@ -3,15 +3,19 @@ package mcr
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"kiter/internal/rat"
 )
 
 // certifyLoop upgrades an uncertified candidate to an exact result. Given
-// the candidate circuit's exact ratio λ, an exact Bellman–Ford pass looks
-// for a circuit with L(c) − λ·H(c) > 0. None found certifies λ as the
-// maximum ratio; otherwise the found circuit's exact ratio strictly
-// exceeds λ (or proves infeasibility) and becomes the new candidate.
+// the candidate circuit's exact ratio λ, an exact Bellman–Ford pass
+// (positiveCycle) looks for a circuit with L(c) − λ·H(c) > 0. None found
+// certifies λ as the maximum ratio; otherwise the found circuit's exact
+// ratio strictly exceeds λ (or proves infeasibility) and becomes the new
+// candidate. The pass runs in int64 whenever the scaled weights fit, and
+// finds the same circuit either way, so the sequence of candidates, and
+// the result, do not depend on which arithmetic certified them.
 func (s *Solver) certifyLoop(ctx context.Context, g *Graph, cand Result) (Result, error) {
 	res := cand
 	for {
@@ -80,26 +84,137 @@ func (g *Graph) Certify(lambda rat.Rat) ([]int, error) {
 // distances start at 0). It returns an elementary circuit with positive
 // total weight, or nil when none exists. The context is polled once per
 // relaxation round.
+//
+// The pass runs on the integers W(e) = r·M·w(e), where λ = p/r in lowest
+// terms and M is the lcm of the arcs' H denominators (positiveCycleInt).
+// Scaling every weight by one positive constant scales every distance by
+// it too, so each comparison, predecessor and the extracted circuit are
+// exactly those of the rational pass. Only when λ or an H is held in big
+// form, or a weight or a distance leaves int64, does the pass run in
+// rat.Rat instead (positiveCycleRat).
 func (s *Solver) positiveCycle(ctx context.Context, g *Graph, lambda rat.Rat) ([]int, error) {
-	n := g.n
-	if n == 0 || len(g.arcs) == 0 {
+	if g.n == 0 || len(g.arcs) == 0 {
 		return nil, nil
 	}
+	if s.scaleWeights(g, lambda) {
+		if arcs, ok, err := s.positiveCycleInt(ctx, g); ok || err != nil {
+			return arcs, err
+		}
+	}
+	return s.positiveCycleRat(ctx, g, lambda)
+}
+
+// relaxArc is an arc as the integer relaxation reads it: endpoints and
+// the scaled weight W(e), packed so a round streams 16 bytes per arc.
+type relaxArc struct {
+	from, to int32
+	w        int64
+}
+
+// scaleWeights fills s.rel with the arcs of g and their integer weights
+// W(e) = L(e)·r·M − p·h·(M/d) = r·M·(L(e) − λ·H(e)), for λ = p/r and
+// H(e) = h/d in lowest terms and M the lcm of every d (a zero H counts as
+// 1). It reports false when λ or an H is in big form or any product or
+// sum leaves int64.
+func (s *Solver) scaleWeights(g *Graph, lambda rat.Rat) bool {
+	p, r, ok := lambda.Small()
+	if !ok {
+		return false
+	}
+	var m int64 = 1
+	for i := range g.arcs {
+		_, d, ok := g.arcs[i].H.Small()
+		if !ok {
+			return false
+		}
+		if m%d != 0 {
+			if m, ok = rat.Lcm(m, d); !ok {
+				return false
+			}
+		}
+	}
+	rm, ok := rat.MulCheck(r, m)
+	if !ok {
+		return false
+	}
+	s.rel = grow(s.rel, len(g.arcs))
+	for i := range g.arcs {
+		a := &g.arcs[i]
+		h, d, _ := a.H.Small()
+		lw, ok1 := rat.MulCheck(a.L, rm)
+		// −p is exact: Small never returns a numerator of MinInt64.
+		ph, ok2 := rat.MulCheck(-p, h)
+		hw, ok3 := rat.MulCheck(ph, m/d)
+		w, ok4 := rat.AddCheck(lw, hw)
+		if !(ok1 && ok2 && ok3 && ok4) {
+			return false
+		}
+		s.rel[i] = relaxArc{from: int32(a.From), to: int32(a.To), w: w}
+	}
+	return true
+}
+
+// positiveCycleInt is positiveCycle over the integer weights scaleWeights
+// left in s.rel. Distances start at 0 and never fall, so they can only
+// overflow upwards: a relaxation that would pass MaxInt64 makes the pass
+// decline (ok = false), and the caller reruns it in rat.Rat. No bound on
+// the distances can be proved up front, because a round of Gauss–Seidel
+// relaxation extends a walk by up to |E| arcs and a positive circuit
+// pushes the distances on it past any simple-path sum.
+func (s *Solver) positiveCycleInt(ctx context.Context, g *Graph) (arcs []int, ok bool, err error) {
+	n := g.n
+	s.idist = grow(s.idist, n)
+	clear(s.idist)
+	s.pred = grow(s.pred, n)
+	for i := range s.pred {
+		s.pred[i] = -1
+	}
+	dist, pred, rel := s.idist, s.pred, s.rel
+	lastUpdated := -1
+	for round := 0; round <= n; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, true, err
+		}
+		updated := false
+		for i := range rel {
+			a := &rel[i]
+			d := dist[a.from]
+			if a.w > 0 && d > math.MaxInt64-a.w {
+				return nil, false, nil
+			}
+			if cand := d + a.w; cand > dist[a.to] {
+				dist[a.to] = cand
+				pred[a.to] = int32(i)
+				updated = true
+				lastUpdated = int(a.to)
+			}
+		}
+		if !updated {
+			return nil, true, nil
+		}
+	}
+	arcs, err = g.predCircuit(pred, lastUpdated)
+	return arcs, true, err
+}
+
+// positiveCycleRat is positiveCycle in rat.Rat arithmetic: the path for
+// weights beyond int64, and the reference the integer pass is tested
+// against.
+func (s *Solver) positiveCycleRat(ctx context.Context, g *Graph, lambda rat.Rat) ([]int, error) {
+	n := g.n
 	s.w = grow(s.w, len(g.arcs))
 	for i := range g.arcs {
 		a := &g.arcs[i]
 		s.w[i] = rat.FromInt(a.L).Sub(lambda.Mul(a.H))
 	}
 	s.dist = grow(s.dist, n)
-	for i := range s.dist {
-		s.dist[i] = rat.Rat{}
-	}
+	clear(s.dist)
 	s.pred = grow(s.pred, n)
 	for i := range s.pred {
 		s.pred[i] = -1
 	}
 	dist, pred := s.dist, s.pred
-	var lastUpdated int = -1
+	lastUpdated := -1
 	for round := 0; round <= n; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -119,9 +234,16 @@ func (s *Solver) positiveCycle(ctx context.Context, g *Graph, lambda rat.Rat) ([
 			return nil, nil
 		}
 	}
-	// A relaxation succeeded in round n: a positive circuit exists. Walk
-	// predecessors n steps to enter the circuit, then cut it out.
-	v := lastUpdated
+	return g.predCircuit(pred, lastUpdated)
+}
+
+// predCircuit extracts the positive circuit proven by a relaxation in
+// round n of Bellman–Ford, where last is the node it updated last: walking
+// n predecessors back from last enters the circuit, which is then cut out
+// and returned as arc indices in traversal order.
+func (g *Graph) predCircuit(pred []int32, last int) ([]int, error) {
+	n := g.n
+	v := last
 	for i := 0; i < n; i++ {
 		v = g.arcs[pred[v]].From
 	}

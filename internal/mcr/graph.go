@@ -16,6 +16,15 @@
 // Since every candidate is the exact ratio of a real circuit and candidates
 // strictly increase, the loop terminates; the published result is exact.
 //
+// The check itself runs in machine integers. With λ = p/r in lowest terms
+// and M the lcm of the arcs' H denominators, W(e) = r·M·(L(e) − λ·H(e)) is
+// an integer for every arc, and Bellman–Ford over W is Bellman–Ford over
+// the rational weights with every distance multiplied by the positive
+// constant r·M: the same comparisons succeed, the same predecessors are
+// set and the same circuit is extracted, so no result depends on the
+// arithmetic. When λ or an H is held in big form, or W or a distance
+// leaves int64, the same pass runs in rat.Rat instead.
+//
 // Circuits whose total time is non-positive while their total cost is
 // positive make the underlying scheduling LP infeasible; they are reported
 // as a DeadlockError carrying the certificate circuit.

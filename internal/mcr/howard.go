@@ -64,10 +64,12 @@ type Solver struct {
 	order  []int32
 	cycle  []int // current policy circuit, arc indices
 	best   []int // best circuit of the latest value-determination pass
-	// exact certification
-	w    []rat.Rat
-	dist []rat.Rat
-	pred []int32
+	// exact certification: the integer pass, then the rational one
+	rel   []relaxArc
+	idist []int64
+	w     []rat.Rat
+	dist  []rat.Rat
+	pred  []int32
 }
 
 // NewSolver returns an empty Solver.

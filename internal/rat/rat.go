@@ -71,11 +71,18 @@ func LcmAll(vs ...int64) (int64, bool) {
 
 // MulCheck multiplies two int64 values, reporting whether the product fits.
 func MulCheck(a, b int64) (int64, bool) {
+	// Factors within ±2³¹ cannot overflow, which spares the common case
+	// the division below.
+	if uint64(a)+1<<31 <= 1<<32 && uint64(b)+1<<31 <= 1<<32 {
+		return a * b, true
+	}
 	if a == 0 || b == 0 {
 		return 0, true
 	}
 	p := a * b
-	if p/b != a {
+	// The division test misses exactly one overflow: MinInt64·(−1) wraps
+	// to MinInt64, and MinInt64/(−1) wraps back to MinInt64.
+	if p/b != a || b == -1 && a == math.MinInt64 {
 		return 0, false
 	}
 	return p, true
@@ -133,7 +140,8 @@ func CeilTo(a, gamma int64) int64 {
 // whenever the magnitudes allow.
 type Rat struct {
 	// Small form, valid when r == nil: the value is num/den, reduced, with
-	// den > 0. The zero value (num = 0, den = 0) represents exactly 0.
+	// den > 0 and num ≠ MinInt64, so negating num is exact. The zero value
+	// (num = 0, den = 0) represents exactly 0.
 	num, den int64
 	// Big form when non-nil; never holds zero, and never holds a value
 	// whose reduced numerator and denominator both fit in int64 (such
@@ -221,6 +229,20 @@ func FromBigInts(num, den *big.Int) Rat {
 	}
 	r := new(big.Rat).SetFrac(new(big.Int).Set(num), new(big.Int).Set(den))
 	return normBig(r)
+}
+
+// Small returns x as a reduced int64 fraction num/den with den > 0 and
+// num ≠ MinInt64, and ok = false when x is held in big form. Zero is 0/1.
+// It allocates nothing, so hot loops can move a whole computation into
+// int64 when every operand fits.
+func (x Rat) Small() (num, den int64, ok bool) {
+	if x.r != nil {
+		return 0, 0, false
+	}
+	if x.num == 0 {
+		return 0, 1, true
+	}
+	return x.num, x.den, true
 }
 
 // Big returns a copy of x as a *big.Rat.
@@ -324,7 +346,7 @@ func (x Rat) Mul(y Rat) Rat {
 		g2 := Gcd(y.num, x.den)
 		n, ok1 := MulCheck(x.num/g1, y.num/g2)
 		d, ok2 := MulCheck(x.den/g2, y.den/g1)
-		if ok1 && ok2 {
+		if ok1 && ok2 && n != math.MinInt64 {
 			return Rat{num: n, den: d}
 		}
 	}

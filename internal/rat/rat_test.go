@@ -70,6 +70,27 @@ func TestMulAddCheck(t *testing.T) {
 	if _, ok := MulCheck(math.MaxInt64, 2); ok {
 		t.Error("MulCheck(MaxInt64,2) should overflow")
 	}
+	for _, c := range [][2]int64{{math.MinInt64, -1}, {-1, math.MinInt64}} {
+		if v, ok := MulCheck(c[0], c[1]); ok {
+			t.Errorf("MulCheck(%d,%d) = %d, should overflow", c[0], c[1], v)
+		}
+	}
+	if v, ok := MulCheck(math.MinInt64, 1); !ok || v != math.MinInt64 {
+		t.Errorf("MulCheck(MinInt64,1) = %d,%v", v, ok)
+	}
+	// Around the ±2³¹ fast-path edges, and far beyond them, MulCheck
+	// agrees with exact big-integer multiplication.
+	edges := []int64{0, 1, -1, 2, -2, 3, 1<<31 - 1, 1 << 31, 1<<31 + 1, -1<<31 + 1, -1 << 31, -1<<31 - 1,
+		1<<32 - 1, 1 << 32, -1 << 32, 3037000499, 3037000500, -3037000500, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for _, a := range edges {
+		for _, b := range edges {
+			exact := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
+			v, ok := MulCheck(a, b)
+			if ok != exact.IsInt64() || ok && v != exact.Int64() {
+				t.Errorf("MulCheck(%d,%d) = %d,%v; exact product %s", a, b, v, ok, exact)
+			}
+		}
+	}
 	if v, ok := MulCheck(1<<31, 1<<31); !ok || v != 1<<62 {
 		t.Errorf("MulCheck(2^31,2^31) = %d,%v", v, ok)
 	}
@@ -310,5 +331,34 @@ func TestGcdRat(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestRatSmall(t *testing.T) {
+	cases := []struct {
+		x        Rat
+		num, den int64
+		ok       bool
+	}{
+		{Rat{}, 0, 1, true},
+		{NewRat(6, -4), -3, 2, true},
+		{FromInt(7), 7, 1, true},
+		{FromInt(math.MinInt64), 0, 0, false},
+		{NewRat(1, math.MaxInt64).Mul(NewRat(1, 3)), 0, 0, false},
+		// A product whose numerator is exactly MinInt64 is held in big form.
+		{NewRat(-1<<62, 1).Mul(FromInt(2)), 0, 0, false},
+	}
+	for _, c := range cases {
+		num, den, ok := c.x.Small()
+		if num != c.num || den != c.den || ok != c.ok {
+			t.Errorf("%s.Small() = %d, %d, %v; want %d, %d, %v", c.x, num, den, ok, c.num, c.den, c.ok)
+		}
+		if ok && NewRat(num, den).Cmp(c.x) != 0 {
+			t.Errorf("%s.Small() = %d/%d, a different value", c.x, num, den)
+		}
+	}
+	x := NewRat(-5, 7)
+	if n := testing.AllocsPerRun(10, func() { x.Small() }); n != 0 {
+		t.Errorf("Small allocates %.0f objects", n)
 	}
 }

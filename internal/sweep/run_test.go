@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"sync"
 	"testing"
@@ -305,9 +306,6 @@ func TestPointJSONShape(t *testing.T) {
 	}
 }
 
-// raceEnabled reports a -race build (set in race_test.go).
-var raceEnabled bool
-
 // TestSweepScenarioAllocations pins the allocations of one uncached sweep
 // scenario, from Materialize through Engine.Submit to a K-Iter answer,
 // with telemetry off and kperiodic's workspace pool warm, so CI gates the
@@ -332,17 +330,19 @@ func TestSweepScenarioAllocations(t *testing.T) {
 		}
 	}
 	scenario() // grow a pooled workspace
-	allocs := testing.AllocsPerRun(100, scenario)
-	// 49 allocations: the materialized graph, the request, the engine's
-	// job and result, the leader's departure hook and K-Iter's trace. Under
-	// the race detector sync.Pool drops a random share of its entries, so
-	// some scenarios start from a new workspace: 60–79 over 150 runs of
-	// 100. Without the workspace pool the count is 99.
-	ceiling := 55.0
-	if raceEnabled {
-		ceiling = 85
+	// The fewest of 30 single runs: under the race detector sync.Pool
+	// drops a random share of its entries, and a scenario that starts
+	// from a new workspace allocates more, so one run in the pool's favour
+	// is what the race build can be held to.
+	allocs := math.Inf(1)
+	for i := 0; i < 30; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, scenario))
 	}
+	// 46 allocations: the materialized graph, the request, the engine's
+	// job and result, and K-Iter's trace. Counted this way the race build
+	// allocates the same.
+	const ceiling = 50
 	if allocs > ceiling {
-		t.Errorf("one uncached sweep scenario allocates %.0f objects, want ≤ %.0f", allocs, ceiling)
+		t.Errorf("one uncached sweep scenario allocates %.0f objects, want ≤ %d", allocs, ceiling)
 	}
 }

@@ -3,6 +3,7 @@ package kiter_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"kiter/internal/csdf"
@@ -22,7 +23,8 @@ import (
 //   - the three methods agree on whether the graph deadlocks;
 //   - K-Iter's schedule at its final K replays two hyperperiods without a
 //     negative marking or an overlap;
-//   - a WriteJSON → ReadJSON round trip keeps K-Iter's Ω.
+//   - a WriteJSON → ReadJSON and a WriteXML → ReadXML round trip each
+//     keep K-Iter's Ω.
 //
 // The seed corpus in testdata/fuzz/FuzzKIterOracle holds ring and
 // ring-free profiles, whose back edges leave several strongly connected
@@ -109,16 +111,25 @@ func checkOracle(t *testing.T, g *csdf.Graph) {
 	if err := sch.Validate(g, 2); err != nil {
 		t.Fatalf("K-Iter schedule at K=%v: %v", kr.K, err)
 	}
-	var buf bytes.Buffer
-	if err := sdf3x.WriteJSON(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := sdf3x.ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := kperiodic.KIter(back, opt)
-	if err != nil || rr.Period.Cmp(kr.Period) != 0 {
-		t.Fatalf("after a JSON round trip: K-Iter %v (err %v), before Ω=%s", rr, err, kr.Period)
+	for _, format := range []struct {
+		name  string
+		write func(io.Writer, *csdf.Graph) error
+		read  func(io.Reader) (*csdf.Graph, error)
+	}{
+		{"JSON", sdf3x.WriteJSON, sdf3x.ReadJSON},
+		{"XML", sdf3x.WriteXML, sdf3x.ReadXML},
+	} {
+		var buf bytes.Buffer
+		if err := format.write(&buf, g); err != nil {
+			t.Fatalf("%s: %v", format.name, err)
+		}
+		back, err := format.read(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", format.name, err)
+		}
+		rr, err := kperiodic.KIter(back, opt)
+		if err != nil || rr.Period.Cmp(kr.Period) != 0 {
+			t.Fatalf("after a %s round trip: K-Iter %v (err %v), before Ω=%s", format.name, rr, err, kr.Period)
+		}
 	}
 }
