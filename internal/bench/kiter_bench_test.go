@@ -10,10 +10,11 @@ import (
 // (PerfCases): single-round sanity cases plus the multi-round KIterChain
 // family that exercises the incremental expansion. Besides time and
 // allocations it reports each case's convergence rounds, how many
-// constraint arcs the incremental expansion built versus replayed, and the
-// Howard iterations summed over the rounds — the solved work, which falls
-// when a round re-solves only the components whose K changed — taken from
-// one untimed run.
+// constraint arcs the incremental expansion built versus replayed, how
+// many phase pairs it tested to build them, and the Howard iterations
+// summed over the rounds — the solved work, which falls when a round
+// re-solves only the components whose K changed — taken from one untimed
+// run.
 func BenchmarkKIter(b *testing.B) {
 	for _, pc := range PerfCases() {
 		b.Run(pc.Name, func(b *testing.B) {
@@ -23,10 +24,11 @@ func BenchmarkKIter(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var built, reused, howard int
+			var built, reused, pairs, howard int
 			for _, step := range res.Trace {
 				built += step.ArcsBuilt
 				reused += step.ArcsReused
+				pairs += step.PairsTested
 				howard += step.HowardIterations
 			}
 			b.ReportAllocs()
@@ -39,6 +41,7 @@ func BenchmarkKIter(b *testing.B) {
 			b.ReportMetric(float64(res.Iterations), "rounds")
 			b.ReportMetric(float64(built), "arcs_built")
 			b.ReportMetric(float64(reused), "arcs_reused")
+			b.ReportMetric(float64(pairs), "pairs_tested")
 			b.ReportMetric(float64(howard), "howard_iters")
 		})
 	}

@@ -10,39 +10,40 @@ import (
 // TestPerfCaseAllocations pins the allocations of one K-Iter run and one
 // 1-periodic evaluation on every perf case. Allocation counts are
 // deterministic where timings are not, so this is the perf suite's CI
-// gate. Each count is the fewest of 30 single runs after a warm-up: under
-// -race sync.Pool drops a random share of the pooled K-Iter workspaces,
-// and a run that then grows a fresh builder and solver allocates more, so
-// the fewest is what both builds can be held to, one ceiling for both.
+// gate. Each count is the fewest of 30 single runs after a warm-up, which
+// leaves a grown workspace on kperiodic's free list; the free list keeps
+// it across garbage collections, so plain and -race builds count the
+// same, and each ceiling is that count.
 //
-// Measured (fewest of 30 runs, the same with and without -race / the
-// average of 100 runs with the workspace pool disabled), K-Iter then
-// Evaluate1:
+// Measured (fewest of 30 runs, the same with and without -race), K-Iter
+// then Evaluate1:
 //
-//	figure2           34/133     15/75
-//	h263decoder       28/115     15/69
-//	mimicdsp20        22/120     15/113
-//	lgtransient0x113  22/444     15/437
-//	chain4            69/237     18/122
-//	chain8           113/370     22/183
-//	chain16          202/636     30/304
-//	h264enc           22/4556    15/4549
+//	figure2           33     14
+//	h263decoder       27     14
+//	mimicdsp20        21     14
+//	lgtransient0x113  21     14
+//	chain4            68     17
+//	chain8           112     21
+//	chain16          201     29
+//	h264enc           21     14
 //
-// Each task-level strongly connected component is solved on its own, so
-// an evaluation makes one Howard solve per component: the KIterChain
-// graphs, with one component per gadget, take a few more allocations per
+// An entry point validates its graph and computes the repetition vector
+// and components once, as csdf.Facts, in five allocations. Each
+// task-level strongly connected component is solved on its own, so an
+// evaluation makes one Howard solve per component: the KIterChain graphs,
+// with one component per gadget, take a few more allocations per
 // Evaluate1 than with one solve of the whole graph, and fewer per K-Iter
 // run, whose later rounds re-solve a single gadget.
 func TestPerfCaseAllocations(t *testing.T) {
 	ceilings := map[string]struct{ kiter, evaluate1 float64 }{
-		"figure2":          {40, 20},
-		"h263decoder":      {35, 20},
-		"mimicdsp20":       {30, 20},
-		"lgtransient0x113": {30, 20},
-		"chain4":           {80, 25},
-		"chain8":           {125, 30},
-		"chain16":          {220, 40},
-		"h264enc":          {30, 20},
+		"figure2":          {33, 14},
+		"h263decoder":      {27, 14},
+		"mimicdsp20":       {21, 14},
+		"lgtransient0x113": {21, 14},
+		"chain4":           {68, 17},
+		"chain8":           {112, 21},
+		"chain16":          {201, 29},
+		"h264enc":          {21, 14},
 	}
 	opt := Limits{}.kiterOptions()
 	for _, pc := range PerfCases() {
@@ -60,7 +61,7 @@ func TestPerfCaseAllocations(t *testing.T) {
 				{"KIter", ceil.kiter, func() error { _, err := kperiodic.KIter(g, opt); return err }},
 				{"Evaluate1", ceil.evaluate1, func() error { _, err := kperiodic.Evaluate1(g, opt); return err }},
 			} {
-				// The warm-up call leaves a grown workspace in the pool.
+				// The warm-up call leaves a grown workspace on the free list.
 				if err := m.run(); err != nil {
 					t.Fatalf("%s: %v", m.name, err)
 				}

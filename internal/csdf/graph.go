@@ -17,7 +17,10 @@
 // The package provides the graph builder, structural validation, the
 // repetition vector (consistency), capacity-constrained buffer modelling,
 // statistics and DOT export. All analyses in the sibling packages consume
-// this representation.
+// this representation. Facts bundles what every analysis of one graph
+// needs first — the validated graph, its repetition vector and its task
+// SCCs — so that it is computed once per graph, and derived without
+// recomputation for a clone that edits durations or initial tokens.
 package csdf
 
 import (
@@ -245,7 +248,16 @@ func (g *Graph) Validate() error {
 	if len(g.tasks) == 0 {
 		return ErrEmptyGraph
 	}
-	for i := range g.tasks {
+	if err := g.validateTasks(0, len(g.tasks)); err != nil {
+		return err
+	}
+	return g.validateBuffers(0, len(g.buffers))
+}
+
+// validateTasks returns the first defect of the tasks lo to hi − 1, in
+// Validate's order.
+func (g *Graph) validateTasks(lo, hi int) error {
+	for i := lo; i < hi; i++ {
 		t := &g.tasks[i]
 		if t.Phases() == 0 {
 			return &ValidationError{"task", i, "no phases"}
@@ -256,7 +268,13 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	for i := range g.buffers {
+	return nil
+}
+
+// validateBuffers returns the first defect of the buffers lo to hi − 1,
+// in Validate's order.
+func (g *Graph) validateBuffers(lo, hi int) error {
+	for i := lo; i < hi; i++ {
 		b := &g.buffers[i]
 		if int(b.Src) < 0 || int(b.Src) >= len(g.tasks) {
 			return &ValidationError{"buffer", i, "unknown source task"}

@@ -116,6 +116,24 @@ func (g *Graph) TaskSCCs(s *SCCs) *SCCs {
 	return s
 }
 
+// taskSCCsExact computes g's components into an empty s with every array
+// sized exactly, in three allocations, and then drops the search scratch,
+// so that an s kept for the graph's lifetime holds only Comp, Tasks and
+// Start and the scratch they share an allocation with.
+func (g *Graph) taskSCCsExact(s *SCCs) {
+	n, nb := len(g.tasks), len(g.buffers)
+	i32 := make([]int32, 5*n+1+2*nb)
+	s.Comp, i32 = i32[:0:n], i32[n:]
+	s.Start, i32 = i32[:0:n+1], i32[n+1:]
+	s.stack, i32 = i32[:0:n], i32[n:]
+	s.path, i32 = i32[:0:n], i32[n:]
+	s.dst, s.nextOut = i32[:0:nb], i32[nb:nb:2*nb]
+	s.state = make([]sccState, n)
+	s.Tasks = make([]TaskID, 0, n)
+	g.TaskSCCs(s)
+	s.dst, s.nextOut, s.state, s.stack, s.path = nil, nil, nil, nil, nil
+}
+
 // resize returns b with length n, reallocating only when its capacity
 // falls short. The contents are unspecified.
 func resize[T any](b []T, n int) []T {

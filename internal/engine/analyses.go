@@ -33,6 +33,14 @@ func (e *Engine) evaluate(ctx context.Context, req *Request) (*Result, error) {
 	if res.Fingerprint == "" {
 		res.Fingerprint = req.Graph.FingerprintHex()
 	}
+	// Every analysis of the job shares one set of graph facts.
+	f := req.Facts
+	if f == nil || f.Graph() != req.Graph {
+		var err error
+		if f, err = csdf.NewFacts(req.Graph); err != nil {
+			return nil, err
+		}
+	}
 	requested := map[AnalysisKind]bool{}
 	for _, a := range req.Analyses {
 		requested[a] = true
@@ -48,10 +56,10 @@ func (e *Engine) evaluate(ctx context.Context, req *Request) (*Result, error) {
 		var err error
 		switch a {
 		case AnalysisThroughput:
-			err = e.analyzeThroughput(actx, req, res)
+			err = e.analyzeThroughput(actx, req.Method, f, res)
 		case AnalysisSchedule, AnalysisSizing:
 			if ks == nil {
-				ks, err = e.buildKSchedule(actx, req.Graph, res)
+				ks, err = e.buildKSchedule(actx, f, res)
 			}
 			if err == nil {
 				if a == AnalysisSchedule {
@@ -61,7 +69,7 @@ func (e *Engine) evaluate(ctx context.Context, req *Request) (*Result, error) {
 				}
 			}
 		case AnalysisSymbolic:
-			err = e.analyzeSymbolic(actx, req.Graph, res)
+			err = e.analyzeSymbolic(actx, f, res)
 		}
 		aspan.End()
 		if err != nil {
@@ -110,28 +118,28 @@ func throughputFromSymbolic(m Method, res *Result) (*ThroughputResult, bool) {
 	return nil, false
 }
 
-func (e *Engine) analyzeThroughput(ctx context.Context, req *Request, res *Result) error {
-	if req.Method == MethodAuto || req.Method == MethodSymbolic {
-		if tr, done := throughputFromSymbolic(req.Method, res); done {
+func (e *Engine) analyzeThroughput(ctx context.Context, m Method, f *csdf.Facts, res *Result) error {
+	if m == MethodAuto || m == MethodSymbolic {
+		if tr, done := throughputFromSymbolic(m, res); done {
 			res.Throughput = tr
 			return nil
 		}
 	}
 	var tr *ThroughputResult
 	var err error
-	if req.Method == MethodAuto {
+	if m == MethodAuto {
 		// A symbolic section present here has failed (a conclusive one
 		// returned above), so the chain skips its symbolic step.
-		tr, err = e.autoThroughput(ctx, req.Graph, res.Symbolic != nil)
+		tr, err = e.autoThroughput(ctx, f, res.Symbolic != nil)
 	} else {
-		tr, err = e.runMethod(ctx, req.Graph, req.Method)
+		tr, err = e.runMethod(ctx, f, m)
 	}
 	if err != nil {
 		msg, abort := sectionErr(ctx, err)
 		if abort != nil {
 			return abort
 		}
-		tr = &ThroughputResult{Method: req.Method, Error: msg}
+		tr = &ThroughputResult{Method: m, Error: msg}
 	}
 	res.Throughput = tr
 	return nil
@@ -152,12 +160,12 @@ type kSchedule struct {
 // vector when this job already computed one; otherwise it runs K-Iter for
 // it. Only a contextual error is returned; any other failure is recorded
 // as the sections' error.
-func (e *Engine) buildKSchedule(ctx context.Context, g *csdf.Graph, res *Result) (*kSchedule, error) {
+func (e *Engine) buildKSchedule(ctx context.Context, f *csdf.Facts, res *Result) (*kSchedule, error) {
 	ks := &kSchedule{}
 	if t := res.Throughput; t != nil && t.Error == "" && t.Optimal && len(t.K) > 0 {
 		ks.K, ks.period = t.K, t.Period
 	} else {
-		kr, err := kperiodic.KIterCtx(ctx, g, e.cfg.Options)
+		kr, err := kperiodic.KIterFacts(ctx, f, e.cfg.Options)
 		if err != nil {
 			var abort error
 			ks.err, abort = sectionErr(ctx, err)
@@ -165,7 +173,7 @@ func (e *Engine) buildKSchedule(ctx context.Context, g *csdf.Graph, res *Result)
 		}
 		ks.K, ks.period = kr.K, kr.Period.String()
 	}
-	s, err := kperiodic.ScheduleKCtx(ctx, g, ks.K, e.cfg.Options)
+	s, err := kperiodic.ScheduleKFacts(ctx, f, ks.K, e.cfg.Options)
 	if err != nil {
 		var abort error
 		ks.err, abort = sectionErr(ctx, err)
@@ -193,8 +201,8 @@ func (ks *kSchedule) sizingSection(g *csdf.Graph) *SizingResult {
 	return &SizingResult{Capacities: sched.BufferBacklog(g, ks.s, 3), Period: ks.period}
 }
 
-func (e *Engine) analyzeSymbolic(ctx context.Context, g *csdf.Graph, res *Result) error {
-	r, err := symbexec.RunCtx(ctx, g, e.cfg.Symbolic)
+func (e *Engine) analyzeSymbolic(ctx context.Context, f *csdf.Facts, res *Result) error {
+	r, err := symbexec.RunFacts(ctx, f, e.cfg.Symbolic)
 	if err != nil {
 		msg, abort := sectionErr(ctx, err)
 		if abort != nil {

@@ -19,22 +19,22 @@ import (
 // 1-periodic method comes last because its answer may only be a bound.
 var chainSteps = [...]Method{MethodKIter, MethodSymbolic, MethodPeriodic}
 
-// autoThroughput evaluates the throughput of g with the default method:
-// the steps of chainSteps run one after another on the job's worker, each
-// only when every earlier step failed. The first step that answers — an
-// optimal result, a certified deadlock, or the 1-periodic result whatever
-// its tightness — settles the job and is counted in Stats.RaceWins. A
-// panicking step counts as a failed one. When every step fails, the K-Iter
-// error is returned: it is the most informative. skipSymbolic drops the
-// symbolic step, for jobs whose symbolic section already failed (a rerun
-// would exhaust the same budget the same way).
-func (e *Engine) autoThroughput(ctx context.Context, g *csdf.Graph, skipSymbolic bool) (*ThroughputResult, error) {
+// autoThroughput evaluates the throughput of f's graph with the default
+// method: the steps of chainSteps run one after another on the job's
+// worker, each only when every earlier step failed. The first step that
+// answers — an optimal result, a certified deadlock, or the 1-periodic
+// result whatever its tightness — settles the job and is counted in
+// Stats.RaceWins. A panicking step counts as a failed one. When every step
+// fails, the K-Iter error is returned: it is the most informative.
+// skipSymbolic drops the symbolic step, for jobs whose symbolic section
+// already failed (a rerun would exhaust the same budget the same way).
+func (e *Engine) autoThroughput(ctx context.Context, f *csdf.Facts, skipSymbolic bool) (*ThroughputResult, error) {
 	var kiterErr error
 	for i, m := range chainSteps {
 		if m == MethodSymbolic && skipSymbolic {
 			continue
 		}
-		tr, err := e.safeRunMethod(ctx, g, m)
+		tr, err := e.safeRunMethod(ctx, f, m)
 		if err == nil {
 			e.stats.answers[i].Add(1)
 			return tr, nil
@@ -49,13 +49,14 @@ func (e *Engine) autoThroughput(ctx context.Context, g *csdf.Graph, skipSymbolic
 	return nil, kiterErr
 }
 
-// runMethod evaluates the throughput of g with one method, timing it into
-// the per-method solve histogram and a "solve.<method>" trace span — under
-// the default method each chain step that runs leaves one such record.
-func (e *Engine) runMethod(ctx context.Context, g *csdf.Graph, m Method) (*ThroughputResult, error) {
+// runMethod evaluates the throughput of f's graph with one method, timing
+// it into the per-method solve histogram and a "solve.<method>" trace span
+// — under the default method each chain step that runs leaves one such
+// record.
+func (e *Engine) runMethod(ctx context.Context, f *csdf.Facts, m Method) (*ThroughputResult, error) {
 	mctx, span := telemetry.StartSpan(ctx, "solve."+string(m))
 	start := time.Now()
-	tr, err := e.runMethodInner(mctx, g, m)
+	tr, err := e.runMethodInner(mctx, f, m)
 	e.met.solve.With(string(m)).Observe(time.Since(start).Seconds())
 	if span != nil {
 		if err != nil {
@@ -92,7 +93,7 @@ func (e *Engine) observeKIter(res *kperiodic.KIterResult, err error) {
 }
 
 // runMethodInner dispatches to the solver for one method.
-func (e *Engine) runMethodInner(ctx context.Context, g *csdf.Graph, m Method) (*ThroughputResult, error) {
+func (e *Engine) runMethodInner(ctx context.Context, f *csdf.Facts, m Method) (*ThroughputResult, error) {
 	// Chaos seam: "solver.<method>" faults one method — under the default
 	// method an injected error or panic here fails that chain step and the
 	// next one answers, so the job still succeeds.
@@ -101,7 +102,7 @@ func (e *Engine) runMethodInner(ctx context.Context, g *csdf.Graph, m Method) (*
 	}
 	switch m {
 	case MethodKIter:
-		res, err := kperiodic.KIterCtx(ctx, g, e.cfg.Options)
+		res, err := kperiodic.KIterFacts(ctx, f, e.cfg.Options)
 		e.observeKIter(res, err)
 		if err != nil {
 			return deadlockVerdict(m, err)
@@ -110,18 +111,18 @@ func (e *Engine) runMethodInner(ctx context.Context, g *csdf.Graph, m Method) (*
 		tr.Iterations = res.Iterations
 		return tr, nil
 	case MethodPeriodic, MethodExpansion:
-		eval := kperiodic.Evaluate1Ctx
+		eval := kperiodic.Evaluate1Facts
 		if m == MethodExpansion {
-			eval = kperiodic.ExpansionCtx
+			eval = kperiodic.ExpansionFacts
 		}
-		ev, err := eval(ctx, g, e.cfg.Options)
+		ev, err := eval(ctx, f, e.cfg.Options)
 		if err != nil {
 			return deadlockVerdict(m, err)
 		}
 		e.met.howardIters.Observe(float64(ev.HowardIterations))
 		return fromEvaluation(ev, m), nil
 	case MethodSymbolic:
-		res, err := symbexec.RunCtx(ctx, g, e.cfg.Symbolic)
+		res, err := symbexec.RunFacts(ctx, f, e.cfg.Symbolic)
 		if err != nil {
 			return deadlockVerdict(m, err)
 		}

@@ -237,8 +237,12 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	if !knownMethods[method] {
 		return nil, fmt.Errorf("engine: unknown method %q", method)
 	}
-	if err := req.Graph.Validate(); err != nil {
-		return nil, err
+	facts := req.Facts
+	if facts == nil || facts.Graph() != req.Graph {
+		facts = nil
+		if err := req.Graph.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	select {
 	case <-e.closed:
@@ -252,13 +256,18 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		Graph:    req.Graph,
 		Analyses: analyses,
 		Method:   method,
+		Facts:    facts,
 	}
 	if req.ApplyCapacities {
-		bounded, err := req.Graph.WithCapacities()
+		var err error
+		if facts == nil {
+			prepared.Graph, err = req.Graph.WithCapacities()
+		} else if prepared.Facts, err = facts.WithCapacities(); err == nil {
+			prepared.Graph = prepared.Facts.Graph()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: applying capacities: %w", err)
 		}
-		prepared.Graph = bounded
 	}
 	fingerprint := prepared.Graph.FingerprintHex()
 	// Method only affects the throughput analysis: keep it out of the

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -599,5 +600,51 @@ func TestEvictionEndToEnd(t *testing.T) {
 	}
 	if s := e.Stats(); s.Evaluations != 3 || s.CacheEntries != 1 {
 		t.Fatalf("stats = %+v, want 3 evaluations and 1 entry", s)
+	}
+}
+
+// TestSubmitFacts checks the facts a caller hands in: facts that describe
+// the request's graph give the answer the engine computes without them,
+// with and without capacities applied, and facts of another graph are
+// ignored, so an invalid graph is still rejected and a valid one is
+// analyzed with its own repetition vector.
+func TestSubmitFacts(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, CacheCapacity: -1})
+	facts := func(g *csdf.Graph) *csdf.Facts {
+		f, err := csdf.NewFacts(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	fig2 := gen.Figure2()
+	bounded := fig2.ScaleCapacities(1)
+	ring := gen.HSDFRing(3, []int64{2, 5, 1}, 1)
+	analyses := []AnalysisKind{AnalysisThroughput, AnalysisSchedule, AnalysisSymbolic}
+	for _, c := range []struct {
+		name       string
+		g          *csdf.Graph
+		f          *csdf.Facts
+		capacities bool
+	}{
+		{"own facts", fig2, facts(fig2), false},
+		{"own facts, capacities", bounded, facts(bounded), true},
+		{"another graph's facts", ring, facts(fig2), false},
+	} {
+		want, err := e.Submit(context.Background(), &Request{Graph: c.g, Analyses: analyses, ApplyCapacities: c.capacities})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Submit(context.Background(), &Request{Graph: c.g, Facts: c.f, Analyses: analyses, ApplyCapacities: c.capacities})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Throughput, want.Throughput) || !reflect.DeepEqual(got.Schedule, want.Schedule) ||
+			!reflect.DeepEqual(got.Symbolic, want.Symbolic) || got.Fingerprint != want.Fingerprint {
+			t.Errorf("%s: %+v %+v, want %+v %+v", c.name, got.Throughput, got.Schedule, want.Throughput, want.Schedule)
+		}
+	}
+	if _, err := e.Submit(context.Background(), &Request{Graph: csdf.NewGraph("empty"), Facts: facts(fig2)}); err == nil {
+		t.Error("an invalid graph with another graph's facts was accepted")
 	}
 }

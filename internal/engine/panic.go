@@ -77,11 +77,11 @@ func (e *Engine) safeLaunch(j *job, djob *DispatchJob) {
 // safeRunMethod is runMethod under panic isolation, for the steps of the
 // default method's chain: a panicking step becomes one failed step and the
 // chain falls through to the next.
-func (e *Engine) safeRunMethod(ctx context.Context, g *csdf.Graph, m Method) (tr *ThroughputResult, err error) {
+func (e *Engine) safeRunMethod(ctx context.Context, f *csdf.Facts, m Method) (tr *ThroughputResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			tr, err = nil, e.recoveredPanic(ctx, "solve."+string(m), v)
 		}
 	}()
-	return e.runMethod(ctx, g, m)
+	return e.runMethod(ctx, f, m)
 }

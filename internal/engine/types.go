@@ -101,6 +101,12 @@ type Request struct {
 	// forwarding loops impossible) even when replicas' health views
 	// diverge about a key's owner.
 	NoForward bool
+	// Facts, when they describe Graph, spare the engine validating it
+	// and computing its repetition vector and components again: a sweep
+	// derives every scenario's facts from its base graph's. Facts for any
+	// other graph are ignored. Without them the engine validates Graph on
+	// Submit and computes its facts only when a job evaluates it.
+	Facts *csdf.Facts
 
 	// cacheKeyHint and fingerprintHint are filled by Submit on the
 	// prepared request handed to workers, so the hash is computed once.

@@ -3,7 +3,6 @@ package kperiodic
 import (
 	"context"
 	"errors"
-	"math/big"
 
 	"kiter/internal/csdf"
 	"kiter/internal/mcr"
@@ -27,16 +26,18 @@ type evaluation struct {
 	refs     []PhaseRef // critical's memo
 }
 
-// solveK builds the bi-valued graph for (g, q, K) in w and solves the
-// MCRP. The context is polled during constraint generation (the dominating
-// cost), so a cancelled ctx aborts mid-expansion rather than after it. An
-// infeasible K comes back as *DeadlockError when its certificate circuit
-// passes the multiplicity condition and as *ErrInfeasibleK otherwise.
-func (w *workspace) solveK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options) (*evaluation, error) {
-	if err := w.b.reset(g, q, K, opt); err != nil {
+// solveK builds the bi-valued graph for f's graph and K in w and solves
+// the MCRP. The context is polled during constraint generation (the
+// dominating cost), so a cancelled ctx aborts mid-expansion rather than
+// after it. An infeasible K comes back as *DeadlockError when its
+// certificate circuit passes the multiplicity condition and as
+// *ErrInfeasibleK otherwise.
+func (w *workspace) solveK(ctx context.Context, f *csdf.Facts, K []int64, opt Options) (*evaluation, error) {
+	if err := w.b.reset(f, K, opt); err != nil {
 		return nil, err
 	}
 	w.b.ctx = ctx
+	q := w.b.q
 	ev, err := resolve(ctx, &w.b, &w.s, opt)
 	if err != nil {
 		return nil, err
@@ -79,6 +80,7 @@ func resolve(ctx context.Context, b *builder, s *mcr.Solver, opt Options) (*eval
 		if !c.stale {
 			continue
 		}
+		b.place(c)
 		b.emitComponent(c)
 		if b.traceSolve != nil {
 			b.traceSolve(c.nodes)
@@ -215,12 +217,13 @@ func (ev *evaluation) critical() []PhaseRef {
 
 // toEvaluation converts a solved MCRP into the public Evaluation. The
 // builder stores H weights in the lcm-free normalization, so the maximum
-// ratio already is the Theorem 3 normalized period Ω_G = Ω_G̃/lcm(K).
+// ratio already is the Theorem 3 normalized period Ω_G = Ω_G̃/lcm(K), and
+// lcm(K) is computed only here, for the report.
 func (ev *evaluation) toEvaluation() *Evaluation {
 	b := ev.b
 	out := &Evaluation{
 		K:                append([]int64(nil), b.K...),
-		LcmK:             new(big.Int).Set(b.lcmK),
+		LcmK:             lcmK(b.K),
 		Certified:        ev.res.Certified,
 		Nodes:            b.nodes,
 		Arcs:             b.arcs,
@@ -253,24 +256,30 @@ func EvaluateK(g *csdf.Graph, K []int64, opt Options) (*Evaluation, error) {
 // evaluation aborts (also inside the pair-enumeration inner loop) and the
 // context's error is returned.
 func EvaluateKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*Evaluation, error) {
-	q, err := g.RepetitionVector()
+	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, err
 	}
+	return EvaluateKFacts(ctx, f, K, opt)
+}
+
+// EvaluateKFacts is EvaluateKCtx on the graph f describes, using its
+// repetition vector and components instead of computing them again.
+func EvaluateKFacts(ctx context.Context, f *csdf.Facts, K []int64, opt Options) (*Evaluation, error) {
 	w := getWorkspace()
-	out, err := w.evaluateK(ctx, g, q, K, opt)
+	out, err := w.evaluateK(ctx, f, K, opt)
 	w.release()
 	return out, err
 }
 
-// evaluateK is EvaluateKCtx in w.
-func (w *workspace) evaluateK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options) (*Evaluation, error) {
-	ev, err := w.solveK(ctx, g, q, K, opt)
+// evaluateK is EvaluateKFacts in w.
+func (w *workspace) evaluateK(ctx context.Context, f *csdf.Facts, K []int64, opt Options) (*Evaluation, error) {
+	ev, err := w.solveK(ctx, f, K, opt)
 	if err != nil {
 		return nil, err
 	}
 	out := ev.toEvaluation()
-	out.Optimal = optimalityTest(out.CriticalTasks, q, K)
+	out.Optimal = optimalityTest(out.CriticalTasks, w.b.q, K)
 	return out, nil
 }
 
@@ -297,7 +306,16 @@ func Evaluate1(g *csdf.Graph, opt Options) (*Evaluation, error) {
 
 // Evaluate1Ctx is Evaluate1 with cancellation.
 func Evaluate1Ctx(ctx context.Context, g *csdf.Graph, opt Options) (*Evaluation, error) {
-	return EvaluateKCtx(ctx, g, ones(g.NumTasks()), opt)
+	f, err := csdf.NewFacts(g)
+	if err != nil {
+		return nil, err
+	}
+	return Evaluate1Facts(ctx, f, opt)
+}
+
+// Evaluate1Facts is Evaluate1Ctx on the graph f describes.
+func Evaluate1Facts(ctx context.Context, f *csdf.Facts, opt Options) (*Evaluation, error) {
+	return EvaluateKFacts(ctx, f, ones(f.Graph().NumTasks()), opt)
 }
 
 // Expansion evaluates with K = q, the repetition vector: the classical
@@ -312,11 +330,20 @@ func Expansion(g *csdf.Graph, opt Options) (*Evaluation, error) {
 
 // ExpansionCtx is Expansion with cancellation.
 func ExpansionCtx(ctx context.Context, g *csdf.Graph, opt Options) (*Evaluation, error) {
-	q, err := g.RepetitionVector()
+	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, err
 	}
-	return EvaluateKCtx(ctx, g, q, opt)
+	return ExpansionFacts(ctx, f, opt)
+}
+
+// ExpansionFacts is ExpansionCtx on the graph f describes.
+func ExpansionFacts(ctx context.Context, f *csdf.Facts, opt Options) (*Evaluation, error) {
+	q, err := f.Repetition()
+	if err != nil {
+		return nil, err
+	}
+	return EvaluateKFacts(ctx, f, q, opt)
 }
 
 // optimalityTest implements Theorem 4: for the tasks of a critical circuit

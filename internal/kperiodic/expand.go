@@ -3,7 +3,9 @@ package kperiodic
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	"slices"
 
 	"kiter/internal/csdf"
@@ -36,14 +38,24 @@ import (
 // (component), and a round re-solves only the components whose tasks'
 // K changed. The whole graph is assembled only where a caller needs all
 // of it (build): schedule potentials and the exported arcs.
+//
+// A round costs what its K change touches. setK visits only the tasks
+// whose K changed: it updates the size budget's node and pair totals by
+// the difference and queues the blocks incident to those tasks, which is
+// all refresh rebuilds; the components of those tasks are the only ones
+// resolve lays out and solves again. Whole-graph node offsets are laid
+// out only when a caller asks for whole-graph nodes, and lcm(K) only when
+// an answer is reported.
 type builder struct {
-	g      *csdf.Graph
-	q      []int64
-	K      []int64
-	lcmK   *big.Int
-	offset []int // node index of ⟨t1,1⟩ per task
-	nodes  int
-	arcs   int // arcs of the whole bi-valued graph (all blocks)
+	g     *csdf.Graph
+	q     []int64
+	K     []int64
+	nodes int // nodes of the whole bi-valued graph
+	arcs  int // arcs of the whole bi-valued graph (all blocks)
+	// offset[t] is the node of ⟨t1,1⟩ in the whole graph, laid out on
+	// demand (offsets) once placed is false.
+	offset []int
+	placed bool
 	// mg is the MCRP graph the builder last assembled: one component's
 	// (emitComponent, which records it in emitted) or the whole
 	// bi-valued graph (build).
@@ -53,12 +65,23 @@ type builder struct {
 	ctx     context.Context // polled during pair enumeration; nil = never cancelled
 	opt     Options         // size budgets, re-checked on every setK
 
+	// The size budget's totals, kept by difference: taskNodes[t] is
+	// Kt·ϕ(t), bufPairs[i] is buffer i's ϕ̃·ϕ̃′ pair count.
+	taskNodes, bufPairs []int64
+	nodeSum, pairSum    sizeSum
+
 	bufBlocks []arcBlock // per-buffer cached constraint arcs
 	seqBlocks []arcBlock // per-task cached sequential arcs (seq only)
 	replayed  []bool     // per block (buffers, then tasks): replayed by the latest refresh
-	cumI      []int64    // pair-enumeration scratch
-	cumO      []int64
-	stats     buildStats
+	// incident[incStart[t]:incStart[t+1]] lists the blocks with task t
+	// as an endpoint: its buffers (a self-loop once) and its sequential
+	// chain. dirty queues the blocks whose endpoint K changed since the
+	// latest refresh; rebuilt lists the blocks that refresh rebuilt.
+	incStart, incident []int32
+	dirty, rebuilt     []int32
+	cumI               []int64 // pair-enumeration scratch
+	cumO               []int64
+	stats              buildStats
 
 	// The task-level strongly connected components, fixed from reset on:
 	// comps in the order of their lowest task, compOf[t] the component
@@ -68,7 +91,7 @@ type builder struct {
 	// of every block's first arc in the latest and in the previous
 	// emission of its component, for warmPolicy; pols backs the
 	// components' policies.
-	sccs           csdf.SCCs
+	sccs           *csdf.SCCs
 	comps          []component
 	compOf         []int32
 	local          []int
@@ -112,8 +135,41 @@ type component struct {
 
 // buildStats counts the incremental work of the latest refresh.
 type buildStats struct {
-	arcsBuilt  int // arcs recomputed by pair enumeration this round
-	arcsReused int // arcs replayed from a previous round's block cache
+	arcsBuilt   int // arcs recomputed by pair enumeration this round
+	arcsReused  int // arcs replayed from a previous round's block cache
+	pairsTested int // phase pairs the rebuilt buffer blocks tested for usefulness
+}
+
+// sizeSum is a size-budget total kept by difference: the exact sum of its
+// terms that fit in int64, as a 128-bit integer, and the number of terms
+// that did not.
+type sizeSum struct {
+	hi, lo uint64
+	over   int
+}
+
+// set replaces the term *term with v, where −1 stands for a term that
+// left int64.
+func (s *sizeSum) set(term *int64, v int64) {
+	var c uint64
+	if old := *term; old < 0 {
+		s.over--
+	} else {
+		s.lo, c = bits.Sub64(s.lo, uint64(old), 0)
+		s.hi -= c
+	}
+	if v < 0 {
+		s.over++
+	} else {
+		s.lo, c = bits.Add64(s.lo, uint64(v), 0)
+		s.hi += c
+	}
+	*term = v
+}
+
+// total returns the sum, or ok = false when it or a term left int64.
+func (s *sizeSum) total() (int64, bool) {
+	return int64(s.lo), s.over == 0 && s.hi == 0 && s.lo <= math.MaxInt64
 }
 
 // arcBlock caches the constraint arcs of one buffer (or of one task's
@@ -136,42 +192,107 @@ type blockArc struct {
 	hf       float64
 }
 
-// reset points the builder at a new (g, q, K) while keeping every backing
-// array it grew for earlier graphs: the block caches' arc slices, the
-// MCRP graph's arena and CSR arrays, and the pair-enumeration scratch.
+// reset points the builder at a new graph, described by f, and K while
+// keeping every backing array it grew for earlier graphs: the block
+// caches' arc slices, the MCRP graph's arena and CSR arrays, and the
+// pair-enumeration scratch. f's graph must have a repetition vector.
 // Nothing from an earlier graph is reused as data. Every block is marked
-// empty, so refresh re-enumerates it instead of replaying another graph's
-// arcs for the buffer with the same index and endpoint K; every component
-// is partitioned afresh and marked stale with no policy, so warmPolicy
-// maps no earlier policy onto its first solve.
-func (b *builder) reset(g *csdf.Graph, q, K []int64, opt Options) error {
+// empty and queued, so refresh re-enumerates it instead of replaying
+// another graph's arcs for the buffer with the same index and endpoint K;
+// every component is partitioned afresh and marked stale with no policy,
+// so warmPolicy maps no earlier policy onto its first solve.
+func (b *builder) reset(f *csdf.Facts, K []int64, opt Options) error {
+	g := f.Graph()
 	if err := checkK(g, K); err != nil {
 		return err
 	}
-	b.g, b.q, b.ctx, b.opt = g, q, nil, opt
+	q, err := f.Repetition()
+	if err != nil {
+		return err
+	}
+	n, nb := g.NumTasks(), g.NumBuffers()
+	b.g, b.q, b.sccs, b.ctx, b.opt = g, q, f.SCCs(), nil, opt
 	b.K = append(b.K[:0], K...)
 	b.seq = !opt.AutoConcurrency
-	b.offset = slices.Grow(b.offset[:0], g.NumTasks()+1)[:g.NumTasks()+1]
+	b.offset, b.placed = resize(b.offset, n+1), false
 	if b.mg == nil {
 		b.mg = mcr.New(0)
 	}
-	b.bufBlocks = emptyBlocks(b.bufBlocks, g.NumBuffers())
+	b.bufBlocks = emptyBlocks(b.bufBlocks, nb)
 	b.seqBlocks = b.seqBlocks[:0]
 	if b.seq {
-		b.seqBlocks = emptyBlocks(b.seqBlocks, g.NumTasks())
+		b.seqBlocks = emptyBlocks(b.seqBlocks, n)
 	}
-	b.stats = buildStats{}
+	nblk := nb + len(b.seqBlocks)
+	b.replayed = resize(b.replayed, nblk)
+	b.dirty, b.rebuilt = resize(b.dirty, nblk), b.rebuilt[:0]
+	for i := range b.dirty {
+		b.dirty[i] = int32(i)
+	}
+	b.arcs, b.stats = 0, buildStats{}
+	b.incidence()
 	b.partition()
-	return b.layout()
+	b.taskNodes, b.bufPairs = resize(b.taskNodes, n), resize(b.bufPairs, nb)
+	clear(b.taskNodes)
+	clear(b.bufPairs)
+	b.nodeSum, b.pairSum = sizeSum{}, sizeSum{}
+	for t := range n {
+		b.setNodes(t)
+	}
+	for i := range nb {
+		b.setPairs(i)
+	}
+	return b.checkSize()
 }
 
-// partition computes the task-level strongly connected components of b.g
-// and lists each one's tasks and arc blocks, numbering the components by
-// their lowest task.
+// incidence lists every task's incident blocks in incStart/incident:
+// its buffers ascending, then its sequential chain.
+func (b *builder) incidence() {
+	g := b.g
+	n, nb := g.NumTasks(), g.NumBuffers()
+	start := resize(b.incStart, n+1)
+	clear(start)
+	bufs := g.Buffers()
+	for i := range bufs {
+		start[bufs[i].Src]++
+		if bufs[i].Dst != bufs[i].Src {
+			start[bufs[i].Dst]++
+		}
+	}
+	var sum int32
+	for t := range n {
+		if b.seq {
+			start[t]++
+		}
+		sum += start[t]
+		start[t] = sum
+	}
+	start[n] = sum
+	// Fill every list from its end, last block first, which leaves
+	// start[t] at the list's beginning.
+	inc := resize(b.incident, int(sum))
+	for t := n - 1; t >= 0 && b.seq; t-- {
+		start[t]--
+		inc[start[t]] = int32(nb + t)
+	}
+	for i := nb - 1; i >= 0; i-- {
+		src, dst := bufs[i].Src, bufs[i].Dst
+		start[src]--
+		inc[start[src]] = int32(i)
+		if dst != src {
+			start[dst]--
+			inc[start[dst]] = int32(i)
+		}
+	}
+	b.incStart, b.incident = start, inc
+}
+
+// partition lists the tasks and arc blocks of each task-level strongly
+// connected component of b.g, numbering the components by their lowest
+// task.
 func (b *builder) partition() {
 	g := b.g
 	n, nb := g.NumTasks(), g.NumBuffers()
-	g.TaskSCCs(&b.sccs)
 	nc, ns := b.sccs.Len(), 0
 	if b.seq {
 		ns = n
@@ -233,6 +354,7 @@ func (b *builder) partition() {
 		c.blocks = append(c.blocks, int32(nb+t))
 	}
 	b.at, b.compOf, b.comps, b.compTasks, b.compBlocks = at, compOf, comps, compTasks, compBlocks
+	b.local = resize(b.local, n)
 	b.base = resize(b.base, blocksAt[nc])
 	b.prevBase = resize(b.prevBase, blocksAt[nc])
 	b.pols, b.emitted = b.pols[:0], nil
@@ -247,12 +369,13 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// emptyBlocks reslices blocks to n entries, each marked empty but keeping
-// its arc slice's capacity.
+// emptyBlocks reslices blocks to n entries, each marked empty with no
+// arcs but keeping its arc slice's capacity.
 func emptyBlocks(blocks []arcBlock, n int) []arcBlock {
 	blocks = slices.Grow(blocks[:0], n)[:n]
 	for i := range blocks {
-		blocks[i].kSrc, blocks[i].kDst = 0, 0
+		blk := &blocks[i]
+		blk.kSrc, blk.kDst, blk.arcs = 0, 0, blk.arcs[:0]
 	}
 	return blocks
 }
@@ -269,57 +392,64 @@ func checkK(g *csdf.Graph, K []int64) error {
 	return nil
 }
 
-// setK switches the builder to a new periodicity vector and marks stale
-// every component with a task whose K changed. Cached arc blocks are
-// untouched: refresh compares every block's endpoint K values against the
-// new vector and recomputes only the stale ones.
+// setK switches the builder to a new periodicity vector. For every task
+// whose K changed it marks the task's component stale, queues the task's
+// blocks for refresh and updates the size budget; cached blocks are
+// untouched until refresh rebuilds the queued ones.
 func (b *builder) setK(K []int64) error {
 	if err := checkK(b.g, K); err != nil {
 		return err
 	}
 	for t, k := range K {
-		if b.K[t] != k {
-			b.comps[b.compOf[t]].stale = true
+		if b.K[t] == k {
+			continue
 		}
+		b.K[t] = k
+		b.comps[b.compOf[t]].stale = true
+		b.dirty = append(b.dirty, b.incident[b.incStart[t]:b.incStart[t+1]]...)
+		b.setNodes(t)
+		for _, i := range b.incident[b.incStart[t]:b.incStart[t+1]] {
+			if int(i) < len(b.bufPairs) {
+				b.setPairs(int(i))
+			}
+		}
+		b.placed = false
 	}
-	b.K = append(b.K[:0], K...)
-	return b.layout()
+	return b.checkSize()
 }
 
-// layout recomputes everything that depends on the whole K vector — the
-// size budget, lcm(K), and the task node offsets in the whole graph and
-// in their components' graphs — and is therefore redone on every round
-// regardless of block reuse.
-func (b *builder) layout() error {
-	g, K := b.g, b.K
-	// Size budget: nodes and constraint pairs, checked before any
-	// allocation proportional to them.
-	var nodes, pairs int64
-	for t := 0; t < g.NumTasks(); t++ {
-		n, ok := rat.MulCheck(K[t], int64(g.Task(csdf.TaskID(t)).Phases()))
-		if !ok {
-			return &ErrTooLarge{Nodes: -1}
-		}
-		nodes, ok = rat.AddCheck(nodes, n)
-		if !ok {
-			return &ErrTooLarge{Nodes: -1}
-		}
+// setNodes recounts task t's nodes, Kt·ϕ(t), in the size budget.
+func (b *builder) setNodes(t int) {
+	v, ok := rat.MulCheck(b.K[t], int64(b.g.Task(csdf.TaskID(t)).Phases()))
+	if !ok {
+		v = -1
 	}
-	for i := 0; i < g.NumBuffers(); i++ {
-		buf := g.Buffer(csdf.BufferID(i))
-		nS, okS := rat.MulCheck(K[buf.Src], int64(g.Task(buf.Src).Phases()))
-		nD, okD := rat.MulCheck(K[buf.Dst], int64(g.Task(buf.Dst).Phases()))
-		p, okP := int64(0), false
-		if okS && okD {
-			p, okP = rat.MulCheck(nS, nD)
-		}
-		if !okP {
-			return &ErrTooLarge{Nodes: nodes, Pairs: -1}
-		}
-		pairs, okP = rat.AddCheck(pairs, p)
-		if !okP {
-			return &ErrTooLarge{Nodes: nodes, Pairs: -1}
-		}
+	b.nodeSum.set(&b.taskNodes[t], v)
+}
+
+// setPairs recounts buffer i's phase pairs, ϕ̃·ϕ̃′, in the size budget.
+func (b *builder) setPairs(i int) {
+	buf := b.g.Buffer(csdf.BufferID(i))
+	nS, nD := b.taskNodes[buf.Src], b.taskNodes[buf.Dst]
+	v, ok := rat.MulCheck(nS, nD)
+	if nS < 0 || nD < 0 || !ok {
+		v = -1
+	}
+	b.pairSum.set(&b.bufPairs[i], v)
+}
+
+// checkSize applies the size budget to the current totals, with the
+// verdicts of a count from scratch: a node total outside int64 first,
+// then a pair total outside int64, then MaxNodes and MaxPairs. A total
+// within the budget is the graph's node count.
+func (b *builder) checkSize() error {
+	nodes, ok := b.nodeSum.total()
+	if !ok {
+		return &ErrTooLarge{Nodes: -1}
+	}
+	pairs, ok := b.pairSum.total()
+	if !ok {
+		return &ErrTooLarge{Nodes: nodes, Pairs: -1}
 	}
 	if b.opt.MaxNodes > 0 && nodes > b.opt.MaxNodes {
 		return &ErrTooLarge{Nodes: nodes, Pairs: pairs}
@@ -327,58 +457,69 @@ func (b *builder) layout() error {
 	if b.opt.MaxPairs > 0 && pairs > b.opt.MaxPairs {
 		return &ErrTooLarge{Nodes: nodes, Pairs: pairs}
 	}
-	b.nodes = 0
-	for t := 0; t < g.NumTasks(); t++ {
-		b.offset[t] = b.nodes
-		b.nodes += int(K[t]) * g.Task(csdf.TaskID(t)).Phases()
-	}
-	b.offset[g.NumTasks()] = b.nodes
-	b.local = resize(b.local, g.NumTasks())
-	for i := range b.comps {
-		c := &b.comps[i]
-		c.nodes = 0
-		for _, t := range c.tasks {
-			b.local[t] = c.nodes
-			c.nodes += int(K[t]) * g.Task(t).Phases()
+	b.nodes = int(nodes)
+	return nil
+}
+
+// offsets returns every task's node offset in the whole graph, laying
+// them out after a K change.
+func (b *builder) offsets() []int {
+	if !b.placed {
+		n := 0
+		for t := range b.g.NumTasks() {
+			b.offset[t] = n
+			n += int(b.taskNodes[t])
 		}
+		b.offset[b.g.NumTasks()] = n
+		b.placed = true
 	}
-	if b.lcmK == nil {
-		b.lcmK = new(big.Int)
+	return b.offset
+}
+
+// place lays out component c's tasks in its own graph, after a change of
+// their K.
+func (b *builder) place(c *component) {
+	c.nodes = 0
+	for _, t := range c.tasks {
+		b.local[t] = c.nodes
+		c.nodes += int(b.taskNodes[t])
 	}
+}
+
+// lcmK returns lcm(K), in big arithmetic once it leaves int64.
+func lcmK(K []int64) *big.Int {
 	if l, ok := rat.LcmAll(K...); ok {
-		b.lcmK.SetInt64(l)
-		return nil
+		return big.NewInt(l)
 	}
-	// lcm(K) left int64; fold it in big arithmetic.
-	b.lcmK.SetInt64(1)
-	tmp := new(big.Int)
-	kb := new(big.Int)
+	l, tmp, kb := big.NewInt(1), new(big.Int), new(big.Int)
 	for _, k := range K {
 		kb.SetInt64(k)
-		tmp.GCD(nil, nil, b.lcmK, kb)
-		b.lcmK.Div(b.lcmK, tmp).Mul(b.lcmK, kb)
+		tmp.GCD(nil, nil, l, kb)
+		l.Div(l, tmp).Mul(l, kb)
 	}
-	return nil
+	return l
 }
 
 // node returns the bi-valued graph node of ⟨t, p̃⟩ with p̃ 1-based.
 func (b *builder) node(t csdf.TaskID, pTilde int) int {
-	return b.offset[t] + pTilde - 1
+	return b.offsets()[t] + pTilde - 1
 }
 
 // phaseRef inverts node.
 func (b *builder) phaseRef(node int) PhaseRef {
-	// Binary search over offsets (tasks are few; linear is fine too).
-	lo, hi := 0, len(b.offset)-1
+	// Binary search for the last task whose region starts at or before
+	// node.
+	offset := b.offsets()
+	lo, hi := 0, len(offset)-1
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		if b.offset[mid] <= node {
+		if offset[mid] <= node {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return PhaseRef{Task: csdf.TaskID(lo), Phase: node - b.offset[lo] + 1}
+	return PhaseRef{Task: csdf.TaskID(lo), Phase: node - offset[lo] + 1}
 }
 
 // duration returns d̃(tp̃) = d(t, ((p̃−1) mod ϕ)+1).
@@ -387,33 +528,45 @@ func (b *builder) duration(t csdf.TaskID, pTilde int) int64 {
 	return task.Durations[(pTilde-1)%task.Phases()]
 }
 
-// refresh brings the arc blocks up to date with the current K: buffer
-// and sequential blocks whose endpoint K values are unchanged since their
-// last computation are kept for replay; the rest are re-enumerated. Every
-// block is refreshed, including those of buffers between components, so
-// the round's statistics and b.arcs describe the whole bi-valued graph.
+// refresh brings the arc blocks up to date with the current K by
+// rebuilding the blocks setK queued, each incident to a task whose K
+// changed; every other block is replayed as cached. A block queued twice,
+// or whose endpoints' K changed back, is current and is not rebuilt. The
+// round's statistics and b.arcs still describe the whole bi-valued graph,
+// blocks of buffers between components included.
 func (b *builder) refresh() error {
+	b.emitted = nil
+	for _, i := range b.rebuilt {
+		b.replayed[i] = true
+	}
+	b.rebuilt = b.rebuilt[:0]
 	b.stats = buildStats{}
 	nb := b.g.NumBuffers()
-	b.replayed = resize(b.replayed, nb+len(b.seqBlocks))
-	b.arcs, b.emitted = 0, nil
-	for i := range b.replayed {
-		blk, src, dst := b.block(i)
-		b.replayed[i] = blk.kSrc == b.K[src] && blk.kDst == b.K[dst]
-		if b.replayed[i] {
-			b.stats.arcsReused += len(blk.arcs)
+	for k, i := range b.dirty {
+		blk, src, dst := b.block(int(i))
+		if blk.kSrc == b.K[src] && blk.kDst == b.K[dst] {
+			continue
+		}
+		b.arcs -= len(blk.arcs)
+		var err error
+		if int(i) < nb {
+			err = b.computeBufferBlock(blk, b.g.Buffer(csdf.BufferID(i)))
 		} else {
-			if i < nb {
-				if err := b.computeBufferBlock(blk, b.g.Buffer(csdf.BufferID(i))); err != nil {
-					return err
-				}
-			} else {
-				b.computeSequentialBlock(blk, src)
-			}
-			b.stats.arcsBuilt += len(blk.arcs)
+			b.computeSequentialBlock(blk, src)
+		}
+		if err != nil {
+			// Keep this block and the rest queued: the block is empty.
+			blk.arcs = blk.arcs[:0]
+			b.dirty = b.dirty[:copy(b.dirty, b.dirty[k:])]
+			return err
 		}
 		b.arcs += len(blk.arcs)
+		b.stats.arcsBuilt += len(blk.arcs)
+		b.replayed[i] = false
+		b.rebuilt = append(b.rebuilt, i)
 	}
+	b.dirty = b.dirty[:0]
+	b.stats.arcsReused = b.arcs - b.stats.arcsBuilt
 	return nil
 }
 
@@ -437,11 +590,12 @@ func (b *builder) build() error {
 	if err := b.refresh(); err != nil {
 		return err
 	}
+	offset := b.offsets()
 	b.mg.Reset(b.nodes)
 	b.mg.Reserve(b.arcs)
 	for i := range b.replayed {
 		blk, src, dst := b.block(i)
-		emit(b.mg, blk, b.offset[src], b.offset[dst])
+		emit(b.mg, blk, offset[src], offset[dst])
 	}
 	return nil
 }
@@ -543,6 +697,12 @@ func emit(mg *mcr.Graph, blk *arcBlock, offSrc, offDst int) {
 	}
 }
 
+// pollPairs is how many phase pairs computeBufferBlock tests between two
+// cancellation polls, after the poll that starts every block: a cancel
+// lands within one block's setup plus a few thousand pair tests, while a
+// poll, which locks a cancellable context, stays rare next to the pairs.
+const pollPairs = 4096
+
 // computeBufferBlock enumerates the useful pairs of one buffer of G̃ into
 // its arc block.
 //
@@ -557,7 +717,25 @@ func emit(mg *mcr.Graph, blk *arcBlock, offSrc, offDst int) {
 // H = −β/(qt·ib), an int64-backed rational: the denominator is constant
 // across the block, so the whole enumeration allocates nothing beyond the
 // block's arc slice.
+//
+// Only pairs that can be useful are tested. A pair is useful iff a
+// multiple of g = gcd(ĩ,õ) lies in [Q − min(ĩn(p), õut(p′)), Q − 1], so
+// a row p with ĩn(p) = 0 has no arc. For a fixed row, with
+// base = ĩn(p) − I⟨tp,1⟩ − M0, that interval lies inside p′'s window
+// [O⟨t′p′−1,1⟩ + base, O⟨t′p′,1⟩ + base − 1], and the windows partition
+// [base, base + õ − 1]. So every multiple of g in that range falls in
+// exactly one p′'s window, and a p′ whose window holds none has no arc.
+// The row walk jumps from multiple to multiple: it finds the window of
+// the next multiple by binary search over the cumulative consumptions,
+// tests that p′, and resumes at the first multiple past its window. A row
+// holds õ/g multiples; when that is at least ϕ̃′ the row is scanned pair
+// by pair instead. Either way the arcs come out in the order of p′.
 func (b *builder) computeBufferBlock(blk *arcBlock, buf *csdf.Buffer) error {
+	if b.ctx != nil {
+		if err := b.ctx.Err(); err != nil {
+			return err
+		}
+	}
 	src, dst := buf.Src, buf.Dst
 	phiS := b.g.Task(src).Phases()
 	phiD := b.g.Task(dst).Phases()
@@ -574,6 +752,7 @@ func (b *builder) computeBufferBlock(blk *arcBlock, buf *csdf.Buffer) error {
 		return &rat.ErrOverflow{Op: "expanded consumption total"}
 	}
 	gcd := rat.Gcd(iTil, oTil)
+	walk := oTil/gcd < int64(nD)
 
 	// den = qt·ib: the lcm-free H denominator, constant per buffer.
 	den, denOK := rat.MulCheck(b.q[src], ib)
@@ -598,27 +777,50 @@ func (b *builder) computeBufferBlock(blk *arcBlock, buf *csdf.Buffer) error {
 
 	blk.kSrc, blk.kDst = 0, 0 // invalid until fully recomputed
 	blk.arcs = blk.arcs[:0]
+	tested, nextPoll := 0, pollPairs
 	for p := 1; p <= nS; p++ {
-		// One cancellation poll per source phase row: each row costs
-		// O(nD) arc insertions, so the poll is amortized while still
-		// bounding the latency of a cancel to a single row.
-		if b.ctx != nil {
+		inP := buf.In[(p-1)%phiS]
+		if inP == 0 {
+			continue
+		}
+		if tested >= nextPoll && b.ctx != nil {
 			if err := b.ctx.Err(); err != nil {
+				b.stats.pairsTested += tested
 				return err
 			}
+			nextPoll = tested + pollPairs
 		}
-		inP := buf.In[(p-1)%phiS]
 		l := b.duration(src, p)
 		from := int32(p - 1)
 		base := -cumI[p] - buf.Initial + inP
-		for pp := 1; pp <= nD; pp++ {
+		end := base + oTil // the windows cover [base, end − 1]
+		x := int64(0)      // the walk's next multiple of gcd
+		if walk {
+			x = rat.CeilTo(base, gcd)
+		}
+		for pp := 1; ; pp++ {
+			if walk {
+				if x >= end {
+					break
+				}
+				// The first p′ whose window ends past x.
+				y, hi := x-base, nD
+				for pp < hi {
+					mid := int(uint(pp+hi) >> 1)
+					if cumO[mid] > y {
+						hi = mid
+					} else {
+						pp = mid + 1
+					}
+				}
+				x = rat.CeilTo(cumO[pp]+base, gcd)
+			} else if pp > nD {
+				break
+			}
+			tested++
 			outP := buf.Out[(pp-1)%phiD]
 			q := cumO[pp] + base
-			m := inP
-			if outP < m {
-				m = outP
-			}
-			alpha := rat.CeilTo(q-m, gcd)
+			alpha := rat.CeilTo(q-min(inP, outP), gcd)
 			beta := rat.FloorTo(q-1, gcd)
 			if alpha > beta {
 				continue
@@ -640,6 +842,7 @@ func (b *builder) computeBufferBlock(blk *arcBlock, buf *csdf.Buffer) error {
 			})
 		}
 	}
+	b.stats.pairsTested += tested
 	blk.kSrc, blk.kDst = b.K[src], b.K[dst]
 	return nil
 }

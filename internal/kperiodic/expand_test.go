@@ -91,8 +91,8 @@ func TestExpansionDuplication(t *testing.T) {
 	if b.nodes != 6+2 {
 		t.Fatalf("nodes = %d, want 8", b.nodes)
 	}
-	if b.lcmK.Cmp(big.NewInt(2)) != 0 {
-		t.Fatalf("lcm(K) = %s, want 2", b.lcmK)
+	if l := lcmK(b.K); l.Cmp(big.NewInt(2)) != 0 {
+		t.Fatalf("lcm(K) = %s, want 2", l)
 	}
 	if err := b.build(); err != nil {
 		t.Fatal(err)

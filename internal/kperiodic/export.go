@@ -20,20 +20,20 @@ type BivaluedArc struct {
 // BivaluedGraph constructs and returns the arcs of the bi-valued graph for
 // g under the periodicity vector K, exactly as used by EvaluateK.
 func BivaluedGraph(g *csdf.Graph, K []int64, opt Options) ([]BivaluedArc, error) {
-	q, err := g.RepetitionVector()
+	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, err
 	}
 	w := getWorkspace()
-	arcs, err := w.bivaluedGraph(g, q, K, opt)
+	arcs, err := w.bivaluedGraph(f, K, opt)
 	w.release()
 	return arcs, err
 }
 
-// bivaluedGraph is BivaluedGraph in w.
-func (w *workspace) bivaluedGraph(g *csdf.Graph, q, K []int64, opt Options) ([]BivaluedArc, error) {
+// bivaluedGraph is BivaluedGraph in w, on the graph f describes.
+func (w *workspace) bivaluedGraph(f *csdf.Facts, K []int64, opt Options) ([]BivaluedArc, error) {
 	b := &w.b
-	if err := b.reset(g, q, K, opt); err != nil {
+	if err := b.reset(f, K, opt); err != nil {
 		return nil, err
 	}
 	if err := b.build(); err != nil {

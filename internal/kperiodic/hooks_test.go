@@ -2,6 +2,8 @@ package kperiodic
 
 import (
 	"context"
+	"fmt"
+	"slices"
 
 	"kiter/internal/csdf"
 	"kiter/internal/mcr"
@@ -11,61 +13,81 @@ import (
 // Hooks for the external test package, which can import gen (a white-box
 // test cannot: gen imports kperiodic).
 
-// freshBuilder returns a builder for (g, q, K) that no earlier graph used.
+// facts returns g's facts, failing with g's repetition-vector error.
+func facts(g *csdf.Graph) (*csdf.Facts, error) {
+	f, err := csdf.NewFacts(g)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Repetition(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// freshBuilder returns a builder for (g, K) that no earlier graph used;
+// q must be g's repetition vector.
 func freshBuilder(g *csdf.Graph, q, K []int64, opt Options) (*builder, error) {
+	f, err := facts(g)
+	if err != nil {
+		return nil, err
+	}
+	if fq, _ := f.Repetition(); !slices.Equal(q, fq) {
+		return nil, fmt.Errorf("freshBuilder: q = %v, the graph's is %v", q, fq)
+	}
 	b := new(builder)
-	return b, b.reset(g, q, K, opt)
+	return b, b.reset(f, K, opt)
 }
 
 // FreshKIterCtx is KIterCtx on a workspace no earlier solve used: the
 // reference a pooled run must match exactly.
 func FreshKIterCtx(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResult, error) {
-	q, err := g.RepetitionVector()
+	f, err := facts(g)
 	if err != nil {
 		return nil, err
 	}
-	return new(workspace).kiter(ctx, g, q, ones(g.NumTasks()), opt)
+	return new(workspace).kiter(ctx, f, ones(g.NumTasks()), opt)
 }
 
 // KIterFrom is KIter started from the periodicity vector start instead of
 // all ones.
 func KIterFrom(g *csdf.Graph, start []int64, opt Options) (*KIterResult, error) {
-	q, err := g.RepetitionVector()
+	f, err := facts(g)
 	if err != nil {
 		return nil, err
 	}
-	return new(workspace).kiter(context.Background(), g, q, start, opt)
+	return new(workspace).kiter(context.Background(), f, start, opt)
 }
 
 // FreshScheduleK is ScheduleK on a workspace no earlier solve used.
 func FreshScheduleK(g *csdf.Graph, K []int64, opt Options) (*Schedule, error) {
-	q, err := g.RepetitionVector()
+	f, err := facts(g)
 	if err != nil {
 		return nil, err
 	}
-	return new(workspace).scheduleK(context.Background(), g, q, K, opt)
+	return new(workspace).scheduleK(context.Background(), f, K, opt)
 }
 
 // FreshBivaluedGraph is BivaluedGraph on a workspace no earlier solve used.
 func FreshBivaluedGraph(g *csdf.Graph, K []int64, opt Options) ([]BivaluedArc, error) {
-	q, err := g.RepetitionVector()
+	f, err := facts(g)
 	if err != nil {
 		return nil, err
 	}
-	return new(workspace).bivaluedGraph(g, q, K, opt)
+	return new(workspace).bivaluedGraph(f, K, opt)
 }
 
 // ReusedKIter returns KIterCtx on one workspace carried from call to call,
-// the pool's reuse made deterministic: sync.Pool may hand a call a new
-// workspace at any time, so a test of stale state cannot rely on it alone.
+// the reuse made deterministic: a pooled call may get a new workspace at
+// any time, so a test of stale state cannot rely on the pool alone.
 func ReusedKIter() func(context.Context, *csdf.Graph, Options) (*KIterResult, error) {
 	w := new(workspace)
 	return func(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResult, error) {
-		q, err := g.RepetitionVector()
+		f, err := facts(g)
 		if err != nil {
 			return nil, err
 		}
-		return w.kiter(ctx, g, q, ones(g.NumTasks()), opt)
+		return w.kiter(ctx, f, ones(g.NumTasks()), opt)
 	}
 }
 

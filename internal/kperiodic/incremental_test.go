@@ -237,21 +237,19 @@ func TestKIterRunAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 17 rounds take about 113 allocations: per round the new K vector,
-	// the trace step and the critical circuit, plus one Howard answer per
+	// 17 rounds take 112 allocations: per round the new K vector, the
+	// trace step and the critical circuit, plus one Howard answer per
 	// strongly connected component solved (all 8 in the first round, one
-	// per round after). The builder, its block caches, the arc arena and
-	// the solver's arrays come from the pooled workspace a previous run
-	// grew. Under the race detector sync.Pool drops a random share of its
-	// entries, so a run sometimes starts from a new workspace; over 100
-	// runs that averages about 225. Without the pool the count is about
-	// 370; with the whole graph solved every round it was about 380,
-	// with the arena and the solver's arrays sized exactly to each round's
-	// graph about 505, and with the math/big repetition vector nearly
-	// 2900. (The arena's own growth is guarded in mcr by
-	// TestReserveGrowsGeometrically.)
-	if allocs > 260 {
-		t.Errorf("%d-round K-Iter run allocates %.0f objects, want ≤ 260", res.Iterations, allocs)
+	// per round after), and the graph's facts once. The builder, its block
+	// caches, the arc arena and the solver's arrays come from the free
+	// workspace a previous run grew, with and without the race detector.
+	// Without the free list the count is about 370; with the whole graph
+	// solved every round it was about 380, with the arena and the
+	// solver's arrays sized exactly to each round's graph about 505, and
+	// with the math/big repetition vector nearly 2900. (The arena's own
+	// growth is guarded in mcr by TestReserveGrowsGeometrically.)
+	if allocs > 112 {
+		t.Errorf("%d-round K-Iter run allocates %.0f objects, want ≤ 112", res.Iterations, allocs)
 	}
 }
 
@@ -263,14 +261,14 @@ func TestKIterRunAllocations(t *testing.T) {
 // bi-valued graph.
 func TestRoundsResolveOnlyChangedComponent(t *testing.T) {
 	g := figure2Chain(16)
-	q, err := g.RepetitionVector()
+	f, err := facts(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := new(workspace)
 	var solved []int
 	w.b.traceSolve = func(nodes int) { solved = append(solved, nodes) }
-	res, err := w.kiter(context.Background(), g, q, ones(g.NumTasks()), Options{})
+	res, err := w.kiter(context.Background(), f, ones(g.NumTasks()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,9 @@ type IterStep struct {
 	// this round: constraint arcs recomputed from their buffer's phase
 	// pairs vs. replayed from a previous round's block cache.
 	ArcsBuilt, ArcsReused int
+	// PairsTested counts the phase pairs this round's rebuilt buffer
+	// blocks tested for usefulness (Theorem 2) to build ArcsBuilt.
+	PairsTested int
 	// HowardIterations sums the MCRP solver's policy-improvement rounds
 	// over the strongly connected components this round re-solved: all of
 	// them in the first round, then those with a task whose K changed. A
@@ -90,22 +93,31 @@ func KIter(g *csdf.Graph, opt Options) (*KIterResult, error) {
 // keeps every other component's answer. The final answer is certified
 // exactly against every component.
 func KIterCtx(ctx context.Context, g *csdf.Graph, opt Options) (*KIterResult, error) {
-	q, err := g.RepetitionVector()
+	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, err
 	}
+	return KIterFacts(ctx, f, opt)
+}
+
+// KIterFacts is KIterCtx on the graph f describes, using its repetition
+// vector and components instead of computing them again.
+func KIterFacts(ctx context.Context, f *csdf.Facts, opt Options) (*KIterResult, error) {
+	if _, err := f.Repetition(); err != nil {
+		return nil, err
+	}
 	w := getWorkspace()
-	res, err := w.kiter(ctx, g, q, ones(g.NumTasks()), opt)
+	res, err := w.kiter(ctx, f, ones(f.Graph().NumTasks()), opt)
 	w.release()
 	return res, err
 }
 
-// kiter runs Algorithm 1 in w from the periodicity vector start, which
-// KIterCtx sets to all ones; every start whose entries divide q reaches
-// the same certified Ω, since Theorem 4's test depends only on the final
-// K and the critical circuit. Everything kiter returns is copied out of
+// kiter runs Algorithm 1 in w on f's graph from the periodicity vector
+// start, which KIterFacts sets to all ones; every start whose entries
+// divide q reaches the same certified Ω, since Theorem 4's test depends
+// only on the final K and the critical circuit. Everything kiter returns is copied out of
 // the workspace, so the caller may release w as soon as it returns.
-func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q, start []int64, opt Options) (*KIterResult, error) {
+func (w *workspace) kiter(ctx context.Context, f *csdf.Facts, start []int64, opt Options) (*KIterResult, error) {
 	K := append([]int64(nil), start...)
 	maxIter := opt.MaxIterations
 	if maxIter <= 0 {
@@ -123,11 +135,12 @@ func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q, start []int64, 
 	// evaluations only the backing arrays carry over.
 	result := &KIterResult{}
 	b, solver := &w.b, &w.s
-	if err := b.reset(g, q, K, inner); err != nil {
+	if err := b.reset(f, K, inner); err != nil {
 		result.Iterations = 1
 		return result, err
 	}
 	b.ctx = ctx
+	q := b.q
 	span := telemetry.FromContext(ctx)
 	defer func() {
 		span.AddInt("iterations", int64(result.Iterations))
@@ -170,6 +183,7 @@ func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q, start []int64, 
 				Arcs:             b.arcs,
 				ArcsBuilt:        b.stats.arcsBuilt,
 				ArcsReused:       b.stats.arcsReused,
+				PairsTested:      b.stats.pairsTested,
 				HowardIterations: ev.howard,
 			})
 			if optimalityTest(tasks, q, K) {
@@ -188,6 +202,7 @@ func (w *workspace) kiter(ctx context.Context, g *csdf.Graph, q, start []int64, 
 			Arcs:             b.arcs,
 			ArcsBuilt:        b.stats.arcsBuilt,
 			ArcsReused:       b.stats.arcsReused,
+			PairsTested:      b.stats.pairsTested,
 			HowardIterations: ev.howard,
 		})
 		if !optimalityTest(tasks, q, K) {

@@ -3,6 +3,7 @@ package kperiodic
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"kiter/internal/csdf"
@@ -46,23 +47,29 @@ func ScheduleK(g *csdf.Graph, K []int64, opt Options) (*Schedule, error) {
 
 // ScheduleKCtx is ScheduleK with cancellation.
 func ScheduleKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*Schedule, error) {
-	q, err := g.RepetitionVector()
+	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, err
 	}
+	return ScheduleKFacts(ctx, f, K, opt)
+}
+
+// ScheduleKFacts is ScheduleKCtx on the graph f describes.
+func ScheduleKFacts(ctx context.Context, f *csdf.Facts, K []int64, opt Options) (*Schedule, error) {
 	w := getWorkspace()
-	sch, err := w.scheduleK(ctx, g, q, K, opt)
+	sch, err := w.scheduleK(ctx, f, K, opt)
 	w.release()
 	return sch, err
 }
 
-// scheduleK is ScheduleKCtx in w.
-func (w *workspace) scheduleK(ctx context.Context, g *csdf.Graph, q, K []int64, opt Options) (*Schedule, error) {
+// scheduleK is ScheduleKFacts in w.
+func (w *workspace) scheduleK(ctx context.Context, f *csdf.Facts, K []int64, opt Options) (*Schedule, error) {
 	opt.SkipCertify = false // exact potentials need the exact period
-	ev, err := w.solveK(ctx, g, q, K, opt)
+	ev, err := w.solveK(ctx, f, K, opt)
 	if err != nil {
 		return nil, err
 	}
+	g, q := f.Graph(), w.b.q
 	// The potentials need the whole graph: start times depend on the
 	// buffers between components too.
 	b := ev.b
@@ -94,7 +101,7 @@ func (w *workspace) scheduleK(ctx context.Context, g *csdf.Graph, q, K []int64, 
 	}
 	sch := &Schedule{
 		K:      append([]int64(nil), K...),
-		Q:      q,
+		Q:      slices.Clone(q),
 		Period: ev.res.Ratio,
 		Starts: make([][]rat.Rat, g.NumTasks()),
 		Mu:     make([]rat.Rat, g.NumTasks()),

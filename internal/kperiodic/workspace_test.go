@@ -2,6 +2,7 @@ package kperiodic
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ import (
 // comes back from the pool.
 func TestReleaseDropsOversizedWorkspaces(t *testing.T) {
 	g := figure2White()
-	q, err := g.RepetitionVector()
+	f, err := facts(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestReleaseDropsOversizedWorkspaces(t *testing.T) {
 		{"policy store", func(b *builder) { b.pols = make([]int32, 0, maxPooledArcs+1) }},
 	} {
 		w := new(workspace)
-		if err := w.b.reset(g, q, []int64{1, 1, 1, 1}, Options{}); err != nil {
+		if err := w.b.reset(f, []int64{1, 1, 1, 1}, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		w.b.ctx = context.Background()
@@ -37,5 +38,33 @@ func TestReleaseDropsOversizedWorkspaces(t *testing.T) {
 				t.Fatalf("%s: a workspace past maxPooledArcs came back from the pool", grow.name)
 			}
 		}
+	}
+}
+
+// TestFreeListEmptiesWhenIdle checks that free workspaces do not outlive
+// the solves that use them: once garbage collections pass with no solve
+// taking a workspace, the free list is empty and the next solve starts
+// from a new one.
+func TestFreeListEmptiesWhenIdle(t *testing.T) {
+	if _, err := KIter(figure2White(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	free.Lock()
+	n := len(free.ws)
+	free.Unlock()
+	if n == 0 {
+		t.Fatal("a finished solve left no free workspace")
+	}
+	// onGC runs on the finalizer goroutine after a collection, so give it
+	// a bounded number of collections to get there.
+	for i := 0; n > 0; i++ {
+		if i == 1000 {
+			t.Fatalf("%d workspaces still free after %d idle collections", n, i)
+		}
+		runtime.GC()
+		runtime.Gosched()
+		free.Lock()
+		n = len(free.ws)
+		free.Unlock()
 	}
 }

@@ -19,6 +19,7 @@ type param struct {
 // that maximizes structural overlap for the engine's fingerprint cache.
 type Expansion struct {
 	base   *csdf.Graph
+	facts  *csdf.Facts // base's, from which every scenario's derive
 	params []param
 	total  int
 
@@ -38,6 +39,10 @@ func Compile(s *Spec, capacitiesDefault bool) (*Expansion, error) {
 	if err != nil {
 		return nil, err
 	}
+	facts, err := csdf.NewFacts(base)
+	if err != nil {
+		return nil, specErrf("base graph: %v", err)
+	}
 	method, analyses, err := s.engineKnobs()
 	if err != nil {
 		return nil, err
@@ -56,6 +61,7 @@ func Compile(s *Spec, capacitiesDefault bool) (*Expansion, error) {
 	}
 	x := &Expansion{
 		base:       base,
+		facts:      facts,
 		total:      1,
 		method:     method,
 		analyses:   analyses,
@@ -160,29 +166,36 @@ func (x *Expansion) Assignment(i int) map[string]int64 {
 // and duration vectors with the base (see csdf.CloneWithEdits), so a large
 // family costs O(edits) extra memory per member.
 func (x *Expansion) Materialize(i int) (*csdf.Graph, error) {
+	f, err := x.materialize(i)
+	if err != nil {
+		return nil, err
+	}
+	return f.Graph(), nil
+}
+
+// materialize returns the facts of scenario i's graph, derived from the
+// base's: a scenario that edits no rate shares the base's repetition
+// vector and components, and only its edited sites are validated.
+func (x *Expansion) materialize(i int) (*csdf.Facts, error) {
 	vals := x.Values(i)
 	edits := make([]csdf.Edit, len(vals))
 	for k := range x.params {
 		edits[k] = x.params[k].site.edit(vals[k])
 	}
-	g, err := x.base.CloneWithEdits(edits...)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return x.facts.CloneWithEdits(edits...)
 }
 
-// Request builds the engine request for scenario i.
+// Request builds the engine request for scenario i, carrying the
+// scenario's graph facts so the engine neither validates the graph again
+// nor recomputes what the edits left unchanged.
 func (x *Expansion) Request(i int) (*engine.Request, error) {
-	g, err := x.Materialize(i)
+	f, err := x.materialize(i)
 	if err != nil {
 		return nil, err
 	}
 	return &engine.Request{
-		Graph:           g,
+		Graph:           f.Graph(),
+		Facts:           f,
 		Analyses:        x.analyses,
 		Method:          x.method,
 		ApplyCapacities: x.capacities,

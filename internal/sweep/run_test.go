@@ -308,8 +308,8 @@ func TestPointJSONShape(t *testing.T) {
 
 // TestSweepScenarioAllocations pins the allocations of one uncached sweep
 // scenario, from Materialize through Engine.Submit to a K-Iter answer,
-// with telemetry off and kperiodic's workspace pool warm, so CI gates the
-// per-scenario solve path by a count rather than a time.
+// with telemetry off and kperiodic's workspace free list warm, so CI
+// gates the per-scenario solve path by a count rather than a time.
 func TestSweepScenarioAllocations(t *testing.T) {
 	spec := VideoPipelineSpec(2, 2)
 	spec.Method = "kiter"
@@ -329,19 +329,17 @@ func TestSweepScenarioAllocations(t *testing.T) {
 			t.Fatalf("want an uncached, optimal K-Iter answer, got %+v", res)
 		}
 	}
-	scenario() // grow a pooled workspace
-	// The fewest of 30 single runs: under the race detector sync.Pool
-	// drops a random share of its entries, and a scenario that starts
-	// from a new workspace allocates more, so one run in the pool's favour
-	// is what the race build can be held to.
+	scenario() // grow a free workspace
+	// The fewest of 30 single runs, which the race build allocates too.
 	allocs := math.Inf(1)
 	for i := 0; i < 30; i++ {
 		allocs = min(allocs, testing.AllocsPerRun(1, scenario))
 	}
-	// 46 allocations: the materialized graph, the request, the engine's
-	// job and result, and K-Iter's trace. Counted this way the race build
-	// allocates the same.
-	const ceiling = 50
+	// 41 allocations: the materialized graph and its facts, derived from
+	// the base's, the request, the engine's job and result, and K-Iter's
+	// trace. The scenario edits no rate, so it neither validates the
+	// whole graph nor computes a repetition vector or components.
+	const ceiling = 41
 	if allocs > ceiling {
 		t.Errorf("one uncached sweep scenario allocates %.0f objects, want ≤ %d", allocs, ceiling)
 	}

@@ -57,20 +57,24 @@ func runDecomposed(ctx context.Context, g *csdf.Graph, q []int64, comps *csdf.SC
 				compRes.Throughput = period.Inv()
 			}
 		} else {
+			// The component is connected, so its own minimal repetition
+			// vector q′ is the global q restricted to it divided by their
+			// gcd λ; its period rescales by λ.
+			var lambda int64
+			for _, t := range newToOld {
+				lambda = rat.Gcd(lambda, q[t])
+			}
+			qSub := make([]int64, len(newToOld))
+			for i, t := range newToOld {
+				qSub[i] = q[t] / lambda
+			}
 			subOpt := opt
 			subOpt.Reference = 0
 			subOpt.TraceHorizon = 0
-			r, err := runRecurrence(ctx, sub, subOpt)
+			r, err := runRecurrence(ctx, sub, qSub, subOpt)
 			if err != nil {
 				return nil, err
 			}
-			// Rescale: global q restricted to the component is an integer
-			// multiple λ of the component's own minimal q′.
-			qSub, err := sub.RepetitionVector()
-			if err != nil {
-				return nil, err
-			}
-			lambda := q[newToOld[0]] / qSub[0]
 			r.Period = r.Period.Mul(rat.FromInt(lambda))
 			if r.Period.Sign() > 0 {
 				r.Throughput = r.Period.Inv()

@@ -127,32 +127,36 @@ func Run(g *csdf.Graph, opt Options) (*Result, error) {
 // explosion stops promptly once the caller gives up instead of running to
 // its event budget.
 func RunCtx(ctx context.Context, g *csdf.Graph, opt Options) (*Result, error) {
-	if err := g.Validate(); err != nil {
+	f, err := csdf.NewFacts(g)
+	if err != nil {
 		return nil, err
 	}
-	q, err := g.RepetitionVector()
+	return RunFacts(ctx, f, opt)
+}
+
+// RunFacts is RunCtx on the graph f describes, using its repetition vector
+// and strongly connected components instead of computing them again.
+func RunFacts(ctx context.Context, f *csdf.Facts, opt Options) (*Result, error) {
+	g := f.Graph()
+	q, err := f.Repetition()
 	if err != nil {
 		return nil, err
 	}
 	if int(opt.Reference) < 0 || int(opt.Reference) >= g.NumTasks() {
 		return nil, fmt.Errorf("symbexec: reference task %d out of range", opt.Reference)
 	}
-	comps := g.TaskSCCs(nil)
+	comps := f.SCCs()
 	if comps.Len() > 1 {
 		return runDecomposed(ctx, g, q, comps, opt)
 	}
-	return runRecurrence(ctx, g, opt)
+	return runRecurrence(ctx, g, q, opt)
 }
 
-// runRecurrence executes g self-timed until a state recurrence reveals the
-// periodic regime. The self-timed state space must be bounded (guaranteed
-// for strongly connected consistent graphs); otherwise the exploration
-// budget trips.
-func runRecurrence(ctx context.Context, g *csdf.Graph, opt Options) (*Result, error) {
-	q, err := g.RepetitionVector()
-	if err != nil {
-		return nil, err
-	}
+// runRecurrence executes g, whose repetition vector is q, self-timed until
+// a state recurrence reveals the periodic regime. The self-timed state
+// space must be bounded (guaranteed for strongly connected consistent
+// graphs); otherwise the exploration budget trips.
+func runRecurrence(ctx context.Context, g *csdf.Graph, q []int64, opt Options) (*Result, error) {
 	e := &engine{
 		g:        g,
 		opt:      opt,
