@@ -10,10 +10,10 @@ import (
 // TestPerfCaseAllocations pins the allocations of one K-Iter run and one
 // 1-periodic evaluation on every perf case. Allocation counts are
 // deterministic where timings are not, so this is the perf suite's CI
-// gate. Each count is the fewest of 30 single runs after a warm-up, which
-// leaves a grown workspace on kperiodic's free list; the free list keeps
-// it across garbage collections, so plain and -race builds count the
-// same, and each ceiling is that count.
+// gate. Each count is the fewest of 30 single runs after a warm-up: under
+// -race sync.Pool drops a random share of the pooled K-Iter workspaces,
+// and a run that then grows a fresh builder and solver allocates more, so
+// the fewest is what both builds can be held to, one ceiling for both.
 //
 // Measured (fewest of 30 runs, the same with and without -race), K-Iter
 // then Evaluate1:
@@ -61,7 +61,7 @@ func TestPerfCaseAllocations(t *testing.T) {
 				{"KIter", ceil.kiter, func() error { _, err := kperiodic.KIter(g, opt); return err }},
 				{"Evaluate1", ceil.evaluate1, func() error { _, err := kperiodic.Evaluate1(g, opt); return err }},
 			} {
-				// The warm-up call leaves a grown workspace on the free list.
+				// The warm-up call leaves a grown workspace in the pool.
 				if err := m.run(); err != nil {
 					t.Fatalf("%s: %v", m.name, err)
 				}

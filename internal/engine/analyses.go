@@ -34,12 +34,9 @@ func (e *Engine) evaluate(ctx context.Context, req *Request) (*Result, error) {
 		res.Fingerprint = req.Graph.FingerprintHex()
 	}
 	// Every analysis of the job shares one set of graph facts.
-	f := req.Facts
-	if f == nil || f.Graph() != req.Graph {
-		var err error
-		if f, err = csdf.NewFacts(req.Graph); err != nil {
-			return nil, err
-		}
+	f, err := jobFacts(req)
+	if err != nil {
+		return nil, err
 	}
 	requested := map[AnalysisKind]bool{}
 	for _, a := range req.Analyses {
@@ -89,6 +86,21 @@ func sectionErr(ctx context.Context, err error) (string, error) {
 		return "", err
 	}
 	return err.Error(), nil
+}
+
+// jobFacts returns the facts of req.Graph: the request's own, the
+// bounded graph's derived from the facts of the graph before capacities
+// were applied, or else computed afresh. The derived facts describe an
+// equal bounded graph of their own, which the analyses read in place of
+// req.Graph.
+func jobFacts(req *Request) (*csdf.Facts, error) {
+	switch {
+	case req.Facts != nil && req.Facts.Graph() == req.Graph:
+		return req.Facts, nil
+	case req.unboundedFacts != nil:
+		return req.unboundedFacts.WithCapacities()
+	}
+	return csdf.NewFacts(req.Graph)
 }
 
 // throughputFromSymbolic reuses an already-computed symbolic section as

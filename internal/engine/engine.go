@@ -259,15 +259,13 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		Facts:    facts,
 	}
 	if req.ApplyCapacities {
-		var err error
-		if facts == nil {
-			prepared.Graph, err = req.Graph.WithCapacities()
-		} else if prepared.Facts, err = facts.WithCapacities(); err == nil {
-			prepared.Graph = prepared.Facts.Graph()
-		}
+		bounded, err := req.Graph.WithCapacities()
 		if err != nil {
 			return nil, fmt.Errorf("engine: applying capacities: %w", err)
 		}
+		// The bounded graph's facts are derived from req.Graph's only
+		// when a job evaluates it, so a cache hit computes none.
+		prepared.Graph, prepared.Facts, prepared.unboundedFacts = bounded, nil, facts
 	}
 	fingerprint := prepared.Graph.FingerprintHex()
 	// Method only affects the throughput analysis: keep it out of the

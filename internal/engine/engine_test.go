@@ -648,3 +648,38 @@ func TestSubmitFacts(t *testing.T) {
 		t.Error("an invalid graph with another graph's facts was accepted")
 	}
 }
+
+// TestCapacitiesCacheHitComputesNoFacts checks that a cache hit stays
+// free of graph facts when capacities are applied: the bounded graph's
+// facts are derived only when a job evaluates it, so a hit whose request
+// carries facts allocates no more than one that carries none and is
+// validated instead.
+func TestCapacitiesCacheHitComputesNoFacts(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	g := gen.Figure2().ScaleCapacities(1)
+	f, err := csdf.NewFacts(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := func(f *csdf.Facts) float64 {
+		req := &Request{Graph: g, Facts: f, ApplyCapacities: true}
+		submit := func() {
+			res, err := e.Submit(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.CacheHit {
+				t.Fatal("want a cache hit")
+			}
+		}
+		submit()
+		return testing.AllocsPerRun(50, submit)
+	}
+	if _, err := e.Submit(context.Background(), &Request{Graph: g, ApplyCapacities: true}); err != nil {
+		t.Fatal(err)
+	}
+	without, with := hit(nil), hit(f)
+	if with > without {
+		t.Errorf("a capacities cache hit allocates %.0f objects with facts, %.0f without", with, without)
+	}
+}

@@ -108,6 +108,10 @@ type Request struct {
 	// Submit and computes its facts only when a job evaluates it.
 	Facts *csdf.Facts
 
+	// unboundedFacts, set by Submit on a prepared request whose Graph
+	// has capacities applied, are the facts of the graph before; evaluate
+	// derives the bounded graph's facts from them.
+	unboundedFacts *csdf.Facts
 	// cacheKeyHint and fingerprintHint are filled by Submit on the
 	// prepared request handed to workers, so the hash is computed once.
 	cacheKeyHint    string

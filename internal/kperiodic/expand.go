@@ -3,9 +3,7 @@ package kperiodic
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/big"
-	"math/bits"
 	"slices"
 
 	"kiter/internal/csdf"
@@ -39,13 +37,13 @@ import (
 // K changed. The whole graph is assembled only where a caller needs all
 // of it (build): schedule potentials and the exported arcs.
 //
-// A round costs what its K change touches. setK visits only the tasks
-// whose K changed: it updates the size budget's node and pair totals by
-// the difference and queues the blocks incident to those tasks, which is
-// all refresh rebuilds; the components of those tasks are the only ones
-// resolve lays out and solves again. Whole-graph node offsets are laid
-// out only when a caller asks for whole-graph nodes, and lcm(K) only when
-// an answer is reported.
+// A round re-enumerates only the blocks whose endpoint K changed, and
+// lays out and solves again only the components of those tasks. What it
+// does over the whole graph is cheap by comparison: setK re-checks the
+// size budget, one product per task and per buffer, and refresh compares
+// every block's endpoint K. Whole-graph node offsets are laid out only
+// when a caller asks for whole-graph nodes, and lcm(K) only when an answer
+// is reported.
 type builder struct {
 	g     *csdf.Graph
 	q     []int64
@@ -65,23 +63,12 @@ type builder struct {
 	ctx     context.Context // polled during pair enumeration; nil = never cancelled
 	opt     Options         // size budgets, re-checked on every setK
 
-	// The size budget's totals, kept by difference: taskNodes[t] is
-	// Kt·ϕ(t), bufPairs[i] is buffer i's ϕ̃·ϕ̃′ pair count.
-	taskNodes, bufPairs []int64
-	nodeSum, pairSum    sizeSum
-
 	bufBlocks []arcBlock // per-buffer cached constraint arcs
 	seqBlocks []arcBlock // per-task cached sequential arcs (seq only)
 	replayed  []bool     // per block (buffers, then tasks): replayed by the latest refresh
-	// incident[incStart[t]:incStart[t+1]] lists the blocks with task t
-	// as an endpoint: its buffers (a self-loop once) and its sequential
-	// chain. dirty queues the blocks whose endpoint K changed since the
-	// latest refresh; rebuilt lists the blocks that refresh rebuilt.
-	incStart, incident []int32
-	dirty, rebuilt     []int32
-	cumI               []int64 // pair-enumeration scratch
-	cumO               []int64
-	stats              buildStats
+	cumI      []int64    // pair-enumeration scratch
+	cumO      []int64
+	stats     buildStats
 
 	// The task-level strongly connected components, fixed from reset on:
 	// comps in the order of their lowest task, compOf[t] the component
@@ -140,38 +127,6 @@ type buildStats struct {
 	pairsTested int // phase pairs the rebuilt buffer blocks tested for usefulness
 }
 
-// sizeSum is a size-budget total kept by difference: the exact sum of its
-// terms that fit in int64, as a 128-bit integer, and the number of terms
-// that did not.
-type sizeSum struct {
-	hi, lo uint64
-	over   int
-}
-
-// set replaces the term *term with v, where −1 stands for a term that
-// left int64.
-func (s *sizeSum) set(term *int64, v int64) {
-	var c uint64
-	if old := *term; old < 0 {
-		s.over--
-	} else {
-		s.lo, c = bits.Sub64(s.lo, uint64(old), 0)
-		s.hi -= c
-	}
-	if v < 0 {
-		s.over++
-	} else {
-		s.lo, c = bits.Add64(s.lo, uint64(v), 0)
-		s.hi += c
-	}
-	*term = v
-}
-
-// total returns the sum, or ok = false when it or a term left int64.
-func (s *sizeSum) total() (int64, bool) {
-	return int64(s.lo), s.over == 0 && s.hi == 0 && s.lo <= math.MaxInt64
-}
-
 // arcBlock caches the constraint arcs of one buffer (or of one task's
 // sequential chain) in block-local coordinates, i.e. as offsets into the
 // endpoint tasks' node regions. A block built for the same endpoint K
@@ -197,10 +152,10 @@ type blockArc struct {
 // caches' arc slices, the MCRP graph's arena and CSR arrays, and the
 // pair-enumeration scratch. f's graph must have a repetition vector.
 // Nothing from an earlier graph is reused as data. Every block is marked
-// empty and queued, so refresh re-enumerates it instead of replaying
-// another graph's arcs for the buffer with the same index and endpoint K;
-// every component is partitioned afresh and marked stale with no policy,
-// so warmPolicy maps no earlier policy onto its first solve.
+// empty, so refresh re-enumerates it instead of replaying another graph's
+// arcs for the buffer with the same index and endpoint K; every component
+// is partitioned afresh and marked stale with no policy, so warmPolicy
+// maps no earlier policy onto its first solve.
 func (b *builder) reset(f *csdf.Facts, K []int64, opt Options) error {
 	g := f.Graph()
 	if err := checkK(g, K); err != nil {
@@ -223,68 +178,9 @@ func (b *builder) reset(f *csdf.Facts, K []int64, opt Options) error {
 	if b.seq {
 		b.seqBlocks = emptyBlocks(b.seqBlocks, n)
 	}
-	nblk := nb + len(b.seqBlocks)
-	b.replayed = resize(b.replayed, nblk)
-	b.dirty, b.rebuilt = resize(b.dirty, nblk), b.rebuilt[:0]
-	for i := range b.dirty {
-		b.dirty[i] = int32(i)
-	}
-	b.arcs, b.stats = 0, buildStats{}
-	b.incidence()
+	b.stats = buildStats{}
 	b.partition()
-	b.taskNodes, b.bufPairs = resize(b.taskNodes, n), resize(b.bufPairs, nb)
-	clear(b.taskNodes)
-	clear(b.bufPairs)
-	b.nodeSum, b.pairSum = sizeSum{}, sizeSum{}
-	for t := range n {
-		b.setNodes(t)
-	}
-	for i := range nb {
-		b.setPairs(i)
-	}
 	return b.checkSize()
-}
-
-// incidence lists every task's incident blocks in incStart/incident:
-// its buffers ascending, then its sequential chain.
-func (b *builder) incidence() {
-	g := b.g
-	n, nb := g.NumTasks(), g.NumBuffers()
-	start := resize(b.incStart, n+1)
-	clear(start)
-	bufs := g.Buffers()
-	for i := range bufs {
-		start[bufs[i].Src]++
-		if bufs[i].Dst != bufs[i].Src {
-			start[bufs[i].Dst]++
-		}
-	}
-	var sum int32
-	for t := range n {
-		if b.seq {
-			start[t]++
-		}
-		sum += start[t]
-		start[t] = sum
-	}
-	start[n] = sum
-	// Fill every list from its end, last block first, which leaves
-	// start[t] at the list's beginning.
-	inc := resize(b.incident, int(sum))
-	for t := n - 1; t >= 0 && b.seq; t-- {
-		start[t]--
-		inc[start[t]] = int32(nb + t)
-	}
-	for i := nb - 1; i >= 0; i-- {
-		src, dst := bufs[i].Src, bufs[i].Dst
-		start[src]--
-		inc[start[src]] = int32(i)
-		if dst != src {
-			start[dst]--
-			inc[start[dst]] = int32(i)
-		}
-	}
-	b.incStart, b.incident = start, inc
 }
 
 // partition lists the tasks and arc blocks of each task-level strongly
@@ -369,13 +265,12 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// emptyBlocks reslices blocks to n entries, each marked empty with no
-// arcs but keeping its arc slice's capacity.
+// emptyBlocks reslices blocks to n entries, each marked empty but keeping
+// its arc slice's capacity.
 func emptyBlocks(blocks []arcBlock, n int) []arcBlock {
 	blocks = slices.Grow(blocks[:0], n)[:n]
 	for i := range blocks {
-		blk := &blocks[i]
-		blk.kSrc, blk.kDst, blk.arcs = 0, 0, blk.arcs[:0]
+		blocks[i].kSrc, blocks[i].kDst = 0, 0
 	}
 	return blocks
 }
@@ -392,64 +287,55 @@ func checkK(g *csdf.Graph, K []int64) error {
 	return nil
 }
 
-// setK switches the builder to a new periodicity vector. For every task
-// whose K changed it marks the task's component stale, queues the task's
-// blocks for refresh and updates the size budget; cached blocks are
-// untouched until refresh rebuilds the queued ones.
+// setK switches the builder to a new periodicity vector and marks stale
+// every component with a task whose K changed. Cached arc blocks are
+// untouched: refresh compares every block's endpoint K values against the
+// new vector and recomputes only the stale ones.
 func (b *builder) setK(K []int64) error {
 	if err := checkK(b.g, K); err != nil {
 		return err
 	}
 	for t, k := range K {
-		if b.K[t] == k {
-			continue
+		if b.K[t] != k {
+			b.comps[b.compOf[t]].stale = true
+			b.placed = false
 		}
-		b.K[t] = k
-		b.comps[b.compOf[t]].stale = true
-		b.dirty = append(b.dirty, b.incident[b.incStart[t]:b.incStart[t+1]]...)
-		b.setNodes(t)
-		for _, i := range b.incident[b.incStart[t]:b.incStart[t+1]] {
-			if int(i) < len(b.bufPairs) {
-				b.setPairs(int(i))
-			}
-		}
-		b.placed = false
 	}
+	b.K = append(b.K[:0], K...)
 	return b.checkSize()
 }
 
-// setNodes recounts task t's nodes, Kt·ϕ(t), in the size budget.
-func (b *builder) setNodes(t int) {
-	v, ok := rat.MulCheck(b.K[t], int64(b.g.Task(csdf.TaskID(t)).Phases()))
-	if !ok {
-		v = -1
-	}
-	b.nodeSum.set(&b.taskNodes[t], v)
-}
-
-// setPairs recounts buffer i's phase pairs, ϕ̃·ϕ̃′, in the size budget.
-func (b *builder) setPairs(i int) {
-	buf := b.g.Buffer(csdf.BufferID(i))
-	nS, nD := b.taskNodes[buf.Src], b.taskNodes[buf.Dst]
-	v, ok := rat.MulCheck(nS, nD)
-	if nS < 0 || nD < 0 || !ok {
-		v = -1
-	}
-	b.pairSum.set(&b.bufPairs[i], v)
-}
-
-// checkSize applies the size budget to the current totals, with the
-// verdicts of a count from scratch: a node total outside int64 first,
-// then a pair total outside int64, then MaxNodes and MaxPairs. A total
-// within the budget is the graph's node count.
+// checkSize applies the size budget, nodes and constraint pairs, to the
+// current K before any allocation proportional to them. Within the
+// budget it records the whole graph's node count.
 func (b *builder) checkSize() error {
-	nodes, ok := b.nodeSum.total()
-	if !ok {
-		return &ErrTooLarge{Nodes: -1}
+	g, K := b.g, b.K
+	var nodes, pairs int64
+	for t := 0; t < g.NumTasks(); t++ {
+		n, ok := rat.MulCheck(K[t], int64(g.Task(csdf.TaskID(t)).Phases()))
+		if !ok {
+			return &ErrTooLarge{Nodes: -1}
+		}
+		nodes, ok = rat.AddCheck(nodes, n)
+		if !ok {
+			return &ErrTooLarge{Nodes: -1}
+		}
 	}
-	pairs, ok := b.pairSum.total()
-	if !ok {
-		return &ErrTooLarge{Nodes: nodes, Pairs: -1}
+	for i := 0; i < g.NumBuffers(); i++ {
+		buf := g.Buffer(csdf.BufferID(i))
+		nS, okS := rat.MulCheck(K[buf.Src], int64(g.Task(buf.Src).Phases()))
+		nD, okD := rat.MulCheck(K[buf.Dst], int64(g.Task(buf.Dst).Phases()))
+		p, okP := int64(0), false
+		if okS && okD {
+			p, okP = rat.MulCheck(nS, nD)
+		}
+		if !okP {
+			return &ErrTooLarge{Nodes: nodes, Pairs: -1}
+		}
+		pairs, okP = rat.AddCheck(pairs, p)
+		if !okP {
+			return &ErrTooLarge{Nodes: nodes, Pairs: -1}
+		}
 	}
 	if b.opt.MaxNodes > 0 && nodes > b.opt.MaxNodes {
 		return &ErrTooLarge{Nodes: nodes, Pairs: pairs}
@@ -468,7 +354,7 @@ func (b *builder) offsets() []int {
 		n := 0
 		for t := range b.g.NumTasks() {
 			b.offset[t] = n
-			n += int(b.taskNodes[t])
+			n += int(b.K[t]) * b.g.Task(csdf.TaskID(t)).Phases()
 		}
 		b.offset[b.g.NumTasks()] = n
 		b.placed = true
@@ -482,7 +368,7 @@ func (b *builder) place(c *component) {
 	c.nodes = 0
 	for _, t := range c.tasks {
 		b.local[t] = c.nodes
-		c.nodes += int(b.taskNodes[t])
+		c.nodes += int(b.K[t]) * b.g.Task(t).Phases()
 	}
 }
 
@@ -528,45 +414,33 @@ func (b *builder) duration(t csdf.TaskID, pTilde int) int64 {
 	return task.Durations[(pTilde-1)%task.Phases()]
 }
 
-// refresh brings the arc blocks up to date with the current K by
-// rebuilding the blocks setK queued, each incident to a task whose K
-// changed; every other block is replayed as cached. A block queued twice,
-// or whose endpoints' K changed back, is current and is not rebuilt. The
-// round's statistics and b.arcs still describe the whole bi-valued graph,
-// blocks of buffers between components included.
+// refresh brings the arc blocks up to date with the current K: buffer
+// and sequential blocks whose endpoint K values are unchanged since their
+// last computation are kept for replay; the rest are re-enumerated. Every
+// block is refreshed, including those of buffers between components, so
+// the round's statistics and b.arcs describe the whole bi-valued graph.
 func (b *builder) refresh() error {
-	b.emitted = nil
-	for _, i := range b.rebuilt {
-		b.replayed[i] = true
-	}
-	b.rebuilt = b.rebuilt[:0]
 	b.stats = buildStats{}
 	nb := b.g.NumBuffers()
-	for k, i := range b.dirty {
-		blk, src, dst := b.block(int(i))
-		if blk.kSrc == b.K[src] && blk.kDst == b.K[dst] {
-			continue
-		}
-		b.arcs -= len(blk.arcs)
-		var err error
-		if int(i) < nb {
-			err = b.computeBufferBlock(blk, b.g.Buffer(csdf.BufferID(i)))
+	b.replayed = resize(b.replayed, nb+len(b.seqBlocks))
+	b.arcs, b.emitted = 0, nil
+	for i := range b.replayed {
+		blk, src, dst := b.block(i)
+		b.replayed[i] = blk.kSrc == b.K[src] && blk.kDst == b.K[dst]
+		if b.replayed[i] {
+			b.stats.arcsReused += len(blk.arcs)
 		} else {
-			b.computeSequentialBlock(blk, src)
-		}
-		if err != nil {
-			// Keep this block and the rest queued: the block is empty.
-			blk.arcs = blk.arcs[:0]
-			b.dirty = b.dirty[:copy(b.dirty, b.dirty[k:])]
-			return err
+			if i < nb {
+				if err := b.computeBufferBlock(blk, b.g.Buffer(csdf.BufferID(i))); err != nil {
+					return err
+				}
+			} else {
+				b.computeSequentialBlock(blk, src)
+			}
+			b.stats.arcsBuilt += len(blk.arcs)
 		}
 		b.arcs += len(blk.arcs)
-		b.stats.arcsBuilt += len(blk.arcs)
-		b.replayed[i] = false
-		b.rebuilt = append(b.rebuilt, i)
 	}
-	b.dirty = b.dirty[:0]
-	b.stats.arcsReused = b.arcs - b.stats.arcsBuilt
 	return nil
 }
 

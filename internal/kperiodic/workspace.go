@@ -1,7 +1,6 @@
 package kperiodic
 
 import (
-	"runtime"
 	"sync"
 
 	"kiter/internal/mcr"
@@ -10,7 +9,7 @@ import (
 // workspace is the scratch of one bi-valued-graph solve: the expansion
 // builder with its block caches and MCRP graph, and the Howard solver with
 // its per-node arrays. Every entry point that builds a bi-valued graph
-// takes one from the free list and releases it after its last read of the
+// takes one from the pool and releases it after its last read of the
 // builder, so a new evaluation starts from arrays an earlier one grew
 // instead of from an empty heap. Results never alias a workspace: every
 // value an entry point returns is copied out of it first.
@@ -19,68 +18,24 @@ type workspace struct {
 	s mcr.Solver
 }
 
-// maxPooledArcs bounds the scratch a free workspace may keep: its block
+// maxPooledArcs bounds the scratch a pooled workspace may keep: its block
 // caches' summed arc capacity, its block and component count, its policy
 // store and its latest node count. The MCRP arena and the solver's arrays
 // are sized from the same builds, and grow at most 2× past what a build
 // needs, so they stay within twice the bound too. The largest expansion
 // of a typical analysis has under a thousand arcs; a workspace that grew
-// past the bound is dropped instead of pinning its memory.
+// past the bound is dropped instead of pinning its memory in the pool.
 const maxPooledArcs = 1 << 16
 
-// free holds the released workspaces, at most GOMAXPROCS of them, most
-// recently released last. Unlike a sync.Pool it keeps them across garbage
-// collections while solves keep taking them, so a large graph solved now
-// and then does not regrow its workspace from scratch. Once no solve has
-// taken a workspace through a whole GC cycle the list is emptied, so a
-// process that has stopped solving gives the memory back. taken records a
-// take since the latest collection.
-var free struct {
-	sync.Mutex
-	ws    []*workspace
-	taken bool
-}
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-// gcSentinel is an object kept unreachable so that its finalizer, onGC,
-// runs once after every garbage collection. Its pointer field keeps it out
-// of the tiny allocator, whose blocks are freed only together.
-type gcSentinel struct{ _ *int }
+func getWorkspace() *workspace { return workspaces.Get().(*workspace) }
 
-func init() { runtime.SetFinalizer(new(gcSentinel), onGC) }
-
-// onGC empties the free list when no solve took from it since the
-// previous collection, and re-arms itself for the next one.
-func onGC(s *gcSentinel) {
-	free.Lock()
-	if !free.taken {
-		clear(free.ws)
-		free.ws = free.ws[:0]
-	}
-	free.taken = false
-	free.Unlock()
-	runtime.SetFinalizer(s, onGC)
-}
-
-func getWorkspace() *workspace {
-	free.Lock()
-	defer free.Unlock()
-	free.taken = true
-	n := len(free.ws)
-	if n == 0 {
-		return new(workspace)
-	}
-	w := free.ws[n-1]
-	free.ws[n-1] = nil
-	free.ws = free.ws[:n-1]
-	return w
-}
-
-// release returns w to the free list unless it grew past maxPooledArcs
-// or the list is full. It first drops the graph, repetition vector,
-// components and context of the solve, so a free workspace keeps no
-// request reachable. Callers release on normal and error returns but
-// never defer it: a solve that panics drops its workspace, whose state is
-// then unknown.
+// release returns w to the pool unless it grew past maxPooledArcs. It
+// first drops the graph, repetition vector, components and context of the
+// solve, so a pooled workspace keeps no request reachable. Callers release
+// on normal and error returns but never defer it: a solve that panics
+// drops its workspace, whose state is then unknown.
 func (w *workspace) release() {
 	b := &w.b
 	b.g, b.q, b.sccs, b.ctx, b.traceSolve = nil, nil, nil, nil, nil
@@ -88,11 +43,7 @@ func (w *workspace) release() {
 		cap(b.pols) > maxPooledArcs || b.arcCapacity() > maxPooledArcs {
 		return
 	}
-	free.Lock()
-	defer free.Unlock()
-	if len(free.ws) < runtime.GOMAXPROCS(0) {
-		free.ws = append(free.ws, w)
-	}
+	workspaces.Put(w)
 }
 
 // arcCapacity sums the capacity of every block cache the builder holds,

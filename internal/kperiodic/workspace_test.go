@@ -2,7 +2,6 @@ package kperiodic
 
 import (
 	"context"
-	"runtime"
 	"testing"
 )
 
@@ -38,33 +37,5 @@ func TestReleaseDropsOversizedWorkspaces(t *testing.T) {
 				t.Fatalf("%s: a workspace past maxPooledArcs came back from the pool", grow.name)
 			}
 		}
-	}
-}
-
-// TestFreeListEmptiesWhenIdle checks that free workspaces do not outlive
-// the solves that use them: once garbage collections pass with no solve
-// taking a workspace, the free list is empty and the next solve starts
-// from a new one.
-func TestFreeListEmptiesWhenIdle(t *testing.T) {
-	if _, err := KIter(figure2White(), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	free.Lock()
-	n := len(free.ws)
-	free.Unlock()
-	if n == 0 {
-		t.Fatal("a finished solve left no free workspace")
-	}
-	// onGC runs on the finalizer goroutine after a collection, so give it
-	// a bounded number of collections to get there.
-	for i := 0; n > 0; i++ {
-		if i == 1000 {
-			t.Fatalf("%d workspaces still free after %d idle collections", n, i)
-		}
-		runtime.GC()
-		runtime.Gosched()
-		free.Lock()
-		n = len(free.ws)
-		free.Unlock()
 	}
 }
