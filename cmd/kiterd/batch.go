@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kiter/internal/engine"
+	"kiter/internal/jsonw"
 	"kiter/internal/sdf3x"
 )
 
@@ -84,6 +85,23 @@ type ndjsonLine struct {
 	Result *engine.Result `json:"result,omitempty"`
 }
 
+// appendJSON appends l's NDJSON line: the bytes
+// json.NewEncoder(w).Encode(l) writes, trailing newline included.
+func (l *ndjsonLine) appendJSON(b []byte) ([]byte, error) {
+	start := len(b)
+	b = jsonw.String(append(b, `{"path":`...), l.Path)
+	if l.Error != "" {
+		b = jsonw.String(jsonw.Key(b, "error"), l.Error)
+	}
+	if l.Result != nil {
+		var err error
+		if b, err = l.Result.AppendJSON(jsonw.Key(b, "result")); err != nil {
+			return b[:start], err
+		}
+	}
+	return append(b, '}', '\n'), nil
+}
+
 // ndjsonSummary closes a batch stream with the batch totals; Stats is the
 // engine activity the batch itself caused.
 type ndjsonSummary struct {
@@ -104,8 +122,8 @@ type ndjsonSummary struct {
 func runBatch(e *engine.Engine, paths []string, tmpl requestTemplate, out io.Writer) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	enc := json.NewEncoder(out)
 	var sum ndjsonSummary
+	var buf []byte // done is serialized, so one line buffer serves the batch
 	var writeErr error
 	build := func(i int) (*engine.Request, error) {
 		g, err := sdf3x.ReadFile(paths[i])
@@ -130,7 +148,10 @@ func runBatch(e *engine.Engine, paths []string, tmpl requestTemplate, out io.Wri
 		if writeErr != nil {
 			return // out is broken; drain the in-flight tail silently
 		}
-		if writeErr = enc.Encode(line); writeErr != nil {
+		if buf, writeErr = line.appendJSON(buf[:0]); writeErr == nil {
+			_, writeErr = out.Write(buf)
+		}
+		if writeErr != nil {
 			cancel()
 		}
 	})
@@ -143,7 +164,7 @@ func runBatch(e *engine.Engine, paths []string, tmpl requestTemplate, out io.Wri
 	sum.Summary.Graphs = len(paths)
 	sum.Summary.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	sum.Summary.Stats = e.Stats().Delta(before)
-	if err := enc.Encode(sum); err != nil {
+	if err := json.NewEncoder(out).Encode(sum); err != nil {
 		return err
 	}
 	if sum.Summary.Failed > 0 {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -276,6 +277,35 @@ type analyzeResponse struct {
 	Result *engine.Result `json:"result"`
 }
 
+// appendJSON appends the reply's JSON line: the bytes
+// json.NewEncoder(w).Encode(a) writes, trailing newline included.
+func (a analyzeResponse) appendJSON(b []byte) ([]byte, error) {
+	start := len(b)
+	b, err := a.Result.AppendJSON(append(b, `{"result":`...))
+	if err != nil {
+		return b[:start], err
+	}
+	return append(b, '}', '\n'), nil
+}
+
+// replyBufs recycles /analyze reply buffers, as encoding/json recycles
+// its encode states.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeReply writes a 200 /analyze reply. Like json.Encoder before it, it
+// writes no body when the result has no JSON form (a non-finite float).
+func writeReply(w http.ResponseWriter, res *engine.Result) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bp := replyBufs.Get().(*[]byte)
+	b, err := analyzeResponse{Result: res}.appendJSON((*bp)[:0])
+	if err == nil {
+		_, _ = w.Write(b) // a failed write means the client is gone
+	}
+	*bp = b[:0]
+	replyBufs.Put(bp)
+}
+
 // boolParam reports whether a query parameter was set truthily.
 func boolParam(r *http.Request, name string) bool {
 	switch r.URL.Query().Get(name) {
@@ -395,7 +425,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	finishTrace("ok", http.StatusOK)
-	writeJSON(w, http.StatusOK, analyzeResponse{Result: res})
+	writeReply(w, res)
 }
 
 // middlewareRequestID reads the correlation ID the serving middleware
@@ -484,16 +514,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSONIndent(w, http.StatusOK, resp)
 }
 
-// writeJSON writes a compact JSON response — the hot-path encoder behind
-// /analyze, /cluster/evaluate and every error reply. Indentation roughly
-// doubles the bytes (and encoder work) of an /analyze result, so pretty
-// printing is reserved for the human-facing endpoints via writeJSONIndent.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeJSONIndent pretty-prints for endpoints read by humans (/stats,
 // /healthz), where a curl without jq should still be legible.
 func writeJSONIndent(w http.ResponseWriter, code int, v any) {
@@ -513,5 +533,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 			body["requestId"] = id
 		}
 	}
-	writeJSON(w, code, body)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(body)
 }

@@ -104,9 +104,9 @@ func (t *sweepTrace) finish(s *server, status string, code int) {
 }
 
 // handleSweep serves POST /sweep: a parametric sweep spec in, one NDJSON
-// line per scenario out (in completion order, flushed as produced), then a
-// single {"envelope": …} line. Disconnecting mid-stream cancels every
-// scenario still in flight.
+// line per scenario out (in completion order, flushed as produced by a
+// lineStream), then a single {"envelope": …} line. Disconnecting
+// mid-stream cancels every scenario still in flight.
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -143,17 +143,15 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// an envelope-less error line rather than a status change.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	stream := newLineStream(w)
+	var line []byte // emit is serialized, so one line buffer serves the sweep
 	emit := func(p sweep.Point) error {
 		trace.pointDone(p)
-		if err := enc.Encode(p); err != nil {
+		var err error
+		if line, err = p.AppendJSON(line[:0]); err != nil {
 			return err
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return stream.write(line)
 	}
 
 	// The configured analysis timeout applies per scenario, not to the
@@ -161,6 +159,10 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// while one pathological scenario still cannot pin a worker forever.
 	runner := sweep.Runner{Engine: s.e, PointTimeout: s.tmpl.Timeout, MemberContext: trace.memberContext}
 	env, err := runner.Run(r.Context(), x, emit)
+	// The flusher has exited once close returns: the closing line and the
+	// final flush below are the handler's own, as is the writer afterwards.
+	stream.close()
+	enc := json.NewEncoder(w)
 	if err != nil {
 		trace.finish(s, "error", http.StatusInternalServerError)
 		// The client is usually gone (emit error / context cancel); write
@@ -169,13 +171,79 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	trace.finish(s, "ok", http.StatusOK)
-	line := sweepEnvelopeLine{Envelope: env}
+	closing := sweepEnvelopeLine{Envelope: env}
 	if trace != nil {
-		line.TraceID = trace.span.Context().TraceID
+		closing.TraceID = trace.span.Context().TraceID
 	}
-	_ = enc.Encode(line)
-	if flusher != nil {
-		flusher.Flush()
+	_ = enc.Encode(closing)
+	stream.flush()
+}
+
+// lineStream writes a sweep's point lines to a streaming response with
+// group commit. A write appends its line to the response and wakes the
+// stream's flusher goroutine without waiting for it; the flusher flushes
+// everything written so far, so on an idle stream a line goes out as soon
+// as the flusher runs, and lines written while a flush is in progress go
+// out together in the next one. The mutex keeps writes and flushes off the
+// ResponseWriter at the same time.
+type lineStream struct {
+	w       http.ResponseWriter
+	flusher http.Flusher // nil when w cannot flush
+
+	mu   sync.Mutex
+	kick chan struct{} // capacity 1: a pending kick covers every later write
+	done chan struct{} // closed when the flusher goroutine has exited
+}
+
+// newLineStream starts the flusher goroutine when w can flush; close stops
+// it.
+func newLineStream(w http.ResponseWriter) *lineStream {
+	st := &lineStream{w: w}
+	st.flusher, _ = w.(http.Flusher)
+	if st.flusher == nil {
+		return st
+	}
+	st.kick = make(chan struct{}, 1)
+	st.done = make(chan struct{})
+	go func() {
+		defer close(st.done)
+		for range st.kick {
+			st.mu.Lock()
+			st.flusher.Flush()
+			st.mu.Unlock()
+		}
+	}()
+	return st
+}
+
+// write appends one line to the response and kicks the flusher. Writes
+// must not overlap one another or follow close.
+func (st *lineStream) write(line []byte) error {
+	st.mu.Lock()
+	_, err := st.w.Write(line)
+	st.mu.Unlock()
+	if st.kick != nil {
+		select {
+		case st.kick <- struct{}{}:
+		default: // a kick is pending; its flush will carry this line
+		}
+	}
+	return err
+}
+
+// close stops the flusher and returns once it has exited, after the
+// flush a pending kick asked for.
+func (st *lineStream) close() {
+	if st.kick != nil {
+		close(st.kick)
+		<-st.done
+	}
+}
+
+// flush flushes the response synchronously; it is for after close.
+func (st *lineStream) flush() {
+	if st.flusher != nil {
+		st.flusher.Flush()
 	}
 }
 
@@ -210,17 +278,22 @@ func runSweepFile(e *engine.Engine, path string, tmpl requestTemplate, out io.Wr
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(out)
 	// The -timeout budget bounds each scenario, mirroring batch mode's
 	// per-graph deadline; the sweep as a whole runs to completion.
 	runner := sweep.Runner{Engine: e, PointTimeout: tmpl.Timeout}
+	var line []byte
 	env, err := runner.Run(context.Background(), x, func(p sweep.Point) error {
-		return enc.Encode(p)
+		var err error
+		if line, err = p.AppendJSON(line[:0]); err != nil {
+			return err
+		}
+		_, err = out.Write(line)
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	if err := enc.Encode(sweepEnvelopeLine{Envelope: env}); err != nil {
+	if err := json.NewEncoder(out).Encode(sweepEnvelopeLine{Envelope: env}); err != nil {
 		return err
 	}
 	if env.Failed > 0 {

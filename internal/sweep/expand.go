@@ -141,22 +141,27 @@ func (x *Expansion) ParamNames() []string {
 // Values returns scenario i's parameter values in declaration order.
 func (x *Expansion) Values(i int) []int64 {
 	vals := make([]int64, len(x.params))
-	// Row-major decode: the last parameter varies fastest.
-	for k := len(x.params) - 1; k >= 0; k-- {
-		n := len(x.params[k].values)
-		vals[k] = x.params[k].values[i%n]
-		i /= n
+	for k := range vals {
+		vals[k] = x.value(i, k)
 	}
 	return vals
+}
+
+// value returns parameter k's value in scenario i. Scenarios are numbered
+// row-major: the last parameter varies fastest.
+func (x *Expansion) value(i, k int) int64 {
+	for j := len(x.params) - 1; j > k; j-- {
+		i /= len(x.params[j].values)
+	}
+	return x.params[k].values[i%len(x.params[k].values)]
 }
 
 // Assignment returns scenario i's parameter values keyed by name — the
 // wire form of a sweep point.
 func (x *Expansion) Assignment(i int) map[string]int64 {
-	vals := x.Values(i)
-	m := make(map[string]int64, len(vals))
+	m := make(map[string]int64, len(x.params))
 	for k := range x.params {
-		m[x.params[k].name] = vals[k]
+		m[x.params[k].name] = x.value(i, k)
 	}
 	return m
 }
@@ -177,10 +182,9 @@ func (x *Expansion) Materialize(i int) (*csdf.Graph, error) {
 // base's: a scenario that edits no rate shares the base's repetition
 // vector and components, and only its edited sites are validated.
 func (x *Expansion) materialize(i int) (*csdf.Facts, error) {
-	vals := x.Values(i)
-	edits := make([]csdf.Edit, len(vals))
+	edits := make([]csdf.Edit, len(x.params))
 	for k := range x.params {
-		edits[k] = x.params[k].site.edit(vals[k])
+		edits[k] = x.params[k].site.edit(x.value(i, k))
 	}
 	return x.facts.CloneWithEdits(edits...)
 }

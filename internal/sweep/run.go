@@ -4,9 +4,13 @@ import (
 	"context"
 	"math/big"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"kiter/internal/engine"
+	"kiter/internal/jsonw"
+	"kiter/internal/rat"
 )
 
 // Point is one scenario's outcome: its index and parameter assignment plus
@@ -18,6 +22,27 @@ type Point struct {
 	Params   map[string]int64 `json:"params"`
 	Result   *engine.Result   `json:"result,omitempty"`
 	Error    string           `json:"error,omitempty"`
+}
+
+// AppendJSON appends p's NDJSON line to b: the bytes
+// json.NewEncoder(w).Encode(p) writes, trailing newline included, without
+// reflection and without allocating once b has room. On a result float
+// with no JSON form it returns b unchanged with encoding/json's error.
+func (p *Point) AppendJSON(b []byte) ([]byte, error) {
+	start := len(b)
+	b = append(b, `{"scenario":`...)
+	b = jsonw.Int(b, int64(p.Scenario))
+	b = jsonw.IntMap(jsonw.Key(b, "params"), p.Params)
+	if p.Result != nil {
+		var err error
+		if b, err = p.Result.AppendJSON(jsonw.Key(b, "result")); err != nil {
+			return b[:start], err
+		}
+	}
+	if p.Error != "" {
+		b = jsonw.String(jsonw.Key(b, "error"), p.Error)
+	}
+	return append(b, '}', '\n'), nil
 }
 
 // ParetoPoint is one undominated scenario of the envelope's Pareto front.
@@ -80,38 +105,84 @@ type Runner struct {
 	MemberContext func(ctx context.Context, i int) context.Context
 }
 
-// rCmpOrNew compares r to a possibly-nil current bound (0 when unset).
-func rCmpOrNew(r, cur *big.Rat) int {
-	if cur == nil {
-		return 0
-	}
-	return r.Cmp(cur)
-}
-
-// throughputRat parses a result's exact throughput for envelope folding.
-func throughputRat(res *engine.Result) (*big.Rat, bool) {
+// throughputRat parses a result's exact throughput for envelope folding:
+// the "num" or "num/den" rat.Rat.String writes in int64, without
+// allocating, and anything else big.Rat.SetString reads (values beyond
+// int64, other spellings) through math/big.
+func throughputRat(res *engine.Result) (rat.Rat, bool) {
 	t := res.Throughput
 	if t == nil || t.Error != "" || t.Throughput == "" {
-		return nil, false
+		return rat.Rat{}, false
+	}
+	if r, ok := parseInt64Rat(t.Throughput); ok {
+		return r, true
 	}
 	r, ok := new(big.Rat).SetString(t.Throughput)
-	return r, ok
+	if !ok {
+		return rat.Rat{}, false
+	}
+	return rat.FromBig(r), true
+}
+
+// parseInt64Rat parses "num" or "num/den" with num an optionally negative
+// and den a positive decimal, both within int64. It reports false for
+// anything else, which big.Rat.SetString then decides.
+func parseInt64Rat(s string) (rat.Rat, bool) {
+	num, den := s, "1"
+	if i := strings.IndexByte(s, '/'); i >= 0 {
+		num, den = s[:i], s[i+1:]
+	}
+	if !decimal(strings.TrimPrefix(num, "-")) || !decimal(den) {
+		return rat.Rat{}, false
+	}
+	n, err := strconv.ParseInt(num, 10, 64)
+	if err != nil {
+		return rat.Rat{}, false
+	}
+	d, err := strconv.ParseInt(den, 10, 64)
+	if err != nil || d == 0 {
+		return rat.Rat{}, false
+	}
+	return rat.NewRat(n, d), true
+}
+
+// decimal reports whether s is a string of decimal digits without a
+// leading zero, which big.Rat.SetString would read as an octal prefix.
+func decimal(s string) bool {
+	if s == "" || s[0] == '0' && len(s) > 1 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // paretoCand is a Pareto candidate with its throughput already parsed, so
 // finish never re-parses what add validated.
 type paretoCand struct {
 	point ParetoPoint
-	rat   *big.Rat
+	rat   rat.Rat
 }
 
-// fold accumulates the envelope as points complete.
+// fold accumulates the envelope as points complete. min and max are
+// meaningful once ArgMinIndex and ArgMaxIndex are set (non-negative).
 type fold struct {
 	env     Envelope
 	x       *Expansion
-	min     *big.Rat
-	max     *big.Rat
+	min     rat.Rat
+	max     rat.Rat
 	paretos []paretoCand // candidate set; reduced at finish
+}
+
+func newFold(x *Expansion) *fold {
+	f := &fold{x: x}
+	f.env.Scenarios = x.Total()
+	f.env.ArgMinIndex = -1
+	f.env.ArgMaxIndex = -1
+	return f
 }
 
 func (f *fold) add(p Point) {
@@ -129,14 +200,14 @@ func (f *fold) add(p Point) {
 	}
 	// Ties break toward the lowest scenario index so identical specs yield
 	// identical envelopes regardless of completion order.
-	if c := rCmpOrNew(r, f.min); f.min == nil || c < 0 || (c == 0 && p.Scenario < f.env.ArgMinIndex) {
+	if c := r.Cmp(f.min); f.env.ArgMinIndex < 0 || c < 0 || (c == 0 && p.Scenario < f.env.ArgMinIndex) {
 		f.min = r
 		f.env.MinThroughput = p.Result.Throughput.Throughput
 		f.env.MaxPeriod = p.Result.Throughput.Period
 		f.env.ArgMin = p.Params
 		f.env.ArgMinIndex = p.Scenario
 	}
-	if c := rCmpOrNew(r, f.max); f.max == nil || c > 0 || (c == 0 && p.Scenario < f.env.ArgMaxIndex) {
+	if c := r.Cmp(f.max); f.env.ArgMaxIndex < 0 || c > 0 || (c == 0 && p.Scenario < f.env.ArgMaxIndex) {
 		f.max = r
 		f.env.MaxThroughput = p.Result.Throughput.Throughput
 		f.env.MinPeriod = p.Result.Throughput.Period
@@ -147,7 +218,7 @@ func (f *fold) add(p Point) {
 		f.paretos = append(f.paretos, paretoCand{
 			point: ParetoPoint{
 				Scenario:   p.Scenario,
-				Axis:       f.x.Values(p.Scenario)[f.x.paretoAxis],
+				Axis:       f.x.value(p.Scenario, f.x.paretoAxis),
 				Throughput: p.Result.Throughput.Throughput,
 				Params:     p.Params,
 			},
@@ -177,13 +248,13 @@ func (f *fold) finish() {
 		return ps[a].point.Scenario < ps[b].point.Scenario
 	})
 	var front []ParetoPoint
-	var best *big.Rat
+	var best rat.Rat
 	lastAxis := int64(0)
 	for _, c := range ps {
-		if best != nil && c.point.Axis == lastAxis {
+		if len(front) > 0 && c.point.Axis == lastAxis {
 			continue // dominated by the better point at the same axis value
 		}
-		if best == nil || c.rat.Cmp(best) > 0 {
+		if len(front) == 0 || c.rat.Cmp(best) > 0 {
 			front = append(front, c.point)
 			best = c.rat
 			lastAxis = c.point.Axis
@@ -204,10 +275,7 @@ func (r *Runner) Run(ctx context.Context, x *Expansion, emit func(Point) error) 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	f := fold{x: x}
-	f.env.Scenarios = x.Total()
-	f.env.ArgMinIndex = -1
-	f.env.ArgMaxIndex = -1
+	f := newFold(x)
 	before := r.Engine.Stats()
 	start := time.Now()
 
