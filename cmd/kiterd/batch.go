@@ -126,12 +126,12 @@ func runBatch(e *engine.Engine, paths []string, tmpl requestTemplate, out io.Wri
 	var buf []byte // done is serialized, so one line buffer serves the batch
 	var writeErr error
 	build := func(i int) (*engine.Request, error) {
-		g, err := sdf3x.ReadFile(paths[i])
+		f, err := sdf3x.ReadFile(paths[i])
 		if err != nil {
 			return nil, err
 		}
 		return &engine.Request{
-			Graph:           g,
+			Facts:           f,
 			Analyses:        tmpl.Analyses,
 			Method:          tmpl.Method,
 			ApplyCapacities: tmpl.Capacities,

@@ -59,7 +59,8 @@ func decodeAnalyzeOracle(body []byte) (g *csdf.Graph, env *analyzeEnvelope, reqE
 func FuzzDecodeAnalyze(f *testing.F) {
 	f.Add([]byte(`{"graph":{"tasks":[{"name":"a","durations":[1]}]},"method":"kiter"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		g, env, err := sdf3x.ReadRequest(bytes.NewReader(body), int64(len(body)))
+		f, env, err := sdf3x.ReadRequest(bytes.NewReader(body), int64(len(body)))
+		g := f.Graph()
 		wantG, wantEnv, wantReqErr, wantGraphErr := decodeAnalyzeOracle(body)
 		var reqErr *sdf3x.RequestError
 		switch {

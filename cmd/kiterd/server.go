@@ -323,62 +323,14 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
-	// The body is read under the size cap into the pooled decoder's own
-	// buffer, and one pass decodes the envelope and the graph from it.
-	// Envelopes are strict so a typo'd knob ("metod", "anlyses") fails
-	// loudly instead of silently running the defaults; a bare graph body
-	// skips unknown keys.
-	g, env, err := sdf3x.ReadRequest(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
-	if err != nil {
-		var readErr *sdf3x.ReadError
-		var reqErr *sdf3x.RequestError
-		switch {
-		case errors.As(err, &readErr):
-			readError(w, readErr.Err)
-		case errors.As(err, &reqErr):
-			httpError(w, http.StatusBadRequest, "decoding request: %v", reqErr.Err)
-		default:
-			httpError(w, http.StatusBadRequest, "decoding graph: %v", err)
-		}
-		return
-	}
-	var knobs sdf3x.Envelope // a bare graph runs with the template's knobs
-	if env != nil {
-		knobs = *env
-	}
-
-	req := &engine.Request{
-		Graph:           g,
-		Analyses:        s.tmpl.Analyses,
-		Method:          s.tmpl.Method,
-		ApplyCapacities: s.tmpl.Capacities,
-		NoCache:         knobs.NoCache,
-	}
-	if len(knobs.Analyses) > 0 {
-		req.Analyses = nil
-		for _, a := range knobs.Analyses {
-			req.Analyses = append(req.Analyses, engine.AnalysisKind(a))
-		}
-	}
-	if knobs.Method != "" {
-		req.Method = engine.Method(knobs.Method)
-	}
-	if knobs.Capacities != nil {
-		req.ApplyCapacities = *knobs.Capacities
-	}
-
-	ctx := r.Context()
-	if s.tmpl.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.tmpl.Timeout)
-		defer cancel()
-	}
-
 	// A span tree is built exactly when a flight recorder is running
 	// (-trace-buffer > 0); the engine's instrumentation hangs its
 	// submit/solve/analysis children off this root via the context, and —
 	// in a fleet — the span's context rides the forward as a traceparent
 	// header so the owning replica's handler span joins the same tree.
+	// The root opens before the body is read, so the trace covers
+	// decoding and a body that fails to decode still leaves one.
+	ctx := r.Context()
 	var span *telemetry.Span
 	var reqID string
 	if s.obs.recorder != nil {
@@ -397,6 +349,59 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	finishTrace := func(status string, code int) {
 		span.SetString("status", status)
 		s.obs.recorder.Finish(span, "/analyze", s.obs.process, reqID, code)
+	}
+
+	// The body is read under the size cap into the pooled decoder's own
+	// buffer, and one pass decodes the envelope and the graph from it and
+	// validates the graph, whose facts the engine takes as they are.
+	// Envelopes are strict so a typo'd knob ("metod", "anlyses") fails
+	// loudly instead of silently running the defaults; a bare graph body
+	// skips unknown keys.
+	f, env, err := sdf3x.ReadRequest(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+	if err != nil {
+		var readErr *sdf3x.ReadError
+		var reqErr *sdf3x.RequestError
+		code := http.StatusBadRequest
+		switch {
+		case errors.As(err, &readErr):
+			code = readError(w, readErr.Err)
+		case errors.As(err, &reqErr):
+			httpError(w, code, "decoding request: %v", reqErr.Err)
+		default:
+			httpError(w, code, "decoding graph: %v", err)
+		}
+		finishTrace("error", code)
+		return
+	}
+	var knobs sdf3x.Envelope // a bare graph runs with the template's knobs
+	if env != nil {
+		knobs = *env
+	}
+
+	req := &engine.Request{
+		Facts:           f,
+		Analyses:        s.tmpl.Analyses,
+		Method:          s.tmpl.Method,
+		ApplyCapacities: s.tmpl.Capacities,
+		NoCache:         knobs.NoCache,
+	}
+	if len(knobs.Analyses) > 0 {
+		req.Analyses = nil
+		for _, a := range knobs.Analyses {
+			req.Analyses = append(req.Analyses, engine.AnalysisKind(a))
+		}
+	}
+	if knobs.Method != "" {
+		req.Method = engine.Method(knobs.Method)
+	}
+	if knobs.Capacities != nil {
+		req.ApplyCapacities = *knobs.Capacities
+	}
+
+	if s.tmpl.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.tmpl.Timeout)
+		defer cancel()
 	}
 
 	res, err := s.e.Submit(ctx, req)
@@ -455,15 +460,16 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	return body, true
 }
 
-// readError writes the response for a failed read of a capped body: 413
-// when the cap was hit, 400 otherwise.
-func readError(w http.ResponseWriter, err error) {
+// readError writes the response for a failed read of a capped body, 413
+// when the cap was hit and 400 otherwise, and returns its status.
+func readError(w http.ResponseWriter, err error) int {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", mbe.Limit)
-		return
+		return http.StatusRequestEntityTooLarge
 	}
 	httpError(w, http.StatusBadRequest, "reading body: %v", err)
+	return http.StatusBadRequest
 }
 
 // handleHealthz serves both probes. The plain GET /healthz is liveness —

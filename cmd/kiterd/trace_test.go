@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"kiter/internal/faultinject"
@@ -183,5 +185,32 @@ func TestFleetStitchedTrace(t *testing.T) {
 	if !severed || !fellBack {
 		t.Fatalf("severed forwards left no explanation: chaos.severed=%v fallback.local=%v",
 			severed, fellBack)
+	}
+}
+
+// TestMalformedAnalyzeTraced checks that the /analyze root span opens
+// before the body is read, so decoding is traced: a body that is not JSON
+// and one whose graph fails validation each leave an errored trace in
+// the flight recorder, with status 400, under the ID the reply names.
+func TestMalformedAnalyzeTraced(t *testing.T) {
+	srv := newObsServer(t)
+	for _, body := range []string{`{"tasks": [`, `{"tasks": [{"name": "a", "durations": []}]}`} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, rec.Code)
+		}
+		tid := rec.Header().Get(traceIDHeader)
+		if tid == "" {
+			t.Fatalf("%s: no %s on the reply", body, traceIDHeader)
+		}
+		recs := getTrace(t, srv, tid)
+		if len(recs) != 1 {
+			t.Fatalf("%s: trace %s has %d records, want 1", body, tid, len(recs))
+		}
+		r := recs[0]
+		if r.Endpoint != "/analyze" || r.Status != http.StatusBadRequest || !r.Error || r.Root == nil || r.Root.Attrs["status"] != "error" {
+			t.Fatalf("%s: recorded %+v, want an errored /analyze trace with status 400", body, r)
+		}
 	}
 }

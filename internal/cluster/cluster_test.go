@@ -36,7 +36,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decodeRequest: %v", err)
 	}
-	if req.Graph.FingerprintHex() != g.FingerprintHex() {
+	if req.Facts.Graph().FingerprintHex() != g.FingerprintHex() {
 		t.Fatal("graph fingerprint changed across the wire")
 	}
 	if req.Method != engine.MethodKIter || !req.ApplyCapacities || !req.NoCache {
@@ -185,7 +185,7 @@ func TestForwardRetryThenBreakerOpens(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", resultContentType)
-		w.Write(resultcodec.Encode(&engine.Result{Fingerprint: req.Graph.FingerprintHex()}))
+		w.Write(resultcodec.Encode(&engine.Result{Fingerprint: req.Facts.Graph().FingerprintHex()}))
 	})
 	peer := httptest.NewServer(mux)
 	defer peer.Close()
@@ -280,7 +280,7 @@ func TestJSONAnswerFailsOver(t *testing.T) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(&engine.Result{
-			Fingerprint: req.Graph.FingerprintHex(),
+			Fingerprint: req.Facts.Graph().FingerprintHex(),
 			Throughput:  &engine.ThroughputResult{Period: "424242", Optimal: true},
 		})
 	})

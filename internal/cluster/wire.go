@@ -61,7 +61,7 @@ func encodeJob(job *engine.DispatchJob) ([]byte, error) {
 // back to local evaluation) rather than silently dropping a knob — and a
 // body without a "graph" key is rejected.
 func decodeRequest(r io.Reader, sizeHint int64) (*engine.Request, error) {
-	g, env, err := sdf3x.ReadRequest(r, sizeHint)
+	f, env, err := sdf3x.ReadRequest(r, sizeHint)
 	var readErr *sdf3x.ReadError
 	var reqErr *sdf3x.RequestError
 	switch {
@@ -75,7 +75,7 @@ func decodeRequest(r io.Reader, sizeHint int64) (*engine.Request, error) {
 		return nil, errors.New(`cluster: decoding request: no "graph" key`)
 	}
 	req := &engine.Request{
-		Graph:           g,
+		Facts:           f,
 		Method:          engine.Method(env.Method),
 		ApplyCapacities: env.Capacities != nil && *env.Capacities,
 		NoCache:         env.NoCache,

@@ -1,14 +1,17 @@
 package csdf_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"kiter/internal/csdf"
 	"kiter/internal/gen"
+	"kiter/internal/sdf3x"
 )
 
 // repetitionGraphs returns the graphs of TestRepetitionInt64MatchesBig:
@@ -217,5 +220,128 @@ func TestFactsAfterEdits(t *testing.T) {
 	if rateChanges < 20 || merged < 20 || invalid < 20 {
 		t.Fatalf("%d rate edits changed q, %d capacity sets merged components, %d edit sets were invalid: the mix no longer covers every path",
 			rateChanges, merged, invalid)
+	}
+}
+
+// TestDecodedFactsConcurrent decodes the Table 1 graphs (the four suites
+// gengraph writes, at its default seed) and the random, inconsistent and
+// overflowing graphs of repetitionGraphs, each with a capacity on every
+// buffer, and reads the facts the decoder returned, and those of the
+// bounded graph derived from them, from many goroutines at once, half of
+// them through a clone that shares the facts. Every reader must see the
+// repetition vector (or error) that RepetitionVectorBig finds and the
+// components of facts computed alone, one read at a time, before the
+// readers start. Run it under -race: the facts are computed on first
+// use, by whichever reader comes first.
+func TestDecodedFactsConcurrent(t *testing.T) {
+	graphs := repetitionGraphs(t)
+	for _, s := range []gen.Suite{gen.ActualDSP(), gen.MimicDSP(10, 1), gen.LgHSDF(3, 1001), gen.LgTransient(3, 2001)} {
+		graphs = append(graphs, s.Graphs...)
+	}
+	const readers = 8
+	var inconsistent, overflow int
+	for _, g := range graphs {
+		var buf bytes.Buffer
+		if err := sdf3x.WriteJSON(&buf, g.ScaleCapacities(1)); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := sdf3x.ReadFacts(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		bounded, err := decoded.WithCapacities()
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		for _, f := range []*csdf.Facts{decoded, bounded} {
+			want, err := csdf.NewFacts(f.Graph())
+			if err != nil {
+				t.Fatalf("%s: %v", f.Graph().Name, err)
+			}
+			q, qErr := want.Repetition()
+			want.SCCs()
+			big, bigErr := f.Graph().RepetitionVectorBig()
+			fits := bigErr == nil
+			for _, v := range big {
+				fits = fits && v.IsInt64()
+			}
+			switch {
+			case bigErr != nil:
+				inconsistent++
+				if qErr == nil || qErr.Error() != bigErr.Error() {
+					t.Fatalf("%s: err %v, RepetitionVectorBig %v", f.Graph().Name, qErr, bigErr)
+				}
+			case !fits:
+				overflow++
+				if !errors.Is(qErr, csdf.ErrRepetitionOverflow) {
+					t.Fatalf("%s: err %v for a vector beyond int64", f.Graph().Name, qErr)
+				}
+			default:
+				for i, v := range big {
+					if qErr != nil || q[i] != v.Int64() {
+						t.Fatalf("%s: q = %v (%v), RepetitionVectorBig %v", f.Graph().Name, q, qErr, big)
+					}
+				}
+			}
+			clone, err := f.CloneWithEdits(csdf.SetDuration(0, 0, f.Graph().Task(0).Durations[0]))
+			if err != nil {
+				t.Fatalf("%s: %v", f.Graph().Name, err)
+			}
+			diffs := make([]string, readers)
+			var wg sync.WaitGroup
+			for i := range diffs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if i%2 == 0 {
+						diffs[i] = sameFacts(f, want)
+					} else {
+						diffs[i] = sameFacts(clone, want)
+					}
+				}()
+			}
+			wg.Wait()
+			for _, d := range diffs {
+				if d != "" {
+					t.Fatalf("%s: %s", f.Graph().Name, d)
+				}
+			}
+		}
+	}
+	if inconsistent < 100 || overflow < 10 {
+		t.Fatalf("%d inconsistent and %d overflowing graphs: the mix no longer covers every path", inconsistent, overflow)
+	}
+}
+
+// TestFactsAreLazy pins that building facts computes none of them:
+// NewFacts and Assemble allocate one object, the facts, and the facts of
+// a clone or of the bounded graph one object more than the graph they
+// describe. A repetition vector or components computed up front would
+// allocate their slices on every call.
+func TestFactsAreLazy(t *testing.T) {
+	g := gen.Figure2().ScaleCapacities(1)
+	f, err := csdf.NewFacts(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := []csdf.Task{{Name: "a", Durations: []int64{1}}, {Name: "b", Durations: []int64{2}}}
+	buffers := []csdf.Buffer{
+		{Src: 0, Dst: 1, In: []int64{1}, Out: []int64{1}},
+		{Src: 1, Dst: 0, In: []int64{1}, Out: []int64{1}, Initial: 1},
+	}
+	edit := csdf.SetDuration(0, 0, 7)
+	for _, c := range []struct {
+		name        string
+		build, base func()
+	}{
+		{"NewFacts", func() { csdf.NewFacts(g) }, func() {}},
+		{"Assemble", func() { csdf.Assemble("ab", tasks, buffers) }, func() {}},
+		{"CloneWithEdits", func() { f.CloneWithEdits(edit) }, func() { g.CloneWithEdits(edit) }},
+		{"WithCapacities", func() { f.WithCapacities() }, func() { g.WithCapacities() }},
+	} {
+		got, graph := testing.AllocsPerRun(20, c.build), testing.AllocsPerRun(20, c.base)
+		if got != graph+1 {
+			t.Errorf("%s allocates %.0f objects, want %.0f for the graph and 1 for the facts", c.name, got, graph)
+		}
 	}
 }

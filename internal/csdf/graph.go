@@ -17,10 +17,10 @@
 // The package provides the graph builder, structural validation, the
 // repetition vector (consistency), capacity-constrained buffer modelling,
 // statistics and DOT export. All analyses in the sibling packages consume
-// this representation. Facts bundles what every analysis of one graph
-// needs first — the validated graph, its repetition vector and its task
-// SCCs — so that it is computed once per graph, and derived without
-// recomputation for a clone that edits durations or initial tokens.
+// this representation. Facts stand for a graph validated once, where it
+// enters the program, and compute what every analysis of it needs first —
+// its repetition vector and its task SCCs — once, on first use; a clone
+// that edits durations or initial tokens shares them.
 package csdf
 
 import (
@@ -106,21 +106,27 @@ func NewGraph(name string) *Graph {
 	return &Graph{Name: name}
 }
 
-// Assemble returns a validated graph over tasks and buffers. It takes
-// ownership of both slices and of the duration and rate slices they hold,
-// where AddTask and AddBuffer copy each one; element i gets ID i.
-func Assemble(name string, tasks []Task, buffers []Buffer) (*Graph, error) {
-	g := &Graph{Name: name, tasks: tasks, buffers: buffers}
+// Assemble validates the graph over tasks and buffers and returns its
+// facts. It takes ownership of both slices and of the duration and rate
+// slices they hold, where AddTask and AddBuffer copy each one; element i
+// gets ID i. The graph and its facts share one allocation.
+func Assemble(name string, tasks []Task, buffers []Buffer) (*Facts, error) {
+	fg := &struct {
+		f Facts
+		l lazy
+		g Graph
+	}{g: Graph{Name: name, tasks: tasks, buffers: buffers}}
 	for i := range tasks {
 		tasks[i].ID = TaskID(i)
 	}
 	for i := range buffers {
 		buffers[i].ID = BufferID(i)
 	}
-	if err := g.Validate(); err != nil {
+	if err := fg.g.Validate(); err != nil {
 		return nil, err
 	}
-	return g, nil
+	fg.f = Facts{g: &fg.g, lazy: &fg.l}
+	return &fg.f, nil
 }
 
 // AddTask appends a task with the given per-phase durations and returns its

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"kiter/internal/csdf"
 	"kiter/internal/faultinject"
@@ -20,7 +21,8 @@ import (
 // schedule and the sizing analyses.
 var analysisOrder = []AnalysisKind{AnalysisSymbolic, AnalysisThroughput, AnalysisSchedule, AnalysisSizing}
 
-// evaluate runs every requested analysis of a prepared request. Analysis
+// evaluate runs every requested analysis of a prepared request on the
+// graph its facts describe, which every analysis shares. Analysis
 // failures land in the per-section Error fields (they are deterministic
 // and cacheable); only context cancellation aborts the whole job.
 func (e *Engine) evaluate(ctx context.Context, req *Request) (*Result, error) {
@@ -30,26 +32,15 @@ func (e *Engine) evaluate(ctx context.Context, req *Request) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Fingerprint: req.fingerprintHint}
-	if res.Fingerprint == "" {
-		res.Fingerprint = req.Graph.FingerprintHex()
-	}
-	// Every analysis of the job shares one set of graph facts.
-	f, err := jobFacts(req)
-	if err != nil {
-		return nil, err
-	}
-	requested := map[AnalysisKind]bool{}
-	for _, a := range req.Analyses {
-		requested[a] = true
-	}
+	f := req.Facts
 	// The schedule and sizing sections derive from one schedule, built by
 	// whichever of them runs first.
 	var ks *kSchedule
 	for _, a := range analysisOrder {
-		if !requested[a] {
+		if !slices.Contains(req.Analyses, a) {
 			continue
 		}
-		actx, aspan := telemetry.StartSpan(ctx, "analysis."+string(a))
+		actx, aspan := telemetry.StartSpan(ctx, analysisSpans[a])
 		var err error
 		switch a {
 		case AnalysisThroughput:
@@ -60,9 +51,9 @@ func (e *Engine) evaluate(ctx context.Context, req *Request) (*Result, error) {
 			}
 			if err == nil {
 				if a == AnalysisSchedule {
-					res.Schedule = ks.scheduleSection(req.Graph)
+					res.Schedule = ks.scheduleSection(f.Graph())
 				} else {
-					res.Sizing = ks.sizingSection(req.Graph)
+					res.Sizing = ks.sizingSection(f.Graph())
 				}
 			}
 		case AnalysisSymbolic:
@@ -86,21 +77,6 @@ func sectionErr(ctx context.Context, err error) (string, error) {
 		return "", err
 	}
 	return err.Error(), nil
-}
-
-// jobFacts returns the facts of req.Graph: the request's own, the
-// bounded graph's derived from the facts of the graph before capacities
-// were applied, or else computed afresh. The derived facts describe an
-// equal bounded graph of their own, which the analyses read in place of
-// req.Graph.
-func jobFacts(req *Request) (*csdf.Facts, error) {
-	switch {
-	case req.Facts != nil && req.Facts.Graph() == req.Graph:
-		return req.Facts, nil
-	case req.unboundedFacts != nil:
-		return req.unboundedFacts.WithCapacities()
-	}
-	return csdf.NewFacts(req.Graph)
 }
 
 // throughputFromSymbolic reuses an already-computed symbolic section as

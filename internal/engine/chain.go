@@ -54,7 +54,7 @@ func (e *Engine) autoThroughput(ctx context.Context, f *csdf.Facts, skipSymbolic
 // — under the default method each chain step that runs leaves one such
 // record.
 func (e *Engine) runMethod(ctx context.Context, f *csdf.Facts, m Method) (*ThroughputResult, error) {
-	mctx, span := telemetry.StartSpan(ctx, "solve."+string(m))
+	mctx, span := telemetry.StartSpan(ctx, methodNames[m].span)
 	start := time.Now()
 	tr, err := e.runMethodInner(mctx, f, m)
 	e.met.solve.With(string(m)).Observe(time.Since(start).Seconds())
@@ -97,7 +97,7 @@ func (e *Engine) runMethodInner(ctx context.Context, f *csdf.Facts, m Method) (*
 	// Chaos seam: "solver.<method>" faults one method — under the default
 	// method an injected error or panic here fails that chain step and the
 	// next one answers, so the job still succeeds.
-	if err := faultinject.Fire("solver." + string(m)); err != nil {
+	if err := faultinject.Fire(methodNames[m].point); err != nil {
 		return nil, err
 	}
 	switch m {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kiter/internal/csdf"
 	"kiter/internal/kperiodic"
 	"kiter/internal/symbexec"
 	"kiter/internal/telemetry"
@@ -208,7 +209,7 @@ func (e *Engine) Close() {
 	})
 }
 
-// Submit analyzes req.Graph, deduplicating against identical in-flight
+// Submit analyzes the request's graph, deduplicating against identical in-flight
 // submissions and memoizing completed results. It blocks until the result
 // is available, ctx is done, or the engine is closed/overloaded. The
 // returned Result must be treated as immutable.
@@ -221,12 +222,12 @@ func (e *Engine) Close() {
 // leader's Submit returns ctx.Err() only once that evaluation has ended.
 func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	e.stats.submitted.Add(1)
-	if req == nil || req.Graph == nil {
+	if req == nil || (req.Graph == nil && req.Facts == nil) {
 		return nil, errors.New("engine: nil request or graph")
 	}
 	analyses := req.normalize()
 	for _, a := range analyses {
-		if !knownAnalyses[a] {
+		if !ValidAnalysis(a) {
 			return nil, fmt.Errorf("engine: unknown analysis %q", a)
 		}
 	}
@@ -234,16 +235,19 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	if method == "" || method == MethodRace {
 		method = MethodAuto
 	}
-	if !knownMethods[method] {
+	if !ValidMethod(method) {
 		return nil, fmt.Errorf("engine: unknown method %q", method)
 	}
 	facts := req.Facts
-	if facts == nil || facts.Graph() != req.Graph {
-		facts = nil
-		if err := req.Graph.Validate(); err != nil {
+	var err error
+	if facts == nil {
+		if facts, err = csdf.NewFacts(req.Graph); err != nil {
 			return nil, err
 		}
+	} else if req.Graph != nil && req.Graph != facts.Graph() {
+		return nil, errors.New("engine: request Graph and Facts describe different graphs")
 	}
+	g := facts.Graph()
 	select {
 	case <-e.closed:
 		return nil, ErrClosed
@@ -252,22 +256,19 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 
 	// The prepared request the workers see: capacities applied up front
 	// so the fingerprint keys the structure that is actually analyzed.
+	// The bounded graph's facts are derived lazily from g's, so a
+	// cache hit computes none.
+	if req.ApplyCapacities {
+		if facts, err = facts.WithCapacities(); err != nil {
+			return nil, fmt.Errorf("engine: applying capacities: %w", err)
+		}
+	}
 	prepared := &Request{
-		Graph:    req.Graph,
 		Analyses: analyses,
 		Method:   method,
 		Facts:    facts,
 	}
-	if req.ApplyCapacities {
-		bounded, err := req.Graph.WithCapacities()
-		if err != nil {
-			return nil, fmt.Errorf("engine: applying capacities: %w", err)
-		}
-		// The bounded graph's facts are derived from req.Graph's only
-		// when a job evaluates it, so a cache hit computes none.
-		prepared.Graph, prepared.Facts, prepared.unboundedFacts = bounded, nil, facts
-	}
-	fingerprint := prepared.Graph.FingerprintHex()
+	fingerprint := facts.Graph().FingerprintHex()
 	// Method only affects the throughput analysis: keep it out of the
 	// key otherwise, so identical non-throughput work coalesces and
 	// caches regardless of the (irrelevant) method a caller picked.
@@ -295,7 +296,7 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		if ok {
 			e.stats.cacheHits.Add(1)
 			out := res.shallowCopy()
-			out.Graph = req.Graph.Name
+			out.Graph = g.Name
 			out.CacheHit = true
 			return out, nil
 		}
@@ -355,7 +356,7 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		var djob *DispatchJob
 		if e.cfg.Dispatcher != nil && !req.NoForward {
 			djob = &DispatchJob{
-				Graph:           req.Graph,
+				Graph:           g,
 				Analyses:        analyses,
 				Method:          method,
 				ApplyCapacities: req.ApplyCapacities,
@@ -388,7 +389,7 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 			return nil, c.err
 		}
 		out := c.res.shallowCopy()
-		out.Graph = req.Graph.Name
+		out.Graph = g.Name
 		out.Deduped = !leader
 		return out, nil
 	case <-ctx.Done():

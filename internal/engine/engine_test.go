@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -603,11 +604,10 @@ func TestEvictionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSubmitFacts checks the facts a caller hands in: facts that describe
-// the request's graph give the answer the engine computes without them,
-// with and without capacities applied, and facts of another graph are
-// ignored, so an invalid graph is still rejected and a valid one is
-// analyzed with its own repetition vector.
+// TestSubmitFacts checks the facts a caller hands in: facts, alone or
+// with the graph they describe, give the answer the engine computes from
+// the graph alone, with and without capacities applied, and a request
+// whose Graph and Facts disagree is rejected.
 func TestSubmitFacts(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, CacheCapacity: -1})
 	facts := func(g *csdf.Graph) *csdf.Facts {
@@ -619,7 +619,6 @@ func TestSubmitFacts(t *testing.T) {
 	}
 	fig2 := gen.Figure2()
 	bounded := fig2.ScaleCapacities(1)
-	ring := gen.HSDFRing(3, []int64{2, 5, 1}, 1)
 	analyses := []AnalysisKind{AnalysisThroughput, AnalysisSchedule, AnalysisSymbolic}
 	for _, c := range []struct {
 		name       string
@@ -627,11 +626,12 @@ func TestSubmitFacts(t *testing.T) {
 		f          *csdf.Facts
 		capacities bool
 	}{
-		{"own facts", fig2, facts(fig2), false},
-		{"own facts, capacities", bounded, facts(bounded), true},
-		{"another graph's facts", ring, facts(fig2), false},
+		{"graph and facts", fig2, facts(fig2), false},
+		{"facts alone", nil, facts(fig2), false},
+		{"graph and facts, capacities", bounded, facts(bounded), true},
+		{"facts alone, capacities", nil, facts(bounded), true},
 	} {
-		want, err := e.Submit(context.Background(), &Request{Graph: c.g, Analyses: analyses, ApplyCapacities: c.capacities})
+		want, err := e.Submit(context.Background(), &Request{Graph: c.f.Graph(), Analyses: analyses, ApplyCapacities: c.capacities})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -640,20 +640,55 @@ func TestSubmitFacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Throughput, want.Throughput) || !reflect.DeepEqual(got.Schedule, want.Schedule) ||
-			!reflect.DeepEqual(got.Symbolic, want.Symbolic) || got.Fingerprint != want.Fingerprint {
+			!reflect.DeepEqual(got.Symbolic, want.Symbolic) || got.Fingerprint != want.Fingerprint || got.Graph != want.Graph {
 			t.Errorf("%s: %+v %+v, want %+v %+v", c.name, got.Throughput, got.Schedule, want.Throughput, want.Schedule)
 		}
 	}
-	if _, err := e.Submit(context.Background(), &Request{Graph: csdf.NewGraph("empty"), Facts: facts(fig2)}); err == nil {
-		t.Error("an invalid graph with another graph's facts was accepted")
+	for _, g := range []*csdf.Graph{csdf.NewGraph("empty"), gen.HSDFRing(3, []int64{2, 5, 1}, 1)} {
+		if _, err := e.Submit(context.Background(), &Request{Graph: g, Facts: facts(fig2)}); err == nil {
+			t.Errorf("graph %q with another graph's facts was accepted", g.Name)
+		}
+	}
+}
+
+// TestSubmitKeepsAnalyses checks that Submit never modifies the caller's
+// analysis list, whether it repeats a kind, is out of order, is already
+// canonical or is empty, and that lists naming the same kinds share one
+// cache entry.
+func TestSubmitKeepsAnalyses(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1})
+	g := gen.Figure2()
+	for i, c := range []struct {
+		analyses []AnalysisKind
+		hit      bool
+	}{
+		{[]AnalysisKind{AnalysisThroughput, AnalysisSchedule, AnalysisThroughput}, false},
+		{[]AnalysisKind{AnalysisSchedule, AnalysisThroughput}, true},
+		{nil, false},
+		{[]AnalysisKind{AnalysisThroughput}, true},
+	} {
+		before := slices.Clone(c.analyses)
+		res, err := e.Submit(context.Background(), &Request{Graph: g, Analyses: c.analyses})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(c.analyses, before) || (c.analyses == nil) != (before == nil) {
+			t.Errorf("case %d: Submit changed the analysis list %v to %v", i, before, c.analyses)
+		}
+		if res.CacheHit != c.hit {
+			t.Errorf("case %d: cacheHit = %v, want %v", i, res.CacheHit, c.hit)
+		}
 	}
 }
 
 // TestCapacitiesCacheHitComputesNoFacts checks that a cache hit stays
 // free of graph facts when capacities are applied: the bounded graph's
-// facts are derived only when a job evaluates it, so a hit whose request
-// carries facts allocates no more than one that carries none and is
-// validated instead.
+// facts are derived only when a job evaluates it. The baseline is a hit
+// on the bounded graph's own facts, which Submit uses as they are and,
+// however eager, computes at most once; a capacities hit may allocate
+// only that and the facts it builds, for the bounded graph and, when the
+// request carries none, for the graph. A repetition vector or components
+// computed on Submit would allocate on every hit.
 func TestCapacitiesCacheHitComputesNoFacts(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1})
 	g := gen.Figure2().ScaleCapacities(1)
@@ -661,8 +696,11 @@ func TestCapacitiesCacheHitComputesNoFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit := func(f *csdf.Facts) float64 {
-		req := &Request{Graph: g, Facts: f, ApplyCapacities: true}
+	boundedFacts, err := f.WithCapacities()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := func(req *Request) float64 {
 		submit := func() {
 			res, err := e.Submit(context.Background(), req)
 			if err != nil {
@@ -675,11 +713,18 @@ func TestCapacitiesCacheHitComputesNoFacts(t *testing.T) {
 		submit()
 		return testing.AllocsPerRun(50, submit)
 	}
-	if _, err := e.Submit(context.Background(), &Request{Graph: g, ApplyCapacities: true}); err != nil {
-		t.Fatal(err)
+	for _, req := range []*Request{{Graph: g, ApplyCapacities: true}, {Facts: boundedFacts}} {
+		if _, err := e.Submit(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
 	}
-	without, with := hit(nil), hit(f)
-	if with > without {
-		t.Errorf("a capacities cache hit allocates %.0f objects with facts, %.0f without", with, without)
+	base := hit(&Request{Facts: boundedFacts})
+	bound := testing.AllocsPerRun(20, func() { f.WithCapacities() })
+	validate := testing.AllocsPerRun(20, func() { csdf.NewFacts(g) })
+	if with := hit(&Request{Facts: f, ApplyCapacities: true}); with > base+bound {
+		t.Errorf("a capacities cache hit with facts allocates %.0f objects, want ≤ %.0f + %.0f", with, base, bound)
+	}
+	if without := hit(&Request{Graph: g, ApplyCapacities: true}); without > base+validate+bound {
+		t.Errorf("a capacities cache hit without facts allocates %.0f objects, want ≤ %.0f + %.0f + %.0f", without, base, validate, bound)
 	}
 }

@@ -80,7 +80,7 @@ func (e *Engine) safeLaunch(j *job, djob *DispatchJob) {
 func (e *Engine) safeRunMethod(ctx context.Context, f *csdf.Facts, m Method) (tr *ThroughputResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			tr, err = nil, e.recoveredPanic(ctx, "solve."+string(m), v)
+			tr, err = nil, e.recoveredPanic(ctx, methodNames[m].span, v)
 		}
 	}()
 	return e.runMethod(ctx, f, m)

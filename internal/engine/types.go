@@ -33,12 +33,13 @@ const (
 	AnalysisSymbolic AnalysisKind = "symbolic"
 )
 
-// knownAnalyses lists every valid kind.
-var knownAnalyses = map[AnalysisKind]bool{
-	AnalysisThroughput: true,
-	AnalysisSchedule:   true,
-	AnalysisSizing:     true,
-	AnalysisSymbolic:   true,
+// analysisSpans maps every valid kind to the trace span its analysis runs
+// under, named once so that an evaluation builds none.
+var analysisSpans = map[AnalysisKind]string{
+	AnalysisThroughput: "analysis.throughput",
+	AnalysisSchedule:   "analysis.schedule",
+	AnalysisSizing:     "analysis.sizing",
+	AnalysisSymbolic:   "analysis.symbolic",
 }
 
 // Method selects the throughput evaluation strategy.
@@ -64,28 +65,33 @@ const (
 	MethodSymbolic Method = "symbolic"
 )
 
-// knownMethods lists every valid method.
-var knownMethods = map[Method]bool{
-	MethodAuto:      true,
-	MethodRace:      true,
-	MethodKIter:     true,
-	MethodPeriodic:  true,
-	MethodExpansion: true,
-	MethodSymbolic:  true,
+// methodNames maps every method with a solver of its own (all but the
+// default) to the solver's trace span and fault-injection point, named
+// once so that an evaluation builds neither.
+var methodNames = map[Method]struct{ span, point string }{
+	MethodKIter:     {"solve.kiter", "solver.kiter"},
+	MethodPeriodic:  {"solve.periodic", "solver.periodic"},
+	MethodExpansion: {"solve.expansion", "solver.expansion"},
+	MethodSymbolic:  {"solve.symbolic", "solver.symbolic"},
 }
 
 // ValidAnalysis reports whether a names a known analysis — for front-ends
 // that want to fail fast on configuration instead of per submission.
-func ValidAnalysis(a AnalysisKind) bool { return knownAnalyses[a] }
+func ValidAnalysis(a AnalysisKind) bool { return analysisSpans[a] != "" }
 
 // ValidMethod reports whether m names a known throughput method.
-func ValidMethod(m Method) bool { return knownMethods[m] }
+func ValidMethod(m Method) bool {
+	return m == MethodAuto || m == MethodRace || methodNames[m].span != ""
+}
 
 // Request is one unit of work for the engine.
 type Request struct {
-	// Graph is the graph to analyze. The engine treats it as immutable.
+	// Graph is the graph to analyze when Facts are not set; Submit
+	// validates it. The engine treats it as immutable.
 	Graph *csdf.Graph
 	// Analyses lists the requested analyses (default: throughput only).
+	// Submit never modifies it, and keeps a sorted list without
+	// duplicates as it is, so it must not change while in use.
 	Analyses []AnalysisKind
 	// Method selects the throughput strategy (default: auto). It only
 	// affects the throughput analysis.
@@ -101,17 +107,11 @@ type Request struct {
 	// forwarding loops impossible) even when replicas' health views
 	// diverge about a key's owner.
 	NoForward bool
-	// Facts, when they describe Graph, spare the engine validating it
-	// and computing its repetition vector and components again: a sweep
-	// derives every scenario's facts from its base graph's. Facts for any
-	// other graph are ignored. Without them the engine validates Graph on
-	// Submit and computes its facts only when a job evaluates it.
+	// Facts stand for the validated graph to analyze, which Submit then
+	// does not validate again: decoders return the facts of the graph
+	// they validated, and a sweep derives each scenario's from its base
+	// graph's. Graph may be left nil; set, it must be Facts.Graph().
 	Facts *csdf.Facts
-
-	// unboundedFacts, set by Submit on a prepared request whose Graph
-	// has capacities applied, are the facts of the graph before; evaluate
-	// derives the bounded graph's facts from them.
-	unboundedFacts *csdf.Facts
 	// cacheKeyHint and fingerprintHint are filled by Submit on the
 	// prepared request handed to workers, so the hash is computed once.
 	cacheKeyHint    string
@@ -206,15 +206,25 @@ func (r *Result) shallowCopy() *Result {
 	return &c
 }
 
+// defaultAnalyses is the analysis list of a request that names none.
+var defaultAnalyses = []AnalysisKind{AnalysisThroughput}
+
 // normalize applies defaults and returns the deduplicated, sorted analysis
-// list (the canonical form used in cache keys).
+// list (the canonical form used in cache keys), copying only a list that
+// is not in that form already.
 func (req *Request) normalize() []AnalysisKind {
-	if len(req.Analyses) == 0 {
-		return []AnalysisKind{AnalysisThroughput}
+	as := req.Analyses
+	if len(as) == 0 {
+		return defaultAnalyses
 	}
-	out := slices.Clone(req.Analyses)
-	slices.Sort(out)
-	return slices.Compact(out)
+	for i := 1; i < len(as); i++ {
+		if as[i-1] >= as[i] {
+			out := slices.Clone(as)
+			slices.Sort(out)
+			return slices.Compact(out)
+		}
+	}
+	return as
 }
 
 // cacheKey derives the memoization key: structural fingerprint plus every

@@ -17,11 +17,11 @@ func TestWriteSuiteRoundTrip(t *testing.T) {
 		t.Fatalf("wrote %d files for %d graphs", len(paths), len(suite.Graphs))
 	}
 	for i, p := range paths {
-		g, err := sdf3x.ReadFile(p)
+		f, err := sdf3x.ReadFile(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if g.Fingerprint() != suite.Graphs[i].Fingerprint() {
+		if f.Graph().Fingerprint() != suite.Graphs[i].Fingerprint() {
 			t.Fatalf("%s: round trip changed the structure", p)
 		}
 	}

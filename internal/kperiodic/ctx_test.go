@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"kiter/internal/csdf"
 	"kiter/internal/gen"
 	"kiter/internal/kperiodic"
 )
@@ -22,22 +23,29 @@ func TestKIterCtxCancelled(t *testing.T) {
 }
 
 func TestEvaluateKCtxCancelled(t *testing.T) {
+	f, err := csdf.NewFacts(gen.Figure2())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := kperiodic.Evaluate1Ctx(ctx, gen.Figure2(), kperiodic.Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := kperiodic.Evaluate1Facts(ctx, f, kperiodic.Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestScheduleKCtxCancelled(t *testing.T) {
-	g := gen.Figure2()
-	K := make([]int64, g.NumTasks())
+	f, err := csdf.NewFacts(gen.Figure2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	K := make([]int64, f.Graph().NumTasks())
 	for i := range K {
 		K[i] = 1
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := kperiodic.ScheduleKCtx(ctx, g, K, kperiodic.Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := kperiodic.ScheduleKFacts(ctx, f, K, kperiodic.Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -249,22 +249,16 @@ func (ev *evaluation) toEvaluation() *Evaluation {
 // the multiplicity condition; otherwise EvaluateK reports the infeasibility
 // as ErrInfeasibleK, since a larger K may still admit a schedule.
 func EvaluateK(g *csdf.Graph, K []int64, opt Options) (*Evaluation, error) {
-	return EvaluateKCtx(context.Background(), g, K, opt)
-}
-
-// EvaluateKCtx is EvaluateK with cancellation: when ctx is cancelled the
-// evaluation aborts (also inside the pair-enumeration inner loop) and the
-// context's error is returned.
-func EvaluateKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*Evaluation, error) {
 	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, err
 	}
-	return EvaluateKFacts(ctx, f, K, opt)
+	return EvaluateKFacts(context.Background(), f, K, opt)
 }
 
-// EvaluateKFacts is EvaluateKCtx on the graph f describes, using its
-// repetition vector and components instead of computing them again.
+// EvaluateKFacts is EvaluateK with cancellation on the graph f describes:
+// when ctx is cancelled the evaluation aborts (also inside the
+// pair-enumeration inner loop) and the context's error is returned.
 func EvaluateKFacts(ctx context.Context, f *csdf.Facts, K []int64, opt Options) (*Evaluation, error) {
 	w := getWorkspace()
 	out, err := w.evaluateK(ctx, f, K, opt)
@@ -301,19 +295,14 @@ func (e *ErrInfeasibleK) Error() string {
 // bound on the maximum throughput); Optimal reports whether it is provably
 // tight.
 func Evaluate1(g *csdf.Graph, opt Options) (*Evaluation, error) {
-	return Evaluate1Ctx(context.Background(), g, opt)
-}
-
-// Evaluate1Ctx is Evaluate1 with cancellation.
-func Evaluate1Ctx(ctx context.Context, g *csdf.Graph, opt Options) (*Evaluation, error) {
 	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, err
 	}
-	return Evaluate1Facts(ctx, f, opt)
+	return Evaluate1Facts(context.Background(), f, opt)
 }
 
-// Evaluate1Facts is Evaluate1Ctx on the graph f describes.
+// Evaluate1Facts is Evaluate1 with cancellation on the graph f describes.
 func Evaluate1Facts(ctx context.Context, f *csdf.Facts, opt Options) (*Evaluation, error) {
 	return EvaluateKFacts(ctx, f, ones(f.Graph().NumTasks()), opt)
 }
@@ -325,19 +314,14 @@ func Evaluate1Facts(ctx context.Context, f *csdf.Facts, opt Options) (*Evaluatio
 // Σ qt rather than the instance size. It is the optimal baseline of
 // Table 1.
 func Expansion(g *csdf.Graph, opt Options) (*Evaluation, error) {
-	return ExpansionCtx(context.Background(), g, opt)
-}
-
-// ExpansionCtx is Expansion with cancellation.
-func ExpansionCtx(ctx context.Context, g *csdf.Graph, opt Options) (*Evaluation, error) {
 	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, err
 	}
-	return ExpansionFacts(ctx, f, opt)
+	return ExpansionFacts(context.Background(), f, opt)
 }
 
-// ExpansionFacts is ExpansionCtx on the graph f describes.
+// ExpansionFacts is Expansion with cancellation on the graph f describes.
 func ExpansionFacts(ctx context.Context, f *csdf.Facts, opt Options) (*Evaluation, error) {
 	q, err := f.Repetition()
 	if err != nil {

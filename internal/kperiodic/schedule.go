@@ -42,19 +42,14 @@ func (s *Schedule) StartOf(t csdf.TaskID, p int, n int64) rat.Rat {
 // materializes an optimal feasible schedule: start times are the exact
 // longest-path potentials of the bi-valued graph at the optimal period.
 func ScheduleK(g *csdf.Graph, K []int64, opt Options) (*Schedule, error) {
-	return ScheduleKCtx(context.Background(), g, K, opt)
-}
-
-// ScheduleKCtx is ScheduleK with cancellation.
-func ScheduleKCtx(ctx context.Context, g *csdf.Graph, K []int64, opt Options) (*Schedule, error) {
 	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, err
 	}
-	return ScheduleKFacts(ctx, f, K, opt)
+	return ScheduleKFacts(context.Background(), f, K, opt)
 }
 
-// ScheduleKFacts is ScheduleKCtx on the graph f describes.
+// ScheduleKFacts is ScheduleK with cancellation on the graph f describes.
 func ScheduleKFacts(ctx context.Context, f *csdf.Facts, K []int64, opt Options) (*Schedule, error) {
 	w := getWorkspace()
 	sch, err := w.scheduleK(ctx, f, K, opt)

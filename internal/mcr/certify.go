@@ -43,27 +43,11 @@ func (s *Solver) certifyLoop(ctx context.Context, g *Graph, cand Result) (Result
 	}
 }
 
-// Refine upgrades an uncertified candidate result (e.g. from Solve with
-// SkipCertify) to an exactly certified one, re-using the candidate circuit
-// as the starting point of the certification loop.
-func Refine(g *Graph, cand Result) (Result, error) {
-	return NewSolver().RefineCtx(context.Background(), g, cand)
-}
-
-// RefineCtx is Refine with cancellation, polled once per exact relaxation
-// round.
-func RefineCtx(ctx context.Context, g *Graph, cand Result) (Result, error) {
-	return NewSolver().RefineCtx(ctx, g, cand)
-}
-
-// Refine is the Solver equivalent of the package-level Refine, reusing
-// the solver's certification scratch.
-func (s *Solver) Refine(g *Graph, cand Result) (Result, error) {
-	return s.RefineCtx(context.Background(), g, cand)
-}
-
-// RefineCtx upgrades cand to an exactly certified result with
-// cancellation, reusing the solver's certification scratch.
+// RefineCtx upgrades an uncertified candidate result (e.g. from Solve
+// with SkipCertify) to an exactly certified one, re-using the candidate
+// circuit as the starting point of the certification loop and the
+// solver's certification scratch. The context is polled once per exact
+// relaxation round.
 func (s *Solver) RefineCtx(ctx context.Context, g *Graph, cand Result) (Result, error) {
 	if cand.Certified {
 		return cand, nil

@@ -12,11 +12,12 @@ func TestSolveCtxCancelled(t *testing.T) {
 	g := ring(64, 3, ri(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveCtx(ctx, g, Options{}); !errors.Is(err, context.Canceled) {
+	s := NewSolver()
+	if _, err := s.SolveCtx(ctx, g, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveCtx err = %v, want context.Canceled", err)
 	}
 	// An unconstrained context still solves.
-	res, err := SolveCtx(context.Background(), g, Options{})
+	res, err := s.SolveCtx(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +34,11 @@ func TestRefineCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RefineCtx(ctx, g, cand); !errors.Is(err, context.Canceled) {
+	s := NewSolver()
+	if _, err := s.RefineCtx(ctx, g, cand); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RefineCtx err = %v, want context.Canceled", err)
 	}
-	refined, err := RefineCtx(context.Background(), g, cand)
+	refined, err := s.RefineCtx(context.Background(), g, cand)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,15 +82,6 @@ func Solve(g *Graph, opt Options) (Result, error) {
 	return NewSolver().SolveCtx(context.Background(), g, opt)
 }
 
-// SolveCtx is Solve with cancellation: the context is polled between
-// Howard rounds and once per certification relaxation round, so a caller
-// abandoning a large resolution gets control back after at most O(|E|)
-// work. A solve that converges in one round, such as that of a small
-// strongly connected component, never polls before certification.
-func SolveCtx(ctx context.Context, g *Graph, opt Options) (Result, error) {
-	return NewSolver().SolveCtx(ctx, g, opt)
-}
-
 // Solve is the Solver equivalent of the package-level Solve, reusing the
 // solver's scratch state.
 func (s *Solver) Solve(g *Graph, opt Options) (Result, error) {
@@ -98,10 +89,14 @@ func (s *Solver) Solve(g *Graph, opt Options) (Result, error) {
 }
 
 // SolveCtx resolves the MCRP on g with cancellation, reusing the solver's
-// scratch state. When the context carries a trace span, the Howard
-// iteration count and problem size accumulate onto it — the per-solve
-// detail a flame graph needs to tell "many cheap policy rounds" from "few
-// expensive ones".
+// scratch state. The context is polled between Howard rounds and once per
+// certification relaxation round, so a caller abandoning a large
+// resolution gets control back after at most O(|E|) work; a solve that
+// converges in one round, such as that of a small strongly connected
+// component, never polls before certification. When the context carries
+// a trace span, the Howard iteration count and problem size accumulate
+// onto it — the per-solve detail a flame graph needs to tell "many cheap
+// policy rounds" from "few expensive ones".
 func (s *Solver) SolveCtx(ctx context.Context, g *Graph, opt Options) (Result, error) {
 	s.pol = s.pol[:0]
 	if !s.trim(g) {

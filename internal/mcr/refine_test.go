@@ -1,6 +1,7 @@
 package mcr
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,17 +14,18 @@ func TestRefinePassthroughWhenCertified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Refine(g, res)
+	again, err := NewSolver().RefineCtx(context.Background(), g, res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !again.Certified || again.Ratio.Cmp(res.Ratio) != 0 {
-		t.Errorf("Refine changed a certified result: %+v", again)
+		t.Errorf("RefineCtx changed a certified result: %+v", again)
 	}
 }
 
 func TestRefineUpgradesFloatResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	s := NewSolver()
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + rng.Intn(8)
 		g := New(n)
@@ -37,7 +39,7 @@ func TestRefineUpgradesFloatResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refined, err := Refine(g, fast)
+		refined, err := s.RefineCtx(context.Background(), g, fast)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +48,7 @@ func TestRefineUpgradesFloatResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !refined.Certified {
-			t.Fatal("Refine did not certify")
+			t.Fatal("RefineCtx did not certify")
 		}
 		if refined.Ratio.Cmp(exact.Ratio) != 0 {
 			t.Fatalf("trial %d: refined %s ≠ exact %s", trial, refined.Ratio, exact.Ratio)

@@ -199,7 +199,7 @@ func (d *decoder) release() {
 }
 
 // document decodes the input as one graph document.
-func (d *decoder) document() (*csdf.Graph, error) {
+func (d *decoder) document() (*csdf.Facts, error) {
 	err := d.graph(&d.bare)
 	if err == nil {
 		err = d.end()
@@ -215,7 +215,8 @@ func (d *decoder) document() (*csdf.Graph, error) {
 
 // ReadRequest reads a request body from r to EOF and decodes it in one
 // pass: either a bare graph or an envelope {"graph": …, "analyses": […],
-// "method": …, "capacities": …, "noCache": …}. A "graph" key anywhere in
+// "method": …, "capacities": …, "noCache": …}. It returns the facts of the
+// graph, which it validated, and the envelope. A "graph" key anywhere in
 // the top-level object makes it an envelope, which is strict: any other key
 // is a RequestError naming it. A bare graph is lenient: unknown keys are
 // skipped (they must still be valid JSON). The envelope is nil for a bare
@@ -224,7 +225,7 @@ func (d *decoder) document() (*csdf.Graph, error) {
 // The body is read into the pooled decoder's own buffer, which a positive
 // sizeHint (a request's ContentLength) sizes in one grow; nothing returned
 // aliases it.
-func ReadRequest(r io.Reader, sizeHint int64) (*csdf.Graph, *Envelope, error) {
+func ReadRequest(r io.Reader, sizeHint int64) (*csdf.Facts, *Envelope, error) {
 	d, err := read(r, sizeHint)
 	if err != nil {
 		return nil, nil, &ReadError{err}
@@ -234,7 +235,7 @@ func ReadRequest(r io.Reader, sizeHint int64) (*csdf.Graph, *Envelope, error) {
 }
 
 // request decodes the input as a request body; see ReadRequest.
-func (d *decoder) request() (*csdf.Graph, *Envelope, error) {
+func (d *decoder) request() (*csdf.Facts, *Envelope, error) {
 	var envErr, graphErr, bareErr error
 	// unknown is the first key an envelope does not know, kept as a token
 	// so a bare graph's keys cost no error value.
@@ -297,8 +298,8 @@ func (d *decoder) request() (*csdf.Graph, *Envelope, error) {
 		if bareErr != nil {
 			return nil, nil, fmt.Errorf("sdf3x: decoding JSON: %w", bareErr)
 		}
-		g, err := d.build(&d.bare)
-		return g, nil, err
+		f, err := d.build(&d.bare)
+		return f, nil, err
 	}
 	if unknown != nil {
 		envErr = fmt.Errorf("unknown field %q", text(unknown, unknownSlow))
@@ -309,7 +310,7 @@ func (d *decoder) request() (*csdf.Graph, *Envelope, error) {
 	if graphErr != nil {
 		return nil, nil, fmt.Errorf("sdf3x: decoding JSON: %w", graphErr)
 	}
-	g, err := d.build(&d.env)
+	f, err := d.build(&d.env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -318,7 +319,7 @@ func (d *decoder) request() (*csdf.Graph, *Envelope, error) {
 	if d.nAnalyses > 0 {
 		env.Analyses = append(env.Analyses, d.knobs.Analyses[:d.nAnalyses]...)
 	}
-	return g, &env, nil
+	return f, &env, nil
 }
 
 // into runs decode with its type errors going to *slot.
@@ -331,8 +332,10 @@ func (d *decoder) into(slot *error, decode func() error) error {
 }
 
 // build resolves task names and hands the graph to csdf.Assemble, with
-// every duration and rate copied into one exactly sized slab.
-func (d *decoder) build(rg *rawGraph) (*csdf.Graph, error) {
+// every duration and rate copied into one exactly sized slab. Assemble's
+// validation is the only one the graph gets: the facts it returns travel
+// with the graph from here on.
+func (d *decoder) build(rg *rawGraph) (*csdf.Facts, error) {
 	tasks, buffers := rg.tasks[:rg.nTasks], rg.buffers[:rg.nBuffers]
 	if d.ids == nil {
 		d.ids = make(map[string]csdf.TaskID, len(tasks))

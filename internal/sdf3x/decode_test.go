@@ -27,7 +27,8 @@ func compactJSON(t *testing.T, g *csdf.Graph) []byte {
 
 // readRequest reads body through ReadRequest with its length as the hint.
 func readRequest(body []byte) (*csdf.Graph, *sdf3x.Envelope, error) {
-	return sdf3x.ReadRequest(bytes.NewReader(body), int64(len(body)))
+	f, env, err := sdf3x.ReadRequest(bytes.NewReader(body), int64(len(body)))
+	return f.Graph(), env, err
 }
 
 // TestReadRequestOwnsBody checks that nothing ReadRequest returns aliases

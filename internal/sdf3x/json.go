@@ -70,6 +70,13 @@ func toJSON(g *csdf.Graph) jsonGraph {
 // ReadJSON reads a graph document to the end of r, decodes and validates
 // it. Anything but whitespace after the graph is an error.
 func ReadJSON(r io.Reader) (*csdf.Graph, error) {
+	f, err := ReadFacts(r)
+	return f.Graph(), err
+}
+
+// ReadFacts is ReadJSON returning the facts of the graph it validated,
+// for callers that go on to analyze it.
+func ReadFacts(r io.Reader) (*csdf.Facts, error) {
 	d, err := read(r, 0)
 	if err != nil {
 		return nil, fmt.Errorf("sdf3x: reading JSON: %w", err)
@@ -92,8 +99,9 @@ func taskNames(g *csdf.Graph) []string {
 	return names
 }
 
-// ReadFile loads a graph, dispatching on the file extension (.json, .xml).
-func ReadFile(path string) (*csdf.Graph, error) {
+// ReadFile loads and validates a graph, dispatching on the file extension
+// (.json, .xml), and returns its facts.
+func ReadFile(path string) (*csdf.Facts, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -101,9 +109,9 @@ func ReadFile(path string) (*csdf.Graph, error) {
 	defer f.Close()
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ".json":
-		return ReadJSON(f)
+		return ReadFacts(f)
 	case ".xml":
-		return ReadXML(f)
+		return readXML(f)
 	default:
 		return nil, fmt.Errorf("sdf3x: unsupported extension %q (want .json or .xml)", filepath.Ext(path))
 	}

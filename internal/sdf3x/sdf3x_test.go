@@ -114,7 +114,7 @@ func TestReadWriteFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		graphsEqual(t, g, back)
+		graphsEqual(t, g, back.Graph())
 	}
 	if err := sdf3x.WriteFile(filepath.Join(dir, "g.txt"), g); err == nil {
 		t.Error("unknown extension accepted for write")

@@ -140,6 +140,12 @@ func WriteXML(w io.Writer, g *csdf.Graph) error {
 
 // ReadXML unmarshals the SDF3-flavoured dialect and validates the graph.
 func ReadXML(r io.Reader) (*csdf.Graph, error) {
+	f, err := readXML(r)
+	return f.Graph(), err
+}
+
+// readXML is ReadXML returning the facts of the graph it validated.
+func readXML(r io.Reader) (*csdf.Facts, error) {
 	var doc xmlSDF3
 	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("sdf3x: decoding XML: %w", err)
@@ -211,10 +217,7 @@ func ReadXML(r io.Reader) (*csdf.Graph, error) {
 			g.SetCapacity(id, ch.Size)
 		}
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return csdf.NewFacts(g)
 }
 
 func rateString(v []int64) string {

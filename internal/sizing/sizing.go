@@ -69,13 +69,17 @@ func OptimalCapacities(g *csdf.Graph, opt kperiodic.Options) ([]int64, rat.Rat, 
 }
 
 // OptimalCapacitiesCtx is OptimalCapacities with cancellation (through the
-// underlying K-Iter and schedule construction).
+// underlying K-Iter and schedule construction), which share one Facts.
 func OptimalCapacitiesCtx(ctx context.Context, g *csdf.Graph, opt kperiodic.Options) ([]int64, rat.Rat, error) {
-	res, err := kperiodic.KIterCtx(ctx, g, opt)
+	f, err := csdf.NewFacts(g)
 	if err != nil {
 		return nil, rat.Rat{}, err
 	}
-	s, err := kperiodic.ScheduleKCtx(ctx, g, res.K, opt)
+	res, err := kperiodic.KIterFacts(ctx, f, opt)
+	if err != nil {
+		return nil, rat.Rat{}, err
+	}
+	s, err := kperiodic.ScheduleKFacts(ctx, f, res.K, opt)
 	if err != nil {
 		return nil, rat.Rat{}, err
 	}

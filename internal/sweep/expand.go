@@ -18,8 +18,7 @@ type param struct {
 // varies fastest), so neighbouring indices differ in one value — the order
 // that maximizes structural overlap for the engine's fingerprint cache.
 type Expansion struct {
-	base   *csdf.Graph
-	facts  *csdf.Facts // base's, from which every scenario's derive
+	base   *csdf.Facts // every scenario's facts derive from these
 	params []param
 	total  int
 
@@ -39,10 +38,6 @@ func Compile(s *Spec, capacitiesDefault bool) (*Expansion, error) {
 	if err != nil {
 		return nil, err
 	}
-	facts, err := csdf.NewFacts(base)
-	if err != nil {
-		return nil, specErrf("base graph: %v", err)
-	}
 	method, analyses, err := s.engineKnobs()
 	if err != nil {
 		return nil, err
@@ -61,7 +56,6 @@ func Compile(s *Spec, capacitiesDefault bool) (*Expansion, error) {
 	}
 	x := &Expansion{
 		base:       base,
-		facts:      facts,
 		total:      1,
 		method:     method,
 		analyses:   analyses,
@@ -85,7 +79,7 @@ func Compile(s *Spec, capacitiesDefault bool) (*Expansion, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := p.Target.resolve(base, p.Name)
+		st, err := p.Target.resolve(base.Graph(), p.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +121,7 @@ func (x *Expansion) Total() int { return x.total }
 
 // Base returns the validated base graph. Callers must treat it as
 // immutable; scenario clones share its structure.
-func (x *Expansion) Base() *csdf.Graph { return x.base }
+func (x *Expansion) Base() *csdf.Graph { return x.base.Graph() }
 
 // ParamNames returns the parameter names in declaration order.
 func (x *Expansion) ParamNames() []string {
@@ -186,7 +180,7 @@ func (x *Expansion) materialize(i int) (*csdf.Facts, error) {
 	for k := range x.params {
 		edits[k] = x.params[k].site.edit(x.value(i, k))
 	}
-	return x.facts.CloneWithEdits(edits...)
+	return x.base.CloneWithEdits(edits...)
 }
 
 // Request builds the engine request for scenario i, carrying the
@@ -198,7 +192,6 @@ func (x *Expansion) Request(i int) (*engine.Request, error) {
 		return nil, err
 	}
 	return &engine.Request{
-		Graph:           f.Graph(),
 		Facts:           f,
 		Analyses:        x.analyses,
 		Method:          x.method,

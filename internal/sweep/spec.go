@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"kiter/internal/csdf"
 	"kiter/internal/engine"
@@ -271,17 +272,21 @@ func (s *Spec) engineKnobs() (engine.Method, []engine.AnalysisKind, error) {
 		}
 		as = append(as, k)
 	}
-	return m, as, nil
+	// The canonical order the engine keys results by, so that no
+	// scenario's submission copies the list to sort it.
+	slices.Sort(as)
+	return m, slices.Compact(as), nil
 }
 
-// parseBase decodes and validates the spec's base graph.
-func (s *Spec) parseBase() (*csdf.Graph, error) {
+// parseBase decodes and validates the spec's base graph and returns its
+// facts.
+func (s *Spec) parseBase() (*csdf.Facts, error) {
 	if len(s.Base) == 0 {
 		return nil, &SpecError{msg: "spec has no base graph"}
 	}
-	g, err := sdf3x.ReadJSON(bytes.NewReader(s.Base))
+	f, err := sdf3x.ReadFacts(bytes.NewReader(s.Base))
 	if err != nil {
 		return nil, specErrf("base graph: %v", err)
 	}
-	return g, nil
+	return f, nil
 }

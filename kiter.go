@@ -190,7 +190,10 @@ func MinUniformScale(g *Graph, target Rat, maxScale int64) (int64, error) {
 
 // ReadFile loads a graph from .json or .xml (SDF3-flavoured) files;
 // WriteFile saves one.
-func ReadFile(path string) (*Graph, error) { return sdf3x.ReadFile(path) }
+func ReadFile(path string) (*Graph, error) {
+	f, err := sdf3x.ReadFile(path)
+	return f.Graph(), err
+}
 
 // WriteFile saves a graph to .json or .xml, dispatching on the extension.
 func WriteFile(path string, g *Graph) error { return sdf3x.WriteFile(path, g) }
