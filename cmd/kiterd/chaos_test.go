@@ -62,7 +62,6 @@ func startKiterdFleet(t *testing.T, n int) ([]*chaosReplica, func()) {
 			MaxProbeInterval: 100 * time.Millisecond,
 			RetryBackoff:     2 * time.Millisecond,
 			Metrics:          reg,
-			Recorder:         rec,
 		})
 		if err != nil {
 			t.Fatalf("cluster.New(%s): %v", addrs[i], err)

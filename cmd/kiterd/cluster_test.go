@@ -15,13 +15,13 @@ import (
 )
 
 func TestBuildCluster(t *testing.T) {
-	if cl, err := buildCluster("", "", ":8080", 0, time.Minute, 0, nil, nil); err != nil || cl != nil {
+	if cl, err := buildCluster("", "", ":8080", 0, time.Minute, 0, nil); err != nil || cl != nil {
 		t.Fatalf("no -peers should mean no cluster: %v, %v", cl, err)
 	}
-	if _, err := buildCluster(" , ", "", ":8080", 0, time.Minute, 0, nil, nil); err == nil {
+	if _, err := buildCluster(" , ", "", ":8080", 0, time.Minute, 0, nil); err == nil {
 		t.Fatal("blank -peers accepted")
 	}
-	cl, err := buildCluster("127.0.0.1:9101, 127.0.0.1:9102", "", ":9100", 0, time.Minute, 0, nil, nil)
+	cl, err := buildCluster("127.0.0.1:9101, 127.0.0.1:9102", "", ":9100", 0, time.Minute, 0, nil)
 	if err != nil {
 		t.Fatalf("buildCluster: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestClusteredServersEndToEnd(t *testing.T) {
 	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
 
 	start := func(self, peer string, ln net.Listener) (*engine.Engine, *cluster.Cluster) {
-		cl, err := buildCluster(peer, self, self, time.Minute, time.Minute, 0, nil, nil)
+		cl, err := buildCluster(peer, self, self, time.Minute, time.Minute, 0, nil)
 		if err != nil {
 			t.Fatalf("buildCluster(%s): %v", self, err)
 		}
@@ -135,7 +135,7 @@ func TestFleetCacheServersEndToEnd(t *testing.T) {
 	engines := make([]*engine.Engine, 3)
 	for i, ln := range lns {
 		self := addrs[i]
-		cl, err := buildCluster(peersOf(self), self, self, time.Minute, time.Minute, 0, nil, nil)
+		cl, err := buildCluster(peersOf(self), self, self, time.Minute, time.Minute, 0, nil)
 		if err != nil {
 			t.Fatalf("buildCluster(%s): %v", self, err)
 		}

@@ -189,15 +189,7 @@ func run() error {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterRuntimeMetrics(reg)
 
-	// The flight recorder is built before the cluster so the cluster's
-	// handler-side spans (evaluate and cache reads served for peers) record
-	// into the same buffer the local /analyze roots do.
-	var recorder *telemetry.Recorder
-	if *traceBuffer > 0 {
-		recorder = telemetry.NewRecorder(*traceBuffer)
-	}
-
-	cl, err := buildCluster(*peers, *selfAddr, *addr, *forwardTimeout, *timeout, *workers, reg, recorder)
+	cl, err := buildCluster(*peers, *selfAddr, *addr, *forwardTimeout, *timeout, *workers, reg)
 	if err != nil {
 		return err
 	}
@@ -274,6 +266,13 @@ func run() error {
 		}
 		return runBatch(e, paths, tmpl, os.Stdout)
 	default:
+		// The flight recorder holds every trace the server files: the
+		// roots of /analyze and /sweep, and of the cluster hops it serves
+		// for peers.
+		var recorder *telemetry.Recorder
+		if *traceBuffer > 0 {
+			recorder = telemetry.NewRecorder(*traceBuffer)
+		}
 		process := ""
 		if cl != nil {
 			process = cl.Self()
@@ -297,7 +296,7 @@ func run() error {
 // to the name the peers dial, because addresses are ring identities.
 // workers (the -workers flag, 0 = GOMAXPROCS) sizes the forwarding
 // transport's per-peer connection pool to the engine's concurrency.
-func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.Duration, workers int, reg *telemetry.Registry, recorder *telemetry.Recorder) (*cluster.Cluster, error) {
+func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.Duration, workers int, reg *telemetry.Registry) (*cluster.Cluster, error) {
 	if peers == "" {
 		return nil, nil
 	}
@@ -330,7 +329,6 @@ func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.
 		ForwardTimeout: forwardTimeout,
 		Workers:        workers,
 		Metrics:        reg,
-		Recorder:       recorder,
 	})
 }
 

@@ -99,7 +99,7 @@ func newServer(e *engine.Engine, tmpl requestTemplate, cl *cluster.Cluster, obs 
 		s.mux.HandleFunc("/debug/traces/", s.handleDebugTrace)
 	}
 	if cl != nil {
-		eh := cl.EvaluateHandler(e, tmpl.Timeout)
+		evaluate := s.joinTrace("cluster.evaluate", cl.EvaluateHandler(e, tmpl.Timeout))
 		s.mux.HandleFunc("/cluster/evaluate", func(w http.ResponseWriter, r *http.Request) {
 			// A draining replica refuses forwarded work too: the sending
 			// peer's dispatcher falls back to local evaluation, which is
@@ -109,12 +109,12 @@ func newServer(e *engine.Engine, tmpl requestTemplate, cl *cluster.Cluster, obs 
 				httpError(w, http.StatusServiceUnavailable, "draining")
 				return
 			}
-			eh.ServeHTTP(w, r)
+			evaluate(w, r)
 		})
 		// The fleet tier's warm-start read keeps serving through a drain:
 		// a peer warming from this replica's shard costs nothing and beats
 		// a recomputation.
-		s.mux.Handle("/cluster/cache/get", cl.CacheGetHandler())
+		s.mux.HandleFunc("/cluster/cache/get", s.joinTrace("cluster.cache.get", cl.CacheGetHandler()))
 	}
 	return s
 }
@@ -193,11 +193,17 @@ const traceIDHeader = "X-Kiter-Trace-Id"
 const requestIDHeader = "X-Request-ID"
 
 // statusWriter captures the response code for the request histogram and
-// carries the request's correlation ID to error writers downstream.
+// the trace record, carries the request's correlation ID to error writers
+// downstream, and holds the request's trace root from startTrace until
+// fileTrace files it.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
 	reqID string
+	root  *telemetry.Span
+	// remote marks a root joined from a peer's traceparent rather than
+	// minted here.
+	remote bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -253,10 +259,76 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw.Header().Set(requestIDHeader, sw.reqID)
 	r.Header.Set(requestIDHeader, sw.reqID)
 	s.mux.ServeHTTP(sw, r)
+	s.fileTrace(sw, r, sw.code)
 	if s.httpHist == nil {
 		return
 	}
 	s.httpHist.With(endpointLabel(r.URL.Path), strconv.Itoa(sw.code)).Observe(time.Since(start).Seconds())
+}
+
+// startTrace opens the request's root span when the server records traces
+// (-trace-buffer > 0) and keeps it on the serving middleware's writer, so
+// that ServeHTTP files it, with the reply's status, once the handler
+// returns. A local root (/analyze, /sweep) starts a new trace, carries the
+// request ID and names the trace to the client in X-Kiter-Trace-Id, so it
+// opens before the first write. A remote root (the cluster endpoints)
+// joins the trace of the peer that sent the request's traceparent, as a
+// child of the peer's span, and opens only when a valid one arrived. The
+// returned context carries the root; without one it is r's own.
+func (s *server) startTrace(w http.ResponseWriter, r *http.Request, name string, remote bool) (context.Context, *telemetry.Span) {
+	sw, ok := w.(*statusWriter)
+	if !ok || s.obs.recorder == nil {
+		return r.Context(), nil
+	}
+	if remote {
+		sc, ok := telemetry.ParseTraceparent(r.Header.Get(telemetry.Traceparent))
+		if !ok {
+			return r.Context(), nil
+		}
+		sw.root = telemetry.NewRemoteTrace(name, sc)
+		if peer := cluster.Caller(r); peer != "" {
+			sw.root.SetString("caller", peer)
+		}
+	} else {
+		sw.root = telemetry.NewTrace(name)
+		sw.root.SetString("requestId", sw.reqID)
+		sw.Header().Set(traceIDHeader, sw.root.Context().TraceID)
+	}
+	sw.remote = remote
+	return telemetry.ContextWithSpan(r.Context(), sw.root), sw.root
+}
+
+// fileTrace files the request's open root, if any, in the flight recorder
+// under status code (>= 400 marks it errored), and forgets it, so a second
+// call files nothing. ServeHTTP files every root when the handler returns,
+// which is before net/http ends the response: a client that has read the
+// whole reply always finds the record. Errored traces are exactly the ones
+// the recorder's tail-biased retention fights to keep.
+func (s *server) fileTrace(w http.ResponseWriter, r *http.Request, code int) {
+	sw, ok := w.(*statusWriter)
+	if !ok || sw.root == nil {
+		return
+	}
+	if !sw.remote {
+		status := "ok"
+		if code >= 400 {
+			status = "error"
+		}
+		sw.root.SetString("status", status)
+	}
+	s.obs.recorder.Finish(sw.root, endpointLabel(r.URL.Path), s.obs.process, sw.reqID, code)
+	sw.root = nil
+}
+
+// joinTrace serves a cluster endpoint under a remote root, which the
+// cluster handler reads from its request's context.
+func (s *server) joinTrace(name string, h http.Handler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if ctx, root := s.startTrace(w, r, name, true); root != nil {
+			r = r.WithContext(ctx)
+		}
+		h.ServeHTTP(w, r)
+	}
 }
 
 // handleMetrics renders every registered instrument plus the scrape-time
@@ -329,27 +401,9 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// in a fleet — the span's context rides the forward as a traceparent
 	// header so the owning replica's handler span joins the same tree.
 	// The root opens before the body is read, so the trace covers
-	// decoding and a body that fails to decode still leaves one.
-	ctx := r.Context()
-	var span *telemetry.Span
-	var reqID string
-	if s.obs.recorder != nil {
-		reqID = s.middlewareRequestID(w)
-		span = telemetry.NewTrace("analyze")
-		span.SetString("requestId", reqID)
-		ctx = telemetry.ContextWithSpan(ctx, span)
-		// Expose the trace ID before any write: clients pull the tree
-		// from GET /debug/traces/{id}.
-		w.Header().Set(traceIDHeader, span.Context().TraceID)
-	}
-	// finishTrace files the root in the flight recorder; it runs on the
-	// error path too, so failed and timed-out requests leave a record
-	// (errored traces are exactly the ones the recorder's tail-biased
-	// retention fights to keep).
-	finishTrace := func(status string, code int) {
-		span.SetString("status", status)
-		s.obs.recorder.Finish(span, "/analyze", s.obs.process, reqID, code)
-	}
+	// decoding and a body that fails to decode still leaves one; it closes
+	// when the reply is written.
+	ctx, _ := s.startTrace(w, r, "analyze", false)
 
 	// The body is read under the size cap into the pooled decoder's own
 	// buffer, and one pass decodes the envelope and the graph from it and
@@ -361,16 +415,14 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var readErr *sdf3x.ReadError
 		var reqErr *sdf3x.RequestError
-		code := http.StatusBadRequest
 		switch {
 		case errors.As(err, &readErr):
-			code = readError(w, readErr.Err)
+			readError(w, readErr.Err)
 		case errors.As(err, &reqErr):
-			httpError(w, code, "decoding request: %v", reqErr.Err)
+			httpError(w, http.StatusBadRequest, "decoding request: %v", reqErr.Err)
 		default:
-			httpError(w, code, "decoding graph: %v", err)
+			httpError(w, http.StatusBadRequest, "decoding graph: %v", err)
 		}
-		finishTrace("error", code)
 		return
 	}
 	var knobs sdf3x.Envelope // a bare graph runs with the template's knobs
@@ -410,39 +462,21 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, engine.ErrOverloaded):
 			// The hard MaxPending cliff: unlike an admission shed the job
 			// was attempted, but the retry hint is the same wait estimate.
-			finishTrace("error", http.StatusServiceUnavailable)
 			w.Header().Set("Retry-After", retryAfter(s.admission.EstimateWait()))
 			httpError(w, http.StatusServiceUnavailable, "%v", err)
 		case errors.Is(err, engine.ErrClosed):
-			finishTrace("error", http.StatusServiceUnavailable)
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusServiceUnavailable, "%v", err)
 		case errors.Is(err, context.DeadlineExceeded):
-			finishTrace("error", http.StatusGatewayTimeout)
 			httpError(w, http.StatusGatewayTimeout, "analysis timed out")
 		case errors.Is(err, context.Canceled):
-			finishTrace("error", http.StatusBadRequest)
 			httpError(w, http.StatusBadRequest, "request cancelled")
 		default:
-			finishTrace("error", http.StatusBadRequest)
 			httpError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
-	finishTrace("ok", http.StatusOK)
 	writeReply(w, res)
-}
-
-// middlewareRequestID reads the correlation ID the serving middleware
-// attached to the response writer; handlers invoked outside the middleware
-// (direct mux tests) fall back to a locally numbered ID.
-func (s *server) middlewareRequestID(w http.ResponseWriter) string {
-	if rw, ok := w.(interface{ RequestID() string }); ok {
-		if id := rw.RequestID(); id != "" {
-			return id
-		}
-	}
-	return fmt.Sprintf("req-%d", s.reqSeq.Add(1))
 }
 
 // readBody reads a POST body under the server's size cap, writing the
@@ -461,15 +495,14 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 }
 
 // readError writes the response for a failed read of a capped body, 413
-// when the cap was hit and 400 otherwise, and returns its status.
-func readError(w http.ResponseWriter, err error) int {
+// when the cap was hit and 400 otherwise.
+func readError(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", mbe.Limit)
-		return http.StatusRequestEntityTooLarge
+		return
 	}
 	httpError(w, http.StatusBadRequest, "reading body: %v", err)
-	return http.StatusBadRequest
 }
 
 // handleHealthz serves both probes. The plain GET /healthz is liveness —

@@ -32,28 +32,20 @@ const sweepTraceSamples = 16
 // closed from the serialized emit path.
 type sweepTrace struct {
 	span   *telemetry.Span
-	reqID  string
 	stride int
 	mu     sync.Mutex
 	open   map[int]*telemetry.Span
 }
 
-// newSweepTrace opens a sweep root span when the server records traces.
-func (s *server) newSweepTrace(w http.ResponseWriter, total int) *sweepTrace {
-	if s.obs.recorder == nil {
-		return nil
-	}
+// newSweepTrace samples a sweep of total scenarios under root.
+func newSweepTrace(root *telemetry.Span, total int) *sweepTrace {
 	stride := (total + sweepTraceSamples - 1) / sweepTraceSamples
 	if stride < 1 {
 		stride = 1
 	}
-	reqID := s.middlewareRequestID(w)
-	span := telemetry.NewTrace("sweep")
-	span.SetString("requestId", reqID)
-	span.SetInt("scenarios", int64(total))
-	span.SetInt("sampleStride", int64(stride))
-	w.Header().Set(traceIDHeader, span.Context().TraceID)
-	return &sweepTrace{span: span, reqID: reqID, stride: stride, open: map[int]*telemetry.Span{}}
+	root.SetInt("scenarios", int64(total))
+	root.SetInt("sampleStride", int64(stride))
+	return &sweepTrace{span: root, stride: stride, open: map[int]*telemetry.Span{}}
 }
 
 // memberContext is the Runner.MemberContext hook: sampled scenarios get a
@@ -94,15 +86,6 @@ func (t *sweepTrace) pointDone(p sweep.Point) {
 	sp.End()
 }
 
-// finish files the sweep's root in the flight recorder.
-func (t *sweepTrace) finish(s *server, status string, code int) {
-	if t == nil {
-		return
-	}
-	t.span.SetString("status", status)
-	s.obs.recorder.Finish(t.span, "/sweep", s.obs.process, t.reqID, code)
-}
-
 // handleSweep serves POST /sweep: a parametric sweep spec in, one NDJSON
 // line per scenario out (in completion order, flushed as produced by a
 // lineStream), then a single {"envelope": …} line. Disconnecting
@@ -136,7 +119,10 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The sweep's root span (and its sampled per-scenario children) must be
 	// opened before the stream commits: the trace ID header has to precede
 	// the status line.
-	trace := s.newSweepTrace(w, x.Total())
+	var trace *sweepTrace
+	if _, root := s.startTrace(w, r, "sweep", false); root != nil {
+		trace = newSweepTrace(root, x.Total())
+	}
 
 	// From here on the response is a stream: the status line is committed
 	// before the first scenario resolves, so runtime failures surface as
@@ -162,15 +148,18 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The flusher has exited once close returns: the closing line and the
 	// final flush below are the handler's own, as is the writer afterwards.
 	stream.close()
+	// The trace is filed here rather than when the handler returns: the
+	// closing line names it, and a client may pull it as soon as it reads
+	// that line. A failed stream files as a 500 under its 200 status line.
 	enc := json.NewEncoder(w)
 	if err != nil {
-		trace.finish(s, "error", http.StatusInternalServerError)
+		s.fileTrace(w, r, http.StatusInternalServerError)
 		// The client is usually gone (emit error / context cancel); write
 		// the error line anyway for proxies that buffered the stream.
 		_ = enc.Encode(map[string]string{"error": err.Error()})
 		return
 	}
-	trace.finish(s, "ok", http.StatusOK)
+	s.fileTrace(w, r, http.StatusOK)
 	closing := sweepEnvelopeLine{Envelope: env}
 	if trace != nil {
 		closing.TraceID = trace.span.Context().TraceID

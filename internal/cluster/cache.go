@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -163,32 +162,9 @@ func (rc *RemoteCache) miss() (*engine.Result, bool) {
 func (rc *RemoteCache) fetch(parent context.Context, peer, key string) (*engine.Result, bool, error) {
 	ctx, cancel := context.WithTimeout(parent, rc.c.opTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+peer+"/cluster/cache/get", nil)
-	if err != nil {
-		return nil, false, err
-	}
-	req.Header.Set(cacheKeyHeader, key)
-	req.Header.Set(peerHeader, rc.c.self)
-	if sc := telemetry.FromContext(parent).Context(); sc.Valid() {
-		req.Header.Set(telemetry.Traceparent, sc.Traceparent())
-	}
-	resp, err := rc.c.cfg.Client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, false, nil
-	case http.StatusOK:
-	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, false, fmt.Errorf("cluster: cache get from %s: %s: %s", peer, resp.Status, firstLine(body))
-	}
-	frame, err := io.ReadAll(io.LimitReader(resp.Body, maxCacheBody+1))
-	if err != nil {
+	resp, frame, err := rc.c.roundTrip(ctx, http.MethodPost, peer, "/cluster/cache/get",
+		http.Header{cacheKeyHeader: {key}}, nil, maxCacheBody+1, http.StatusOK, http.StatusNoContent)
+	if err != nil || resp.StatusCode == http.StatusNoContent {
 		return nil, false, err
 	}
 	if len(frame) > maxCacheBody {
@@ -262,14 +238,11 @@ func (c *Cluster) localBackend() engine.CacheBackend {
 
 // CacheGetHandler serves POST /cluster/cache/get: the successor side of
 // the fleet tier's warm-start read. It consults the replica's local tiers
-// only and replies 200 + resultcodec frame, or 204 on a miss.
+// only and replies 200 + resultcodec frame, or 204 on a miss, marking a
+// trace span in r's context with the outcome.
 func (c *Cluster) CacheGetHandler() http.Handler {
-	return http.HandlerFunc(func(pw http.ResponseWriter, r *http.Request) {
-		sw := &statusCapture{ResponseWriter: pw, code: http.StatusOK}
-		w := http.ResponseWriter(sw)
-		ctx, finish := c.remoteSpan(r, "cluster.cache.get", "/cluster/cache/get")
-		defer func() { finish(sw.code) }()
-		span := telemetry.FromContext(ctx)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		span := telemetry.FromContext(r.Context())
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST required")
 			return

@@ -32,10 +32,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,12 +96,6 @@ type Config struct {
 	// Metrics, when non-nil, registers the cluster's forward-RTT histogram
 	// (kiter_cluster_forward_seconds, labeled by peer and outcome).
 	Metrics *telemetry.Registry
-	// Recorder, when non-nil, receives the handler-side span trees of the
-	// cross-process hops this replica serves (/cluster/evaluate and
-	// /cluster/cache/get) — each recorded under the caller's trace ID so
-	// /debug/traces/{id}?fleet=1 can stitch the fleet-wide tree back
-	// together by parent span ID.
-	Recorder *telemetry.Recorder
 }
 
 func (cfg Config) withDefaults() Config {
@@ -389,36 +385,14 @@ func (c *Cluster) forward(ctx context.Context, owner string, job *engine.Dispatc
 	if err != nil {
 		return nil, err
 	}
-	fctx := ctx
 	if c.cfg.ForwardTimeout > 0 {
 		var cancel context.CancelFunc
-		fctx, cancel = context.WithTimeout(ctx, c.cfg.ForwardTimeout)
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.ForwardTimeout)
 		defer cancel()
 	}
-	url := "http://" + owner + "/cluster/evaluate"
-	req, err := http.NewRequestWithContext(fctx, http.MethodPost, url, bytes.NewReader(body))
+	resp, reply, err := c.roundTrip(ctx, http.MethodPost, owner, "/cluster/evaluate", nil, body, maxForwardBody, http.StatusOK)
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(peerHeader, c.self)
-	// Propagate trace context: the owner opens its handler span as a child
-	// of this process's cluster.forward span, so the fleet-wide tree
-	// stitches back together by parent span ID.
-	if sc := telemetry.FromContext(ctx).Context(); sc.Valid() {
-		req.Header.Set(telemetry.Traceparent, sc.Traceparent())
-	}
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	reply, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: peer %s: %s: %s", owner, resp.Status, firstLine(reply))
 	}
 	// The owner always answers in the result codec; any other body (a
 	// peer from an older build, a proxy error page) is a failed forward.
@@ -439,6 +413,43 @@ func (c *Cluster) forward(ctx context.Context, owner string, job *engine.Dispatc
 	return res, nil
 }
 
+// roundTrip is every request one replica makes of another: method on path
+// at peer over the pooled transport, with hdr's headers and body (nil for
+// none) as JSON, this replica's address in the peer header, and the
+// traceparent of ctx's span when it has one, so the peer's handler span
+// joins the caller's trace. It returns the reply and at most limit bytes
+// of its body when the status is one of accept; any other status is an
+// error carrying the reply's first line. ctx bounds the whole trip.
+func (c *Cluster) roundTrip(ctx context.Context, method, peer, path string, hdr http.Header, body []byte, limit int64, accept ...int) (*http.Response, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+peer+path, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	maps.Copy(req.Header, hdr)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	req.Header.Set(peerHeader, c.self)
+	if sc := telemetry.FromContext(ctx).Context(); sc.Valid() {
+		req.Header.Set(telemetry.Traceparent, sc.Traceparent())
+	}
+	resp, err := c.cfg.Client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	if !slices.Contains(accept, resp.StatusCode) {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return nil, nil, fmt.Errorf("cluster: peer %s %s: %s: %s", peer, path, resp.Status, firstLine(b))
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp, b, err
+}
+
 // firstLine bounds an error body for log-friendly messages.
 func firstLine(b []byte) string {
 	if i := bytes.IndexByte(b, '\n'); i >= 0 {
@@ -448,15 +459,6 @@ func firstLine(b []byte) string {
 		b = b[:200]
 	}
 	return string(bytes.TrimSpace(b))
-}
-
-// markUnhealthy force-opens a peer's breaker — flipping it out of the
-// ring regardless of its failure count — and schedules its first re-probe
-// one base interval out.
-func (c *Cluster) markUnhealthy(ps *peerState) {
-	if ps.breaker.ForceOpen() {
-		c.scheduleProbe(ps)
-	}
 }
 
 // noteForwardFailure counts one failed forward against the peer's
@@ -517,17 +519,7 @@ func (c *Cluster) probe(ps *peerState) {
 	ps.probes.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+ps.addr+"/healthz", nil)
-	if err == nil {
-		var resp *http.Response
-		if resp, err = c.cfg.Client.Do(req); err == nil {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("status %s", resp.Status)
-			}
-		}
-	}
+	_, _, err := c.roundTrip(ctx, http.MethodGet, ps.addr, "/healthz", nil, nil, 4096, http.StatusOK)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if err == nil {

@@ -77,6 +77,15 @@ func newTestCluster(t *testing.T, self string, peers []string) *Cluster {
 	return c
 }
 
+// openBreaker opens a peer's breaker the way failed forwards do: one
+// failure per threshold step, the last of which hands the peer to the
+// prober.
+func openBreaker(c *Cluster, ps *peerState) {
+	for i := 0; i < c.cfg.BreakerThreshold; i++ {
+		c.noteForwardFailure(ps)
+	}
+}
+
 func TestProbeRevivesFlappyPeer(t *testing.T) {
 	// A peer that answers /healthz only after a few failures: the cluster
 	// must mark it unhealthy on a forward failure, keep backing off, and
@@ -101,9 +110,9 @@ func TestProbeRevivesFlappyPeer(t *testing.T) {
 	if st := ps.breaker.State(); st != resilience.BreakerClosed {
 		t.Fatalf("peer breaker %v at start, want closed (optimistic)", st)
 	}
-	c.markUnhealthy(ps)
+	openBreaker(c, ps)
 	if c.alive(addr) {
-		t.Fatal("peer alive after markUnhealthy")
+		t.Fatal("peer alive after its breaker opened")
 	}
 
 	// While it keeps failing, probes accrue and it stays out of the ring.
@@ -141,7 +150,7 @@ func TestProbeRevivesFlappyPeer(t *testing.T) {
 func TestOwnerFallsBackToSelfWhenAllPeersDead(t *testing.T) {
 	c := newTestCluster(t, "self:1", []string{"p1:1", "p2:2"})
 	for _, p := range []string{"p1:1", "p2:2"} {
-		c.markUnhealthy(c.peer(p))
+		openBreaker(c, c.peer(p))
 	}
 	// Every key must now come home.
 	for i := 0; i < 50; i++ {
@@ -194,18 +203,21 @@ func TestForwardRetryThenBreakerOpens(t *testing.T) {
 	c := newTestCluster(t, "self:1", []string{addr})
 	ps := c.peer(addr)
 
-	// A job whose fingerprint the ring places on the peer.
-	g := gen.Figure2()
-	job := &engine.DispatchJob{
-		Graph:       g,
-		Analyses:    []engine.AnalysisKind{engine.AnalysisThroughput},
-		Method:      engine.MethodKIter,
-		Fingerprint: g.FingerprintHex(),
+	// A job whose fingerprint the ring places on the peer: the peer's port
+	// is random, so ask the ring rather than fix the graph.
+	var job *engine.DispatchJob
+	for n := 2; n < 66 && job == nil; n++ {
+		if g := gen.KIterChain(n); c.Owner(g.FingerprintHex()) == addr {
+			job = &engine.DispatchJob{
+				Graph:       g,
+				Analyses:    []engine.AnalysisKind{engine.AnalysisThroughput},
+				Method:      engine.MethodKIter,
+				Fingerprint: g.FingerprintHex(),
+			}
+		}
 	}
-	if c.Owner(job.Fingerprint) != addr {
-		// Both members are healthy; if the ring happens to place this
-		// graph on self, dispatch is a no-op and the test proves nothing.
-		t.Skip("ring placed the test fingerprint on self")
+	if job == nil {
+		t.Fatal("the ring placed none of 64 chain graphs on the peer")
 	}
 
 	ctx := context.Background()

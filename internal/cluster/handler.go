@@ -10,56 +10,16 @@ import (
 	"kiter/internal/engine"
 	"kiter/internal/resultcodec"
 	"kiter/internal/sdf3x"
-	"kiter/internal/telemetry"
 )
 
 // maxForwardBody bounds a forwarded request body, mirroring the public
 // API's cap.
 const maxForwardBody = 64 << 20
 
-// remoteSpan opens a handler-side root span joined to the caller's trace
-// when the request carries a traceparent and the cluster has a flight
-// recorder. The returned context carries the span; finish(status) closes
-// it and records the tree under the caller's trace ID. Without trace
-// context both returns are pass-through no-ops, so untraced internal
-// traffic costs two header lookups.
-func (c *Cluster) remoteSpan(r *http.Request, name, endpoint string) (context.Context, func(status int)) {
-	ctx := r.Context()
-	if c.cfg.Recorder == nil {
-		return ctx, func(int) {}
-	}
-	sc, ok := telemetry.ParseTraceparent(r.Header.Get(telemetry.Traceparent))
-	if !ok {
-		return ctx, func(int) {}
-	}
-	span := telemetry.NewRemoteTrace(name, sc)
-	if peer := r.Header.Get(peerHeader); peer != "" {
-		span.SetString("caller", peer)
-	}
-	return telemetry.ContextWithSpan(ctx, span), func(status int) {
-		c.cfg.Recorder.Finish(span, endpoint, c.self, r.Header.Get("X-Request-ID"), status)
-	}
-}
-
-// statusCapture remembers the reply code for the handler-side trace
-// record. RequestID passes through to the server's middleware writer so
-// error bodies keep their correlation ID.
-type statusCapture struct {
-	http.ResponseWriter
-	code int
-}
-
-func (s *statusCapture) WriteHeader(code int) {
-	s.code = code
-	s.ResponseWriter.WriteHeader(code)
-}
-
-func (s *statusCapture) RequestID() string {
-	if rw, ok := s.ResponseWriter.(interface{ RequestID() string }); ok {
-		return rw.RequestID()
-	}
-	return ""
-}
+// Caller returns the advertised address of the peer that sent r, from
+// the header every cluster round trip carries; "" when absent. The header
+// is client-controlled: use it to attribute, never to authorize.
+func Caller(r *http.Request) string { return r.Header.Get(peerHeader) }
 
 // EvaluateHandler serves the internal POST /cluster/evaluate endpoint: it
 // decodes a forwarded job, runs it through this replica's engine with
@@ -71,13 +31,11 @@ func (s *statusCapture) RequestID() string {
 // Infrastructure failures map to status codes the forwarding side treats
 // as failover triggers: 503 for overload/shutdown, 504 for timeout, 400
 // for undecodable bodies. Analysis-level failures ride inside the Result
-// like everywhere else.
+// like everywhere else. The evaluation runs under r's context, so a trace
+// span the serving middleware put there collects the engine's spans.
 func (c *Cluster) EvaluateHandler(e *engine.Engine, timeout time.Duration) http.Handler {
-	return http.HandlerFunc(func(pw http.ResponseWriter, r *http.Request) {
-		sw := &statusCapture{ResponseWriter: pw, code: http.StatusOK}
-		w := http.ResponseWriter(sw)
-		ctx, finish := c.remoteSpan(r, "cluster.evaluate", "/cluster/evaluate")
-		defer func() { finish(sw.code) }()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx := r.Context()
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST required")
 			return
@@ -115,7 +73,7 @@ func (c *Cluster) EvaluateHandler(e *engine.Engine, timeout time.Duration) http.
 		}
 		// Attribute the serve to the calling peer. Unknown senders (the
 		// header is client-controlled) are ignored rather than given rows.
-		if ps := c.peer(r.Header.Get(peerHeader)); ps != nil {
+		if ps := c.peer(Caller(r)); ps != nil {
 			ps.served.Add(1)
 		}
 		w.Header().Set("Content-Type", resultContentType)

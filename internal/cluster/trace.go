@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"sync"
 
@@ -48,24 +47,9 @@ func (c *Cluster) FetchTraces(ctx context.Context, traceID string) []telemetry.R
 
 // fetchPeerTraces asks one peer for its records of traceID.
 func (c *Cluster) fetchPeerTraces(ctx context.Context, addr, traceID string) []telemetry.RecordedTrace {
-	fctx, cancel := context.WithTimeout(ctx, c.opTimeout())
+	ctx, cancel := context.WithTimeout(ctx, c.opTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodGet,
-		"http://"+addr+"/debug/traces/"+traceID, nil)
-	if err != nil {
-		return nil
-	}
-	req.Header.Set(peerHeader, c.self)
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	_, body, err := c.roundTrip(ctx, http.MethodGet, addr, "/debug/traces/"+traceID, nil, nil, 16<<20, http.StatusOK)
 	if err != nil {
 		return nil
 	}

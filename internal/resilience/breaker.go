@@ -103,17 +103,6 @@ func (b *Breaker) Failure() (opened bool) {
 	}
 }
 
-// ForceOpen trips the breaker regardless of the failure count and reports
-// whether this call performed the transition (false when already open).
-func (b *Breaker) ForceOpen() (opened bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == BreakerOpen {
-		return false
-	}
-	return b.openLocked()
-}
-
 // HalfOpen admits a trial through an open breaker; no-op in any other
 // state (a closed breaker must not regress to trialing).
 func (b *Breaker) HalfOpen() {

@@ -77,19 +77,6 @@ func TestBreakerHalfOpenTrial(t *testing.T) {
 	}
 }
 
-func TestBreakerForceOpen(t *testing.T) {
-	b := NewBreaker(5)
-	if !b.ForceOpen() {
-		t.Fatal("ForceOpen on closed breaker returned false")
-	}
-	if b.ForceOpen() {
-		t.Fatal("ForceOpen on open breaker returned true")
-	}
-	if b.State() != BreakerOpen || b.Opens() != 1 {
-		t.Fatalf("state=%v opens=%d", b.State(), b.Opens())
-	}
-}
-
 func TestBreakerConcurrency(t *testing.T) {
 	b := NewBreaker(2)
 	var wg sync.WaitGroup
