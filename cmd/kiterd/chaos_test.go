@@ -16,7 +16,6 @@ import (
 	"kiter/internal/cluster"
 	"kiter/internal/engine"
 	"kiter/internal/faultinject"
-	"kiter/internal/resilience"
 	"kiter/internal/sweep"
 	"kiter/internal/telemetry"
 )
@@ -72,13 +71,7 @@ func startKiterdFleet(t *testing.T, n int) ([]*chaosReplica, func()) {
 			CacheBackend: backend,
 			Metrics:      reg,
 		})
-		registerEngineCollector(reg, eng)
-		adm := resilience.NewAdmission(resilience.Estimator{
-			QuantileWait: eng.QueueWaitQuantile,
-			Pending:      eng.PendingJobs,
-			Workers:      eng.WorkerCount(),
-		})
-		registerAdmissionCollector(reg, adm)
+		adm := instrument(reg, eng, readBuildInfo())
 		tmpl := requestTemplate{
 			Method:   engine.MethodAuto,
 			Analyses: []engine.AnalysisKind{engine.AnalysisThroughput},

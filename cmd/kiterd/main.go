@@ -122,7 +122,6 @@ import (
 	"kiter/internal/engine"
 	"kiter/internal/faultinject"
 	"kiter/internal/kperiodic"
-	"kiter/internal/resilience"
 	"kiter/internal/telemetry"
 )
 
@@ -217,17 +216,7 @@ func run() error {
 	})
 	defer e.Close()
 	build := readBuildInfo()
-	registerEngineCollector(reg, e)
-	registerBuildInfo(reg, build)
-	// Admission control predicts queue waits from the engine's own
-	// queue-wait histogram and sheds doomed requests before they occupy a
-	// pending slot (HTTP 429; see server.admit for the full ladder).
-	adm := resilience.NewAdmission(resilience.Estimator{
-		QuantileWait: e.QueueWaitQuantile,
-		Pending:      e.PendingJobs,
-		Workers:      e.WorkerCount(),
-	})
-	registerAdmissionCollector(reg, adm)
+	adm := instrument(reg, e, build)
 	if *statsOut != "" {
 		// Registered after e.Close's defer, so it unwinds before Close:
 		// the snapshot sees the live engine and cache tiers.

@@ -6,6 +6,24 @@ import (
 	"kiter/internal/telemetry"
 )
 
+// instrument adds to reg what a serving process registers around its
+// engine: the engine's scrape-time families, the build-info gauge and the
+// admission controller's families. It returns the admission controller,
+// which predicts queue waits from the engine's own queue-wait histogram
+// and sheds doomed requests before they occupy a pending slot (HTTP 429;
+// see server.admit for the full ladder).
+func instrument(reg *telemetry.Registry, e *engine.Engine, build buildInfo) *resilience.Admission {
+	registerEngineCollector(reg, e)
+	registerBuildInfo(reg, build)
+	adm := resilience.NewAdmission(resilience.Estimator{
+		QuantileWait: e.QueueWaitQuantile,
+		Pending:      e.PendingJobs,
+		Workers:      e.WorkerCount(),
+	})
+	registerAdmissionCollector(reg, adm)
+	return adm
+}
+
 // registerBuildInfo exposes the binary's build block as the conventional
 // constant-1 info gauge.
 func registerBuildInfo(reg *telemetry.Registry, b buildInfo) {

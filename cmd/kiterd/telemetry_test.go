@@ -17,15 +17,14 @@ import (
 
 // newObsServer builds a server with the full observability wiring of a real
 // kiterd process: a shared registry feeding the engine instruments, the
-// scrape-time stats collector, the /metrics endpoint and the flight
-// recorder behind /debug/traces.
+// families instrument adds, the /metrics endpoint and the flight recorder
+// behind /debug/traces.
 func newObsServer(t *testing.T) *server {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	e := engine.New(engine.Config{Workers: 4, Metrics: reg})
 	t.Cleanup(e.Close)
-	registerEngineCollector(reg, e)
-	registerBuildInfo(reg, readBuildInfo())
+	instrument(reg, e, readBuildInfo())
 	return newServer(e, testTemplate(), nil, observability{reg: reg, recorder: telemetry.NewRecorder(256)})
 }
 
@@ -316,7 +315,7 @@ func TestScrapeDuringSweep(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := engine.New(engine.Config{Workers: 4, Metrics: reg})
 	t.Cleanup(e.Close)
-	registerEngineCollector(reg, e)
+	instrument(reg, e, readBuildInfo())
 	tmpl := testTemplate()
 	tmpl.Method = engine.MethodKIter
 	srv := newServer(e, tmpl, nil, observability{reg: reg})
