@@ -190,7 +190,7 @@ func TestAdmissionShedsOverBudget(t *testing.T) {
 		QuantileWait: func(q float64) float64 { return 10 }, // 10s p90 wait
 		Pending:      func() int { return 100 },
 		Workers:      1,
-	})
+	}, nil)
 	rec := record(t, srv, http.MethodPost, "/analyze", graphBody(t))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429; body %s", rec.Code, rec.Body)
@@ -207,7 +207,7 @@ func TestAdmissionShedsOverBudget(t *testing.T) {
 		QuantileWait: func(q float64) float64 { return 0.001 },
 		Pending:      func() int { return 0 },
 		Workers:      4,
-	})
+	}, nil)
 	if rec := record(t, srv, http.MethodPost, "/analyze", graphBody(t)); rec.Code != http.StatusOK {
 		t.Fatalf("underloaded status = %d, want 200; body %s", rec.Code, rec.Body)
 	}

@@ -122,6 +122,7 @@ import (
 	"kiter/internal/engine"
 	"kiter/internal/faultinject"
 	"kiter/internal/kperiodic"
+	"kiter/internal/resilience"
 	"kiter/internal/telemetry"
 )
 
@@ -181,8 +182,9 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "kiterd: chaos armed at %s\n", strings.Join(points, ", "))
 	}
 
-	// One registry serves the whole process: the engine and cluster register
-	// their histograms into it at construction, and GET /metrics renders it.
+	// One registry serves the whole process: the engine, cluster and
+	// admission controller register their counters and histograms into it
+	// at construction, and GET /metrics renders it.
 	// The Go runtime collector (goroutines, heap, GC pauses, scheduler
 	// latency) rides along so every scrape carries process health.
 	reg := telemetry.NewRegistry()
@@ -319,6 +321,26 @@ func buildCluster(peers, self, addr string, forwardTimeout, requestTimeout time.
 		Workers:        workers,
 		Metrics:        reg,
 	})
+}
+
+// instrument adds to reg what a serving process registers around its
+// engine, whose own families the engine registered in New: the
+// build-info gauge and the admission controller. It returns the admission
+// controller, which predicts queue waits from the engine's own queue-wait
+// histogram and sheds doomed requests before they occupy a pending slot
+// (HTTP 429; see server.admit for the full ladder).
+func instrument(reg *telemetry.Registry, e *engine.Engine, build buildInfo) *resilience.Admission {
+	// The build block is the conventional constant-1 info gauge.
+	reg.Collect(func(x *telemetry.ExpoWriter) {
+		x.Family("kiter_build_info", "gauge", "Build metadata of the serving binary; value is always 1.")
+		x.Sample("kiter_build_info", 1,
+			"version", build.Version, "goVersion", build.GoVersion, "revision", build.Revision)
+	})
+	return resilience.NewAdmission(resilience.Estimator{
+		QuantileWait: e.QueueWaitQuantile,
+		Pending:      e.PendingJobs,
+		Workers:      e.WorkerCount(),
+	}, reg)
 }
 
 // requestTemplate carries the per-process defaults applied to every

@@ -192,12 +192,14 @@ const traceIDHeader = "X-Kiter-Trace-Id"
 // reflected on the response and included in JSON error bodies.
 const requestIDHeader = "X-Request-ID"
 
-// statusWriter captures the response code for the request histogram and
-// the trace record, carries the request's correlation ID to error writers
-// downstream, and holds the request's trace root from startTrace until
-// fileTrace files it.
+// statusWriter captures the request's status for the request histogram
+// and the trace record, carries the request's correlation ID to error
+// writers downstream, and holds the request's trace root from startTrace
+// until fileTrace files it.
 type statusWriter struct {
 	http.ResponseWriter
+	// code is the request's one status: the reply's status line, or the
+	// outcome a streaming handler filed after committing it.
 	code  int
 	reqID string
 	root  *telemetry.Span
@@ -211,8 +213,8 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// RequestID exposes the correlation ID to error body writers (httpError,
-// cluster.writeError) through an interface assertion.
+// RequestID exposes the correlation ID to the error body writer
+// (cluster.WriteError) through an interface assertion.
 func (w *statusWriter) RequestID() string { return w.reqID }
 
 // Flush forwards streaming flushes (the /sweep NDJSON path) through the
@@ -298,15 +300,20 @@ func (s *server) startTrace(w http.ResponseWriter, r *http.Request, name string,
 	return telemetry.ContextWithSpan(r.Context(), sw.root), sw.root
 }
 
-// fileTrace files the request's open root, if any, in the flight recorder
-// under status code (>= 400 marks it errored), and forgets it, so a second
-// call files nothing. ServeHTTP files every root when the handler returns,
+// fileTrace settles the request's status as code, which the request
+// histogram then counts it under, and files the request's open root, if
+// any, in the flight recorder under that status (>= 400 marks it
+// errored), and forgets it, so a second call files nothing. ServeHTTP files every root when the handler returns,
 // which is before net/http ends the response: a client that has read the
 // whole reply always finds the record. Errored traces are exactly the ones
 // the recorder's tail-biased retention fights to keep.
 func (s *server) fileTrace(w http.ResponseWriter, r *http.Request, code int) {
 	sw, ok := w.(*statusWriter)
-	if !ok || sw.root == nil {
+	if !ok {
+		return
+	}
+	sw.code = code
+	if sw.root == nil {
 		return
 	}
 	if !sw.remote {
@@ -331,8 +338,10 @@ func (s *server) joinTrace(name string, h http.Handler) http.HandlerFunc {
 	}
 }
 
-// handleMetrics renders every registered instrument plus the scrape-time
-// engine collectors in Prometheus text exposition format.
+// handleMetrics renders the process registry in Prometheus text
+// exposition format: the instruments the engine, cluster, admission
+// controller and server registered — the counters GET /stats reads too —
+// and the scrape-time collectors.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
@@ -563,16 +572,8 @@ func writeJSONIndent(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// httpError writes the JSON error reply (cluster.WriteError) with a
+// formatted message.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	body := map[string]string{"error": fmt.Sprintf(format, args...)}
-	// Carry the middleware's correlation ID into the error body: a failed
-	// call in a client log then names the server-side trace to pull.
-	if rw, ok := w.(interface{ RequestID() string }); ok {
-		if id := rw.RequestID(); id != "" {
-			body["requestId"] = id
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(body)
+	cluster.WriteError(w, code, fmt.Sprintf(format, args...))
 }

@@ -150,7 +150,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	stream.close()
 	// The trace is filed here rather than when the handler returns: the
 	// closing line names it, and a client may pull it as soon as it reads
-	// that line. A failed stream files as a 500 under its 200 status line.
+	// that line. A failed stream files, and is counted, as a 500 under its
+	// 200 status line.
 	enc := json.NewEncoder(w)
 	if err != nil {
 		s.fileTrace(w, r, http.StatusInternalServerError)

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -75,7 +76,9 @@ func jsonGraph(t *testing.T, g *csdf.Graph) []byte {
 // says, driving a full single-replica kiterd stack through ServeHTTP: one
 // record for every served /analyze and /sweep and for each cluster
 // endpoint called with a traceparent, none for requests refused before
-// their root opens, and none at all without a flight recorder.
+// their root opens, and none at all without a flight recorder. The
+// request histogram counts each request under the status it was filed
+// under.
 func TestTraceFiling(t *testing.T) {
 	graph := jsonGraph(t, gen.Figure2())
 	evaluateBody := []byte(`{"graph": ` + string(graph) + `, "analyses": ["throughput"]}`)
@@ -92,7 +95,7 @@ func TestTraceFiling(t *testing.T) {
 		QuantileWait: func(float64) float64 { return 10 },
 		Pending:      func() int { return 100 },
 		Workers:      1,
-	})
+	}, nil)
 
 	cases := []struct {
 		name         string
@@ -187,6 +190,18 @@ func TestTraceFiling(t *testing.T) {
 			}
 			if code != c.code {
 				t.Fatalf("status %d, want %d", code, c.code)
+			}
+			// The request histogram counts the request once, under the
+			// status its trace was filed under, or its reply's when it
+			// files none.
+			if srv.httpHist != nil {
+				counted := c.code
+				if c.want != nil {
+					counted = c.want.status
+				}
+				if n := srv.httpHist.With(endpointLabel(c.path), strconv.Itoa(counted)).Count(); n != 1 {
+					t.Errorf("request histogram counts %d requests under %d, want 1", n, counted)
+				}
 			}
 			var mine []telemetry.RecordedTrace
 			for _, r := range rec.List(0) {

@@ -62,9 +62,8 @@ type RemoteCache struct {
 	hits, misses atomic.Uint64
 	bytesMoved   atomic.Uint64 // payload bytes fetched
 
-	// kiter_cache_remote_* instruments; nil without Config.Metrics. Hits
-	// and misses reach /metrics through TierStats as
-	// kiter_cache_tier_{hits,misses}_total{tier="fleet"}.
+	// kiter_cache_remote_* instruments. Hits and misses reach /metrics
+	// through TierStats as kiter_cache_tier_{hits,misses}_total{tier="fleet"}.
 	mErrors *telemetry.Counter
 	mRTT    *telemetry.HistogramVec
 }
@@ -73,15 +72,15 @@ type RemoteCache struct {
 // returned backend is owned by the engine it is configured into; close
 // the Cluster separately, after the engine.
 func NewRemoteCache(c *Cluster) *RemoteCache {
-	rc := &RemoteCache{c: c}
-	if m := c.cfg.Metrics; m != nil {
-		rc.mErrors = m.Counter("kiter_cache_remote_errors_total",
-			"Fleet-tier reads that failed in transit.")
-		rc.mRTT = m.HistogramVec("kiter_cache_remote_rtt_seconds",
+	m := c.cfg.Metrics
+	return &RemoteCache{
+		c: c,
+		mErrors: m.Counter("kiter_cache_remote_errors_total",
+			"Fleet-tier reads that failed in transit."),
+		mRTT: m.HistogramVec("kiter_cache_remote_rtt_seconds",
 			"Round-trip time of fleet-tier cache reads, in seconds.",
-			telemetry.LatencyBuckets, "op")
+			telemetry.LatencyBuckets, "op"),
 	}
-	return rc
 }
 
 // fetchOwner resolves where to read key from: for a key this replica
@@ -244,12 +243,12 @@ func (c *Cluster) CacheGetHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		span := telemetry.FromContext(r.Context())
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST required")
+			WriteError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
 		key := r.Header.Get(cacheKeyHeader)
 		if key == "" {
-			writeError(w, http.StatusBadRequest, cacheKeyHeader+" required")
+			WriteError(w, http.StatusBadRequest, cacheKeyHeader+" required")
 			return
 		}
 		var res *engine.Result

@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,8 +92,11 @@ type Config struct {
 	// Client overrides the forwarding HTTP client (tests). When nil, a
 	// client over a dedicated transport sized by Workers is built.
 	Client *http.Client
-	// Metrics, when non-nil, registers the cluster's forward-RTT histogram
-	// (kiter_cluster_forward_seconds, labeled by peer and outcome).
+	// Metrics is the registry the cluster registers its instruments in:
+	// the per-peer kiter_cluster_* counters and breaker families, the
+	// forward-RTT histogram and the fleet cache tier's instruments. Nil
+	// gives the cluster a private registry, so DispatchStats reports the
+	// same counters with or without one.
 	Metrics *telemetry.Registry
 }
 
@@ -119,6 +121,9 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Transport: newTransport(cfg.Workers, len(cfg.Peers))}
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = telemetry.NewRegistry()
 	}
 	return cfg
 }
@@ -159,11 +164,9 @@ type peerState struct {
 	addr    string
 	breaker *resilience.Breaker
 
-	forwarded  atomic.Uint64
-	failedOver atomic.Uint64
-	served     atomic.Uint64
-	probes     atomic.Uint64
-	retried    atomic.Uint64
+	// The peer's children of the kiter_cluster_* counter families, which
+	// DispatchStats reads.
+	forwarded, failedOver, served, probes, retried *telemetry.Counter
 
 	// mu guards the probe backoff schedule.
 	mu        sync.Mutex
@@ -179,13 +182,15 @@ type Cluster struct {
 	self string
 	ring *ring
 
-	// peers is immutable after New (rows are created at construction
-	// only), so it is read lock-free on the dispatch path; the rows handle
-	// their own synchronization.
-	peers map[string]*peerState
+	// peers and peerList (the same rows, in address order) are immutable
+	// after New (rows are created at construction only), so they are read
+	// lock-free on the dispatch path; the rows handle their own
+	// synchronization.
+	peers    map[string]*peerState
+	peerList []*peerState
 
 	// forwardRTT times each forwarded evaluation end to end, labeled by
-	// peer and outcome (ok / error). Nil when Config.Metrics was nil.
+	// peer and outcome (ok / error).
 	forwardRTT *telemetry.HistogramVec
 
 	// localCache is the backend the cache handler serves from — the
@@ -223,20 +228,36 @@ func New(cfg Config) (*Cluster, error) {
 		peers: make(map[string]*peerState),
 		stop:  make(chan struct{}),
 	}
-	if cfg.Metrics != nil {
-		c.forwardRTT = cfg.Metrics.HistogramVec("kiter_cluster_forward_seconds",
-			"Round-trip time of one forwarded evaluation, in seconds.",
-			telemetry.LatencyBuckets, "peer", "outcome")
-	}
-	for _, m := range members {
+	reg := cfg.Metrics
+	c.forwardRTT = reg.HistogramVec("kiter_cluster_forward_seconds",
+		"Round-trip time of one forwarded evaluation, in seconds.",
+		telemetry.LatencyBuckets, "peer", "outcome")
+	perPeer := func(name, help string) *telemetry.CounterVec { return reg.CounterVec(name, help, "peer") }
+	forwarded := perPeer("kiter_cluster_forwarded_total", "Jobs forwarded to the peer with a result returned.")
+	failedOver := perPeer("kiter_cluster_failed_over_total", "Forward attempts that fell back to local evaluation.")
+	served := perPeer("kiter_cluster_served_total", "Jobs evaluated locally on the peer's behalf.")
+	probes := perPeer("kiter_cluster_probes_total", "Health probes sent to the peer.")
+	retried := perPeer("kiter_cluster_retried_total", "Forward attempts retried after a first failure.")
+	for _, m := range ring.members {
 		if m == cfg.Self {
 			continue
 		}
 		// Breakers start closed (optimistic): a down peer costs a few
 		// failed forwards (answered locally) before its breaker opens and
 		// probing takes over.
-		c.peers[m] = &peerState{addr: m, breaker: resilience.NewBreaker(cfg.BreakerThreshold)}
+		ps := &peerState{
+			addr:       m,
+			breaker:    resilience.NewBreaker(cfg.BreakerThreshold),
+			forwarded:  forwarded.With(m),
+			failedOver: failedOver.With(m),
+			served:     served.With(m),
+			probes:     probes.With(m),
+			retried:    retried.With(m),
+		}
+		c.peers[m] = ps
+		c.peerList = append(c.peerList, ps)
 	}
+	reg.Collect(c.exposeBreakers)
 	c.wg.Add(1)
 	go c.probeLoop()
 	return c, nil
@@ -306,7 +327,7 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 	res, err := c.attempt(fctx, owner, job)
 	if err == nil {
 		ps.breaker.Success()
-		ps.forwarded.Add(1)
+		ps.forwarded.Inc()
 		return res, true, nil
 	}
 	if ctx.Err() != nil {
@@ -322,10 +343,10 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 	if !ps.breaker.Allow() {
 		fspan.Event("breaker.open", "peer", owner)
 	} else if sleepCtx(ctx, jitter(c.cfg.RetryBackoff)) {
-		ps.retried.Add(1)
+		ps.retried.Inc()
 		if res, err = c.attempt(fctx, owner, job); err == nil {
 			ps.breaker.Success()
-			ps.forwarded.Add(1)
+			ps.forwarded.Inc()
 			fspan.SetBool("retried", true)
 			return res, true, nil
 		}
@@ -335,7 +356,7 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 		c.noteForwardFailure(ps)
 		fspan.SetString("error", err.Error())
 	}
-	ps.failedOver.Add(1)
+	ps.failedOver.Inc()
 	fspan.Event("fallback.local", "peer", owner, "error", err.Error())
 	return nil, false, nil
 }
@@ -494,7 +515,7 @@ func (c *Cluster) probeLoop() {
 		case <-c.stop:
 			return
 		case now := <-t.C:
-			for _, ps := range c.snapshotPeers() {
+			for _, ps := range c.peerList {
 				// Only open breakers are probed; a half-open peer is
 				// already taking trial traffic that will settle its state.
 				if ps.breaker.State() != resilience.BreakerOpen {
@@ -516,7 +537,7 @@ func (c *Cluster) probeLoop() {
 // real or snaps it back open. Failure doubles the probe backoff (up to
 // MaxProbeInterval).
 func (c *Cluster) probe(ps *peerState) {
-	ps.probes.Add(1)
+	ps.probes.Inc()
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
 	defer cancel()
 	_, _, err := c.roundTrip(ctx, http.MethodGet, ps.addr, "/healthz", nil, nil, 4096, http.StatusOK)
@@ -537,34 +558,53 @@ func (c *Cluster) probe(ps *peerState) {
 	ps.nextProbe = time.Now().Add(backoff)
 }
 
-// snapshotPeers returns the peer rows as a slice.
-func (c *Cluster) snapshotPeers() []*peerState {
-	out := make([]*peerState, 0, len(c.peers))
-	for _, ps := range c.peers {
-		out = append(out, ps)
-	}
-	return out
-}
-
 // DispatchStats implements engine.DispatchStatser: one row per known peer,
 // sorted by address for stable output.
 func (c *Cluster) DispatchStats() []engine.PeerStats {
-	peers := c.snapshotPeers()
-	sort.Slice(peers, func(a, b int) bool { return peers[a].addr < peers[b].addr })
-	out := make([]engine.PeerStats, 0, len(peers))
-	for _, ps := range peers {
+	out := make([]engine.PeerStats, 0, len(c.peerList))
+	for _, ps := range c.peerList {
 		st := ps.breaker.State()
 		out = append(out, engine.PeerStats{
 			Peer:         ps.addr,
 			Healthy:      st != resilience.BreakerOpen,
-			Forwarded:    ps.forwarded.Load(),
-			FailedOver:   ps.failedOver.Load(),
-			Served:       ps.served.Load(),
-			Probes:       ps.probes.Load(),
-			Retried:      ps.retried.Load(),
+			Forwarded:    ps.forwarded.Value(),
+			FailedOver:   ps.failedOver.Value(),
+			Served:       ps.served.Value(),
+			Probes:       ps.probes.Value(),
+			Retried:      ps.retried.Value(),
 			BreakerState: st.String(),
 			BreakerOpens: ps.breaker.Opens(),
 		})
 	}
 	return out
+}
+
+// exposeBreakers renders the peer_healthy, breaker_state and
+// breaker_opens_total families from one read of each peer's breaker. A
+// BreakerState's value is its gauge encoding.
+func (c *Cluster) exposeBreakers(x *telemetry.ExpoWriter) {
+	if len(c.peerList) == 0 {
+		return
+	}
+	states := make([]resilience.BreakerState, len(c.peerList))
+	for i, ps := range c.peerList {
+		states[i] = ps.breaker.State()
+	}
+	family := func(name, typ, help string, value func(i int) float64) {
+		x.Family(name, typ, help)
+		for i, ps := range c.peerList {
+			x.Sample(name, value(i), "peer", ps.addr)
+		}
+	}
+	family("kiter_cluster_peer_healthy", "gauge", "Local health view of the peer (1 = in the ring).",
+		func(i int) float64 {
+			if states[i] == resilience.BreakerOpen {
+				return 0
+			}
+			return 1
+		})
+	family("kiter_cluster_breaker_state", "gauge", "Peer circuit-breaker state: 0 closed, 1 half-open, 2 open.",
+		func(i int) float64 { return float64(states[i]) })
+	family("kiter_cluster_breaker_opens_total", "counter", "Times the peer's circuit breaker opened.",
+		func(i int) float64 { return float64(c.peerList[i].breaker.Opens()) })
 }

@@ -117,9 +117,9 @@ func TestProbeRevivesFlappyPeer(t *testing.T) {
 
 	// While it keeps failing, probes accrue and it stays out of the ring.
 	deadline := time.Now().Add(2 * time.Second)
-	for ps.probes.Load() < 2 {
+	for ps.probes.Value() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("prober never probed: %d probes", ps.probes.Load())
+			t.Fatalf("prober never probed: %d probes", ps.probes.Value())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -226,7 +226,7 @@ func TestForwardRetryThenBreakerOpens(t *testing.T) {
 	if _, handled, err := c.Dispatch(ctx, job); handled || err != nil {
 		t.Fatalf("dispatch 1 = handled %v err %v, want local fallback", handled, err)
 	}
-	if got := ps.retried.Load(); got != 1 {
+	if got := ps.retried.Value(); got != 1 {
 		t.Fatalf("retried = %d after dispatch 1, want 1", got)
 	}
 	if st := ps.breaker.State(); st != resilience.BreakerClosed {
@@ -240,7 +240,7 @@ func TestForwardRetryThenBreakerOpens(t *testing.T) {
 	if st := ps.breaker.State(); st != resilience.BreakerOpen {
 		t.Fatalf("breaker %v after dispatch 2, want open", st)
 	}
-	if got := ps.retried.Load(); got != 1 {
+	if got := ps.retried.Value(); got != 1 {
 		t.Fatalf("retried = %d after breaker opened, want still 1", got)
 	}
 	if c.alive(addr) {

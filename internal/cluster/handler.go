@@ -37,7 +37,7 @@ func (c *Cluster) EvaluateHandler(e *engine.Engine, timeout time.Duration) http.
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST required")
+			WriteError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
 		req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxForwardBody), r.ContentLength)
@@ -45,13 +45,13 @@ func (c *Cluster) EvaluateHandler(e *engine.Engine, timeout time.Duration) http.
 		var readErr *sdf3x.ReadError
 		switch {
 		case errors.As(err, &mbe):
-			writeError(w, http.StatusRequestEntityTooLarge, "body too large")
+			WriteError(w, http.StatusRequestEntityTooLarge, "body too large")
 			return
 		case errors.As(err, &readErr):
-			writeError(w, http.StatusBadRequest, "reading body: "+readErr.Err.Error())
+			WriteError(w, http.StatusBadRequest, "reading body: "+readErr.Err.Error())
 			return
 		case err != nil:
-			writeError(w, http.StatusBadRequest, err.Error())
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if timeout > 0 {
@@ -63,18 +63,18 @@ func (c *Cluster) EvaluateHandler(e *engine.Engine, timeout time.Duration) http.
 		if err != nil {
 			switch {
 			case errors.Is(err, engine.ErrOverloaded), errors.Is(err, engine.ErrClosed):
-				writeError(w, http.StatusServiceUnavailable, err.Error())
+				WriteError(w, http.StatusServiceUnavailable, err.Error())
 			case errors.Is(err, context.DeadlineExceeded):
-				writeError(w, http.StatusGatewayTimeout, "evaluation timed out")
+				WriteError(w, http.StatusGatewayTimeout, "evaluation timed out")
 			default:
-				writeError(w, http.StatusBadRequest, err.Error())
+				WriteError(w, http.StatusBadRequest, err.Error())
 			}
 			return
 		}
 		// Attribute the serve to the calling peer. Unknown senders (the
 		// header is client-controlled) are ignored rather than given rows.
 		if ps := c.peer(Caller(r)); ps != nil {
-			ps.served.Add(1)
+			ps.served.Inc()
 		}
 		w.Header().Set("Content-Type", resultContentType)
 		w.WriteHeader(http.StatusOK)
@@ -82,11 +82,12 @@ func (c *Cluster) EvaluateHandler(e *engine.Engine, timeout time.Duration) http.
 	})
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
+// WriteError writes the JSON error reply every kiterd endpoint sends:
+// {"error": msg}, plus the request's correlation ID as "requestId" when
+// the serving middleware's writer carries one, so a failed client call
+// names the server trace to pull.
+func WriteError(w http.ResponseWriter, code int, msg string) {
 	body := map[string]string{"error": msg}
-	// The serving middleware's writer carries the request's correlation ID;
-	// include it in the error body so a failed client call names the server
-	// trace to pull.
 	if rw, ok := w.(interface{ RequestID() string }); ok {
 		if id := rw.RequestID(); id != "" {
 			body["requestId"] = id

@@ -18,14 +18,13 @@ import (
 // debug path must not add load to a peer the serving path already
 // excluded.
 func (c *Cluster) FetchTraces(ctx context.Context, traceID string) []telemetry.RecordedTrace {
-	peers := c.snapshotPeers()
-	if len(peers) == 0 {
+	if len(c.peerList) == 0 {
 		return nil
 	}
 	var mu sync.Mutex
 	var out []telemetry.RecordedTrace
 	var wg sync.WaitGroup
-	for _, ps := range peers {
+	for _, ps := range c.peerList {
 		if !c.alive(ps.addr) {
 			continue
 		}

@@ -53,3 +53,27 @@ func TestLatencyCountsSuccessOnly(t *testing.T) {
 		t.Fatalf("errors/cancelled = %d/%d, want 1/1", s.Errors, s.Cancelled)
 	}
 }
+
+// TestStatsWithoutRegistry: an engine built without Config.Metrics keeps
+// its instruments in a private registry, so Stats' counters and latency
+// mean and QueueWaitQuantile are live exactly as with one.
+func TestStatsWithoutRegistry(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+	req := &Request{Graph: gen.Figure2()}
+	for range 2 {
+		if _, err := e.Submit(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := e.Stats()
+	if s.Submitted != 2 || s.CacheMisses != 1 || s.CacheHits != 1 || s.Evaluations != 1 || s.RaceWins["kiter"] != 1 {
+		t.Fatalf("stats = %+v, want 2 submitted, 1 miss, 1 hit, 1 evaluation answered by kiter", s)
+	}
+	if s.LatencySamples != 1 || s.MeanLatencyMS <= 0 {
+		t.Fatalf("latency samples = %d, mean = %g ms, want 1 sample and a positive mean", s.LatencySamples, s.MeanLatencyMS)
+	}
+	if q := e.QueueWaitQuantile(0.9); q <= 0 {
+		t.Fatalf("QueueWaitQuantile(0.9) = %g after a queued job, want > 0", q)
+	}
+}

@@ -36,7 +36,7 @@ func (e *Engine) autoThroughput(ctx context.Context, f *csdf.Facts, skipSymbolic
 		}
 		tr, err := e.safeRunMethod(ctx, f, m)
 		if err == nil {
-			e.stats.answers[i].Add(1)
+			e.met.answers[i].Inc()
 			return tr, nil
 		}
 		if ctx.Err() != nil {

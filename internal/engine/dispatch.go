@@ -106,7 +106,7 @@ func (e *Engine) launch(j *job, djob *DispatchJob) {
 		if handled {
 			switch {
 			case err == nil:
-				e.stats.remote.Add(1)
+				e.met.remote.Inc()
 				if !j.req.NoCache && e.cache != nil {
 					e.cache.Put(j.req.cacheKeyHint, res)
 				}
@@ -115,9 +115,9 @@ func (e *Engine) launch(j *job, djob *DispatchJob) {
 				// report it like any other job caught in Close.
 				err = ErrClosed
 			case contextual(err):
-				e.stats.cancelled.Add(1)
+				e.met.cancelled.Inc()
 			default:
-				e.stats.errors.Add(1)
+				e.met.errors.Inc()
 			}
 			e.finishJob(j, res, err)
 			return

@@ -45,12 +45,14 @@ type Config struct {
 	// forwards non-local jobs to their ring owner). Nil keeps every job
 	// local. The engine does not own the Dispatcher; close it after Close.
 	Dispatcher Dispatcher
-	// Metrics, when set, receives the engine's latency histograms and
+	// Metrics is the registry the engine registers its instruments in:
+	// the counters and gauges behind Stats, its latency histograms and its
 	// solver-phase instruments (queue wait, per-method solve time, K-Iter
-	// rounds, Howard iterations, arcs built/reused). The engine registers
-	// its instruments in New, so a Registry serves at most one Engine; nil
-	// disables histogram instrumentation at the cost of one nil check per
-	// site. Counter-style telemetry stays on Stats either way.
+	// rounds, Howard iterations, arcs built/reused), all rendered by
+	// GET /metrics. The engine registers them in New, so a Registry serves
+	// at most one Engine. Nil gives the engine a private registry: Stats,
+	// QueueWaitQuantile and everything that reads them behave the same
+	// with or without one.
 	Metrics *telemetry.Registry
 }
 
@@ -76,7 +78,6 @@ type Engine struct {
 	slots  chan struct{}
 	cache  CacheBackend // nil when caching is disabled
 	flight *flightGroup
-	stats  counters
 
 	pending atomic.Int64
 	closed  chan struct{}
@@ -91,54 +92,9 @@ type Engine struct {
 	// scheduling behaviour without paying for real analyses.
 	evalFn func(ctx context.Context, req *Request) (*Result, error)
 
-	// met holds the histogram instruments built from Config.Metrics. Every
-	// field may be nil (telemetry disabled); all observation methods no-op
-	// on nil receivers.
+	// met holds the engine's telemetry, registered in Config.Metrics or
+	// in a private registry.
 	met instruments
-}
-
-// instruments bundles the engine's histogram/counter instrumentation
-// points — the latency-distribution telemetry that Stats' plain counters
-// cannot express.
-type instruments struct {
-	// queueWait is the time a local leader job waited for a worker slot.
-	queueWait *telemetry.Histogram
-	// evaluation is slot→done for successful evaluations — the solve
-	// wall time MeanLatencyMS averages, as a full distribution.
-	evaluation *telemetry.Histogram
-	// cacheLookup times CacheBackend.Get (a disk-tier hit pays a decode).
-	cacheLookup *telemetry.Histogram
-	// solve is per-method solver wall time, labeled by method; under the
-	// default method every chain step that runs observes.
-	solve *telemetry.HistogramVec
-	// kiterRounds is K-Iter's Algorithm 1 round count per solve;
-	// howardIters the total Howard policy-improvement rounds per solve.
-	kiterRounds *telemetry.Histogram
-	howardIters *telemetry.Histogram
-	// arcsBuilt/arcsReused count incremental-expansion arc work.
-	arcsBuilt  *telemetry.Counter
-	arcsReused *telemetry.Counter
-}
-
-func newInstruments(m *telemetry.Registry) instruments {
-	return instruments{
-		queueWait: m.Histogram("kiter_engine_queue_wait_seconds",
-			"Time a job waited for a worker slot, in seconds.", telemetry.LatencyBuckets),
-		evaluation: m.Histogram("kiter_engine_evaluation_seconds",
-			"Wall time of successful evaluations, in seconds.", telemetry.LatencyBuckets),
-		cacheLookup: m.Histogram("kiter_engine_cache_lookup_seconds",
-			"Memo-cache lookup time (all tiers), in seconds.", telemetry.LatencyBuckets),
-		solve: m.HistogramVec("kiter_solver_solve_seconds",
-			"Per-method throughput solve time, in seconds.", telemetry.LatencyBuckets, "method"),
-		kiterRounds: m.Histogram("kiter_solver_kiter_rounds",
-			"K-Iter Algorithm 1 rounds per solve.", telemetry.CountBuckets),
-		howardIters: m.Histogram("kiter_solver_howard_iterations",
-			"Howard policy-improvement rounds per solve (summed over K-Iter rounds).", telemetry.CountBuckets),
-		arcsBuilt: m.Counter("kiter_solver_arcs_built_total",
-			"Constraint arcs built from phase pairs during expansion."),
-		arcsReused: m.Counter("kiter_solver_arcs_reused_total",
-			"Constraint arcs replayed from a previous round's block cache."),
-	}
 }
 
 // job couples a request with the flight call its waiters share.
@@ -177,7 +133,11 @@ func New(cfg Config) *Engine {
 		closed: make(chan struct{}),
 	}
 	e.shutdownCtx, e.shutdown = context.WithCancel(context.Background())
-	e.met = newInstruments(cfg.Metrics)
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	e.met = newInstruments(reg, e)
 	e.evalFn = e.evaluate
 	return e
 }
@@ -221,7 +181,7 @@ func (e *Engine) Close() {
 // If other waiters remain, the evaluation runs on for them, and the
 // leader's Submit returns ctx.Err() only once that evaluation has ended.
 func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
-	e.stats.submitted.Add(1)
+	e.met.submitted.Inc()
 	if req == nil || (req.Graph == nil && req.Facts == nil) {
 		return nil, errors.New("engine: nil request or graph")
 	}
@@ -294,13 +254,13 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 			span.SetBool("cacheHit", ok)
 		}
 		if ok {
-			e.stats.cacheHits.Add(1)
+			e.met.cacheHits.Inc()
 			out := res.shallowCopy()
 			out.Graph = g.Name
 			out.CacheHit = true
 			return out, nil
 		}
-		e.stats.cacheMisses.Add(1)
+		e.met.cacheMisses.Inc()
 	}
 
 	c, leader := e.flight.join(key)
@@ -317,7 +277,7 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	}
 	if leader {
 		if e.cfg.MaxPending > 0 && e.pending.Load() >= int64(e.cfg.MaxPending) {
-			e.stats.rejected.Add(1)
+			e.met.rejected.Inc()
 			// Fail the whole call, not just this submitter: a waiter may
 			// have joined since join(), and leaving would strand it (and
 			// every later submission of this key) on a job that is never
@@ -379,7 +339,7 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 			}
 		}
 	} else {
-		e.stats.deduped.Add(1)
+		e.met.deduped.Inc()
 		span.SetBool("deduped", true)
 	}
 
@@ -407,8 +367,8 @@ func (e *Engine) PendingJobs() int { return int(e.pending.Load()) }
 func (e *Engine) WorkerCount() int { return e.cfg.Workers }
 
 // QueueWaitQuantile returns the q-quantile of the observed worker-slot
-// waits in seconds, from the kiter_engine_queue_wait_seconds
-// histogram; 0 without Config.Metrics or before the first observation.
+// waits in seconds, from the kiter_engine_queue_wait_seconds histogram;
+// 0 before the first observation.
 func (e *Engine) QueueWaitQuantile(q float64) float64 {
 	return e.met.queueWait.Quantile(q)
 }
@@ -457,7 +417,7 @@ func (e *Engine) runJob(j *job) {
 		e.finishJob(j, nil, err)
 		return
 	}
-	e.stats.evaluations.Add(1)
+	e.met.evaluations.Inc()
 	start := time.Now()
 	res, err := e.safeEval(ctx, j.req)
 	elapsed := time.Since(start)
@@ -467,17 +427,15 @@ func (e *Engine) runJob(j *job) {
 		// documents: folding in cancelled jobs (often aborted in
 		// microseconds) or failures would skew the mean of the work the
 		// engine actually completed.
-		e.stats.latencyNanos.Add(int64(elapsed))
-		e.stats.latencyCount.Add(1)
 		e.met.evaluation.Observe(elapsed.Seconds())
 		res.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 		if !j.req.NoCache && e.cache != nil {
 			cachePut(ctx, e.cache, j.req.cacheKeyHint, res)
 		}
 	case contextual(err):
-		e.stats.cancelled.Add(1)
+		e.met.cancelled.Inc()
 	default:
-		e.stats.errors.Add(1)
+		e.met.errors.Inc()
 	}
 	e.finishJob(j, res, err)
 }

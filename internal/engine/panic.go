@@ -34,7 +34,7 @@ func (p *PanicError) Error() string {
 // returns the PanicError the job fails with.
 func (e *Engine) recoveredPanic(ctx context.Context, where string, v any) *PanicError {
 	stack := debug.Stack()
-	e.stats.panics.Add(1)
+	e.met.panics.Inc()
 	if span := telemetry.FromContext(ctx); span != nil {
 		span.SetString("panic", fmt.Sprint(v))
 		span.SetString("panicWhere", where)
@@ -66,7 +66,7 @@ func (e *Engine) safeLaunch(j *job, djob *DispatchJob) {
 		if v := recover(); v != nil {
 			err := e.recoveredPanic(j.evalCtx(), "launch", v)
 			if !j.finished {
-				e.stats.errors.Add(1)
+				e.met.errors.Inc()
 				e.finishJob(j, nil, err)
 			}
 		}

@@ -1,26 +1,131 @@
 package engine
 
-import "sync/atomic"
+import "kiter/internal/telemetry"
 
-// counters holds the engine's hot-path telemetry. Everything is atomic:
-// the serving path never takes a lock to account.
-type counters struct {
-	submitted    atomic.Uint64
-	cacheHits    atomic.Uint64
-	cacheMisses  atomic.Uint64
-	deduped      atomic.Uint64
-	evaluations  atomic.Uint64
-	remote       atomic.Uint64
-	errors       atomic.Uint64
-	cancelled    atomic.Uint64
-	rejected     atomic.Uint64
-	panics       atomic.Uint64
-	latencyNanos atomic.Int64
-	latencyCount atomic.Uint64
-
+// instruments are the engine's telemetry: registry instruments that GET
+// /metrics renders and Stats reads, so each signal is counted in one
+// place. Every counter is atomic: the serving path never takes a lock to
+// account.
+type instruments struct {
+	// The counters behind Stats' fields of the same names.
+	submitted, cacheHits, cacheMisses, deduped, evaluations, remote *telemetry.Counter
+	errors, cancelled, rejected, panics                             *telemetry.Counter
 	// answers counts the default method's answers per chain step, indexed
-	// like chainSteps.
-	answers [len(chainSteps)]atomic.Uint64
+	// like chainSteps: the children of kiter_race_wins_total.
+	answers [len(chainSteps)]*telemetry.Counter
+
+	// queueWait is the time a local leader job waited for a worker slot.
+	queueWait *telemetry.Histogram
+	// evaluation is slot→done for successful evaluations; its sum and
+	// count are Stats' MeanLatencyMS and LatencySamples.
+	evaluation *telemetry.Histogram
+	// cacheLookup times CacheBackend.Get (a disk-tier hit pays a decode).
+	cacheLookup *telemetry.Histogram
+	// solve is per-method solver wall time, labeled by method; under the
+	// default method every chain step that runs observes.
+	solve *telemetry.HistogramVec
+	// kiterRounds is K-Iter's Algorithm 1 round count per solve;
+	// howardIters the total Howard policy-improvement rounds per solve.
+	kiterRounds *telemetry.Histogram
+	howardIters *telemetry.Histogram
+	// arcsBuilt/arcsReused count incremental-expansion arc work.
+	arcsBuilt  *telemetry.Counter
+	arcsReused *telemetry.Counter
+}
+
+// newInstruments registers e's instruments in m, together with the
+// scrape-time families read from e's live state: the pool and cache
+// gauges and the cache tiers' report.
+func newInstruments(m *telemetry.Registry, e *Engine) instruments {
+	in := instruments{
+		submitted:   m.Counter("kiter_engine_submitted_total", "Submit calls accepted by the engine."),
+		cacheHits:   m.Counter("kiter_engine_cache_hits_total", "Submissions answered from the memo cache."),
+		cacheMisses: m.Counter("kiter_engine_cache_misses_total", "Submissions that missed the memo cache."),
+		deduped:     m.Counter("kiter_engine_deduped_total", "Submissions coalesced onto an in-flight identical job."),
+		evaluations: m.Counter("kiter_engine_evaluations_total", "Jobs computed by local workers."),
+		remote:      m.Counter("kiter_engine_remote_results_total", "Jobs answered by a cluster peer."),
+		errors:      m.Counter("kiter_engine_errors_total", "Failed evaluations."),
+		cancelled:   m.Counter("kiter_engine_cancelled_total", "Abandoned evaluations."),
+		rejected:    m.Counter("kiter_engine_rejected_total", "Submissions shed under overload."),
+		panics: m.Counter("kiter_panics_total",
+			"Solver panics recovered into job errors (also counted under errors)."),
+		queueWait: m.Histogram("kiter_engine_queue_wait_seconds",
+			"Time a job waited for a worker slot, in seconds.", telemetry.LatencyBuckets),
+		evaluation: m.Histogram("kiter_engine_evaluation_seconds",
+			"Wall time of successful evaluations, in seconds.", telemetry.LatencyBuckets),
+		cacheLookup: m.Histogram("kiter_engine_cache_lookup_seconds",
+			"Memo-cache lookup time (all tiers), in seconds.", telemetry.LatencyBuckets),
+		solve: m.HistogramVec("kiter_solver_solve_seconds",
+			"Per-method throughput solve time, in seconds.", telemetry.LatencyBuckets, "method"),
+		kiterRounds: m.Histogram("kiter_solver_kiter_rounds",
+			"K-Iter Algorithm 1 rounds per solve.", telemetry.CountBuckets),
+		howardIters: m.Histogram("kiter_solver_howard_iterations",
+			"Howard policy-improvement rounds per solve (summed over K-Iter rounds).", telemetry.CountBuckets),
+		arcsBuilt: m.Counter("kiter_solver_arcs_built_total",
+			"Constraint arcs built from phase pairs during expansion."),
+		arcsReused: m.Counter("kiter_solver_arcs_reused_total",
+			"Constraint arcs replayed from a previous round's block cache."),
+	}
+	wins := m.CounterVec("kiter_race_wins_total", "Default-method throughput answers per fallback-chain step.", "method")
+	for i, step := range chainSteps {
+		in.answers[i] = wins.With(string(step))
+	}
+	m.Gauge("kiter_engine_workers", "Configured worker pool size.",
+		func() float64 { return float64(e.cfg.Workers) })
+	m.Gauge("kiter_engine_pending", "Jobs submitted but not yet finished.",
+		func() float64 { return float64(e.pending.Load()) })
+	m.Gauge("kiter_engine_cache_entries", "Memoized results currently stored (summed over tiers).",
+		func() float64 { return float64(e.cacheEntries()) })
+	m.Collect(e.exposeTiers)
+	return in
+}
+
+// tierFamilies are the per-tier families rendered from the cache
+// backend's TierStats report.
+var tierFamilies = []struct {
+	name, typ, help string
+	value           func(CacheTierStats) float64
+}{
+	{"kiter_cache_tier_hits_total", "counter", "Memo-cache lookups served by this tier.",
+		func(t CacheTierStats) float64 { return float64(t.Hits) }},
+	{"kiter_cache_tier_misses_total", "counter", "Memo-cache lookups that missed this tier.",
+		func(t CacheTierStats) float64 { return float64(t.Misses) }},
+	{"kiter_cache_tier_entries", "gauge", "Entries currently stored in this tier.",
+		func(t CacheTierStats) float64 { return float64(t.Entries) }},
+	{"kiter_cache_tier_bytes", "gauge", "Storage footprint of this tier, in bytes.",
+		func(t CacheTierStats) float64 { return float64(t.Bytes) }},
+}
+
+// exposeTiers renders the cache backend's tier report, when it gives one,
+// as the kiter_cache_tier_* families.
+func (e *Engine) exposeTiers(x *telemetry.ExpoWriter) {
+	tiers := e.cacheTiers()
+	if len(tiers) == 0 {
+		return
+	}
+	for _, f := range tierFamilies {
+		x.Family(f.name, f.typ, f.help)
+		for _, t := range tiers {
+			x.Sample(f.name, f.value(t), "tier", t.Tier)
+		}
+	}
+}
+
+// cacheEntries is the number of memoized results, summed over tiers.
+func (e *Engine) cacheEntries() int {
+	if e.cache == nil {
+		return 0
+	}
+	return e.cache.Len()
+}
+
+// cacheTiers is the cache backend's per-tier report, nil when it gives
+// none.
+func (e *Engine) cacheTiers() []CacheTierStats {
+	if ts, ok := e.cache.(TierStatser); ok {
+		return ts.TierStats()
+	}
+	return nil
 }
 
 // Stats is a point-in-time snapshot of the engine's telemetry.
@@ -190,51 +295,45 @@ func (s Stats) Delta(prev Stats) Stats {
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
-	hits := e.stats.cacheHits.Load()
-	misses := e.stats.cacheMisses.Load()
-	entries := 0
-	if e.cache != nil {
-		entries = e.cache.Len()
-	}
+	m := &e.met
+	hits, misses := m.cacheHits.Value(), m.cacheMisses.Value()
 	s := Stats{
-		Submitted:     e.stats.submitted.Load(),
+		Submitted:     m.submitted.Value(),
 		CacheHits:     hits,
 		CacheMisses:   misses,
-		Deduped:       e.stats.deduped.Load(),
-		Evaluations:   e.stats.evaluations.Load(),
-		RemoteResults: e.stats.remote.Load(),
-		Errors:        e.stats.errors.Load(),
-		Cancelled:     e.stats.cancelled.Load(),
-		Rejected:      e.stats.rejected.Load(),
-		Panics:        e.stats.panics.Load(),
-		CacheEntries:  entries,
+		Deduped:       m.deduped.Value(),
+		Evaluations:   m.evaluations.Value(),
+		RemoteResults: m.remote.Value(),
+		Errors:        m.errors.Value(),
+		Cancelled:     m.cancelled.Value(),
+		Rejected:      m.rejected.Value(),
+		Panics:        m.panics.Value(),
+		CacheEntries:  e.cacheEntries(),
+		CacheTiers:    e.cacheTiers(),
 		Workers:       e.cfg.Workers,
 		Pending:       int(e.pending.Load()),
 		MaxPending:    max(e.cfg.MaxPending, 0),
 		RaceWins:      make(map[string]uint64, len(chainSteps)),
 	}
-	for i, m := range chainSteps {
-		s.RaceWins[string(m)] = e.stats.answers[i].Load()
+	for i, step := range chainSteps {
+		s.RaceWins[string(step)] = m.answers[i].Value()
 	}
 	if hits+misses > 0 {
 		s.HitRate = float64(hits) / float64(hits+misses)
 	}
-	if ts, ok := e.cache.(TierStatser); ok {
-		s.CacheTiers = ts.TierStats()
-	}
 	if ds, ok := e.cfg.Dispatcher.(DispatchStatser); ok {
 		s.Cluster = ds.DispatchStats()
 	}
-	// latencyNanos is loaded before latencyCount: runJob adds nanos first,
-	// so in this order the count can only include samples whose nanos are
-	// already visible — the quotient under-reports slightly under
-	// concurrent traffic rather than averaging phantom time. (The loads
-	// are still two separate atomics; a snapshot is consistent-enough, not
+	// The sum is read before the count: Observe counts a sample before it
+	// adds the sample to the sum, so the count covers every sample in the
+	// sum, and under concurrent traffic the mean can under-report slightly
+	// but never averages in time for samples it does not count. (The two
+	// reads are still separate; a snapshot is consistent-enough, not
 	// transactional, which is why Delta clamps.)
-	nanos := e.stats.latencyNanos.Load()
-	if n := e.stats.latencyCount.Load(); n > 0 {
+	secs := m.evaluation.Sum()
+	if n := m.evaluation.Count(); n > 0 {
 		s.LatencySamples = n
-		s.MeanLatencyMS = float64(nanos) / float64(n) / 1e6
+		s.MeanLatencyMS = secs / float64(n) * 1e3
 	}
 	return s
 }

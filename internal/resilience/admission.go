@@ -2,8 +2,9 @@ package resilience
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
+
+	"kiter/internal/telemetry"
 )
 
 // Estimator predicts the queue wait a newly submitted job will see, from
@@ -59,12 +60,22 @@ func (e *Estimator) EstimateWait() time.Duration {
 // MaxPending cliff (ErrOverloaded → 503).
 type Admission struct {
 	est  Estimator
-	shed atomic.Uint64
+	shed *telemetry.Counter
 }
 
-// NewAdmission builds an admission controller over est.
-func NewAdmission(est Estimator) *Admission {
-	return &Admission{est: est}
+// NewAdmission builds an admission controller over est and registers its
+// shed counter and live wait estimate in reg. Nil gives it a private
+// registry: Stats reports the same either way.
+func NewAdmission(est Estimator, reg *telemetry.Registry) *Admission {
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	a := &Admission{est: est, shed: reg.Counter("kiter_admission_shed_total",
+		"Requests refused up front because their estimated queue wait exceeded the request budget.")}
+	reg.Gauge("kiter_admission_estimated_wait_seconds",
+		"Predicted queue wait for a job submitted now, in seconds.",
+		func() float64 { return a.est.EstimateWait().Seconds() })
+	return a
 }
 
 // Check decides one request: shed=true means refuse it now, with estimate
@@ -80,7 +91,7 @@ func (a *Admission) Check(budget time.Duration) (estimate time.Duration, shed bo
 	if budget <= 0 || estimate <= budget {
 		return estimate, false
 	}
-	a.shed.Add(1)
+	a.shed.Inc()
 	return estimate, true
 }
 
@@ -109,7 +120,7 @@ func (a *Admission) Stats() AdmissionStats {
 		return AdmissionStats{}
 	}
 	return AdmissionStats{
-		Shed:            a.shed.Load(),
+		Shed:            a.shed.Value(),
 		EstimatedWaitMS: float64(a.est.EstimateWait()) / float64(time.Millisecond),
 	}
 }

@@ -2,7 +2,7 @@
 // serving stack: a consecutive-failure circuit breaker (internal/cluster
 // runs one per peer) and queue-wait-based admission control (cmd/kiterd
 // sheds requests whose estimated wait exceeds their deadline budget).
-// Everything here is dependency-free and safe for concurrent use.
+// Everything here is safe for concurrent use.
 package resilience
 
 import (

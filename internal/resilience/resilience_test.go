@@ -143,7 +143,7 @@ func TestEstimateWait(t *testing.T) {
 }
 
 func TestAdmissionShedsBeyondBudget(t *testing.T) {
-	a := NewAdmission(estimatorOf(8, 2, 0.5)) // 2s estimated wait
+	a := NewAdmission(estimatorOf(8, 2, 0.5), nil) // 2s estimated wait
 
 	// Budget above the estimate: admitted.
 	if est, shed := a.Check(5 * time.Second); shed || est != 2*time.Second {

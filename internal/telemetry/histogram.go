@@ -43,21 +43,17 @@ var CountBuckets = LogLinearBuckets(1, 14, 2)
 // receiver (no-ops / zero values), so instrumentation points never have to
 // guard for a disabled registry.
 type Histogram struct {
-	name, help string
-	bounds     []float64 // ascending inclusive upper bounds; +Inf implicit
-	counts     []atomic.Uint64
-	sumBits    atomic.Uint64 // float64 bits of the running sum
+	name    string
+	bounds  []float64 // ascending inclusive upper bounds; +Inf implicit
+	counts  []atomic.Uint64
+	sumBits atomic.Uint64 // float64 bits of the running sum
 }
 
-// NewHistogram returns a standalone histogram outside any Registry, with
-// the given ascending bucket bounds (nil → LatencyBuckets). Clients like
+// NewHistogram returns a histogram with the given ascending bucket bounds
+// (nil → LatencyBuckets) outside any Registry. Clients like
 // cmd/kiterbench use it to reuse the log-linear layout, merge and quantile
 // estimator for their own aggregation without Prometheus exposition.
 func NewHistogram(name string, bounds []float64) *Histogram {
-	return newHistogram(name, "", bounds)
-}
-
-func newHistogram(name, help string, bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = LatencyBuckets
 	}
@@ -66,7 +62,6 @@ func newHistogram(name, help string, bounds []float64) *Histogram {
 	}
 	return &Histogram{
 		name:   name,
-		help:   help,
 		bounds: bounds,
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}

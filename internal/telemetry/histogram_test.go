@@ -32,7 +32,7 @@ func TestLogLinearBucketLayout(t *testing.T) {
 // a value exactly on a bound lands in that bound's bucket (Prometheus le
 // semantics), a value just above lands in the next.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	h := newHistogram("t", "", []float64{1, 2, 4})
+	h := NewHistogram("t", []float64{1, 2, 4})
 	h.Observe(1)         // bucket 0 (le=1)
 	h.Observe(1.0000001) // bucket 1 (le=2)
 	h.Observe(4)         // bucket 2 (le=4)
@@ -53,8 +53,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 }
 
 func TestHistogramMerge(t *testing.T) {
-	a := newHistogram("a", "", []float64{1, 2, 4})
-	b := newHistogram("b", "", []float64{1, 2, 4})
+	a := NewHistogram("a", []float64{1, 2, 4})
+	b := NewHistogram("b", []float64{1, 2, 4})
 	for _, v := range []float64{0.5, 3, 9} {
 		a.Observe(v)
 	}
@@ -74,11 +74,11 @@ func TestHistogramMerge(t *testing.T) {
 	if got := b.Count(); got != 2 {
 		t.Errorf("source Count = %d, want 2", got)
 	}
-	mismatched := newHistogram("c", "", []float64{1, 2})
+	mismatched := NewHistogram("c", []float64{1, 2})
 	if err := a.Merge(mismatched); err == nil {
 		t.Error("merging mismatched layouts should fail")
 	}
-	shifted := newHistogram("d", "", []float64{1, 2, 5})
+	shifted := NewHistogram("d", []float64{1, 2, 5})
 	if err := a.Merge(shifted); err == nil {
 		t.Error("merging shifted bounds should fail")
 	}
@@ -92,7 +92,7 @@ func TestHistogramQuantileProperty(t *testing.T) {
 	bounds := LogLinearBuckets(1e-6, 27, 2)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		h := newHistogram("q", "", bounds)
+		h := NewHistogram("q", bounds)
 		n := 100 + rng.Intn(2000)
 		samples := make([]float64, n)
 		for i := range samples {
@@ -143,7 +143,7 @@ func bucketRange(bounds []float64, v float64) (lo, hi float64) {
 }
 
 func TestHistogramQuantileEdgeCases(t *testing.T) {
-	h := newHistogram("e", "", []float64{1, 2})
+	h := NewHistogram("e", []float64{1, 2})
 	if got := h.Quantile(0.99); got != 0 {
 		t.Errorf("empty histogram quantile = %g, want 0", got)
 	}
@@ -164,7 +164,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 // TestHistogramConcurrentObserve drives concurrent observers under -race
 // and checks nothing is lost.
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := newHistogram("c", "", LatencyBuckets)
+	h := NewHistogram("c", LatencyBuckets)
 	const goroutines, per = 8, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

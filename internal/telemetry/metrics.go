@@ -5,9 +5,10 @@
 // the flight recorder that stores the finished trees.
 //
 // Everything is nil-tolerant by design: a nil *Registry hands out nil
-// instruments, and every instrument method no-ops on a nil receiver, so
-// the engine, solvers and cluster instrument unconditionally and a process
-// that never wires a registry pays only a nil check per site.
+// instruments, and every instrument method no-ops on a nil receiver. The
+// engine, the cluster and the admission controller never rely on that:
+// their counters are the ones their stats reports read, so without a
+// registry of the process's they register in a private one.
 package telemetry
 
 import (
@@ -23,8 +24,7 @@ import (
 
 // Counter is a monotonically increasing metric.
 type Counter struct {
-	name, help string
-	v          atomic.Uint64
+	v atomic.Uint64
 }
 
 // Inc adds one.
@@ -103,7 +103,6 @@ func (v *vec[T]) labelPairs(key string) []string {
 
 // CounterVec is a counter family partitioned by label values.
 type CounterVec struct {
-	name, help string
 	vec[*Counter]
 }
 
@@ -118,8 +117,6 @@ func (c *CounterVec) With(values ...string) *Counter {
 
 // HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct {
-	name, help string
-	bounds     []float64
 	vec[*Histogram]
 }
 
@@ -163,7 +160,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c := &Counter{name: name, help: help}
+	c := &Counter{}
 	r.register(name, func(x *ExpoWriter) {
 		x.Family(name, "counter", help)
 		x.Sample(name, float64(c.Value()))
@@ -176,11 +173,11 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	c := &CounterVec{name: name, help: help}
+	c := &CounterVec{}
 	c.labels = labels
 	c.children = map[string]*Counter{}
 	c.keys = map[string][]string{}
-	c.make = func() *Counter { return &Counter{name: name, help: help} }
+	c.make = func() *Counter { return &Counter{} }
 	r.register(name, func(x *ExpoWriter) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -209,7 +206,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	h := newHistogram(name, help, bounds)
+	h := NewHistogram(name, bounds)
 	r.register(name, func(x *ExpoWriter) {
 		x.Family(name, "histogram", help)
 		h.expose(x, nil)
@@ -222,11 +219,11 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 	if r == nil {
 		return nil
 	}
-	h := &HistogramVec{name: name, help: help, bounds: bounds}
+	h := &HistogramVec{}
 	h.labels = labels
 	h.children = map[string]*Histogram{}
 	h.keys = map[string][]string{}
-	h.make = func() *Histogram { return newHistogram(name, help, bounds) }
+	h.make = func() *Histogram { return NewHistogram(name, bounds) }
 	r.register(name, func(x *ExpoWriter) {
 		h.mu.Lock()
 		defer h.mu.Unlock()
@@ -239,9 +236,11 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 }
 
 // Collect registers a scrape-time collector: fn runs on every
-// WritePrometheus call and emits whole families through the writer. This
-// is how point-in-time snapshots (engine.Stats, cluster peers, cache
-// tiers) are mapped into the exposition without double-accounting state.
+// WritePrometheus call and emits whole families through the writer. It is
+// for families read from state some component keeps anyway — the cache
+// tiers' reports, the cluster's circuit breakers, the Go runtime, the
+// flight recorder — so that no value is counted twice; a count the
+// process keeps for itself is an instrument.
 func (r *Registry) Collect(fn func(*ExpoWriter)) {
 	if r == nil {
 		return
