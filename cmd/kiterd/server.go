@@ -301,12 +301,13 @@ func (s *server) startTrace(w http.ResponseWriter, r *http.Request, name string,
 }
 
 // fileTrace settles the request's status as code, which the request
-// histogram then counts it under, and files the request's open root, if
-// any, in the flight recorder under that status (>= 400 marks it
-// errored), and forgets it, so a second call files nothing. ServeHTTP files every root when the handler returns,
-// which is before net/http ends the response: a client that has read the
-// whole reply always finds the record. Errored traces are exactly the ones
-// the recorder's tail-biased retention fights to keep.
+// histogram then counts it under, files the request's open root, if any,
+// in the flight recorder under that status (>= 400 marks it errored), and
+// forgets it, so a second call files nothing. ServeHTTP files every root
+// when the handler returns, which is before net/http ends the response: a
+// client that has read the whole reply always finds the record. Errored
+// traces are exactly the ones the recorder's tail-biased retention fights
+// to keep.
 func (s *server) fileTrace(w http.ResponseWriter, r *http.Request, code int) {
 	sw, ok := w.(*statusWriter)
 	if !ok {

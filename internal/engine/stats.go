@@ -80,22 +80,6 @@ func newInstruments(m *telemetry.Registry, e *Engine) instruments {
 	return in
 }
 
-// tierFamilies are the per-tier families rendered from the cache
-// backend's TierStats report.
-var tierFamilies = []struct {
-	name, typ, help string
-	value           func(CacheTierStats) float64
-}{
-	{"kiter_cache_tier_hits_total", "counter", "Memo-cache lookups served by this tier.",
-		func(t CacheTierStats) float64 { return float64(t.Hits) }},
-	{"kiter_cache_tier_misses_total", "counter", "Memo-cache lookups that missed this tier.",
-		func(t CacheTierStats) float64 { return float64(t.Misses) }},
-	{"kiter_cache_tier_entries", "gauge", "Entries currently stored in this tier.",
-		func(t CacheTierStats) float64 { return float64(t.Entries) }},
-	{"kiter_cache_tier_bytes", "gauge", "Storage footprint of this tier, in bytes.",
-		func(t CacheTierStats) float64 { return float64(t.Bytes) }},
-}
-
 // exposeTiers renders the cache backend's tier report, when it gives one,
 // as the kiter_cache_tier_* families.
 func (e *Engine) exposeTiers(x *telemetry.ExpoWriter) {
@@ -103,12 +87,20 @@ func (e *Engine) exposeTiers(x *telemetry.ExpoWriter) {
 	if len(tiers) == 0 {
 		return
 	}
-	for _, f := range tierFamilies {
-		x.Family(f.name, f.typ, f.help)
+	family := func(name, typ, help string, value func(t CacheTierStats) float64) {
+		x.Family(name, typ, help)
 		for _, t := range tiers {
-			x.Sample(f.name, f.value(t), "tier", t.Tier)
+			x.Sample(name, value(t), "tier", t.Tier)
 		}
 	}
+	family("kiter_cache_tier_hits_total", "counter", "Memo-cache lookups served by this tier.",
+		func(t CacheTierStats) float64 { return float64(t.Hits) })
+	family("kiter_cache_tier_misses_total", "counter", "Memo-cache lookups that missed this tier.",
+		func(t CacheTierStats) float64 { return float64(t.Misses) })
+	family("kiter_cache_tier_entries", "gauge", "Entries currently stored in this tier.",
+		func(t CacheTierStats) float64 { return float64(t.Entries) })
+	family("kiter_cache_tier_bytes", "gauge", "Storage footprint of this tier, in bytes.",
+		func(t CacheTierStats) float64 { return float64(t.Bytes) })
 }
 
 // cacheEntries is the number of memoized results, summed over tiers.
