@@ -113,6 +113,7 @@ func counterSamples(t *testing.T, scrape string) map[string]float64 {
 		"kiter_solver_arcs_built_total":    true,
 		"kiter_solver_arcs_reused_total":   true,
 		"kiter_cache_remote_errors_total":  true,
+		"kiter_cache_remote_bytes_total":   true,
 		"kiter_go_gc_cycles_total":         true,
 		"kiter_go_heap_allocs_bytes_total": true,
 	}

@@ -213,6 +213,7 @@ var metricsInventory = []string{
 	"kiter_admission_estimated_wait_seconds gauge [] Predicted queue wait for a job submitted now, in seconds.",
 	"kiter_admission_shed_total counter [] Requests refused up front because their estimated queue wait exceeded the request budget.",
 	"kiter_build_info gauge [goVersion revision version] Build metadata of the serving binary; value is always 1.",
+	"kiter_cache_remote_bytes_total counter [] Result bytes fleet-tier reads fetched from ring successors.",
 	"kiter_cache_remote_errors_total counter [] Fleet-tier reads that failed in transit.",
 	"kiter_cache_remote_rtt_seconds histogram [op] Round-trip time of fleet-tier cache reads, in seconds.",
 	"kiter_cache_tier_bytes gauge [tier] Storage footprint of this tier, in bytes.",

@@ -69,9 +69,10 @@
 //	kiterd -addr 127.0.0.1:9101 -peers 127.0.0.1:9102,127.0.0.1:9103
 //
 // Clustered replicas also let a freshly joined replica warm-start its own
-// shard: a local miss on a key the replica owns itself is answered from
-// the ring successor — the member that owned the key before the join —
-// over POST /cluster/cache/get, in the binary result codec
+// shard: while ownership is new (after start and after a ring change), a
+// local miss on a key the replica owns itself is answered from the ring
+// successor — the member that owned the key before the join — over
+// POST /cluster/cache/get, in the binary result codec
 // (internal/resultcodec) the disk cache stores. Keys other members own
 // are never read remotely: the forward to the owner answers them from the
 // owner's cache or evaluates. Duplicate submissions cost one evaluation
@@ -161,7 +162,7 @@ func run() error {
 	)
 	// -cache-fleet is a no-op kept so existing command lines still parse:
 	// with -peers the fleet tier's successor read is always on.
-	flag.Bool("cache-fleet", false, "no-op, kept for compatibility: with -peers a replica always reads missed keys it owns from the ring successor")
+	flag.Bool("cache-fleet", false, "no-op, kept for compatibility: with -peers a replica reads missed keys it owns from the ring successor while ownership is new")
 	flag.Parse()
 
 	if *version {

@@ -20,9 +20,9 @@ import (
 	"kiter/internal/telemetry"
 )
 
-// maxBodyBytes bounds /analyze and /sweep request bodies (64 MiB covers the
-// largest Table 2 instances with room to spare).
-const maxBodyBytes = 64 << 20
+// maxBodyBytes bounds /analyze and /sweep request bodies. A forwarding
+// peer accepts this much graph plus its envelope.
+const maxBodyBytes = cluster.MaxBody
 
 // observability bundles the telemetry seams handed to the server: the
 // metrics registry behind GET /metrics, the flight recorder behind
@@ -420,8 +420,9 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// validates the graph, whose facts the engine takes as they are.
 	// Envelopes are strict so a typo'd knob ("metod", "anlyses") fails
 	// loudly instead of silently running the defaults; a bare graph body
-	// skips unknown keys.
-	f, env, err := sdf3x.ReadRequest(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+	// skips unknown keys. The buffer is held until Submit returns: a
+	// forward to the graph's owner sends the graph's bytes from it.
+	body, err := sdf3x.ReadBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
 	if err != nil {
 		var readErr *sdf3x.ReadError
 		var reqErr *sdf3x.RequestError
@@ -436,12 +437,13 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var knobs sdf3x.Envelope // a bare graph runs with the template's knobs
-	if env != nil {
-		knobs = *env
+	if body.Env != nil {
+		knobs = *body.Env
 	}
 
 	req := &engine.Request{
-		Facts:           f,
+		Facts:           body.Facts,
+		GraphJSON:       body.GraphJSON,
 		Analyses:        s.tmpl.Analyses,
 		Method:          s.tmpl.Method,
 		ApplyCapacities: s.tmpl.Capacities,
@@ -467,6 +469,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, err := s.e.Submit(ctx, req)
+	body.Release()
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrOverloaded):

@@ -46,26 +46,43 @@ func keyFingerprint(key string) string {
 // a key this replica owns with one POST /cluster/cache/get at the key's
 // ring successor: exactly the member that owned the key before this
 // replica joined, so a freshly joined replica serves its own shard from
-// the previous owner's cache instead of recomputing it.
+// the previous owner's cache instead of recomputing it. It asks only while
+// the warm-start window is open: in steady state an owner miss makes none.
 //
-// Keys another member owns are an instant miss with no round trip: the
-// engine forwards those jobs to their owner over /cluster/evaluate, and
-// the owner answers from its own cache or evaluates, so asking its cache
-// first would only be a second trip to the same process. The tier never
-// writes: every result lives in the cache of the replica that evaluated
-// it, which is the key's owner whenever the owner was reachable. The read
-// rides the cluster's pooled transport behind the per-peer circuit
-// breakers: an open breaker is an instant miss, never a stall.
+// Keys another member owns are an instant miss: the engine forwards those
+// jobs to their owner, which answers from its own cache or evaluates. The
+// tier never writes: a result lives in the cache of the replica that
+// evaluated it. The read rides the cluster's pooled transport behind the
+// per-peer circuit breakers: an open breaker is an instant miss.
 type RemoteCache struct {
 	c *Cluster
 
 	hits, misses atomic.Uint64
-	bytesMoved   atomic.Uint64 // payload bytes fetched
 
 	// kiter_cache_remote_* instruments. Hits and misses reach /metrics
 	// through TierStats as kiter_cache_tier_{hits,misses}_total{tier="fleet"}.
-	mErrors *telemetry.Counter
-	mRTT    *telemetry.HistogramVec
+	mErrors, mBytes *telemetry.Counter
+	mRTT            *telemetry.HistogramVec
+}
+
+// The warm-start window opens when the Cluster starts and at every ring
+// change (a peer's breaker opening or half-opening), and closes after
+// windowRun consecutive 204s or windowTTL, whichever comes first. Outside
+// it the successor holds a key this replica owns only after a failover, or
+// when it forwarded the key here and this replica has since evicted it.
+const windowRun, windowTTL = 32, time.Minute
+
+// window is the warm-start window: run counts the 204s since it opened,
+// until is the UnixNano it closes at. The zero value is closed.
+type window struct{ run, until atomic.Int64 }
+
+func (w *window) open() {
+	w.run.Store(0)
+	w.until.Store(time.Now().Add(windowTTL).UnixNano())
+}
+
+func (w *window) isOpen() bool {
+	return w.run.Load() < windowRun && time.Now().UnixNano() < w.until.Load()
 }
 
 // NewRemoteCache builds the fleet tier over c's transport and ring. The
@@ -77,6 +94,8 @@ func NewRemoteCache(c *Cluster) *RemoteCache {
 		c: c,
 		mErrors: m.Counter("kiter_cache_remote_errors_total",
 			"Fleet-tier reads that failed in transit."),
+		mBytes: m.Counter("kiter_cache_remote_bytes_total",
+			"Result bytes fleet-tier reads fetched from ring successors."),
 		mRTT: m.HistogramVec("kiter_cache_remote_rtt_seconds",
 			"Round-trip time of fleet-tier cache reads, in seconds.",
 			telemetry.LatencyBuckets, "op"),
@@ -98,11 +117,11 @@ func (rc *RemoteCache) fetchOwner(key string) string {
 	})
 }
 
-// Get implements engine.CacheBackend: one breaker-guarded round trip to
-// the successor of a key this replica owns. Every failure mode — no
-// successor, open breaker, injected fault, transport error, corrupt
-// frame — degrades to a miss; the caller then falls through to a local
-// evaluation.
+// Get implements engine.CacheBackend: while the warm-start window is
+// open, one breaker-guarded round trip to the successor of a key this
+// replica owns. Every failure mode — no successor, open breaker, injected
+// fault, transport error, corrupt frame — degrades to a miss; the caller
+// then falls through to a local evaluation.
 func (rc *RemoteCache) Get(key string) (*engine.Result, bool) {
 	return rc.GetCtx(context.Background(), key)
 }
@@ -112,6 +131,9 @@ func (rc *RemoteCache) Get(key string) (*engine.Result, bool) {
 // request's trace, propagates the trace context to the successor, honors
 // the caller's cancellation, and explains degrade paths as span events.
 func (rc *RemoteCache) GetCtx(ctx context.Context, key string) (*engine.Result, bool) {
+	if !rc.c.warm.isOpen() {
+		return rc.miss()
+	}
 	succ := rc.fetchOwner(key)
 	if succ == "" {
 		return rc.miss()
@@ -144,8 +166,10 @@ func (rc *RemoteCache) GetCtx(ctx context.Context, key string) (*engine.Result, 
 	ps.breaker.Success()
 	span.SetBool("hit", ok)
 	if !ok {
+		rc.c.warm.run.Add(1)
 		return rc.miss()
 	}
+	rc.c.warm.run.Store(0)
 	rc.hits.Add(1)
 	return res, true
 }
@@ -174,16 +198,14 @@ func (rc *RemoteCache) fetch(parent context.Context, peer, key string) (*engine.
 	if err != nil {
 		return nil, false, err
 	}
-	rc.bytesMoved.Add(uint64(len(frame)))
+	rc.mBytes.Add(uint64(len(frame)))
 	return res, true, nil
 }
 
-// Put implements engine.CacheBackend as a no-op: the fleet tier only
-// reads. A result is cached where it was evaluated — at the owner for
-// forwarded jobs, locally for the keys this replica owns.
-func (rc *RemoteCache) Put(string, *engine.Result) {}
-
-// PutCtx is the context-aware Put (engine.CtxCacheBackend); a no-op too.
+// Put and the context-aware PutCtx (engine.CtxCacheBackend) are no-ops:
+// the fleet tier only reads. A result is cached where it was evaluated —
+// at the owner for forwarded jobs, locally for the keys this replica owns.
+func (rc *RemoteCache) Put(string, *engine.Result)                     {}
 func (rc *RemoteCache) PutCtx(context.Context, string, *engine.Result) {}
 
 // opTimeout bounds one cache read or trace fetch. These are index lookups
@@ -200,24 +222,16 @@ func (c *Cluster) opTimeout() time.Duration {
 	return t
 }
 
-// Len implements engine.CacheBackend. The fleet's entry count lives on
-// the owners; this tier reports 0 rather than a misleading guess.
-func (rc *RemoteCache) Len() int { return 0 }
-
-// Close implements engine.CacheBackend. The tier holds no resources of
-// its own; the Cluster itself is not touched.
+// Len and Close implement engine.CacheBackend. The fleet's entry count
+// lives on the owners, so Len reports 0 rather than a misleading guess;
+// the tier holds no resources, and Close leaves the Cluster alone.
+func (rc *RemoteCache) Len() int     { return 0 }
 func (rc *RemoteCache) Close() error { return nil }
 
-// TierStats reports the fleet tier on engine.Stats: Bytes is the payload
-// volume fetched over the wire — the bandwidth the tier costs, since
-// capacity lives on the owners.
+// TierStats reports the fleet tier, which stores nothing: no entries or
+// bytes. What its reads move is kiter_cache_remote_bytes_total.
 func (rc *RemoteCache) TierStats() []engine.CacheTierStats {
-	return []engine.CacheTierStats{{
-		Tier:   "fleet",
-		Hits:   rc.hits.Load(),
-		Misses: rc.misses.Load(),
-		Bytes:  int64(rc.bytesMoved.Load()),
-	}}
+	return []engine.CacheTierStats{{Tier: "fleet", Hits: rc.hits.Load(), Misses: rc.misses.Load()}}
 }
 
 // SetLocalCache hands the cluster the backend its cache handler serves

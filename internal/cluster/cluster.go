@@ -6,9 +6,10 @@
 // cache deduplicate identical work submitted anywhere in the fleet.
 // /cluster/evaluate is the only RPC that answers for a key. The only other
 // per-key traffic is the fleet cache tier's read-only POST /cluster/cache/get
-// at the ring successor, made when a replica misses a key it owns itself —
-// which lets a freshly joined replica warm-start its shard from the member
-// that owned it before (see RemoteCache).
+// at the ring successor, made when a replica misses a key it owns itself
+// while ownership is new (after start or a ring change) — which lets a
+// freshly joined replica warm-start its shard from the member that owned
+// it before (see RemoteCache).
 //
 // The dedup guarantee: duplicate submissions cost one evaluation
 // fleet-wide while the key's owner is reachable, and each forward that
@@ -198,6 +199,9 @@ type Cluster struct {
 	// which would recurse).
 	localCache atomic.Pointer[engine.CacheBackend]
 
+	// warm is the fleet tier's warm-start window.
+	warm window
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -258,6 +262,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.peerList = append(c.peerList, ps)
 	}
 	reg.Collect(c.exposeBreakers)
+	c.warm.open()
 	c.wg.Add(1)
 	go c.probeLoop()
 	return c, nil
@@ -483,10 +488,11 @@ func firstLine(b []byte) string {
 }
 
 // noteForwardFailure counts one failed forward against the peer's
-// breaker; crossing the threshold opens it and hands the peer to the
-// prober.
+// breaker; crossing the threshold opens it, which changes the ring, and
+// hands the peer to the prober.
 func (c *Cluster) noteForwardFailure(ps *peerState) {
 	if ps.breaker.Failure() {
+		c.warm.open()
 		c.scheduleProbe(ps)
 	}
 }
@@ -546,6 +552,7 @@ func (c *Cluster) probe(ps *peerState) {
 	if err == nil {
 		ps.failures = 0
 		ps.breaker.HalfOpen()
+		c.warm.open()
 		return
 	}
 	ps.failures++

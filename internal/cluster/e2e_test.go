@@ -22,9 +22,11 @@ type replica struct {
 	eng  *engine.Engine
 	cl   *Cluster
 	srv  *http.Server
-	// calls counts the /cluster/* requests the replica received; nil
-	// unless the replica was started by startCacheReplica.
-	calls *callCounter
+	// calls counts the /cluster/* requests the replica received, and
+	// remote is its fleet tier; both nil unless the replica was started
+	// by startCacheReplica.
+	calls  *callCounter
+	remote *RemoteCache
 }
 
 // startFleet boots n replicas on loopback ports, each clustered with all

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"io"
 	"net"
 	"net/http"
 	"slices"
@@ -20,10 +22,12 @@ var (
 )
 
 // callCounter counts the /cluster/* requests one replica receives, per
-// calling peer (the X-Kiter-Peer header) and path.
+// calling peer (the X-Kiter-Peer header) and path, and keeps the body of
+// the last /cluster/evaluate.
 type callCounter struct {
-	mu sync.Mutex
-	n  map[clusterCall]int
+	mu       sync.Mutex
+	n        map[clusterCall]int
+	evaluate []byte
 }
 
 // clusterCall is one counted request kind: who sent it, to which path.
@@ -37,6 +41,10 @@ func (c *callCounter) wrap(h http.Handler) http.Handler {
 				c.n = make(map[clusterCall]int)
 			}
 			c.n[clusterCall{r.Header.Get(peerHeader), r.URL.Path}]++
+			if r.URL.Path == "/cluster/evaluate" {
+				c.evaluate, _ = io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(c.evaluate))
+			}
 			c.mu.Unlock()
 		}
 		h.ServeHTTP(w, r)
@@ -71,10 +79,11 @@ func startCacheReplica(t *testing.T, ln net.Listener, peers []string) *replica {
 	}
 	local := engine.NewMemoryCache(16, 4096)
 	cl.SetLocalCache(local)
+	remote := NewRemoteCache(cl)
 	eng := engine.New(engine.Config{
 		Workers:      2,
 		Dispatcher:   cl,
-		CacheBackend: engine.NewTieredCache(local, NewRemoteCache(cl)),
+		CacheBackend: engine.NewTieredCache(local, remote),
 	})
 	mux := http.NewServeMux()
 	mux.Handle("/cluster/evaluate", cl.EvaluateHandler(eng, 30*time.Second))
@@ -85,7 +94,7 @@ func startCacheReplica(t *testing.T, ln net.Listener, peers []string) *replica {
 	calls := &callCounter{}
 	srv := &http.Server{Handler: calls.wrap(mux)}
 	go srv.Serve(ln)
-	r := &replica{addr: addr, eng: eng, cl: cl, srv: srv, calls: calls}
+	r := &replica{addr: addr, eng: eng, cl: cl, srv: srv, calls: calls, remote: remote}
 	t.Cleanup(func() {
 		r.srv.Close()
 		r.eng.Close()
@@ -182,8 +191,8 @@ func TestFleetWarmStart(t *testing.T) {
 		t.Fatalf("forwarded answers = %d, want %d (one per scenario another member owns)",
 			cs.RemoteResults, want.Scenarios-owned)
 	}
-	if fleet.Bytes == 0 {
-		t.Fatalf("fleet tier moved no bytes: %+v", fleet)
+	if moved := cold.remote.mBytes.Value(); moved == 0 || fleet.Bytes != 0 {
+		t.Fatalf("fleet tier moved %d bytes and stores %d, want some moved and none stored", moved, fleet.Bytes)
 	}
 	// The memory tier reports a footprint estimate now that promotions
 	// filled it (satellite: Bytes for every tier, not just disk).

@@ -12,9 +12,14 @@ import (
 	"kiter/internal/sdf3x"
 )
 
-// maxForwardBody bounds a forwarded request body, mirroring the public
-// API's cap.
-const maxForwardBody = 64 << 20
+// MaxBody bounds a client's request body on the public API (64 MiB covers
+// the largest Table 2 instances). A forwarded body may add envelopeRoom
+// for what encodeJob wraps around the client's graph bytes.
+const (
+	MaxBody        = 64 << 20
+	envelopeRoom   = 1 << 10
+	maxForwardBody = MaxBody + envelopeRoom
+)
 
 // Caller returns the advertised address of the peer that sent r, from
 // the header every cluster round trip carries; "" when absent. The header

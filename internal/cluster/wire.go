@@ -25,8 +25,9 @@ type wireKnobs struct {
 	NoCache    bool     `json:"noCache,omitempty"`
 }
 
-// encodeJob serializes a dispatch job for the forward hop. The graph is
-// written once, compact, straight into the envelope.
+// encodeJob serializes a dispatch job for the forward hop: the client's
+// graph bytes when the job has them, else the graph encoded compact, then
+// the knobs. The body is a copy, so GraphJSON is not read after Dispatch.
 func encodeJob(job *engine.DispatchJob) ([]byte, error) {
 	k := wireKnobs{
 		Method:     string(job.Method),
@@ -40,9 +41,11 @@ func encodeJob(job *engine.DispatchJob) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encoding request: %w", err)
 	}
-	var b bytes.Buffer
+	b := bytes.NewBuffer(make([]byte, 0, len(`{"graph":`)+len(job.GraphJSON)+len(knobs)))
 	b.WriteString(`{"graph":`)
-	if err := sdf3x.WriteCompactJSON(&b, job.Graph); err != nil {
+	if job.GraphJSON != nil {
+		b.Write(job.GraphJSON)
+	} else if err := sdf3x.WriteCompactJSON(b, job.Graph); err != nil {
 		return nil, fmt.Errorf("cluster: encoding graph: %w", err)
 	}
 	// knobs is a JSON object: its members follow the graph's.
@@ -93,21 +96,12 @@ func decodeRequest(r io.Reader, sizeHint int64) (*engine.Request, error) {
 // encoding on /cluster/evaluate and the cache tier — and normalizes the
 // per-submission fields: the forwarding engine re-applies its own graph
 // name and dedup flags, and CacheHit/Peer describe the remote serve, not
-// the local one.
+// the local one, so the sender's are stripped and the fleet origin stamped.
 func decodeBinaryResult(body []byte, peer string) (*engine.Result, error) {
 	res, err := resultcodec.Decode(body)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: decoding result: %w", err)
 	}
-	return normalizeRemote(res, peer), nil
-}
-
-// normalizeRemote strips the sender's per-submission fields and stamps the
-// result's fleet origin.
-func normalizeRemote(res *engine.Result, peer string) *engine.Result {
-	res.Graph = ""
-	res.CacheHit = false
-	res.Deduped = false
-	res.Peer = peer
-	return res
+	res.Graph, res.CacheHit, res.Deduped, res.Peer = "", false, false, peer
+	return res, nil
 }

@@ -71,8 +71,8 @@ type CacheTierStats struct {
 	Misses uint64 `json:"misses"`
 	// Entries is the current number of stored entries; Bytes the tier's
 	// storage footprint: exact segment bytes for the disk tier, an
-	// at-insert heap estimate for the memory tier, payload bytes
-	// transferred for remote tiers.
+	// at-insert heap estimate for the memory tier, none for a remote
+	// tier, which stores nothing.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes,omitempty"`
 }

@@ -18,6 +18,9 @@ type DispatchJob struct {
 	// graph) lets the receiving engine run the same preparation and land on
 	// the same cache key as a direct submission would.
 	Graph *csdf.Graph
+	// GraphJSON is Request.GraphJSON: Graph's JSON text as the client
+	// sent it, or nil. It is valid only until Dispatch returns.
+	GraphJSON []byte
 	// Analyses is the normalized (deduplicated, sorted) analysis list.
 	Analyses []AnalysisKind
 	// Method is the resolved throughput method (never empty).
@@ -46,6 +49,9 @@ type DispatchJob struct {
 // it is cancelled when every submitter abandons the job or the engine
 // closes, so a forward in progress for a result nobody wants anymore
 // aborts instead of completing (or stalling shutdown).
+//
+// A Dispatcher must not keep job past Dispatch: its GraphJSON may alias
+// a buffer the submitter reuses once Submit returns.
 //
 // The engine does not take ownership of the Dispatcher: callers that wire
 // one in (cmd/kiterd) close it themselves after Engine.Close.

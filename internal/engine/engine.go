@@ -317,6 +317,7 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		if e.cfg.Dispatcher != nil && !req.NoForward {
 			djob = &DispatchJob{
 				Graph:           g,
+				GraphJSON:       req.GraphJSON,
 				Analyses:        analyses,
 				Method:          method,
 				ApplyCapacities: req.ApplyCapacities,
@@ -326,7 +327,8 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		}
 		// The leader departs like any waiter: the last one to leave
 		// cancels jobCtx and the evaluation aborts. Until then it runs on
-		// this goroutine, whose stack has already grown. A context that
+		// this goroutine, whose stack has already grown, so the dispatch
+		// reads djob.GraphJSON before Submit returns. A context that
 		// can never end needs no departure hook.
 		j := &job{req: prepared, call: c, ctx: jctx}
 		if ctx.Done() == nil {

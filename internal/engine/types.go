@@ -112,6 +112,11 @@ type Request struct {
 	// they validated, and a sweep derives each scenario's from its base
 	// graph's. Graph may be left nil; set, it must be Facts.Graph().
 	Facts *csdf.Facts
+	// GraphJSON, when set, is the JSON text the graph was decoded from
+	// (sdf3x.Body.GraphJSON). A forward to a cluster peer sends it as it
+	// is instead of encoding the graph again. It is read only before
+	// Submit returns, so it may alias a buffer the caller reuses after.
+	GraphJSON []byte
 	// cacheKeyHint and fingerprintHint are filled by Submit on the
 	// prepared request handed to workers, so the hash is computed once.
 	cacheKeyHint    string

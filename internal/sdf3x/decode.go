@@ -141,6 +141,11 @@ type decoder struct {
 	knobs     Envelope
 	nAnalyses int
 	ids       map[string]csdf.TaskID
+	// graphAt and graphEnd delimit the last value under an envelope's
+	// "graph" key in data. deep reports that some value reached the
+	// nesting limit, so a bare graph would not fit inside an envelope.
+	graphAt, graphEnd int
+	deep              bool
 }
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
@@ -195,6 +200,7 @@ func (d *decoder) release() {
 	d.knobs, d.nAnalyses = Envelope{Analyses: d.knobs.Analyses[:0]}, 0
 	clear(d.ids)
 	d.off, d.depth, d.err, d.slab = 0, 0, nil, d.slab[:0]
+	d.graphAt, d.graphEnd, d.deep = 0, 0, false
 	decoders.Put(d)
 }
 
@@ -226,12 +232,57 @@ func (d *decoder) document() (*csdf.Facts, error) {
 // sizeHint (a request's ContentLength) sizes in one grow; nothing returned
 // aliases it.
 func ReadRequest(r io.Reader, sizeHint int64) (*csdf.Facts, *Envelope, error) {
+	b, err := ReadBody(r, sizeHint)
+	b.Release()
+	return b.Facts, b.Env, err
+}
+
+// Body is a request body ReadBody decoded, still held in the pooled
+// decoder's buffer.
+type Body struct {
+	Facts *csdf.Facts
+	Env   *Envelope // nil for a bare graph
+	// GraphJSON is the graph's JSON text as the client sent it: the last
+	// value under an envelope's "graph" key, or the whole body of a bare
+	// graph. {"graph":GraphJSON} decodes to the same graph. It aliases
+	// the decoder's buffer and is valid only until Release; it is nil
+	// when the body was not accepted, and for a bare graph nested so
+	// deep that one more level would pass the nesting limit.
+	GraphJSON []byte
+	d         *decoder
+}
+
+// ReadBody is ReadRequest for a caller that passes the graph on as the
+// client wrote it: the Body it returns also holds the graph's JSON text,
+// in the decoder's buffer, which goes back to the pool when the caller
+// calls Release. On an error there is nothing to release.
+func ReadBody(r io.Reader, sizeHint int64) (Body, error) {
 	d, err := read(r, sizeHint)
 	if err != nil {
-		return nil, nil, &ReadError{err}
+		return Body{}, &ReadError{err}
 	}
-	defer d.release()
-	return d.request()
+	b := Body{d: d}
+	b.Facts, b.Env, err = d.request()
+	if err != nil {
+		d.release()
+		return Body{}, err
+	}
+	switch {
+	case b.Env != nil:
+		b.GraphJSON = d.data[d.graphAt:d.graphEnd]
+	case !d.deep:
+		b.GraphJSON = d.data
+	}
+	return b, nil
+}
+
+// Release hands the decoder back to the pool; GraphJSON is invalid from
+// then on. Release on a zero Body does nothing.
+func (b *Body) Release() {
+	if b.d != nil {
+		b.d.release()
+		b.d, b.GraphJSON = nil, nil
+	}
 }
 
 // request decodes the input as a request body; see ReadRequest.
@@ -260,7 +311,11 @@ func (d *decoder) request() (*csdf.Facts, *Envelope, error) {
 				isEnvelope = true
 				d.env.reset()
 				graphErr = nil
-				return d.into(&graphErr, func() error { return d.graph(&d.env) })
+				d.next()
+				d.graphAt = d.off
+				err := d.into(&graphErr, func() error { return d.graph(&d.env) })
+				d.graphEnd = d.off
+				return err
 			case 1:
 				return d.into(&envErr, func() error {
 					return elems(d, &d.knobs.Analyses, &d.nAnalyses, "analyses", func(s *string) error {
@@ -749,8 +804,11 @@ func (d *decoder) skip() error {
 // key token, the cursor on its value; field must consume the value.
 func (d *decoder) object(field func(key []byte, slow bool) error) error {
 	d.off++
-	if d.depth++; d.depth > maxDepth {
-		return &syntaxError{offset: d.off, msg: "exceeded max depth"}
+	if d.depth++; d.depth >= maxDepth {
+		if d.depth > maxDepth {
+			return &syntaxError{offset: d.off, msg: "exceeded max depth"}
+		}
+		d.deep = true
 	}
 	if d.next() == '}' {
 		d.off++
@@ -789,8 +847,11 @@ func (d *decoder) object(field func(key []byte, slow bool) error) error {
 // on each element; elem must consume it.
 func (d *decoder) array(elem func() error) error {
 	d.off++
-	if d.depth++; d.depth > maxDepth {
-		return &syntaxError{offset: d.off, msg: "exceeded max depth"}
+	if d.depth++; d.depth >= maxDepth {
+		if d.depth > maxDepth {
+			return &syntaxError{offset: d.off, msg: "exceeded max depth"}
+		}
+		d.deep = true
 	}
 	if d.next() == ']' {
 		d.off++

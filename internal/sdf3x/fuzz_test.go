@@ -2,6 +2,7 @@ package sdf3x_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"kiter/internal/csdf"
@@ -82,5 +83,87 @@ func TestReadJSONAllocations(t *testing.T) {
 	if allocs > 106 {
 		t.Errorf("ReadJSON allocates %.0f objects on a %d-task, %d-buffer graph, want ≤ 106",
 			allocs, g.NumTasks(), g.NumBuffers())
+	}
+}
+
+// FuzzGraphSpan holds ReadBody's GraphJSON to its promise: for every body
+// ReadRequest accepts, {"graph":GraphJSON} decodes to the same graph,
+// names and fingerprint included, so a forward may send the client's
+// bytes instead of encoding the graph again. A nil GraphJSON is allowed
+// only for a bare graph that would pass the nesting limit inside an
+// envelope. The seeds hold bare graphs, repeated and case-folded "graph"
+// keys, whitespace around every token, string escapes and unknown keys.
+func FuzzGraphSpan(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sdf3x.WriteCompactJSON(&buf, gen.Figure2()); err != nil {
+		f.Fatal(err)
+	}
+	fig2 := buf.String()
+	const one = `{"name":"x","tasks":[{"name":"a","durations":[1]}],"buffers":[{"src":"a","dst":"a","in":[1],"out":[1],"initial":1}]}`
+	for _, seed := range []string{
+		fig2,
+		" \n\t" + fig2 + "\r\n ",
+		`null`,
+		`{"graph":null}`,
+		`{"graph":` + one + `,"method":"kiter"}`,
+		`{ "graph" : ` + fig2 + ` , "analyses" : [ "throughput" ] }`,
+		`{"graph":` + one + `,"analyses":["throughput"],"GRAPH":` + fig2 + `}`,
+		`{"graph":` + one + `}`,
+		`{"graph":{"name":"vé\"x","tasks":[{"name":"a\\b","durations":[1]}],"buffers":[{"src":"a\\b","dst":"a\\b","in":[1],"out":[1],"initial":1}],"extra":{"graph":[1]}}}`,
+		`{"comment":{"graph":1},"analyses":[7],"method":3,"tasks":[{"name":"a","durations":[1]}],"TASKS":[{"name":"b","durations":[2]}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, _, err := readRequest(data)
+		if err != nil {
+			return
+		}
+		b, err := sdf3x.ReadBody(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("ReadBody rejects what ReadRequest accepts: %v", err)
+		}
+		span := bytes.Clone(b.GraphJSON)
+		b.Release()
+		if span == nil {
+			if _, _, err := readRequest(append([]byte(`{"graph":`), append(data, '}')...)); err == nil {
+				t.Fatal("no graph span for a bare graph that fits in an envelope")
+			}
+			return
+		}
+		got, env, err := readRequest(append([]byte(`{"graph":`), append(span, '}')...))
+		if err != nil || env == nil {
+			t.Fatalf("span %q does not decode as an envelope's graph: %v", span, err)
+		}
+		sameGraph(t, got, want)
+		if got.FingerprintHex() != want.FingerprintHex() {
+			t.Fatal("fingerprints differ")
+		}
+	})
+}
+
+// TestGraphSpanNestingLimit checks the one bare graph without a span: an
+// unknown key nested to exactly the decoder's depth limit is accepted
+// bare, but one level deeper inside an envelope it would not be, so
+// ReadBody gives no GraphJSON and a forward encodes the graph instead.
+func TestGraphSpanNestingLimit(t *testing.T) {
+	for _, tc := range []struct {
+		arrays int
+		span   bool
+	}{{9998, true}, {9999, false}} {
+		body := []byte(`{"x":` + strings.Repeat("[", tc.arrays) + strings.Repeat("]", tc.arrays) +
+			`,"tasks":[{"name":"a","durations":[1]}]}`)
+		b, err := sdf3x.ReadBody(bytes.NewReader(body), int64(len(body)))
+		if err != nil {
+			t.Fatalf("%d arrays deep: %v", tc.arrays, err)
+		}
+		if (b.GraphJSON != nil) != tc.span {
+			t.Fatalf("%d arrays deep: span %v, want %v", tc.arrays, b.GraphJSON != nil, tc.span)
+		}
+		b.Release()
+		_, _, err = readRequest(append([]byte(`{"graph":`), append(body, '}')...))
+		if (err == nil) != tc.span {
+			t.Fatalf("%d arrays deep inside an envelope: %v", tc.arrays, err)
+		}
 	}
 }
