@@ -4,43 +4,66 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
 
 	"kiter/internal/sdf3x"
 	"kiter/internal/telemetry"
 )
 
-// TestForwardReleasesDecoderBuffer checks that nothing keeps a forwarding
-// replica's decoder buffer past its request. A forwarded /analyze sends
-// the graph's bytes from the pooled buffer the body was read into, and
-// the buffer goes back to the pool once Submit returns. After every
-// request a junk body of the same length is read through the pool, which
-// hands that buffer out again and overwrites it: under -race a forward
-// still reading it is a data race, and any later use of the bytes sees
-// the junk instead of a graph.
+// TestForwardReleasesDecoderBuffer checks that a forwarding replica's
+// decoder buffer goes back to the pool only once the forward has copied
+// the graph's bytes out of it. Forwards of distinct graphs run while other
+// goroutines read junk bodies through the pool, which hands released
+// buffers out again and overwrites them. Under -race a forward that reads
+// a released buffer races with that write; without it, the owner receives
+// junk or another request's graph, and the answer's fingerprint is wrong.
 func TestForwardReleasesDecoderBuffer(t *testing.T) {
 	fleet := wiredFleet(t, 0)
 	a, b := fleet[0], fleet[1]
-	graphs := ownedGraphs(t, a, b.addr(), 8)
-	for _, g := range graphs {
-		body := jsonGraph(t, g)
-		code, reply := a.do(t, http.MethodPost, "/analyze", body)
-		if code != http.StatusOK {
-			t.Fatalf("/analyze %s: %d %s", g.Name, code, reply)
-		}
-		var doc analyzeResponse
-		if err := json.Unmarshal(reply, &doc); err != nil {
-			t.Fatal(err)
-		}
-		if doc.Result.Peer != b.addr() || doc.Result.Fingerprint != g.FingerprintHex() || doc.Result.Graph != g.Name {
-			t.Fatalf("%s answered by %q for %.12s as %q, want a forward to %s",
-				g.Name, doc.Result.Peer, doc.Result.Fingerprint, doc.Result.Graph, b.addr())
-		}
-		junk := bytes.Repeat([]byte{'#'}, len(body))
-		if _, _, err := sdf3x.ReadRequest(bytes.NewReader(junk), int64(len(junk))); err == nil {
-			t.Fatal("junk body decoded")
-		}
+	graphs := ownedGraphs(t, a, b.addr(), 32)
+	bodies := make([][]byte, len(graphs))
+	for i, g := range graphs {
+		bodies[i] = jsonGraph(t, g)
 	}
+	junk := bytes.Repeat([]byte{'#'}, 2*len(bodies[len(bodies)-1]))
+	stop := make(chan struct{})
+	var churn, forwards sync.WaitGroup
+	for range 2 {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := sdf3x.ReadRequest(bytes.NewReader(junk), int64(len(junk))); err == nil {
+					t.Error("junk body decoded")
+				}
+			}
+		}()
+	}
+	for i, g := range graphs {
+		forwards.Add(1)
+		go func() {
+			defer forwards.Done()
+			w := record(t, a.srv, http.MethodPost, "/analyze", bodies[i])
+			var doc analyzeResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &doc); w.Code != http.StatusOK || err != nil {
+				t.Errorf("/analyze %s: %d %s", g.Name, w.Code, w.Body)
+				return
+			}
+			if doc.Result.Peer != b.addr() || doc.Result.Fingerprint != g.FingerprintHex() || doc.Result.Graph != g.Name {
+				t.Errorf("%s answered by %q for %.12s as %q, want a forward to %s",
+					g.Name, doc.Result.Peer, doc.Result.Fingerprint, doc.Result.Graph, b.addr())
+			}
+		}()
+	}
+	forwards.Wait()
+	close(stop)
+	churn.Wait()
 	if st := a.e.Stats(); st.Evaluations != 0 || st.RemoteResults != uint64(len(graphs)) {
 		t.Fatalf("forwarding replica: %d local evaluations, %d remote results, want 0 and %d",
 			st.Evaluations, st.RemoteResults, len(graphs))
@@ -75,7 +98,7 @@ func TestStitchedForwardSkipsSuccessorInSteadyState(t *testing.T) {
 		return found
 	}
 	// Every graph is new to the fleet, so each forward is a miss at b.
-	graphs := ownedGraphs(t, a, b.addr(), 64)
+	graphs := ownedGraphs(t, a, b.addr(), 160)
 	closedAt := -1
 	for i, g := range graphs {
 		w := record(t, a.srv, http.MethodPost, "/analyze", jsonGraph(t, g))

@@ -420,8 +420,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// validates the graph, whose facts the engine takes as they are.
 	// Envelopes are strict so a typo'd knob ("metod", "anlyses") fails
 	// loudly instead of silently running the defaults; a bare graph body
-	// skips unknown keys. The buffer is held until Submit returns: a
-	// forward to the graph's owner sends the graph's bytes from it.
+	// skips unknown keys.
 	body, err := sdf3x.ReadBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
 	if err != nil {
 		var readErr *sdf3x.ReadError
@@ -443,11 +442,20 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	req := &engine.Request{
 		Facts:           body.Facts,
-		GraphJSON:       body.GraphJSON,
 		Analyses:        s.tmpl.Analyses,
 		Method:          s.tmpl.Method,
 		ApplyCapacities: s.tmpl.Capacities,
 		NoCache:         knobs.NoCache,
+	}
+	if s.cl == nil {
+		body.Release() // nothing forwards: the buffer goes back at once
+	} else {
+		// A forward to the graph's owner sends the graph's bytes from the
+		// decoder's buffer, which the engine hands back once it no longer
+		// needs them. held, not body, escapes, so the path without a
+		// cluster allocates nothing for it.
+		held := body
+		req.GraphJSON, req.ReleaseGraphJSON = held.GraphJSON, held.Release
 	}
 	if len(knobs.Analyses) > 0 {
 		req.Analyses = nil
@@ -469,7 +477,9 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, err := s.e.Submit(ctx, req)
-	body.Release()
+	if req.ReleaseGraphJSON != nil {
+		req.ReleaseGraphJSON() // a no-op when the engine already called it
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrOverloaded):

@@ -199,7 +199,7 @@ type Cluster struct {
 	// which would recurse).
 	localCache atomic.Pointer[engine.CacheBackend]
 
-	// warm is the fleet tier's warm-start window.
+	// warm is the fleet tier's warm-start window, open from the start.
 	warm window
 
 	stop     chan struct{}
@@ -262,7 +262,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.peerList = append(c.peerList, ps)
 	}
 	reg.Collect(c.exposeBreakers)
-	c.warm.open()
 	c.wg.Add(1)
 	go c.probeLoop()
 	return c, nil
@@ -329,7 +328,15 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 	fctx, fspan := telemetry.StartSpan(ctx, "cluster.forward")
 	fspan.SetString("peer", owner)
 	defer fspan.End()
-	res, err := c.attempt(fctx, owner, job)
+	// The body is a copy, so the submitter may reuse the graph's bytes
+	// while the owner works.
+	body, err := encodeJob(job)
+	job.ReleaseGraphJSON()
+	if err != nil {
+		fspan.SetString("error", err.Error())
+		return nil, false, nil
+	}
+	res, err := c.attempt(fctx, owner, job, body)
 	if err == nil {
 		ps.breaker.Success()
 		ps.forwarded.Inc()
@@ -349,7 +356,7 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 		fspan.Event("breaker.open", "peer", owner)
 	} else if sleepCtx(ctx, jitter(c.cfg.RetryBackoff)) {
 		ps.retried.Inc()
-		if res, err = c.attempt(fctx, owner, job); err == nil {
+		if res, err = c.attempt(fctx, owner, job, body); err == nil {
 			ps.breaker.Success()
 			ps.forwarded.Inc()
 			fspan.SetBool("retried", true)
@@ -367,9 +374,9 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 }
 
 // attempt times one forward try into the RTT histogram.
-func (c *Cluster) attempt(ctx context.Context, owner string, job *engine.DispatchJob) (*engine.Result, error) {
+func (c *Cluster) attempt(ctx context.Context, owner string, job *engine.DispatchJob, body []byte) (*engine.Result, error) {
 	start := time.Now()
-	res, err := c.forward(ctx, owner, job)
+	res, err := c.forward(ctx, owner, job, body)
 	outcome := "ok"
 	if err != nil {
 		outcome = "error"
@@ -398,17 +405,13 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// forward runs one job on owner and decodes its result.
-func (c *Cluster) forward(ctx context.Context, owner string, job *engine.DispatchJob) (*engine.Result, error) {
+// forward sends one job, encoded as body, to owner and decodes its result.
+func (c *Cluster) forward(ctx context.Context, owner string, job *engine.DispatchJob, body []byte) (*engine.Result, error) {
 	// Chaos seam: "dispatch.forward" fails forward attempts (each retry is
 	// a fresh Fire), exercising the retry and breaker paths without a
 	// network fault.
 	if err := faultinject.Fire(faultinject.PointForward); err != nil {
 		telemetry.FromContext(ctx).Event("chaos.severed", "point", faultinject.PointForward, "peer", owner)
-		return nil, err
-	}
-	body, err := encodeJob(job)
-	if err != nil {
 		return nil, err
 	}
 	if c.cfg.ForwardTimeout > 0 {
@@ -551,8 +554,10 @@ func (c *Cluster) probe(ps *peerState) {
 	defer ps.mu.Unlock()
 	if err == nil {
 		ps.failures = 0
-		ps.breaker.HalfOpen()
+		// The window opens first, so whoever sees the peer back in the
+		// ring also sees the window open.
 		c.warm.open()
+		ps.breaker.HalfOpen()
 		return
 	}
 	ps.failures++

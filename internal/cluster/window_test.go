@@ -92,6 +92,34 @@ func TestWarmWindowClosesInSteadyState(t *testing.T) {
 	}
 }
 
+// TestWarmWindowStaysOpenWhileHitsCome checks that a hit restarts the
+// count of 204s: a replica whose owned misses the successor lacks come in
+// runs shorter than windowRun still reads every key the successor holds,
+// as a replica does while it warms up after joining.
+func TestWarmWindowStaysOpenWhileHitsCome(t *testing.T) {
+	reps := startCacheFleet(t, 3)
+	r0 := reps[0]
+	cold := ownGraphs(t, r0, r0.addr, 0, 2*(windowRun-1))
+	for i, k := range ownGraphs(t, r0, r0.addr, len(cold), 2) {
+		succ := r0.cl.ring.owner(k.FingerprintHex(), func(m string) bool { return m != r0.addr })
+		for _, r := range reps {
+			if r.addr == succ {
+				submitKIter(t, r, k, true)
+			}
+		}
+		for _, g := range cold[i*(windowRun-1) : (i+1)*(windowRun-1)] {
+			submitKIter(t, r0, g, false)
+		}
+		if res := submitKIter(t, r0, k, false); !res.CacheHit || res.Peer != succ {
+			t.Fatalf("key %d after %d cold misses: cacheHit=%v peer=%q, want a fleet-tier hit from %s",
+				i, windowRun-1, res.CacheHit, res.Peer, succ)
+		}
+	}
+	if fleet := tierStats(t, r0.eng, "fleet"); fleet.Hits != 2 {
+		t.Fatalf("fleet tier = %+v, want 2 hits", fleet)
+	}
+}
+
 // TestWarmWindowReopensOnRingChange checks both ring changes that reopen
 // a closed window: a peer's breaker opening, and a probe half-opening
 // it. Once the peer is back in the ring, a key the replica owns that only
@@ -148,8 +176,8 @@ func TestWarmWindowReopensOnRingChange(t *testing.T) {
 
 // TestForwardSendsClientBytes checks that a forwarded job carries the
 // client's graph text byte for byte, unknown keys, escapes and layout
-// included, and that the forward reads it only before Submit returns:
-// the buffer is overwritten right after, which the race detector and the
+// included, and that the forward reads it only before the engine releases
+// it: the release overwrites the buffer, which the race detector and the
 // owner's copy would both notice.
 func TestForwardSendsClientBytes(t *testing.T) {
 	reps := startCacheFleet(t, 2)
@@ -169,15 +197,22 @@ func TestForwardSendsClientBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := bytes.Clone(body.GraphJSON)
+	released := false
 	res, err := a.eng.Submit(context.Background(), &engine.Request{
 		Facts: body.Facts, GraphJSON: body.GraphJSON, Method: engine.MethodKIter,
+		ReleaseGraphJSON: func() {
+			for i := range body.GraphJSON {
+				body.GraphJSON[i] = '#'
+			}
+			released = true
+		},
 	})
-	for i := range body.GraphJSON {
-		body.GraphJSON[i] = '#'
-	}
 	body.Release()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !released {
+		t.Fatal("Submit returned without releasing the graph's bytes after the forward")
 	}
 	if res.Peer != b.addr || res.Fingerprint != g.FingerprintHex() {
 		t.Fatalf("answer from %q for %.12s, want a forward to %s", res.Peer, res.Fingerprint, b.addr)

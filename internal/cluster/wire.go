@@ -27,7 +27,7 @@ type wireKnobs struct {
 
 // encodeJob serializes a dispatch job for the forward hop: the client's
 // graph bytes when the job has them, else the graph encoded compact, then
-// the knobs. The body is a copy, so GraphJSON is not read after Dispatch.
+// the knobs.
 func encodeJob(job *engine.DispatchJob) ([]byte, error) {
 	k := wireKnobs{
 		Method:     string(job.Method),
@@ -96,12 +96,21 @@ func decodeRequest(r io.Reader, sizeHint int64) (*engine.Request, error) {
 // encoding on /cluster/evaluate and the cache tier — and normalizes the
 // per-submission fields: the forwarding engine re-applies its own graph
 // name and dedup flags, and CacheHit/Peer describe the remote serve, not
-// the local one, so the sender's are stripped and the fleet origin stamped.
+// the local one.
 func decodeBinaryResult(body []byte, peer string) (*engine.Result, error) {
 	res, err := resultcodec.Decode(body)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: decoding result: %w", err)
 	}
-	res.Graph, res.CacheHit, res.Deduped, res.Peer = "", false, false, peer
-	return res, nil
+	return normalizeRemote(res, peer), nil
+}
+
+// normalizeRemote strips the sender's per-submission fields and stamps the
+// result's fleet origin.
+func normalizeRemote(res *engine.Result, peer string) *engine.Result {
+	res.Graph = ""
+	res.CacheHit = false
+	res.Deduped = false
+	res.Peer = peer
+	return res
 }

@@ -19,8 +19,11 @@ type DispatchJob struct {
 	// the same cache key as a direct submission would.
 	Graph *csdf.Graph
 	// GraphJSON is Request.GraphJSON: Graph's JSON text as the client
-	// sent it, or nil. It is valid only until Dispatch returns.
+	// sent it, or nil. It is valid until ReleaseGraphJSON is called or
+	// Dispatch returns.
 	GraphJSON []byte
+	// release is Request.ReleaseGraphJSON.
+	release func()
 	// Analyses is the normalized (deduplicated, sorted) analysis list.
 	Analyses []AnalysisKind
 	// Method is the resolved throughput method (never empty).
@@ -50,8 +53,9 @@ type DispatchJob struct {
 // closes, so a forward in progress for a result nobody wants anymore
 // aborts instead of completing (or stalling shutdown).
 //
-// A Dispatcher must not keep job past Dispatch: its GraphJSON may alias
-// a buffer the submitter reuses once Submit returns.
+// A Dispatcher must not keep job past Dispatch, nor read its GraphJSON
+// after calling its ReleaseGraphJSON: the bytes may alias a buffer the
+// submitter reuses from then on.
 //
 // The engine does not take ownership of the Dispatcher: callers that wire
 // one in (cmd/kiterd) close it themselves after Engine.Close.
@@ -93,6 +97,18 @@ type DispatchStatser interface {
 	DispatchStats() []PeerStats
 }
 
+// ReleaseGraphJSON hands GraphJSON back to the submitter: a Dispatcher
+// calls it once it has copied the bytes, so the buffer is not held while
+// the peer works. The engine calls it when Dispatch returns; later calls
+// do nothing.
+func (j *DispatchJob) ReleaseGraphJSON() {
+	if j.release != nil {
+		j.release()
+		j.release = nil
+	}
+	j.GraphJSON = nil
+}
+
 // launch routes a leader's job, on the leader's goroutine: a configured
 // Dispatcher gets first claim (djob is nil when there is none, or when the
 // request pinned itself local with NoForward); unhandled jobs wait for a
@@ -109,6 +125,7 @@ func (e *Engine) launch(j *job, djob *DispatchJob) {
 		res, handled, err := e.cfg.Dispatcher.Dispatch(dctx, djob)
 		stop()
 		cancel()
+		djob.ReleaseGraphJSON()
 		if handled {
 			switch {
 			case err == nil:

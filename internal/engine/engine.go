@@ -318,12 +318,15 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 			djob = &DispatchJob{
 				Graph:           g,
 				GraphJSON:       req.GraphJSON,
+				release:         req.ReleaseGraphJSON,
 				Analyses:        analyses,
 				Method:          method,
 				ApplyCapacities: req.ApplyCapacities,
 				NoCache:         req.NoCache,
 				Fingerprint:     fingerprint,
 			}
+		} else {
+			req.releaseGraphJSON()
 		}
 		// The leader departs like any waiter: the last one to leave
 		// cancels jobCtx and the evaluation aborts. Until then it runs on
@@ -343,6 +346,7 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	} else {
 		e.met.deduped.Inc()
 		span.SetBool("deduped", true)
+		req.releaseGraphJSON()
 	}
 
 	select {

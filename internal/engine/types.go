@@ -114,13 +114,27 @@ type Request struct {
 	Facts *csdf.Facts
 	// GraphJSON, when set, is the JSON text the graph was decoded from
 	// (sdf3x.Body.GraphJSON). A forward to a cluster peer sends it as it
-	// is instead of encoding the graph again. It is read only before
-	// Submit returns, so it may alias a buffer the caller reuses after.
+	// is instead of encoding the graph again. Submit reads it only while
+	// it offers the job to the Dispatcher, on the calling goroutine, so it
+	// may alias a buffer the caller reuses once ReleaseGraphJSON is called
+	// or Submit returns.
 	GraphJSON []byte
+	// ReleaseGraphJSON, when set, is called on the calling goroutine as
+	// soon as Submit will not read GraphJSON again: once the forward has
+	// copied it, or before a local evaluation or the wait on a duplicate's.
+	// Submit may return without calling it.
+	ReleaseGraphJSON func()
 	// cacheKeyHint and fingerprintHint are filled by Submit on the
 	// prepared request handed to workers, so the hash is computed once.
 	cacheKeyHint    string
 	fingerprintHint string
+}
+
+// releaseGraphJSON calls ReleaseGraphJSON, when set.
+func (r *Request) releaseGraphJSON() {
+	if r.ReleaseGraphJSON != nil {
+		r.ReleaseGraphJSON()
+	}
 }
 
 // ThroughputResult is the throughput section of a Result. Periods and
