@@ -11,13 +11,13 @@ import (
 	"kiter/internal/telemetry"
 )
 
-// TestForwardReleasesDecoderBuffer checks that a forwarding replica's
-// decoder buffer goes back to the pool only once the forward has copied
-// the graph's bytes out of it. Forwards of distinct graphs run while other
-// goroutines read junk bodies through the pool, which hands released
-// buffers out again and overwrites them. Under -race a forward that reads
-// a released buffer races with that write; without it, the owner receives
-// junk or another request's graph, and the answer's fingerprint is wrong.
+// TestForwardReleasesDecoderBuffer checks that a forward reads nothing
+// from a pooled decoder buffer, which goes back to the pool once the body
+// is decoded. Forwards of distinct graphs run while other goroutines read
+// junk bodies through the pool, which hands released buffers out again and
+// overwrites them. Under -race a forward that read a released buffer would
+// race with that write; without it, the owner would receive junk or another
+// request's graph, and the answer's fingerprint would be wrong.
 func TestForwardReleasesDecoderBuffer(t *testing.T) {
 	fleet := wiredFleet(t, 0)
 	a, b := fleet[0], fleet[1]

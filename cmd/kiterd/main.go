@@ -60,11 +60,11 @@
 // With -peers, N replicas form one analysis fleet: each job is
 // consistently hashed onto the member ring and forwarded to its owner
 // over an internal POST /cluster/evaluate hop, making the owner's
-// singleflight and memo cache deduplicate work fleet-wide. A dead or slow
-// owner degrades transparently to local evaluation and is probed back
-// into the ring; /stats grows per-peer forwarded/served/failedOver
-// counters (see the README's Cluster section for a 3-replica
-// walkthrough):
+// singleflight and memo cache deduplicate work fleet-wide. A dead owner,
+// or one slower than a -forward-timeout set below -timeout, degrades
+// transparently to local evaluation and is probed back into the ring;
+// /stats grows per-peer forwarded/served/failedOver counters (see the
+// README's Cluster section for a 3-replica walkthrough):
 //
 //	kiterd -addr 127.0.0.1:9101 -peers 127.0.0.1:9102,127.0.0.1:9103
 //
@@ -153,7 +153,7 @@ func run() error {
 		sweepSpec      = flag.String("sweep", "", "sweep mode: expand a parametric spec file into a scenario family, stream NDJSON results and exit")
 		peers          = flag.String("peers", "", "comma-separated peer replica addresses (host:port); jobs are consistently hashed across self+peers and forwarded to their owner")
 		selfAddr       = flag.String("self", "", "advertised cluster address of this replica (default: derived from -addr); every replica must list it under exactly this string")
-		forwardTimeout = flag.Duration("forward-timeout", 0, "per-job cluster forward budget before local fallback (0 = -timeout)")
+		forwardTimeout = flag.Duration("forward-timeout", 0, "per-job cluster forward budget before local fallback (0 = -timeout); a hung peer falls back to local evaluation only when this is below -timeout")
 		traceBuffer    = flag.Int("trace-buffer", 256, "HTTP mode: capacity of the always-on flight recorder behind GET /debug/traces — a bounded ring of recent traces biased toward keeping the slowest and errored ones (0 disables tracing entirely)")
 		pprofAddr      = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "HTTP mode: budget for in-flight requests to finish after SIGTERM/SIGINT before connections are cut")

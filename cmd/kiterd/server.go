@@ -20,8 +20,8 @@ import (
 	"kiter/internal/telemetry"
 )
 
-// maxBodyBytes bounds /analyze and /sweep request bodies. A forwarding
-// peer accepts this much graph plus its envelope.
+// maxBodyBytes bounds /analyze and /sweep request bodies, as a forward's
+// owner bounds the body it accepts.
 const maxBodyBytes = cluster.MaxBody
 
 // observability bundles the telemetry seams handed to the server: the
@@ -421,7 +421,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Envelopes are strict so a typo'd knob ("metod", "anlyses") fails
 	// loudly instead of silently running the defaults; a bare graph body
 	// skips unknown keys.
-	body, err := sdf3x.ReadBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+	f, env, err := sdf3x.ReadRequest(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
 	if err != nil {
 		var readErr *sdf3x.ReadError
 		var reqErr *sdf3x.RequestError
@@ -436,26 +436,16 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var knobs sdf3x.Envelope // a bare graph runs with the template's knobs
-	if body.Env != nil {
-		knobs = *body.Env
+	if env != nil {
+		knobs = *env
 	}
 
 	req := &engine.Request{
-		Facts:           body.Facts,
+		Facts:           f,
 		Analyses:        s.tmpl.Analyses,
 		Method:          s.tmpl.Method,
 		ApplyCapacities: s.tmpl.Capacities,
 		NoCache:         knobs.NoCache,
-	}
-	if s.cl == nil {
-		body.Release() // nothing forwards: the buffer goes back at once
-	} else {
-		// A forward to the graph's owner sends the graph's bytes from the
-		// decoder's buffer, which the engine hands back once it no longer
-		// needs them. held, not body, escapes, so the path without a
-		// cluster allocates nothing for it.
-		held := body
-		req.GraphJSON, req.ReleaseGraphJSON = held.GraphJSON, held.Release
 	}
 	if len(knobs.Analyses) > 0 {
 		req.Analyses = nil
@@ -477,9 +467,6 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	res, err := s.e.Submit(ctx, req)
-	if req.ReleaseGraphJSON != nil {
-		req.ReleaseGraphJSON() // a no-op when the engine already called it
-	}
 	if err != nil {
 		switch {
 		case errors.Is(err, engine.ErrOverloaded):

@@ -19,9 +19,9 @@ import (
 // header limits.
 const cacheKeyHeader = "X-Kiter-Cache-Key"
 
-// resultContentType is the media type of a resultcodec frame on the wire,
-// used by the cache read endpoint and negotiated (via Accept) on
-// /cluster/evaluate replies.
+// resultContentType is the media type of a resultcodec frame on the wire:
+// the cache read endpoint and /cluster/evaluate always answer in it, and a
+// forward rejects a reply in any other.
 const resultContentType = "application/x-kiter-result"
 
 // maxCacheBody caps one cache record on the wire, matching cachedisk's

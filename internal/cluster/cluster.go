@@ -202,6 +202,10 @@ type Cluster struct {
 	// warm is the fleet tier's warm-start window, open from the start.
 	warm window
 
+	// maxForwardBody bounds a forward's encoded body: a larger job is
+	// evaluated locally. It is the owner's own cap, MaxBody.
+	maxForwardBody int
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -231,6 +235,8 @@ func New(cfg Config) (*Cluster, error) {
 		ring:  ring,
 		peers: make(map[string]*peerState),
 		stop:  make(chan struct{}),
+
+		maxForwardBody: MaxBody,
 	}
 	reg := cfg.Metrics
 	c.forwardRTT = reg.HistogramVec("kiter_cluster_forward_seconds",
@@ -307,8 +313,9 @@ func (c *Cluster) Owner(key string) string {
 }
 
 // Dispatch implements engine.Dispatcher: jobs the ring places on this
-// replica (or on nobody alive) are declined back to the local pool; jobs
-// owned by a healthy peer are forwarded. A forward that fails for any
+// replica (or on nobody alive), and jobs whose encoded body is over the
+// owner's cap, are declined back to the local pool; jobs owned by a
+// healthy peer are forwarded. A forward that fails for any
 // reason other than the job's own cancellation counts against the peer's
 // breaker and is retried once after a jittered backoff (evaluations are
 // idempotent); a second failure falls back to local evaluation, so a
@@ -328,12 +335,11 @@ func (c *Cluster) Dispatch(ctx context.Context, job *engine.DispatchJob) (*engin
 	fctx, fspan := telemetry.StartSpan(ctx, "cluster.forward")
 	fspan.SetString("peer", owner)
 	defer fspan.End()
-	// The body is a copy, so the submitter may reuse the graph's bytes
-	// while the owner works.
-	body, err := encodeJob(job)
-	job.ReleaseGraphJSON()
-	if err != nil {
-		fspan.SetString("error", err.Error())
+	body := encodeJob(job)
+	if len(body) > c.maxForwardBody {
+		// The owner would refuse it: evaluate locally, charging the peer
+		// nothing.
+		fspan.SetInt("bodyBytes", int64(len(body)))
 		return nil, false, nil
 	}
 	res, err := c.attempt(fctx, owner, job, body)
@@ -419,7 +425,7 @@ func (c *Cluster) forward(ctx context.Context, owner string, job *engine.Dispatc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.ForwardTimeout)
 		defer cancel()
 	}
-	resp, reply, err := c.roundTrip(ctx, http.MethodPost, owner, "/cluster/evaluate", nil, body, maxForwardBody, http.StatusOK)
+	resp, reply, err := c.roundTrip(ctx, http.MethodPost, owner, "/cluster/evaluate", nil, body, MaxBody, http.StatusOK)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -28,10 +29,7 @@ func TestWireRoundTrip(t *testing.T) {
 		NoCache:         true,
 		Fingerprint:     g.FingerprintHex(),
 	}
-	body, err := encodeJob(job)
-	if err != nil {
-		t.Fatalf("encodeJob: %v", err)
-	}
+	body := encodeJob(job)
 	req, err := decodeRequest(bytes.NewReader(body), int64(len(body)))
 	if err != nil {
 		t.Fatalf("decodeRequest: %v", err)
@@ -332,5 +330,81 @@ func TestJSONAnswerFailsOver(t *testing.T) {
 	stats := c.DispatchStats()
 	if len(stats) != 1 || stats[0].FailedOver != 1 || stats[0].Forwarded != 0 {
 		t.Fatalf("peer stats = %+v, want 1 failover and 0 forwards", stats)
+	}
+}
+
+// TestHungOwnerForwardTimeout pins when a hung owner, one that accepts the
+// connection and never answers, costs a request its local answer. The
+// request's deadline starts before the forward's, so with a forward budget
+// no shorter than the request's (kiterd's default sets them equal) the
+// request ends first: Submit fails with DeadlineExceeded, nothing fails
+// over and the breaker is not charged. Only a forward budget below the
+// request's lets the forward and its retry time out, charge the breaker
+// and fall back to local evaluation. The first case gives the forward
+// twice the request's budget, so that scheduling cannot reorder the two
+// deadlines; the second gives the request room for both tries and the
+// local solve.
+func TestHungOwnerForwardTimeout(t *testing.T) {
+	hung := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	})
+	mux.HandleFunc("/cluster/evaluate", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-hung:
+		case <-r.Context().Done():
+		}
+	})
+	peer := httptest.NewServer(mux)
+	t.Cleanup(peer.Close)
+	t.Cleanup(func() { close(hung) }) // runs first: Close waits for the handlers
+	addr := strings.TrimPrefix(peer.URL, "http://")
+
+	for _, tc := range []struct {
+		name             string
+		request, forward time.Duration
+		local            bool
+	}{
+		{"forward budget not below the request's", 300 * time.Millisecond, 600 * time.Millisecond, false},
+		{"forward budget below the request's", 5 * time.Second, 50 * time.Millisecond, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Config{Self: "self:1", Peers: []string{addr}, ForwardTimeout: tc.forward})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			eng := engine.New(engine.Config{Workers: 1, Dispatcher: c})
+			t.Cleanup(eng.Close)
+			g := gen.KIterChain(2)
+			for n := 3; c.Owner(g.FingerprintHex()) != addr; n++ {
+				if n > 64 {
+					t.Fatal("no KIterChain graph placed on the peer")
+				}
+				g = gen.KIterChain(n)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), tc.request)
+			defer cancel()
+			start := time.Now()
+			res, err := eng.Submit(ctx, &engine.Request{Graph: g, Method: engine.MethodKIter})
+			elapsed := time.Since(start)
+			st := c.DispatchStats()[0]
+			if tc.local {
+				if err != nil || res.Peer != "" {
+					t.Fatalf("after %v: result %+v, error %v, want a local answer", elapsed, res, err)
+				}
+				if st.FailedOver != 1 || st.Retried != 1 {
+					t.Fatalf("after %v: %d failovers, %d retries, want 1 and 1", elapsed, st.FailedOver, st.Retried)
+				}
+				return
+			}
+			if !errors.Is(err, context.DeadlineExceeded) || elapsed < tc.request {
+				t.Fatalf("after %v: error %v, want DeadlineExceeded at the request's budget of %v", elapsed, err, tc.request)
+			}
+			if st.FailedOver != 0 || st.BreakerState != resilience.BreakerClosed.String() {
+				t.Fatalf("after %v: %d failovers, breaker %s, want none and closed", elapsed, st.FailedOver, st.BreakerState)
+			}
+		})
 	}
 }

@@ -12,14 +12,9 @@ import (
 	"kiter/internal/sdf3x"
 )
 
-// MaxBody bounds a client's request body on the public API (64 MiB covers
-// the largest Table 2 instances). A forwarded body may add envelopeRoom
-// for what encodeJob wraps around the client's graph bytes.
-const (
-	MaxBody        = 64 << 20
-	envelopeRoom   = 1 << 10
-	maxForwardBody = MaxBody + envelopeRoom
-)
+// MaxBody bounds a request body on the public API and on
+// /cluster/evaluate alike (64 MiB covers the largest Table 2 instances).
+const MaxBody = 64 << 20
 
 // Caller returns the advertised address of the peer that sent r, from
 // the header every cluster round trip carries; "" when absent. The header
@@ -45,7 +40,7 @@ func (c *Cluster) EvaluateHandler(e *engine.Engine, timeout time.Duration) http.
 			WriteError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
-		req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxForwardBody), r.ContentLength)
+		req, err := decodeRequest(http.MaxBytesReader(w, r.Body, MaxBody), r.ContentLength)
 		var mbe *http.MaxBytesError
 		var readErr *sdf3x.ReadError
 		switch {

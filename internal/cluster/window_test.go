@@ -3,7 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,77 +174,56 @@ func TestWarmWindowReopensOnRingChange(t *testing.T) {
 	}
 }
 
-// TestForwardSendsClientBytes checks that a forwarded job carries the
-// client's graph text byte for byte, unknown keys, escapes and layout
-// included, and that the forward reads it only before the engine releases
-// it: the release overwrites the buffer, which the race detector and the
-// owner's copy would both notice.
-func TestForwardSendsClientBytes(t *testing.T) {
+// TestForwardSendsCompactGraph checks that a forward re-encodes the graph
+// whatever the client wrote: an indented bare graph with an unknown key
+// reaches the owner as {"graph":<AppendJSON bytes>,<knobs>}, and the answer
+// carries the fingerprint the entry replica computed.
+func TestForwardSendsCompactGraph(t *testing.T) {
 	reps := startCacheFleet(t, 2)
 	a, b := reps[0], reps[1]
 	g := ownGraphs(t, a, b.addr, 0, 1)[0]
-	var compact bytes.Buffer
-	if err := sdf3x.WriteCompactJSON(&compact, g); err != nil {
-		t.Fatal(err)
-	}
 	var indented bytes.Buffer
-	if err := json.Indent(&indented, compact.Bytes(), "", "\t"); err != nil {
+	if err := sdf3x.WriteJSON(&indented, g); err != nil {
 		t.Fatal(err)
 	}
 	client := append([]byte("{ \"note\": \"caf\\u00e9\",\n"), indented.Bytes()[1:]...)
-	body, err := sdf3x.ReadBody(bytes.NewReader(client), int64(len(client)))
+	f, env, err := sdf3x.ReadRequest(bytes.NewReader(client), int64(len(client)))
+	if err != nil || env != nil {
+		t.Fatalf("client body read as envelope %v, error %v; want a bare graph", env, err)
+	}
+	res, err := a.eng.Submit(context.Background(), &engine.Request{Facts: f, Method: engine.MethodKIter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent := bytes.Clone(body.GraphJSON)
-	released := false
-	res, err := a.eng.Submit(context.Background(), &engine.Request{
-		Facts: body.Facts, GraphJSON: body.GraphJSON, Method: engine.MethodKIter,
-		ReleaseGraphJSON: func() {
-			for i := range body.GraphJSON {
-				body.GraphJSON[i] = '#'
-			}
-			released = true
-		},
-	})
-	body.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !released {
-		t.Fatal("Submit returned without releasing the graph's bytes after the forward")
-	}
-	if res.Peer != b.addr || res.Fingerprint != g.FingerprintHex() {
-		t.Fatalf("answer from %q for %.12s, want a forward to %s", res.Peer, res.Fingerprint, b.addr)
+	if res.Peer != b.addr || res.Fingerprint != f.Graph().FingerprintHex() {
+		t.Fatalf("answer from %q for %.12s, want a forward to %s for %.12s", res.Peer, res.Fingerprint, b.addr, f.Graph().FingerprintHex())
 	}
 	b.calls.mu.Lock()
-	got := b.calls.evaluate
+	got := string(b.calls.evaluate)
 	b.calls.mu.Unlock()
-	if want := append([]byte(`{"graph":`), sent...); !bytes.HasPrefix(got, want) {
-		t.Fatalf("owner received %q, want it to start with %q", got, want)
+	want := string(sdf3x.AppendJSON([]byte(`{"graph":`), f.Graph())) + ","
+	if !strings.HasPrefix(got, want) || !strings.HasSuffix(got, `"method":"kiter"}`) {
+		t.Fatalf("owner received %q, want %q, the knobs, and the closing brace", got, want)
 	}
 }
 
-// TestForwardBodyRoom pins the owner's body cap to the public one: the
-// envelope encodeJob wraps around a client's graph bytes, with every
-// knob at its longest, fits in envelopeRoom, so a client body at MaxBody
-// forwarded as it is stays under maxForwardBody.
-func TestForwardBodyRoom(t *testing.T) {
-	job := &engine.DispatchJob{
-		GraphJSON: []byte(`{}`),
-		Analyses: []engine.AnalysisKind{engine.AnalysisSchedule, engine.AnalysisSizing,
-			engine.AnalysisSymbolic, engine.AnalysisThroughput},
-		Method:          engine.MethodExpansion,
-		ApplyCapacities: true,
-		NoCache:         true,
+// TestOversizeForwardRunsLocally checks that a job whose encoded body is
+// over the forward cap is not sent: it is evaluated locally, and the
+// owner's breaker and counters are left as they were.
+func TestOversizeForwardRunsLocally(t *testing.T) {
+	reps := startCacheFleet(t, 2)
+	a, b := reps[0], reps[1]
+	g := ownGraphs(t, a, b.addr, 0, 1)[0]
+	// The envelope is longer than the graph it wraps.
+	a.cl.maxForwardBody = len(sdf3x.AppendJSON(nil, g))
+	if res := submitKIter(t, a, g, false); res.Peer != "" {
+		t.Fatalf("answered by %q, want a local evaluation", res.Peer)
 	}
-	body, err := encodeJob(job)
-	if err != nil {
-		t.Fatal(err)
+	st := a.cl.DispatchStats()[0]
+	if st.Forwarded != 0 || st.FailedOver != 0 || st.Retried != 0 || st.BreakerState != resilience.BreakerClosed.String() {
+		t.Fatalf("peer stats %+v, want no forward, failover or retry and a closed breaker", st)
 	}
-	envelope := len(body) - len(job.GraphJSON)
-	if envelope > envelopeRoom || MaxBody+envelope > maxForwardBody {
-		t.Fatalf("envelope of %d bytes: room %d, cap %d over a public cap of %d",
-			envelope, envelopeRoom, maxForwardBody, MaxBody)
+	if n := b.calls.take()[clusterCall{a.addr, "/cluster/evaluate"}]; n != 0 {
+		t.Fatalf("owner received %d forwards, want none", n)
 	}
 }

@@ -1,59 +1,46 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 
 	"kiter/internal/engine"
+	"kiter/internal/jsonw"
 	"kiter/internal/resultcodec"
 	"kiter/internal/sdf3x"
 )
 
-// wireKnobs are the request knobs of a POST /cluster/evaluate body. The
-// body is an /analyze envelope: the original graph in the repository's JSON
-// format under "graph", the normalized knobs beside it, so the receiving
-// engine prepares the job exactly as a direct submission and lands on the
-// same cache key — that shared key is what makes the owner's singleflight
-// and memo cache deduplicate across the whole fleet.
-type wireKnobs struct {
-	Analyses   []string `json:"analyses,omitempty"`
-	Method     string   `json:"method,omitempty"`
-	Capacities bool     `json:"capacities,omitempty"`
-	NoCache    bool     `json:"noCache,omitempty"`
-}
-
-// encodeJob serializes a dispatch job for the forward hop: the client's
-// graph bytes when the job has them, else the graph encoded compact, then
-// the knobs.
-func encodeJob(job *engine.DispatchJob) ([]byte, error) {
-	k := wireKnobs{
-		Method:     string(job.Method),
-		Capacities: job.ApplyCapacities,
-		NoCache:    job.NoCache,
+// encodeJob serializes a dispatch job for the forward hop. The body is an
+// /analyze envelope in one buffer: the original graph under "graph",
+// written by sdf3x.AppendJSON, and the normalized knobs beside it
+// ("analyses", "method", "capacities", "noCache", each left out when
+// empty), so the receiving engine prepares the job exactly as a direct
+// submission and lands on the same cache key. That shared key is what
+// makes the owner's singleflight and memo cache deduplicate across the
+// whole fleet.
+func encodeJob(job *engine.DispatchJob) []byte {
+	b := sdf3x.AppendJSON([]byte(`{"graph":`), job.Graph)
+	if len(job.Analyses) > 0 {
+		b = append(jsonw.Key(b, "analyses"), '[')
+		for i, a := range job.Analyses {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonw.String(b, string(a))
+		}
+		b = append(b, ']')
 	}
-	for _, a := range job.Analyses {
-		k.Analyses = append(k.Analyses, string(a))
+	if job.Method != "" {
+		b = jsonw.String(jsonw.Key(b, "method"), string(job.Method))
 	}
-	knobs, err := json.Marshal(k)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encoding request: %w", err)
+	if job.ApplyCapacities {
+		b = jsonw.Bool(jsonw.Key(b, "capacities"), true)
 	}
-	b := bytes.NewBuffer(make([]byte, 0, len(`{"graph":`)+len(job.GraphJSON)+len(knobs)))
-	b.WriteString(`{"graph":`)
-	if job.GraphJSON != nil {
-		b.Write(job.GraphJSON)
-	} else if err := sdf3x.WriteCompactJSON(b, job.Graph); err != nil {
-		return nil, fmt.Errorf("cluster: encoding graph: %w", err)
+	if job.NoCache {
+		b = jsonw.Bool(jsonw.Key(b, "noCache"), true)
 	}
-	// knobs is a JSON object: its members follow the graph's.
-	if len(knobs) > len("{}") {
-		b.WriteByte(',')
-	}
-	b.Write(knobs[1:])
-	return b.Bytes(), nil
+	return append(b, '}')
 }
 
 // decodeRequest reads a forwarded body from r and parses it back into an

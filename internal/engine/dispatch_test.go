@@ -257,47 +257,3 @@ func TestDispatcherPanicReleasesWaiters(t *testing.T) {
 		t.Fatal("Close did not return after the Dispatcher panicked")
 	}
 }
-
-// TestReleaseGraphJSON checks when Submit hands a caller's GraphJSON back:
-// after the Dispatcher saw it, and before any local evaluation or the wait
-// on a duplicate's, so a lent buffer is not held through a solve.
-func TestReleaseGraphJSON(t *testing.T) {
-	text := []byte(`{"name":"figure2"}`)
-	var released atomic.Int64
-	req := func() *Request {
-		return &Request{Graph: gen.Figure2(), GraphJSON: text, ReleaseGraphJSON: func() { released.Add(1) }}
-	}
-	d := &stubDispatcher{}
-	d.fn = func(ctx context.Context, job *DispatchJob) (*Result, bool, error) {
-		if released.Load() != 0 || string(job.GraphJSON) != string(text) {
-			t.Errorf("Dispatch saw %q after %d releases, want %q before any", job.GraphJSON, released.Load(), text)
-		}
-		return nil, false, nil
-	}
-	e := newTestEngine(t, Config{Workers: 2, Dispatcher: d})
-	inner := e.evalFn
-	e.evalFn = func(ctx context.Context, r *Request) (*Result, error) {
-		if n := released.Load(); n != 1 {
-			t.Errorf("leader evaluates after %d releases, want 1", n)
-		}
-		// The duplicate joins now and must release before it waits.
-		go func() {
-			if _, err := e.Submit(context.Background(), req()); err != nil {
-				t.Errorf("duplicate Submit: %v", err)
-			}
-		}()
-		for deadline := time.Now().Add(5 * time.Second); released.Load() < 2 && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		if released.Load() < 2 {
-			t.Error("the duplicate did not release its GraphJSON before waiting")
-		}
-		return inner(ctx, r)
-	}
-	if _, err := e.Submit(context.Background(), req()); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if got := d.calls.Load(); got != 1 {
-		t.Fatalf("dispatcher consulted %d times, want 1", got)
-	}
-}

@@ -317,21 +317,16 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 		if e.cfg.Dispatcher != nil && !req.NoForward {
 			djob = &DispatchJob{
 				Graph:           g,
-				GraphJSON:       req.GraphJSON,
-				release:         req.ReleaseGraphJSON,
 				Analyses:        analyses,
 				Method:          method,
 				ApplyCapacities: req.ApplyCapacities,
 				NoCache:         req.NoCache,
 				Fingerprint:     fingerprint,
 			}
-		} else {
-			req.releaseGraphJSON()
 		}
 		// The leader departs like any waiter: the last one to leave
 		// cancels jobCtx and the evaluation aborts. Until then it runs on
-		// this goroutine, whose stack has already grown, so the dispatch
-		// reads djob.GraphJSON before Submit returns. A context that
+		// this goroutine, whose stack has already grown. A context that
 		// can never end needs no departure hook.
 		j := &job{req: prepared, call: c, ctx: jctx}
 		if ctx.Done() == nil {
@@ -346,7 +341,6 @@ func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
 	} else {
 		e.met.deduped.Inc()
 		span.SetBool("deduped", true)
-		req.releaseGraphJSON()
 	}
 
 	select {

@@ -12,12 +12,12 @@ import (
 )
 
 // This file is the only graph JSON decoder: a single-pass recursive-descent
-// reader for the fixed schema of jsonGraph and of the request envelope
+// reader for the fixed schema AppendJSON writes and of the request envelope
 // around it, building csdf.Graph directly. The pooled decoder owns the
 // bytes it decodes: it reads its input into a buffer it keeps, and nothing
 // it returns (graph, envelope, error) aliases that buffer. It accepts and
-// rejects exactly what encoding/json did when it decoded into jsonGraph by
-// reflection:
+// rejects exactly what encoding/json did when it decoded into the schema's
+// struct shape by reflection (ReadJSONReflect, kept as the tests' oracle):
 //
 //   - keys match a field exactly first, then by bytes.EqualFold;
 //   - a repeated key decodes again into what the earlier one left, so the
@@ -64,7 +64,7 @@ type rawBuffer struct {
 	capacity int64
 }
 
-// rawGraph is a jsonGraph under construction. tasks and buffers hold every
+// rawGraph is a graph document under construction. tasks and buffers hold every
 // element an array ever wrote; the first nTasks and nBuffers are live.
 type rawGraph struct {
 	name     string
@@ -141,11 +141,6 @@ type decoder struct {
 	knobs     Envelope
 	nAnalyses int
 	ids       map[string]csdf.TaskID
-	// graphAt and graphEnd delimit the last value under an envelope's
-	// "graph" key in data. deep reports that some value reached the
-	// nesting limit, so a bare graph would not fit inside an envelope.
-	graphAt, graphEnd int
-	deep              bool
 }
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
@@ -200,7 +195,6 @@ func (d *decoder) release() {
 	d.knobs, d.nAnalyses = Envelope{Analyses: d.knobs.Analyses[:0]}, 0
 	clear(d.ids)
 	d.off, d.depth, d.err, d.slab = 0, 0, nil, d.slab[:0]
-	d.graphAt, d.graphEnd, d.deep = 0, 0, false
 	decoders.Put(d)
 }
 
@@ -228,61 +222,18 @@ func (d *decoder) document() (*csdf.Facts, error) {
 // skipped (they must still be valid JSON). The envelope is nil for a bare
 // graph. A failed read is a ReadError wrapping the reader's error.
 //
-// The body is read into the pooled decoder's own buffer, which a positive
-// sizeHint (a request's ContentLength) sizes in one grow; nothing returned
-// aliases it.
+// ReadRequest is the only request reader. The body is read into the pooled
+// decoder's own buffer, which a positive sizeHint (a request's
+// ContentLength) sizes in one grow; nothing returned aliases it, so the
+// buffer goes back to the pool before ReadRequest returns. A replica that
+// forwards the graph encodes it again with AppendJSON.
 func ReadRequest(r io.Reader, sizeHint int64) (*csdf.Facts, *Envelope, error) {
-	b, err := ReadBody(r, sizeHint)
-	b.Release()
-	return b.Facts, b.Env, err
-}
-
-// Body is a request body ReadBody decoded, still held in the pooled
-// decoder's buffer.
-type Body struct {
-	Facts *csdf.Facts
-	Env   *Envelope // nil for a bare graph
-	// GraphJSON is the graph's JSON text as the client sent it: the last
-	// value under an envelope's "graph" key, or the whole body of a bare
-	// graph. {"graph":GraphJSON} decodes to the same graph. It aliases
-	// the decoder's buffer and is valid only until Release; it is nil
-	// when the body was not accepted, and for a bare graph nested so
-	// deep that one more level would pass the nesting limit.
-	GraphJSON []byte
-	d         *decoder
-}
-
-// ReadBody is ReadRequest for a caller that passes the graph on as the
-// client wrote it: the Body it returns also holds the graph's JSON text,
-// in the decoder's buffer, which goes back to the pool when the caller
-// calls Release. On an error there is nothing to release.
-func ReadBody(r io.Reader, sizeHint int64) (Body, error) {
 	d, err := read(r, sizeHint)
 	if err != nil {
-		return Body{}, &ReadError{err}
+		return nil, nil, &ReadError{err}
 	}
-	b := Body{d: d}
-	b.Facts, b.Env, err = d.request()
-	if err != nil {
-		d.release()
-		return Body{}, err
-	}
-	switch {
-	case b.Env != nil:
-		b.GraphJSON = d.data[d.graphAt:d.graphEnd]
-	case !d.deep:
-		b.GraphJSON = d.data
-	}
-	return b, nil
-}
-
-// Release hands the decoder back to the pool; GraphJSON is invalid from
-// then on. Release on a zero Body does nothing.
-func (b *Body) Release() {
-	if b.d != nil {
-		b.d.release()
-		b.d, b.GraphJSON = nil, nil
-	}
+	defer d.release()
+	return d.request()
 }
 
 // request decodes the input as a request body; see ReadRequest.
@@ -311,11 +262,7 @@ func (d *decoder) request() (*csdf.Facts, *Envelope, error) {
 				isEnvelope = true
 				d.env.reset()
 				graphErr = nil
-				d.next()
-				d.graphAt = d.off
-				err := d.into(&graphErr, func() error { return d.graph(&d.env) })
-				d.graphEnd = d.off
-				return err
+				return d.into(&graphErr, func() error { return d.graph(&d.env) })
 			case 1:
 				return d.into(&envErr, func() error {
 					return elems(d, &d.knobs.Analyses, &d.nAnalyses, "analyses", func(s *string) error {
@@ -438,7 +385,7 @@ func (d *decoder) build(rg *rawGraph) (*csdf.Facts, error) {
 	return csdf.Assemble(rg.name, ts, bs)
 }
 
-// graph decodes a jsonGraph value.
+// graph decodes a graph document.
 func (d *decoder) graph(g *rawGraph) error {
 	switch d.next() {
 	case 'n':
@@ -804,11 +751,8 @@ func (d *decoder) skip() error {
 // key token, the cursor on its value; field must consume the value.
 func (d *decoder) object(field func(key []byte, slow bool) error) error {
 	d.off++
-	if d.depth++; d.depth >= maxDepth {
-		if d.depth > maxDepth {
-			return &syntaxError{offset: d.off, msg: "exceeded max depth"}
-		}
-		d.deep = true
+	if d.depth++; d.depth > maxDepth {
+		return &syntaxError{offset: d.off, msg: "exceeded max depth"}
 	}
 	if d.next() == '}' {
 		d.off++
@@ -847,11 +791,8 @@ func (d *decoder) object(field func(key []byte, slow bool) error) error {
 // on each element; elem must consume it.
 func (d *decoder) array(elem func() error) error {
 	d.off++
-	if d.depth++; d.depth >= maxDepth {
-		if d.depth > maxDepth {
-			return &syntaxError{offset: d.off, msg: "exceeded max depth"}
-		}
-		d.deep = true
+	if d.depth++; d.depth > maxDepth {
+		return &syntaxError{offset: d.off, msg: "exceeded max depth"}
 	}
 	if d.next() == ']' {
 		d.off++

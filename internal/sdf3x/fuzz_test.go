@@ -2,6 +2,8 @@ package sdf3x_test
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -86,84 +88,121 @@ func TestReadJSONAllocations(t *testing.T) {
 	}
 }
 
-// FuzzGraphSpan holds ReadBody's GraphJSON to its promise: for every body
-// ReadRequest accepts, {"graph":GraphJSON} decodes to the same graph,
-// names and fingerprint included, so a forward may send the client's
-// bytes instead of encoding the graph again. A nil GraphJSON is allowed
-// only for a bare graph that would pass the nesting limit inside an
-// envelope. The seeds hold bare graphs, repeated and case-folded "graph"
-// keys, whitespace around every token, string escapes and unknown keys.
-func FuzzGraphSpan(f *testing.F) {
-	var buf bytes.Buffer
-	if err := sdf3x.WriteCompactJSON(&buf, gen.Figure2()); err != nil {
-		f.Fatal(err)
-	}
-	fig2 := buf.String()
-	const one = `{"name":"x","tasks":[{"name":"a","durations":[1]}],"buffers":[{"src":"a","dst":"a","in":[1],"out":[1],"initial":1}]}`
-	for _, seed := range []string{
-		fig2,
-		" \n\t" + fig2 + "\r\n ",
-		`null`,
-		`{"graph":null}`,
-		`{"graph":` + one + `,"method":"kiter"}`,
-		`{ "graph" : ` + fig2 + ` , "analyses" : [ "throughput" ] }`,
-		`{"graph":` + one + `,"analyses":["throughput"],"GRAPH":` + fig2 + `}`,
-		`{"graph":` + one + `}`,
-		`{"graph":{"name":"vé\"x","tasks":[{"name":"a\\b","durations":[1]}],"buffers":[{"src":"a\\b","dst":"a\\b","in":[1],"out":[1],"initial":1}],"extra":{"graph":[1]}}}`,
-		`{"comment":{"graph":1},"analyses":[7],"method":3,"tasks":[{"name":"a","durations":[1]}],"TASKS":[{"name":"b","durations":[2]}]}`,
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		want, _, err := readRequest(data)
-		if err != nil {
-			return
+// FuzzAppendJSON holds the one graph writer to the reflection writer it
+// replaced: AppendJSON appends exactly json.Marshal's bytes for the graph,
+// WriteCompactJSON those and a newline, and WriteJSON the indented
+// encoder's bytes. The graph is built without validation from the inputs:
+// tasks are named by the "|"-separated fields of names (so names may be
+// empty, repeated, escaped or non-ASCII, and "" gives no tasks), buffers by
+// those of bufNames, and shape supplies phase counts, durations, rates,
+// endpoints, markings and capacities.
+func FuzzAppendJSON(f *testing.F) {
+	f.Add("fig", "a|b|c", "ab|", []byte{2, 1, 3, 1, 5, 0, 2, 1, 1, 1, 2, 0, 7})
+	f.Add("", "", "", []byte{})
+	f.Add("dup", "a|a||t1|t2|", "|x", []byte{1, 0x81, 0xff, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add("<esc>&\"q\u2028", "\x00\x1f|\xff\xfe|caf\u00e9|\u65e5\u672c|\U0001F600", "\t\n|<b>", []byte{3, 200, 100, 50, 4, 1, 2, 0x80, 0x7f, 9, 9, 9, 9})
+	f.Add("big", "x|y", "e", []byte{3, 0x80, 0xff, 0x7f, 1, 0, 0, 1, 2, 3, 0x90, 0x85})
+	f.Add("tN clash", "t1||t0|t1|t3_1|", "a|b|c", []byte{1, 1, 1, 2, 0, 1, 1, 3, 1, 4, 5, 9})
+	f.Add("capacities", "a|b", "ab|ba", []byte{1, 1, 1, 2, 0, 1, 1, 3, 1, 4, 5, 9, 1, 0, 1, 1, 1, 1, 0, 0x81})
+	f.Add("no phases", "a", "", []byte{0, 0, 0, 0, 0, 0, 0})
+	f.Add("html", "<script>|&amp;|>", "</b>|&", []byte{1, 60, 2, 38, 62, 1, 0, 2, 1, 1, 2, 3, 4, 7, 8})
+	f.Add("invalid \xc3( UTF-8", "\xed\xa0\x80|\xe2\x82|\u2029", "\xf0\x28", []byte{2, 1, 2, 1, 7, 2, 1, 0, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, name, names, bufNames string, shape []byte) {
+		g := fuzzGraph(name, names, bufNames, shape)
+		compact := sdf3x.WriteJSONReflect(g, false)
+		if got, want := sdf3x.AppendJSON([]byte("pre"), g), append([]byte("pre"), compact[:len(compact)-1]...); !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON:\n got  %q\n want %q", got, want)
 		}
-		b, err := sdf3x.ReadBody(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatalf("ReadBody rejects what ReadRequest accepts: %v", err)
+		var buf bytes.Buffer
+		if err := sdf3x.WriteCompactJSON(&buf, g); err != nil || !bytes.Equal(buf.Bytes(), compact) {
+			t.Fatalf("WriteCompactJSON (%v):\n got  %q\n want %q", err, buf.Bytes(), compact)
 		}
-		span := bytes.Clone(b.GraphJSON)
-		b.Release()
-		if span == nil {
-			if _, _, err := readRequest(append([]byte(`{"graph":`), append(data, '}')...)); err == nil {
-				t.Fatal("no graph span for a bare graph that fits in an envelope")
-			}
-			return
-		}
-		got, env, err := readRequest(append([]byte(`{"graph":`), append(span, '}')...))
-		if err != nil || env == nil {
-			t.Fatalf("span %q does not decode as an envelope's graph: %v", span, err)
-		}
-		sameGraph(t, got, want)
-		if got.FingerprintHex() != want.FingerprintHex() {
-			t.Fatal("fingerprints differ")
+		buf.Reset()
+		if want := sdf3x.WriteJSONReflect(g, true); sdf3x.WriteJSON(&buf, g) != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("WriteJSON:\n got  %q\n want %q", buf.Bytes(), want)
 		}
 	})
 }
 
-// TestGraphSpanNestingLimit checks the one bare graph without a span: an
-// unknown key nested to exactly the decoder's depth limit is accepted
-// bare, but one level deeper inside an envelope it would not be, so
-// ReadBody gives no GraphJSON and a forward encodes the graph instead.
-func TestGraphSpanNestingLimit(t *testing.T) {
-	for _, tc := range []struct {
-		arrays int
-		span   bool
-	}{{9998, true}, {9999, false}} {
-		body := []byte(`{"x":` + strings.Repeat("[", tc.arrays) + strings.Repeat("]", tc.arrays) +
-			`,"tasks":[{"name":"a","durations":[1]}]}`)
-		b, err := sdf3x.ReadBody(bytes.NewReader(body), int64(len(body)))
-		if err != nil {
-			t.Fatalf("%d arrays deep: %v", tc.arrays, err)
+// fuzzGraph builds FuzzAppendJSON's graph; see there.
+func fuzzGraph(name, names, bufNames string, shape []byte) *csdf.Graph {
+	next := func() int64 {
+		if len(shape) == 0 {
+			return 0
 		}
-		if (b.GraphJSON != nil) != tc.span {
-			t.Fatalf("%d arrays deep: span %v, want %v", tc.arrays, b.GraphJSON != nil, tc.span)
+		c := shape[0]
+		shape = shape[1:]
+		if c&0x80 != 0 { // far from zero, either sign
+			return int64(int8(c)) << 40
 		}
-		b.Release()
-		_, _, err = readRequest(append([]byte(`{"graph":`), append(body, '}')...))
-		if (err == nil) != tc.span {
-			t.Fatalf("%d arrays deep inside an envelope: %v", tc.arrays, err)
+		return int64(c)
+	}
+	ints := func() []int64 {
+		vs := make([]int64, uint64(next())%4)
+		for i := range vs {
+			vs[i] = next()
 		}
+		return vs
+	}
+	g := csdf.NewGraph(name)
+	if names == "" {
+		return g
+	}
+	for _, n := range strings.Split(names, "|") {
+		g.AddTask(n, ints())
+	}
+	for _, n := range strings.Split(bufNames, "|") {
+		src, dst := csdf.TaskID(uint64(next())%uint64(g.NumTasks())), csdf.TaskID(uint64(next())%uint64(g.NumTasks()))
+		id := g.AddBuffer(n, src, dst, ints(), ints(), next())
+		g.SetCapacity(id, next())
+	}
+	return g
+}
+
+// TestAppendJSONAllocations pins AppendJSON to no allocations on
+// BlackScholes (41 tasks, 41 buffers) once the buffer has room: the names
+// it resolves live in pooled scratch. The garbage collector and the race
+// detector drop pooled scratch at random, which only adds allocations, so
+// the fewest of several single runs is AppendJSON's own count.
+func TestAppendJSONAllocations(t *testing.T) {
+	g, err := gen.Industrial(gen.IndustrialSpecs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sdf3x.AppendJSON(nil, g)
+	fewest := math.Inf(1)
+	for range 20 {
+		fewest = min(fewest, testing.AllocsPerRun(1, func() { b = sdf3x.AppendJSON(b[:0], g) }))
+	}
+	if fewest > 0 {
+		t.Errorf("AppendJSON allocates %.0f objects on a %d-task graph, want none", fewest, g.NumTasks())
+	}
+}
+
+// TestAppendJSONRenamesUniquely checks that the names AppendJSON gives
+// unnamed and repeated tasks are unique even where a task is already
+// called "tN", so the document it writes decodes to the same structure.
+func TestAppendJSONRenamesUniquely(t *testing.T) {
+	g := csdf.NewGraph("rename")
+	for _, n := range []string{"t1", "", "t1", "t2_1", "t2", ""} {
+		g.AddTask(n, []int64{1})
+	}
+	for i := range g.NumTasks() {
+		g.AddSDFBuffer("", csdf.TaskID(i), csdf.TaskID((i+1)%g.NumTasks()), 1, 1, 1)
+	}
+	doc := sdf3x.AppendJSON(nil, g)
+	got, err := sdf3x.ReadJSON(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatalf("%s: %v", doc, err)
+	}
+	var names []string
+	for _, task := range got.Tasks() {
+		names = append(names, task.Name)
+	}
+	if want := []string{"t1", "t1_1", "t2", "t2_1", "t4", "t5"}; !slices.Equal(names, want) {
+		t.Fatalf("tasks written as %q, want %q", names, want)
+	}
+	if got.FingerprintHex() != g.FingerprintHex() {
+		t.Fatal("fingerprint changed across the round trip")
 	}
 }

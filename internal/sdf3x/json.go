@@ -2,69 +2,96 @@
 // compact JSON format native to this repository, and an SDF3-flavoured XML
 // dialect compatible in shape with the benchmark format of Stuijk et al.'s
 // SDF3 tool [15], which the paper's experiments are distributed in.
+//
+// JSON has one writer and one reader. AppendJSON writes a graph without
+// reflection or allocation; WriteJSON, WriteCompactJSON and a cluster
+// forward's body are its bytes. ReadRequest (and ReadJSON, ReadFacts)
+// decode in one pass into a pooled buffer that nothing returned aliases.
 package sdf3x
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"kiter/internal/csdf"
+	"kiter/internal/jsonw"
 )
 
-// jsonGraph is the on-disk JSON shape WriteJSON encodes; decode.go reads
-// the same shape without reflection.
-type jsonGraph struct {
-	Name    string       `json:"name"`
-	Tasks   []jsonTask   `json:"tasks"`
-	Buffers []jsonBuffer `json:"buffers"`
+// AppendJSON appends g to b in the repository's JSON format, compact, and
+// returns the extended buffer. The bytes are what encoding/json writes for
+// the document {"name", "tasks": [{"name", "durations"}], "buffers":
+// [{"name" (omitted when empty), "src", "dst", "in", "out", "initial",
+// "capacity" (omitted when zero)}]}, with null for an empty task or buffer
+// list. Task references use names, so a task without a name, or with one
+// an earlier task took, is written as "tN" (N its ID), or "tN_K" should a
+// task already be called "tN". AppendJSON allocates nothing once b has
+// room, except for such a renamed task.
+func AppendJSON(b []byte, g *csdf.Graph) []byte {
+	names := resolveNames(g)
+	defer names.release()
+	b = jsonw.String(jsonw.Key(append(b, '{'), "name"), g.Name)
+	b = jsonw.Key(b, "tasks")
+	if g.NumTasks() == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, t := range g.Tasks() {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonw.String(jsonw.Key(append(b, '{'), "name"), names.of[i])
+			b = append(jsonw.Ints(jsonw.Key(b, "durations"), t.Durations), '}')
+		}
+		b = append(b, ']')
+	}
+	b = jsonw.Key(b, "buffers")
+	if g.NumBuffers() == 0 {
+		return append(b, "null}"...)
+	}
+	b = append(b, '[')
+	for i, bf := range g.Buffers() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '{')
+		if bf.Name != "" {
+			b = jsonw.String(jsonw.Key(b, "name"), bf.Name)
+		}
+		b = jsonw.String(jsonw.Key(b, "src"), names.of[bf.Src])
+		b = jsonw.String(jsonw.Key(b, "dst"), names.of[bf.Dst])
+		b = jsonw.Ints(jsonw.Key(b, "in"), bf.In)
+		b = jsonw.Ints(jsonw.Key(b, "out"), bf.Out)
+		b = jsonw.Int(jsonw.Key(b, "initial"), bf.Initial)
+		if bf.Capacity != 0 {
+			b = jsonw.Int(jsonw.Key(b, "capacity"), bf.Capacity)
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
 }
 
-type jsonTask struct {
-	Name      string  `json:"name"`
-	Durations []int64 `json:"durations"`
-}
-
-type jsonBuffer struct {
-	Name     string  `json:"name,omitempty"`
-	Src      string  `json:"src"`
-	Dst      string  `json:"dst"`
-	In       []int64 `json:"in"`
-	Out      []int64 `json:"out"`
-	Initial  int64   `json:"initial"`
-	Capacity int64   `json:"capacity,omitempty"`
-}
-
-// WriteJSON marshals g, indented for reading. Task references use names,
-// so every task must have a unique non-empty name; unnamed tasks are
-// emitted as "tN".
+// WriteJSON writes g as AppendJSON does, indented for reading, and a
+// newline.
 func WriteJSON(w io.Writer, g *csdf.Graph) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(toJSON(g))
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, AppendJSON(nil, g), "", "  "); err != nil {
+		return err
+	}
+	buf.WriteByte('\n')
+	_, err := buf.WriteTo(w)
+	return err
 }
 
-// WriteCompactJSON marshals g like WriteJSON, without indentation.
+// WriteCompactJSON writes g as AppendJSON does, and a newline.
 func WriteCompactJSON(w io.Writer, g *csdf.Graph) error {
-	return json.NewEncoder(w).Encode(toJSON(g))
-}
-
-func toJSON(g *csdf.Graph) jsonGraph {
-	names := taskNames(g)
-	jg := jsonGraph{Name: g.Name}
-	for _, t := range g.Tasks() {
-		jg.Tasks = append(jg.Tasks, jsonTask{Name: names[t.ID], Durations: t.Durations})
-	}
-	for _, b := range g.Buffers() {
-		jg.Buffers = append(jg.Buffers, jsonBuffer{
-			Name: b.Name, Src: names[b.Src], Dst: names[b.Dst],
-			In: b.In, Out: b.Out, Initial: b.Initial, Capacity: b.Capacity,
-		})
-	}
-	return jg
+	_, err := w.Write(append(AppendJSON(nil, g), '\n'))
+	return err
 }
 
 // ReadJSON reads a graph document to the end of r, decodes and validates
@@ -85,18 +112,44 @@ func ReadFacts(r io.Reader) (*csdf.Facts, error) {
 	return d.document()
 }
 
-func taskNames(g *csdf.Graph) []string {
-	names := make([]string, g.NumTasks())
-	used := map[string]bool{}
+// taskNames holds the name each task of a graph is written under, and
+// the set of names taken; the writers take one from namePool.
+type taskNames struct {
+	of   []string
+	used map[string]bool
+}
+
+var namePool = sync.Pool{New: func() any { return &taskNames{used: map[string]bool{}} }}
+
+// resolveNames names g's tasks for writing: each keeps its own name unless
+// it has none or an earlier task took it, and is then "tN", N its ID, with
+// a "_K" suffix should a named task already be called that. The caller
+// hands the result back with release.
+func resolveNames(g *csdf.Graph) *taskNames {
+	n := namePool.Get().(*taskNames)
 	for _, t := range g.Tasks() {
-		n := t.Name
-		if n == "" || used[n] {
-			n = fmt.Sprintf("t%d", t.ID)
+		name := t.Name
+		for k := 0; name == "" || n.used[name]; k++ {
+			name = fmt.Sprintf("t%d", t.ID)
+			if k > 0 {
+				name = fmt.Sprintf("t%d_%d", t.ID, k)
+			}
 		}
-		used[n] = true
-		names[t.ID] = n
+		n.used[name] = true
+		n.of = append(n.of, name)
 	}
-	return names
+	return n
+}
+
+// release pools n unless it grew past the decoder's retention bound.
+func (n *taskNames) release() {
+	if len(n.of) > maxPooledItems {
+		return
+	}
+	clear(n.of)
+	n.of = n.of[:0]
+	clear(n.used)
+	namePool.Put(n)
 }
 
 // ReadFile loads and validates a graph, dispatching on the file extension

@@ -1,6 +1,7 @@
 package sdf3x
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -41,4 +42,54 @@ func ReadJSONReflect(data []byte) (*csdf.Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// jsonGraph is the graph document's struct shape: ReadJSONReflect decodes
+// into it, and WriteJSONReflect encodes it.
+type jsonGraph struct {
+	Name    string       `json:"name"`
+	Tasks   []jsonTask   `json:"tasks"`
+	Buffers []jsonBuffer `json:"buffers"`
+}
+
+type jsonTask struct {
+	Name      string  `json:"name"`
+	Durations []int64 `json:"durations"`
+}
+
+type jsonBuffer struct {
+	Name     string  `json:"name,omitempty"`
+	Src      string  `json:"src"`
+	Dst      string  `json:"dst"`
+	In       []int64 `json:"in"`
+	Out      []int64 `json:"out"`
+	Initial  int64   `json:"initial"`
+	Capacity int64   `json:"capacity,omitempty"`
+}
+
+// WriteJSONReflect is the reflection writer AppendJSON replaced, kept as
+// FuzzAppendJSON's oracle: a json.Encoder over g's jsonGraph, indented by
+// two spaces when indent is set, the output ending in a newline.
+func WriteJSONReflect(g *csdf.Graph, indent bool) []byte {
+	names := resolveNames(g)
+	defer names.release()
+	jg := jsonGraph{Name: g.Name}
+	for _, t := range g.Tasks() {
+		jg.Tasks = append(jg.Tasks, jsonTask{Name: names.of[t.ID], Durations: t.Durations})
+	}
+	for _, b := range g.Buffers() {
+		jg.Buffers = append(jg.Buffers, jsonBuffer{
+			Name: b.Name, Src: names.of[b.Src], Dst: names.of[b.Dst],
+			In: b.In, Out: b.Out, Initial: b.Initial, Capacity: b.Capacity,
+		})
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if indent {
+		enc.SetIndent("", "  ")
+	}
+	if err := enc.Encode(jg); err != nil {
+		panic(err) // a graph has no value encoding/json refuses
+	}
+	return buf.Bytes()
 }

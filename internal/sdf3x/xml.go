@@ -91,7 +91,9 @@ type xmlExec struct {
 
 // WriteXML marshals g in the SDF3-flavoured dialect.
 func WriteXML(w io.Writer, g *csdf.Graph) error {
-	names := taskNames(g)
+	tn := resolveNames(g)
+	defer tn.release()
+	names := tn.of
 	doc := xmlSDF3{Type: "csdf"}
 	doc.App.Name = g.Name
 	doc.App.CSDF.Name = g.Name

@@ -85,9 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration measured in seconds.
-func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
